@@ -41,7 +41,7 @@ void print_usage() {
       "usage: oracle_batch [run] [--topologies A,B,..] [--strategies A,B,..]\n"
       "                    [--workloads A,B,..] [--seeds N|A,B,..]\n"
       "                    [--master-seed M] [--preset NAME] [--jobs N]\n"
-      "                    [--shard N] [--out PATH|-] [--csv PATH] [--resume]\n"
+      "                    [--out PATH|-] [--csv PATH] [--resume]\n"
       "                    [--sample N] [--hop-latency N] [--no-progress]\n"
       "                    [--sim-threads N] [--sim-partitions K]\n"
       "                    [--log-level LVL] [--trace PATH] [--status-file PATH]\n"
@@ -60,7 +60,7 @@ void print_usage() {
       "                    [--metric NAME|all|list] [--csv PATH|-]\n"
       "       oracle_batch trace <base> [--out PATH]     (stitch --trace files)\n"
       "       oracle_batch serve --store S [--store EXTRA ...] [--listen H:P]\n"
-      "                    [--jobs N] [--shard N] [--status-file PATH]\n"
+      "                    [--jobs N] [--status-file PATH]\n"
       "                    [--query-threads N] [--job-budget N]\n"
       "                    [--client-timeout-ms N] [--trace PATH]\n"
       "                    [--log-level LVL]         (resident oracle service)\n"
@@ -245,8 +245,6 @@ int serve_cli(int argc, char** argv) {
       listen = value();
     } else if (arg == "--jobs") {
       cmd.options.exec_threads = static_cast<std::size_t>(parse_int(value(), arg));
-    } else if (arg == "--shard") {
-      cmd.options.shard_size = static_cast<std::size_t>(parse_int(value(), arg));
     } else if (arg == "--status-file") {
       cmd.options.status_path = value();
     } else if (arg == "--status-interval-ms") {
@@ -346,18 +344,14 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
     if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;
-    } else if (arg == "--shard" && run_mode && i + 1 < argc &&
-               std::string(argv[i + 1]).find('/') != std::string::npos) {
-      // run-mode "--shard i/N" = worker identity; the thread-level
-      // "--shard N" claim size keeps its meaning for plain integers.
+    } else if (arg == "--shard" && run_mode) {
+      // Worker identity: run shard i of N.
       cmd.shard = exp::ShardSpec::parse(value());
       if (!cmd.shard) usage_error("--shard needs i/N with i < N");
     } else if (parse_sweep_flag(cmd.sweep, arg, value)) {
     } else if (arg == "--jobs") {
       cmd.jobs = static_cast<std::size_t>(parse_int(value(), arg));
       cmd.jobs_given = true;
-    } else if (arg == "--shard") {
-      cmd.claim_shard_size = static_cast<std::size_t>(parse_int(value(), arg));
     } else if (arg == "--workers" && run_mode) {
       // Validate before the size_t cast: -2 must not wrap to 2^64-2.
       const auto n = parse_int(value(), arg);

@@ -14,8 +14,8 @@ namespace oracle::core {
 /// concurrent calls with separate configs share no mutable state.
 stats::RunResult run_experiment(const ExperimentConfig& config);
 
-/// Run a whole batch through the experiment engine (sharded parallel
-/// execution, optional JSONL/CSV stores, checkpointed resume). Equivalent
+/// Run a whole batch through the experiment engine (parallel execution,
+/// optional JSONL/CSV stores, resume from the store). Equivalent
 /// to exp::run_batch; see exp/batch.hpp for the options.
 exp::BatchOutcome run_batch(const std::vector<ExperimentConfig>& configs,
                             const exp::BatchOptions& options = {});

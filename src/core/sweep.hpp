@@ -42,7 +42,7 @@ class SweepBuilder {
   std::vector<ExperimentConfig> build() const;
 
   /// Materialize and execute the sweep on the batch experiment engine
-  /// (sharded parallel execution, JSONL/CSV stores, checkpointed resume).
+  /// (parallel execution, JSONL/CSV stores, resume from the store).
   exp::BatchOutcome run_batch(const exp::BatchOptions& options = {}) const;
 
   /// Materialize and execute the sweep as a multi-process sharded run:

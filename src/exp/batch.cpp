@@ -1,16 +1,29 @@
 #include "exp/batch.hpp"
 
-#include <fstream>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "exp/checkpoint.hpp"
 #include "topo/factory.hpp"
 #include "util/file_util.hpp"
 
 namespace oracle::exp {
+
+namespace {
+
+/// Touches the shard heartbeat file once per commit group.
+class HeartbeatSink : public ResultSink {
+ public:
+  explicit HeartbeatSink(std::string path) : path_(std::move(path)) {}
+  void write(const ExperimentJob&, const stats::RunResult&) override {}
+  void flush() override { util::touch_file(path_); }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
 
 BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
                        const BatchOptions& options) {
@@ -23,46 +36,28 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
   // From here on "the sweep" means this shard's/lease's slice of it.
   const std::size_t planned = queue.size();
 
-  std::string ckpt_path = options.checkpoint_path;
-  if (ckpt_path.empty() && !options.jsonl_path.empty())
-    ckpt_path = Checkpoint::default_path(options.jsonl_path);
-  // CSV-only sweeps get a checkpoint beside the CSV, so resume works (and
-  // cannot silently duplicate rows) without a JSONL store.
-  if (ckpt_path.empty() && !options.csv_path.empty())
-    ckpt_path = Checkpoint::default_path(options.csv_path);
-  Checkpoint checkpoint(ckpt_path);
-  if (!options.heartbeat_path.empty()) {
-    // First touch before any work: the supervisor's liveness baseline must
-    // cover the window before the first job commits.
+  // First touch before any work: the supervisor's liveness baseline must
+  // cover the window before the first group commits.
+  if (!options.heartbeat_path.empty())
     util::touch_file(options.heartbeat_path);
-    checkpoint.set_heartbeat_path(options.heartbeat_path);
-  }
 
   std::size_t skipped = 0;
   if (options.resume) {
-    checkpoint.load();
+    std::unordered_set<std::uint64_t> done;
     if (!options.jsonl_path.empty())
-      checkpoint.merge(load_completed_hashes(options.jsonl_path));
+      done.merge(load_completed_hashes(options.jsonl_path));
     if (!options.csv_path.empty())
-      checkpoint.merge(load_completed_hashes_csv(options.csv_path));
+      done.merge(load_completed_hashes_csv(options.csv_path));
     for (const auto& store : options.extra_resume_stores)
-      checkpoint.merge(load_completed_hashes(store));
-    skipped = queue.skip_completed(checkpoint.completed());
+      done.merge(load_completed_hashes(store));
+    skipped = queue.skip_completed(done);
   }
   if (!options.skip_hashes.empty()) {
     // Quarantined poison jobs: dropped even on a fresh run — the record of
-    // the verdict lives outside the checkpoint on purpose.
+    // the verdict lives outside the stores on purpose.
     const std::unordered_set<std::uint64_t> poison(
         options.skip_hashes.begin(), options.skip_hashes.end());
     skipped += queue.skip_completed(poison);
-  }
-
-  // A fresh (non-resume) run starts a fresh checkpoint too, and must do so
-  // *before* the sinks truncate the stores: killed between the two, a stale
-  // checkpoint over empty stores would make a later --resume skip jobs
-  // whose records no longer exist.
-  if (!options.resume && checkpoint.enabled()) {
-    std::ofstream truncate(checkpoint.path(), std::ios::out | std::ios::trunc);
   }
 
   TeeSink tee;
@@ -84,6 +79,10 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
     tee.add(*csv_file);
   }
   if (options.collect) tee.add(memory);
+  // Last in the tee, so its flush runs after the stores' fsyncs returned:
+  // "alive" still means "durable progress".
+  HeartbeatSink heartbeat(options.heartbeat_path);
+  if (!options.heartbeat_path.empty()) tee.add(heartbeat);
 
   // Pre-build each distinct topology remaining in the queue into the
   // shared cache, so workers hit warm routing tables instead of racing to
@@ -98,7 +97,7 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
 
   Executor executor(options.exec);
   BatchOutcome outcome;
-  outcome.report = executor.run(queue, tee, &checkpoint);
+  outcome.report = executor.run(queue, tee);
   outcome.report.total_jobs = planned;
   outcome.report.skipped = skipped;
   if (options.collect) outcome.results = memory.results();

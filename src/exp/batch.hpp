@@ -1,6 +1,6 @@
 #pragma once
 // One-call façade over the batch engine: configs in, results out, with
-// optional JSONL/CSV stores, checkpointing, and resume. This is what
+// optional JSONL/CSV stores and resume from them. This is what
 // core::run_batch / SweepBuilder::run_batch and the oracle_batch CLI sit
 // on; use the JobQueue/Executor/ResultSink pieces directly for custom
 // pipelines (extra sinks, pre-filtered queues, ...).
@@ -18,19 +18,16 @@ namespace oracle::exp {
 struct BatchOptions {
   ExecutorOptions exec;
 
-  /// Primary result store ("" = none). When set, a checkpoint file
-  /// (`jsonl_path + ".ckpt"` unless overridden) is maintained alongside.
+  /// Primary result store ("" = none). It is the only durable record of a
+  /// completed job: each commit group is fsynced before it counts.
   std::string jsonl_path;
 
-  /// Secondary CSV mirror ("" = none).
+  /// Secondary CSV mirror ("" = none). A CSV-only sweep resumes from it.
   std::string csv_path;
 
-  /// Explicit checkpoint path; "" derives from jsonl_path.
-  std::string checkpoint_path;
-
-  /// Resume: load the checkpoint and scan the existing JSONL store, skip
-  /// jobs whose content hash is already completed, and append the rest.
-  /// When false, existing store/checkpoint files are truncated.
+  /// Resume: scan the existing JSONL/CSV stores, skip jobs whose content
+  /// hash they already hold, and append the rest. When false, existing
+  /// stores are truncated.
   bool resume = false;
 
   /// Additional JSONL stores whose completed hashes also count during
@@ -59,9 +56,9 @@ struct BatchOptions {
   std::size_t lease_begin = 0;
   std::size_t lease_end = kNoLease;
 
-  /// When non-empty, this file's mtime is bumped at run start and after
-  /// every durable checkpoint record — the worker-side heartbeat of the
-  /// shard supervisor (see exp/shard.hpp).
+  /// When non-empty, this file's mtime is bumped at run start and once per
+  /// commit group, after the store fsync returns — the worker-side
+  /// heartbeat of the shard supervisor (see exp/shard.hpp).
   std::string heartbeat_path;
 
   /// When nonzero, re-seed each job with Rng::derive_seed(master_seed, i)

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "exp/aggregate.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/service_protocol.hpp"
 #include "obs/trace.hpp"
 #include "stats/csv.hpp"
@@ -348,10 +347,6 @@ std::vector<std::string> worker_command_line(const SweepCommand& cmd) {
   for (auto& a : cmd.sweep.to_args()) args.push_back(std::move(a));
   args.push_back("--out");
   args.push_back(cmd.out);
-  if (cmd.claim_shard_size > 0) {
-    args.push_back("--shard");
-    args.push_back(std::to_string(cmd.claim_shard_size));
-  }
   if (cmd.jobs_given) {
     args.push_back("--jobs");
     args.push_back(std::to_string(cmd.jobs));
@@ -426,7 +421,6 @@ int run_sweep_command(const SweepCommand& cmd) {
   opt.resume = cmd.resume;
   opt.master_seed = cmd.sweep.master_seed;
   if (cmd.jobs_given) opt.exec.workers = cmd.jobs;
-  opt.exec.shard_size = cmd.claim_shard_size;
   opt.exec.progress = cmd.progress;
 
   bool stdout_records = false;
@@ -488,9 +482,7 @@ int run_sweep_command(const SweepCommand& cmd) {
                      strfmt("shard %zu/%zu worker exited with status %d (%s)",
                             w.shard, cmd.workers, w.exit_code, hint));
       }
-      if (report.merged)
-        std::printf("store: %s (+ checkpoint %s)\n", sopt.out.c_str(),
-                    Checkpoint::default_path(sopt.out).c_str());
+      if (report.merged) std::printf("store: %s\n", sopt.out.c_str());
       if (!cmd.trace_path.empty()) {
         // Parent events go to "<base>.parent" as trace-event lines; the
         // trace subcommand stitches them with the worker files.
@@ -649,8 +641,7 @@ int run_sweep_command(const SweepCommand& cmd) {
       if (rep.job_wall.count > 0)
         std::printf("%s\n", rep.job_wall.summary().c_str());
       if (!opt.jsonl_path.empty())
-        std::printf("store: %s (+ checkpoint %s)\n", opt.jsonl_path.c_str(),
-                    Checkpoint::default_path(opt.jsonl_path).c_str());
+        std::printf("store: %s\n", opt.jsonl_path.c_str());
       if (!opt.csv_path.empty())
         std::printf("csv:   %s\n", opt.csv_path.c_str());
     }

@@ -81,7 +81,6 @@ struct SweepCommand {
   bool resume = false;
   std::size_t jobs = 0;  ///< executor threads; meaningful when jobs_given
   bool jobs_given = false;
-  std::size_t claim_shard_size = 0;  ///< thread-level "--shard N"
   bool progress = true;
 
   // Distributed mode.

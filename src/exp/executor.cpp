@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -20,6 +22,8 @@
 namespace oracle::exp {
 
 namespace {
+
+constexpr auto kCommitInterval = std::chrono::milliseconds(2);
 
 std::string format_eta(double seconds) {
   if (seconds < 0) return "?";
@@ -71,8 +75,7 @@ std::string BatchReport::summary() const {
   return s;
 }
 
-BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
-                          Checkpoint* checkpoint) {
+BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
   using Clock = std::chrono::steady_clock;
 
   const std::size_t n = queue.size();
@@ -84,31 +87,37 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   workers = std::min(workers, n);
 
-  std::size_t shard_size = opts_.shard_size;
-  if (shard_size == 0) shard_size = std::max<std::size_t>(1, n / workers / 8);
-
-  // Ordered-commit state, guarded by commit_mutex. Slot i corresponds to
-  // queue position i (ascending job index); a slot holds the finished
-  // result, or nullopt + failed flag for a job that threw. `draining`
-  // marks that one thread is currently writing the committable prefix to
-  // the sink *outside* the lock, so workers never queue up behind disk
-  // I/O — they deposit their slot and go claim the next shard.
-  std::mutex commit_mutex;
+  // Ordered-commit state, guarded by `mutex`. Slot i corresponds to queue
+  // position i (ascending job index); a slot holds the finished result, or
+  // nullopt + failed flag for a job that threw. `next_commit` is the first
+  // slot the committer has not taken yet; `committed` the first slot whose
+  // group is not yet flushed.
+  std::mutex mutex;
+  std::condition_variable frontier_ready;  // committer: frontier slot filled
+  std::condition_variable commit_done;     // workers: `committed` advanced
   std::vector<std::optional<stats::RunResult>> pending(n);
   std::vector<char> failed(n, 0);
   std::vector<char> finished(n, 0);
   std::size_t next_commit = 0;
   std::size_t committed = 0;
-  bool draining = false;
-  // Set when a sink/checkpoint write throws: workers stop claiming work so
-  // a dead store fails the run fast instead of simulating the whole
-  // remaining queue into memory nobody will ever drain.
+  bool workers_done = false;
+  std::exception_ptr first_error;
+  // Set by the first error (a sink write/flush or a throwing stop_before):
+  // workers stop claiming, so a dead store fails the run fast instead of
+  // simulating the whole remaining queue into memory nobody will drain.
   std::atomic<bool> aborted{false};
   // Set when opts_.stop_before vetoes a job: the run winds down cleanly —
   // in-flight jobs commit, nothing new starts. The commit frontier halts
   // at the first skipped position, so the store keeps its clean-prefix
   // shape and the abandoned tail stays unclaimed for another worker.
   std::atomic<bool> stopped{false};
+
+  // Called with `mutex` held.
+  const auto fail = [&](std::exception_ptr error) {
+    if (!first_error) first_error = std::move(error);
+    aborted.store(true, std::memory_order_relaxed);
+    commit_done.notify_all();
+  };
 
   const auto start = Clock::now();
   auto last_progress = start;
@@ -123,7 +132,9 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
   const double interval = tty ? opts_.progress_interval_s
                               : std::max(opts_.progress_interval_s, 10.0);
 
-  auto maybe_report_progress = [&](bool force) {
+  // Runs on the committer thread (and once more after it joins), with
+  // `done` jobs committed.
+  auto maybe_report_progress = [&](bool force, std::size_t done) {
     if (!opts_.progress && opts_.status_path.empty()) return;
     const auto now = Clock::now();
     // The status file keeps the un-throttled cadence even when the plain-
@@ -140,16 +151,16 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
                       opts_.progress_interval_s);
     if (!do_line && !do_status) return;
     const double elapsed = std::chrono::duration<double>(now - start).count();
-    const double rate = elapsed > 0 ? static_cast<double>(committed) / elapsed
+    const double rate = elapsed > 0 ? static_cast<double>(done) / elapsed
                                     : 0.0;
     const double eta =
-        rate > 0 ? static_cast<double>(n - committed) / rate : -1.0;
+        rate > 0 ? static_cast<double>(n - done) / rate : -1.0;
     if (do_line) {
       last_progress = now;
       const std::string line =
           strfmt("[exp] %zu/%zu jobs (%.1f%%) | %.1f jobs/s | ETA %s",
-                 committed, n, 100.0 * static_cast<double>(committed) / n,
-                 rate, format_eta(eta).c_str());
+                 done, n, 100.0 * static_cast<double>(done) / n, rate,
+                 format_eta(eta).c_str());
       if (tty) {
         // Trailing pad clears residue when the line shrinks; the final
         // (forced) line is newline-terminated so the next write starts
@@ -166,7 +177,7 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
       obs::StatusSnapshot st;
       st.phase = "running";
       st.jobs_total = n;
-      st.jobs_done = committed;
+      st.jobs_done = done;
       st.jobs_per_second = rate;
       st.eta_seconds = eta;
       st.elapsed_seconds = elapsed;
@@ -174,52 +185,55 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
     }
   };
 
-  // Called with `lock` held after slot `pos` is filled: advance the commit
-  // frontier as far as contiguous finished slots allow. Only one thread
-  // drains at a time; it extracts the committable batch under the lock but
-  // performs the sink/checkpoint I/O with the lock released, then rechecks
-  // for slots that finished meanwhile.
-  auto drain_commits = [&](std::unique_lock<std::mutex>& lock) {
-    if (draining) return;  // the active drainer will pick our slot up
-    draining = true;
+  // The committer: the only thread that touches the sink. It sleeps until
+  // the frontier slot is filled, takes every contiguous finished slot as
+  // one group, and writes + flushes the group with the lock released — so
+  // the next group grows by itself while this one's fsync is in flight.
+  // It exits once the workers are done and the frontier can move no more.
+  auto commit_loop = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    auto last_flush = Clock::now();
     while (true) {
-      std::vector<std::pair<const ExperimentJob*, stats::RunResult>> batch;
+      frontier_ready.wait(lock, [&] {
+        return workers_done || finished[next_commit];
+      });
+      // At most one flush per kCommitInterval while workers run, so a
+      // group holds several frontier arrivals, not one or two. A lone
+      // worker never waits: with stop_before it fences on each commit.
+      if (workers > 1)
+        frontier_ready.wait_until(lock, last_flush + kCommitInterval,
+                                  [&] { return workers_done; });
+      last_flush = Clock::now();
+      std::vector<std::pair<const ExperimentJob*, stats::RunResult>> group;
+      const std::size_t begin = next_commit;
       while (next_commit < n && finished[next_commit]) {
         const std::size_t pos = next_commit++;
-        ++committed;
         if (failed[pos]) continue;
         ++report.executed;
         report.total_events += pending[pos]->events_executed;
-        batch.emplace_back(&queue.job(pos), std::move(*pending[pos]));
+        group.emplace_back(&queue.job(pos), std::move(*pending[pos]));
         pending[pos].reset();  // free the result memory promptly
       }
-      if (batch.empty()) {
-        draining = false;
-        maybe_report_progress(false);
-        return;
-      }
+      if (next_commit == begin) return;  // workers done, frontier halted
+      const std::size_t end = next_commit;
       lock.unlock();
       try {
-        obs::Span commit_span("exec", "commit", "jobs",
-                              static_cast<std::int64_t>(batch.size()));
-        for (const auto& [job, result] : batch) sink.write(*job, result);
-        // Durability order matters: the store is flushed *before* the
-        // checkpoint claims the jobs. A crash in between leaves records in
-        // the store that the checkpoint misses — resume re-discovers them
-        // by scanning the store. The reverse order would let the checkpoint
-        // claim jobs whose records never reached disk, silently losing
-        // them.
-        sink.flush();
-        if (checkpoint)
-          for (const auto& [job, result] : batch)
-            checkpoint->record(job->content_hash);
+        if (!group.empty()) {
+          obs::Span commit_span("exec", "commit", "jobs",
+                                static_cast<std::int64_t>(group.size()));
+          for (const auto& [job, result] : group) sink.write(*job, result);
+          sink.flush();
+        }
+        maybe_report_progress(false, end);
       } catch (...) {
-        aborted.store(true, std::memory_order_relaxed);
         lock.lock();
-        draining = false;
-        throw;  // propagates through parallel_for (first exception wins)
+        fail(std::current_exception());
+        return;
       }
       lock.lock();
+      committed = end;
+      commit_done.notify_all();
+      if (end == n) return;
     }
   };
 
@@ -227,22 +241,38 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
   // exactly one worker thread.
   std::vector<double> wall_s(n, 0.0);
 
-  ThreadPool::parallel_for(workers, workers, [&](std::size_t) {
+  auto work_loop = [&](std::size_t) {
     // Steady-clock mark of when this thread last finished useful work;
-    // the gap to the next job's start is its queue-wait (claim contention
-    // plus commit-lock time), recorded as an arg on the job span.
+    // the gap to the next job's start is its queue-wait (claim plus
+    // deposit time), recorded as an arg on the job span.
     std::int64_t idle_since_ns =
         obs::Tracer::enabled() ? obs::Tracer::now_ns() : 0;
-    while (!aborted.load(std::memory_order_relaxed) &&
-           !stopped.load(std::memory_order_relaxed)) {
-      const auto shard = queue.claim(shard_size);
-      if (shard.empty()) return;
-      for (std::size_t pos = shard.begin;
-           pos < shard.end && !aborted.load(std::memory_order_relaxed);
-           ++pos) {
-        if (opts_.stop_before && opts_.stop_before(queue.job(pos))) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;
+    try {
+      while (!aborted.load(std::memory_order_relaxed) &&
+             !stopped.load(std::memory_order_relaxed)) {
+        const auto claimed = queue.claim();
+        if (!claimed) return;
+        const std::size_t pos = *claimed;
+        const ExperimentJob& job = queue.job(pos);
+        if (opts_.stop_before) {
+          // One worker: the job the hook sees is the first uncommitted one.
+          if (workers == 1) {
+            std::unique_lock<std::mutex> lock(mutex);
+            commit_done.wait(lock, [&] {
+              return committed >= pos ||
+                     aborted.load(std::memory_order_relaxed) ||
+                     stopped.load(std::memory_order_relaxed);
+            });
+            if (committed < pos) return;
+          }
+          if (opts_.stop_before(job)) {
+            {
+              std::lock_guard<std::mutex> lock(mutex);
+              stopped.store(true, std::memory_order_relaxed);
+            }
+            commit_done.notify_all();
+            return;
+          }
         }
         std::optional<stats::RunResult> result;
         std::string error;
@@ -251,12 +281,11 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
           wait_us = (obs::Tracer::now_ns() - idle_since_ns) / 1000;
         const auto job_start = Clock::now();
         {
-          obs::Span job_span(
-              "exec", "job", "index",
-              static_cast<std::int64_t>(queue.job(pos).index), "wait_us",
-              wait_us);
+          obs::Span job_span("exec", "job", "index",
+                             static_cast<std::int64_t>(job.index), "wait_us",
+                             wait_us);
           try {
-            result = core::run_experiment(queue.job(pos).config);
+            result = core::run_experiment(job.config);
           } catch (const std::exception& e) {
             error = e.what();
           }
@@ -264,23 +293,40 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
         wall_s[pos] =
             std::chrono::duration<double>(Clock::now() - job_start).count();
         if (obs::Tracer::enabled()) idle_since_ns = obs::Tracer::now_ns();
-        std::unique_lock<std::mutex> lock(commit_mutex);
-        if (result) {
-          pending[pos] = std::move(result);
-        } else {
-          failed[pos] = 1;
-          ++report.failed;
-          if (report.errors.size() < opts_.max_errors) {
-            report.errors.push_back(strfmt(
-                "job %zu (%s): %s", queue.job(pos).index,
-                queue.job(pos).config.label().c_str(), error.c_str()));
+        bool at_frontier = false;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (result) {
+            pending[pos] = std::move(result);
+          } else {
+            failed[pos] = 1;
+            ++report.failed;
+            if (report.errors.size() < opts_.max_errors) {
+              report.errors.push_back(
+                  strfmt("job %zu (%s): %s", job.index,
+                         job.config.label().c_str(), error.c_str()));
+            }
           }
+          finished[pos] = 1;
+          at_frontier = pos == next_commit;
         }
-        finished[pos] = 1;
-        drain_commits(lock);
+        if (at_frontier) frontier_ready.notify_one();
       }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex);
+      fail(std::current_exception());
     }
-  });
+  };
+
+  std::thread committer(commit_loop);
+  ThreadPool::parallel_for(workers, workers, work_loop);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    workers_done = true;
+  }
+  frontier_ready.notify_one();
+  committer.join();
+  if (first_error) std::rethrow_exception(first_error);
 
   // `executed` was counted at the commit frontier; everything the frontier
   // never reached (skipped by stop_before, or finished behind a skipped
@@ -302,7 +348,7 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink,
       if (finished[i] && !failed[i]) samples.push_back(wall_s[i]);
     report.job_wall = DurationStats::from_samples(std::move(samples));
   }
-  maybe_report_progress(true);
+  maybe_report_progress(true, committed);
   if (!opts_.status_path.empty()) {
     obs::StatusSnapshot st;
     st.phase = report.ok() ? "done" : "failed";

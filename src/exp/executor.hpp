@@ -1,12 +1,14 @@
 #pragma once
-// Sharded parallel executor for batch experiments.
+// Parallel executor for batch experiments.
 //
 // Workers (util/thread_pool.hpp threads, one single-threaded Machine per
-// job as machine.hpp prescribes) claim contiguous shards from the JobQueue
+// job as machine.hpp prescribes) claim jobs from the JobQueue one at a time
 // and run core::run_experiment on each. Finished runs pass through an
-// *ordered commit* stage: results are buffered until every earlier job has
-// committed, then written to the sink and recorded in the checkpoint. Two
-// consequences:
+// *ordered commit* stage: one committer thread per run waits for the
+// frontier job, then writes every contiguous finished result to the sink
+// as one group with one flush (store fsync); with several workers it
+// flushes at most once every 2 ms. Workers never write or sync.
+// Two consequences:
 //   1. the JSONL/CSV output of a sweep is byte-identical whatever the
 //      worker count (--jobs 1 vs --jobs 8), and
 //   2. an interrupted run leaves a clean job-order prefix on disk, so
@@ -18,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/checkpoint.hpp"
 #include "exp/job_queue.hpp"
 #include "exp/result_sink.hpp"
 
@@ -27,11 +28,6 @@ namespace oracle::exp {
 struct ExecutorOptions {
   /// Worker threads; 0 = hardware concurrency (capped at the job count).
   std::size_t workers = 0;
-
-  /// Jobs claimed per shard; 0 = auto (queue size / workers / 8, min 1) —
-  /// coarse enough to amortize the claim, fine enough to load-balance the
-  /// heavy tail of large-topology runs.
-  std::size_t shard_size = 0;
 
   /// Emit live jobs/s + ETA lines (to `progress_stream` or stderr).
   bool progress = false;
@@ -59,7 +55,11 @@ struct ExecutorOptions {
   /// contiguous prefix still commits). Work-stealing lease workers use it
   /// to observe a lease the parent shrank mid-run: jobs at or beyond the
   /// new lease end are abandoned for the thief to pick up. The hook runs
-  /// on worker threads, so it must be thread-safe.
+  /// on worker threads, so it must be thread-safe. With one worker thread
+  /// the hook is called only once every job ahead of it in the queue has
+  /// been committed (written and flushed): lease workers fence on the
+  /// frontier they report from the hook, and the steal supervisor blames a
+  /// dead worker's first uncommitted job.
   std::function<bool(const ExperimentJob&)> stop_before;
 };
 
@@ -83,7 +83,7 @@ struct DurationStats {
 
 struct BatchReport {
   std::size_t total_jobs = 0;  ///< sweep size before resume skipping
-  std::size_t skipped = 0;     ///< satisfied by the checkpoint/result cache
+  std::size_t skipped = 0;     ///< already in the store (resume) or dropped
   std::size_t executed = 0;    ///< simulations actually run and committed
   std::size_t failed = 0;      ///< jobs whose simulation threw
   std::size_t cancelled = 0;   ///< jobs not committed: stop_before ended the
@@ -109,13 +109,13 @@ class Executor {
  public:
   explicit Executor(ExecutorOptions opts = {}) : opts_(opts) {}
 
-  /// Run every job remaining in `queue`. Sink writes and checkpoint
-  /// records happen in ascending job-index order, serialized internally
-  /// (sinks need no locking). A job that throws is reported in the
-  /// BatchReport and neither written nor checkpointed (so a later resume
-  /// retries it); sink/checkpoint I/O errors propagate.
-  BatchReport run(JobQueue& queue, ResultSink& sink,
-                  Checkpoint* checkpoint = nullptr);
+  /// Run every job remaining in `queue`. Sink writes happen in ascending
+  /// job-index order on the committer thread (sinks need no locking). A
+  /// job that throws is reported in the BatchReport and not written (so a
+  /// later resume retries it). The first sink I/O error stops the workers
+  /// and is rethrown once every thread has joined; so is an exception from
+  /// stop_before.
+  BatchReport run(JobQueue& queue, ResultSink& sink);
 
  private:
   ExecutorOptions opts_;

@@ -1,7 +1,7 @@
 #pragma once
-// Umbrella header for the batch experiment engine (src/exp/): sharded
-// parallel sweep execution with streaming JSONL/CSV result stores,
-// content-hash checkpointing, resume, and a multi-seed aggregation/query
+// Umbrella header for the batch experiment engine (src/exp/): parallel
+// sweep execution with streaming JSONL/CSV result stores, content-hash
+// resume from those stores, and a multi-seed aggregation/query
 // layer over the stores (exp/aggregate.hpp).
 //
 // Quickstart:
@@ -17,7 +17,6 @@
 
 #include "exp/aggregate.hpp"
 #include "exp/batch.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/commands.hpp"
 #include "exp/executor.hpp"
 #include "exp/job.hpp"

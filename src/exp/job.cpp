@@ -10,7 +10,7 @@ std::string job_canonical_string(const core::ExperimentConfig& config) {
   const auto& c = config.costs;
   const auto& m = config.machine;
   // v1: bump the version tag if the serialization ever changes meaning, so
-  // old checkpoints cannot silently satisfy new jobs.
+  // old stores cannot silently satisfy new jobs.
   return strfmt(
       "v1|topo=%s|strat=%s|wl=%s|leaf=%lld|split=%lld|combine=%lld|"
       "hop=%lld|ctrl=%lld|word=%lld|gsz=%u|rsz=%u|csz=%u|lm=%u|coproc=%d|"

@@ -2,7 +2,7 @@
 // A batch job: one ExperimentConfig plus its position in the sweep and a
 // content hash over every field that influences the simulation outcome.
 //
-// The hash is the identity used by the result cache / checkpoint: two jobs
+// The hash is the identity used by the result cache / resume: two jobs
 // with the same hash would produce the same RunResult (the simulator is
 // deterministic in its config), so a completed hash never needs re-running.
 // Conversely, touching any knob — even a cost-model field — changes the
@@ -35,8 +35,7 @@ std::string job_canonical_string(const core::ExperimentConfig& config);
 /// FNV-1a (64-bit) over job_canonical_string().
 std::uint64_t job_content_hash(const core::ExperimentConfig& config);
 
-/// Fixed-width lower-case hex rendering used in JSONL records and
-/// checkpoint files.
+/// Fixed-width lower-case hex rendering used in JSONL and CSV records.
 std::string hash_hex(std::uint64_t hash);
 
 /// Inverse of hash_hex; returns false on malformed input.

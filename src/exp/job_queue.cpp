@@ -1,6 +1,5 @@
 #include "exp/job_queue.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -65,12 +64,10 @@ std::size_t JobQueue::retain_range(std::size_t begin, std::size_t end) {
   return before - jobs_.size();
 }
 
-JobQueue::Shard JobQueue::claim(std::size_t max_jobs) noexcept {
-  if (max_jobs == 0) max_jobs = 1;
-  const std::size_t begin =
-      cursor_.fetch_add(max_jobs, std::memory_order_relaxed);
-  if (begin >= jobs_.size()) return {};
-  return {begin, std::min(begin + max_jobs, jobs_.size())};
+std::optional<std::size_t> JobQueue::claim() noexcept {
+  const std::size_t pos = cursor_.fetch_add(1, std::memory_order_relaxed);
+  if (pos >= jobs_.size()) return std::nullopt;
+  return pos;
 }
 
 }  // namespace oracle::exp

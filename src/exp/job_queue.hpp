@@ -2,12 +2,13 @@
 // JobQueue: the unit of work the batch engine executes. Built from a list
 // of ExperimentConfigs (typically core::SweepBuilder::build()), it assigns
 // stable indices, computes content hashes, optionally derives independent
-// per-job seeds from one master seed, and hands out contiguous *shards* of
-// jobs to executor workers through a thread-safe claim cursor.
+// per-job seeds from one master seed, and hands jobs to executor workers
+// one at a time through a thread-safe claim cursor.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -33,7 +34,7 @@ class JobQueue {
   /// execution order. Content hashes are recomputed.
   void derive_seeds(std::uint64_t master);
 
-  /// Drop jobs whose content hash is in `completed` (checkpoint resume).
+  /// Drop jobs whose content hash is in `completed` (store resume).
   /// Surviving jobs keep their original sweep indices. Returns the number
   /// of jobs removed. Resets the claim cursor.
   std::size_t skip_completed(const std::unordered_set<std::uint64_t>& completed);
@@ -60,18 +61,10 @@ class JobQueue {
   const ExperimentJob& job(std::size_t pos) const { return jobs_[pos]; }
   const std::vector<ExperimentJob>& jobs() const noexcept { return jobs_; }
 
-  /// A claimed contiguous range of queue positions [begin, end).
-  struct Shard {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    bool empty() const noexcept { return begin >= end; }
-    std::size_t size() const noexcept { return end - begin; }
-  };
-
-  /// Atomically claim the next shard of up to `max_jobs` jobs (>= 1).
-  /// Returns an empty shard once the queue is drained. Safe to call from
-  /// any number of worker threads.
-  Shard claim(std::size_t max_jobs) noexcept;
+  /// Atomically claim the next queue position (one relaxed fetch_add).
+  /// Returns nullopt once the queue is drained. Safe to call from any
+  /// number of worker threads.
+  std::optional<std::size_t> claim() noexcept;
 
   /// Rewind the claim cursor (e.g. to run the same queue again).
   void reset_cursor() noexcept { cursor_.store(0, std::memory_order_relaxed); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "stats/csv.hpp"
@@ -33,6 +34,13 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+/// fsync a file store after its stream was flushed to the OS.
+void sync_store(const std::string& path) {
+  if (util::fsync_path(path) || errno == EINVAL) return;
+  throw SimulationError("fsync of '" + path + "' failed: " +
+                        std::strerror(errno));
 }
 
 /// %.17g prints doubles losslessly and, crucially for byte-identical
@@ -273,7 +281,8 @@ void JsonlSink::write(const ExperimentJob& job, const stats::RunResult& r) {
 
 void JsonlSink::flush() {
   os_->flush();
-  if (!path_.empty()) util::fsync_path(path_);
+  if (!*os_) throw SimulationError("JSONL flush failed");
+  if (!path_.empty()) sync_store(path_);
 }
 
 // --------------------------------------------------------------- CsvSink --
@@ -314,7 +323,8 @@ void CsvSink::write(const ExperimentJob& job, const stats::RunResult& r) {
 
 void CsvSink::flush() {
   os_->flush();
-  if (!path_.empty()) util::fsync_path(path_);
+  if (!*os_) throw SimulationError("CSV flush failed");
+  if (!path_.empty()) sync_store(path_);
 }
 
 // ------------------------------------------------------------ MemorySink --

@@ -1,8 +1,9 @@
 #pragma once
 // Streaming result persistence for batch runs. The Executor commits results
-// strictly in job-index order and calls sinks from one thread at a time, so
-// sinks need no internal locking and an interrupted run always leaves a
-// clean prefix of the sweep on disk.
+// strictly in job-index order from its one committer thread, so sinks need
+// no internal locking and an interrupted run always leaves a clean prefix
+// of the sweep on disk. The file store is the only durable record of a
+// completed job: resume reads completions back from it.
 //
 // JSONL is the primary store: one self-describing record per run, carrying
 // the job index and content hash so a later --resume invocation can tell
@@ -31,11 +32,11 @@ class ResultSink {
   virtual ~ResultSink() = default;
 
   /// Persist one finished run. Calls arrive in ascending job.index order,
-  /// serialized by the executor's commit lock.
+  /// all from the executor's committer thread.
   virtual void write(const ExperimentJob& job, const stats::RunResult& r) = 0;
 
-  /// Push buffered data to durable storage (called after every commit so a
-  /// kill -9 loses at most the in-flight record).
+  /// Push buffered data to durable storage (called once per commit group;
+  /// a group counts as committed only when this returns).
   virtual void flush() {}
 };
 
@@ -69,9 +70,9 @@ std::unordered_set<std::uint64_t> load_completed_hashes_csv(
     const std::string& path);
 
 /// True if `path` exists, is non-empty, and does not end in a newline —
-/// i.e. a previous run was killed mid-write. Append-mode sinks and the
-/// checkpoint terminate such a partial line first so the next record
-/// starts clean (the partial line itself stays ignored by the parsers).
+/// i.e. a previous run was killed mid-write. Append-mode sinks terminate
+/// such a partial line first so the next record starts clean (the partial
+/// line itself stays ignored by the parsers).
 bool has_partial_last_line(const std::string& path);
 
 /// Append-mode JSONL file (or caller-owned stream) sink.
@@ -84,9 +85,10 @@ class JsonlSink : public ResultSink {
 
   void write(const ExperimentJob& job, const stats::RunResult& r) override;
 
-  /// Flush to the OS and (file-backed sinks only) fsync: the executor
-  /// syncs the store *before* the checkpoint claims its jobs, so even a
-  /// power loss cannot persist a completion whose record vanished.
+  /// Flush to the OS and (file-backed sinks only) fsync. Throws
+  /// SimulationError when either fails, so a group whose records may not
+  /// be on disk never counts as committed. A target that cannot sync at
+  /// all (EINVAL, e.g. /dev/null) is accepted.
   void flush() override;
 
  private:

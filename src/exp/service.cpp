@@ -179,7 +179,6 @@ bool QueryRun::run_chunk(ServiceSink& sink, std::size_t budget) {
   // the extra stores contribute their hashes too).
   BatchOptions opt;
   opt.exec.workers = options_.exec_threads;
-  opt.exec.shard_size = options_.shard_size;
   opt.exec.progress = false;
   opt.jsonl_path = options_.store;
   opt.resume = true;

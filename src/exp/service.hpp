@@ -61,7 +61,6 @@ struct ServiceOptions {
   util::HostPort listen{"127.0.0.1", 0};  ///< daemon bind; port 0 ephemeral
 
   std::size_t exec_threads = 0;  ///< executor workers; 0 = hardware
-  std::size_t shard_size = 0;    ///< executor shard size; 0 = auto
 
   /// Optional obs::StatusSnapshot file, atomically rewritten every
   /// status_interval_ms while the daemon runs (phase "serving", request +

@@ -14,7 +14,6 @@
 #include <unordered_set>
 
 #include "exp/batch.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/job_queue.hpp"
 #include "exp/lease_client.hpp"
 #include "exp/result_sink.hpp"
@@ -360,13 +359,10 @@ std::vector<std::size_t> ShardPlan::incomplete_shards(
     if (hashes_[i].empty()) continue;
     const std::string store = shard_store_path(canonical_store, i,
                                                hashes_.size());
-    auto done = load_completed_hashes(store);
-    Checkpoint ckpt(Checkpoint::default_path(store));
-    ckpt.load();
+    const auto done = load_completed_hashes(store);
     const bool incomplete = std::any_of(
         hashes_[i].begin(), hashes_[i].end(), [&](std::uint64_t h) {
-          return !done.contains(h) && !ckpt.contains(h) &&
-                 !already_done.contains(h);
+          return !done.contains(h) && !already_done.contains(h);
         });
     if (incomplete) out.push_back(i);
   }
@@ -408,39 +404,19 @@ MergeReport ShardMerger::merge_to(const std::string& canonical_path) {
       throw SimulationError("cannot open '" + tmp + "' for writing");
     std::unordered_set<std::uint64_t> seen;
     seen.reserve(records_.size());
-    std::vector<std::uint64_t> order;
-    order.reserve(records_.size());
     for (const auto& rec : records_) {
       if (!seen.insert(rec.content_hash).second) {
         ++report_.duplicates_dropped;
         continue;
       }
       store << rec.line << '\n';
-      order.push_back(rec.content_hash);
       ++report_.records;
     }
     store.flush();
     if (!store)
       throw SimulationError("merge write to '" + tmp + "' failed");
-    store.close();
-
-    // Canonical checkpoint, rebuilt to exactly mirror the merged store so
-    // a later serial --resume over the canonical store needs no rescans.
-    const std::string ckpt_tmp = tmp + ".ckpt";
-    std::ofstream ckpt(ckpt_tmp, std::ios::out | std::ios::trunc);
-    if (!ckpt)
-      throw SimulationError("cannot open '" + ckpt_tmp + "' for writing");
-    for (const auto hash : order) ckpt << hash_hex(hash) << '\n';
-    ckpt.flush();
-    if (!ckpt)
-      throw SimulationError("merge write to '" + ckpt_tmp + "' failed");
-    ckpt.close();
-
-    // Store first, checkpoint second: a crash in between leaves a stale
-    // checkpoint beside a complete store, and resume rescans the store.
-    util::atomic_replace(tmp, canonical_path);
-    util::atomic_replace(ckpt_tmp, Checkpoint::default_path(canonical_path));
   }
+  util::atomic_replace(tmp, canonical_path);
   return report_;
 }
 
@@ -633,8 +609,9 @@ LeaseWorkerReport run_lease_client_worker(
       // Append + skip-own-completed, exactly like the file-protocol worker:
       // a respawned or re-leased worker must skip its own durable prefix.
       opt.resume = true;
-      // Commits are strictly ordered only with one executor thread — the
-      // frontier the server fences on *is* the job index being started.
+      // The frontier the server fences on *is* the job index being
+      // started: one executor thread, and stop_before runs only once
+      // every earlier job is committed.
       opt.exec.workers = 1;
       opt.exec.progress = false;
       if (options.merge_resume && util::file_exists(options.canonical_out))
@@ -673,10 +650,9 @@ LeaseWorkerReport run_lease_client_worker(
           std::this_thread::sleep_for(
               std::chrono::milliseconds(hooks.stall_ms));
         }
-        // Everything before job.index is durable (single-threaded ordered
-        // commit), so the commit is both the fencing check and the
-        // progress heartbeat; its reply carries the (possibly stolen-from)
-        // current lease end.
+        // Everything before job.index is durable (one executor thread), so
+        // the commit is both the fencing check and the progress heartbeat;
+        // its reply carries the (possibly stolen-from) current lease end.
         const auto now = std::chrono::steady_clock::now();
         const auto wall_us = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -864,12 +840,7 @@ ShardRunReport run_stealing_processes(
       std::max<std::size_t>(1, std::min(options.workers, n));
 
   std::unordered_set<std::uint64_t> canonical_done;
-  if (options.resume) {
-    canonical_done = load_completed_hashes(options.out);
-    Checkpoint ckpt(Checkpoint::default_path(options.out));
-    ckpt.load();
-    canonical_done.insert(ckpt.completed().begin(), ckpt.completed().end());
-  }
+  if (options.resume) canonical_done = load_completed_hashes(options.out);
 
   // Quarantine lifecycle: a fresh run forgets old verdicts, --resume keeps
   // them (the poison jobs stay skipped), --resume --retry-quarantined
@@ -889,7 +860,6 @@ ShardRunReport run_stealing_processes(
   auto slot_files = [&](std::size_t k) {
     return std::vector<std::string>{
         worker_store_path(options.out, k, slots),
-        Checkpoint::default_path(worker_store_path(options.out, k, slots)),
         worker_lease_path(options.out, k, slots),
         worker_heartbeat_path(options.out, k, slots)};
   };
@@ -953,19 +923,18 @@ ShardRunReport run_stealing_processes(
   };
 
   // The victim's committed frontier: one past the highest lease position
-  // whose job is durable in the victim's checkpoint (or the canonical
-  // store). Workers commit in ascending index order, so everything beyond
-  // is unclaimed tail — up to the in-flight window, which steal races
+  // whose record is in the victim's store (or the canonical store).
+  // Workers commit in ascending index order, so everything beyond is
+  // unclaimed tail — up to the in-flight window, which steal races
   // tolerate by design.
   auto committed_frontier = [&](std::size_t victim) {
     const Lease& lease = table.lease(victim);
-    Checkpoint ckpt(Checkpoint::default_path(
-        worker_store_path(options.out, victim, slots)));
-    ckpt.load();
+    const auto done =
+        load_completed_hashes(worker_store_path(options.out, victim, slots));
     std::size_t frontier = lease.begin;
     for (std::size_t p = lease.begin; p < lease.end; ++p) {
       const std::uint64_t h = queue.job(p).content_hash;
-      if (ckpt.contains(h) || canonical_done.contains(h)) frontier = p + 1;
+      if (done.contains(h) || canonical_done.contains(h)) frontier = p + 1;
     }
     return frontier;
   };
@@ -1055,7 +1024,7 @@ ShardRunReport run_stealing_processes(
   // One consistent snapshot of supervisor state, atomically rewritten so a
   // dashboard polling the file never sees a torn read. jobs_done counts
   // from the durable frontiers: retired/drained ranges are complete,
-  // live leases are complete up to their checkpoint frontier.
+  // live leases are complete up to their store frontier.
   auto write_status = [&](const std::string& phase) {
     if (options.status_path.empty()) return;
     const auto now = Clock::now();
@@ -1175,7 +1144,7 @@ ShardRunReport run_stealing_processes(
           spawn_slot(k);
         } else if (proc.restarts < options.max_restarts) {
           // Crash (or heartbeat SIGKILL): respawn over the same lease —
-          // the slot store/checkpoint keep a durable prefix, so the
+          // the slot store keeps a durable prefix, so the
           // respawned worker skips straight to the first missing job.
           ORACLE_LOG_WARN(strfmt(
               "worker slot %zu died (%s %d); respawning (%zu/%zu)", k,
@@ -1215,7 +1184,7 @@ ShardRunReport run_stealing_processes(
                   static_cast<std::int64_t>(t * 1e9)));
           }
           if (monitor.stale(k, now)) {
-            // Wedged worker: no checkpoint progress for a full timeout.
+            // Wedged worker: no commit progress for a full timeout.
             // SIGKILL and let the reap path above restart it.
             ORACLE_LOG_WARN(strfmt(
                 "worker slot %zu heartbeat stale (%.1fs); sending SIGKILL",
@@ -1307,7 +1276,6 @@ ShardRunReport run_lease_server_processes(
   auto slot_files = [&](std::size_t k) {
     return std::vector<std::string>{
         worker_store_path(options.out, k, slots),
-        Checkpoint::default_path(worker_store_path(options.out, k, slots)),
         worker_heartbeat_path(options.out, k, slots)};
   };
   if (!options.resume) {
@@ -1623,7 +1591,7 @@ ShardRunReport run_sharded_processes(
 
   // Which shards need a worker? Fresh runs: every shard with jobs (their
   // workers truncate any stale per-shard state). Resume: only shards with
-  // jobs not already durable in their own store/checkpoint or in the
+  // jobs not already durable in their own store or in the
   // previously merged canonical store.
   std::vector<std::size_t> to_run;
   if (options.resume) {
@@ -1640,15 +1608,12 @@ ShardRunReport run_sharded_processes(
   report.shards_skipped = nonempty - to_run.size();
 
   // A fresh run must not inherit stale per-shard state from an older,
-  // different sweep: clear every shard store/checkpoint of this layout up
-  // front (workers would truncate their own anyway; shards that get no
-  // worker this time must not leak stale records into the merge).
+  // different sweep: clear every shard store of this layout up front
+  // (workers would truncate their own anyway; shards that get no worker
+  // this time must not leak stale records into the merge).
   if (!options.resume) {
-    for (std::size_t i = 0; i < plan.count(); ++i) {
-      const std::string store = shard_store_path(options.out, i, plan.count());
-      util::remove_file(store);
-      util::remove_file(Checkpoint::default_path(store));
-    }
+    for (std::size_t i = 0; i < plan.count(); ++i)
+      util::remove_file(shard_store_path(options.out, i, plan.count()));
   }
 
   if (!to_run.empty()) {
@@ -1682,11 +1647,8 @@ ShardRunReport run_sharded_processes(
   report.merged = true;
 
   if (!options.keep_shard_stores) {
-    for (std::size_t i = 0; i < plan.count(); ++i) {
-      const std::string store = shard_store_path(options.out, i, plan.count());
-      util::remove_file(store);
-      util::remove_file(Checkpoint::default_path(store));
-    }
+    for (std::size_t i = 0; i < plan.count(); ++i)
+      util::remove_file(shard_store_path(options.out, i, plan.count()));
   }
   return report;
 }

@@ -7,8 +7,8 @@
 //     (shard_of_hash). The slice is a pure function of job identity, so it
 //     is stable across invocations, resumes, and hosts.
 //   - Each worker process runs its slice into a private per-shard JSONL
-//     store + checkpoint (shard_store_path), using the ordinary batch
-//     engine — per-record durability included, so a SIGKILLed worker
+//     store (shard_store_path), using the ordinary batch engine — group
+//     commit durability included, so a SIGKILLed worker
 //     leaves a clean, resumable prefix and can never corrupt any other
 //     shard's state.
 //   - When every worker has exited cleanly, the parent merges the shard
@@ -17,7 +17,7 @@
 //     identical to what a serial run would have produced.
 //   - A killed/failed worker leaves the merge unperformed; a later
 //     --resume re-runs only the incomplete shards' incomplete jobs
-//     (ShardPlan::incomplete_shards + the per-shard checkpoint protocol)
+//     (ShardPlan::incomplete_shards over the per-shard stores)
 //     and then merges, converging to the same byte-identical store.
 //
 // run_sharded_processes() drives the whole protocol by re-executing the
@@ -58,8 +58,7 @@ inline std::size_t shard_of_hash(std::uint64_t content_hash,
   return count <= 1 ? 0 : static_cast<std::size_t>(content_hash % count);
 }
 
-/// Per-shard private store path: "<canonical>.shard<i>of<N>". The shard
-/// checkpoint sits beside it at Checkpoint::default_path of this.
+/// Per-shard private store path: "<canonical>.shard<i>of<N>".
 std::string shard_store_path(const std::string& canonical_store,
                              std::size_t index, std::size_t count);
 
@@ -71,14 +70,15 @@ std::string shard_store_path(const std::string& canonical_store,
 // contiguous job-range lease through a small control file the worker
 // re-reads before every job. Three files per slot, all derived from the
 // canonical store path:
-//   - worker_store_path:     private JSONL store (+ checkpoint beside it)
+//   - worker_store_path:     private JSONL store, the slot's durable record
 //   - worker_lease_path:     the lease, rewritten atomically by the parent
-//   - worker_heartbeat_path: mtime-touched by the worker per checkpoint
-//     record; the parent treats an unchanged mtime as "wedged" and reaps
+//   - worker_heartbeat_path: mtime-touched by the worker once per commit
+//     group, after the store fsync returns; the parent treats an unchanged
+//     mtime as "wedged" and reaps
 // When a worker drains its lease it exits 0; the parent then steals the
 // unclaimed tail of the most-loaded live lease for it and respawns it. A
 // crashed (or heartbeat-reaped) worker is respawned over the same lease —
-// its store/checkpoint keep a durable prefix, so the respawn skips what is
+// its store keeps a durable prefix, so the respawn skips what is
 // already done. Steal races can run a job twice on two slots; that is
 // harmless: the simulator is deterministic, so the duplicate records are
 // byte-identical and the merge dedups them by content hash in job order.
@@ -286,7 +286,7 @@ class ShardPlan {
   }
 
   /// Shards that still have jobs not completed by (a) their own shard
-  /// store/checkpoint under `canonical_store` or (b) the `already_done`
+  /// store under `canonical_store` or (b) the `already_done`
   /// set (typically the canonical store's hashes). Empty shards are never
   /// reported. This is the crash-detection step of --resume: only these
   /// shards get a worker process.
@@ -319,9 +319,8 @@ class ShardMerger {
   /// shard with zero planned jobs never creates its store).
   void add_store(const std::string& path);
 
-  /// Merge everything into `canonical_path` (and write the canonical
-  /// checkpoint beside it, hashes in job order, so a later single-process
-  /// --resume over the canonical store works unchanged). Throws
+  /// Merge everything into `canonical_path`; a later single-process
+  /// --resume over the canonical store works unchanged. Throws
   /// SimulationError on I/O failure.
   MergeReport merge_to(const std::string& canonical_path);
 

@@ -1,5 +1,6 @@
 #include "util/file_util.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 
@@ -18,7 +19,10 @@ namespace oracle::util {
 
 #if defined(_WIN32)
 
-bool fsync_path(const std::string&) noexcept { return false; }
+bool fsync_path(const std::string&) noexcept {
+  errno = EINVAL;  // no fsync here: report it like an unsyncable target
+  return false;
+}
 bool fsync_parent_dir(const std::string&) noexcept { return false; }
 
 bool file_exists(const std::string& path) noexcept {
@@ -49,7 +53,9 @@ bool fsync_path(const std::string& path) noexcept {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd < 0) return false;
   const bool ok = fsync_retry(fd);  // EINTR must not drop the barrier
+  const int saved = errno;
   ::close(fd);
+  errno = saved;  // report the fsync's failure, not the close's
   return ok;
 }
 

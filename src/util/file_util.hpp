@@ -14,9 +14,10 @@ namespace oracle::util {
 /// Flush `path`'s written data to stable storage (fsync on POSIX). The
 /// caller must already have pushed its buffered writes into the OS (e.g.
 /// std::ofstream::flush); this persists them across power loss, not just
-/// process death. Returns false when the file cannot be opened or synced;
-/// callers treat that as best-effort (network/overlay filesystems commonly
-/// reject fsync).
+/// process death. Returns false when the file cannot be opened or synced,
+/// with errno saying why (EINVAL: the target cannot sync, e.g. /dev/null).
+/// Result stores treat a failure as fatal; control files treat it as
+/// best-effort.
 bool fsync_path(const std::string& path) noexcept;
 
 /// fsync the directory containing `path`, making a just-renamed or

@@ -167,7 +167,6 @@ TEST(Aggregate, CsvAndTableRenderEveryGroup) {
 TEST(Aggregate, MultiSeedRoundTripThroughStore) {
   const std::string path = "aggregate_roundtrip_test.jsonl";
   std::remove(path.c_str());
-  std::remove((path + ".ckpt").c_str());
 
   core::ExperimentConfig base;
   base.topology = "grid:4x4";
@@ -206,7 +205,6 @@ TEST(Aggregate, MultiSeedRoundTripThroughStore) {
   }
 
   std::remove(path.c_str());
-  std::remove((path + ".ckpt").c_str());
 }
 
 TEST(Aggregate, MissingStoreThrows) {

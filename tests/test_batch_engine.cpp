@@ -1,11 +1,15 @@
 // Tests for the batch experiment engine (src/exp/): job identity hashing,
-// per-job seed derivation, the sharded job queue, JSONL/CSV sinks and
-// round-trips, checkpointed resume, and the engine's determinism guarantee
-// (byte-identical JSONL regardless of worker count).
+// per-job seed derivation, the job queue, JSONL/CSV sinks and round-trips,
+// resume from the stores, the ordered committer, and the engine's
+// determinism guarantee (byte-identical JSONL regardless of worker count).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -14,6 +18,7 @@
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
 #include "exp/exp.hpp"
+#include "util/file_util.hpp"
 #include "util/rng.hpp"
 
 namespace oracle {
@@ -152,14 +157,10 @@ TEST(JobQueue, ConcurrentClaimsPartitionTheQueue) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
-      while (true) {
-        const auto shard = queue.claim(3);
-        if (shard.empty()) return;
+      while (const auto pos = queue.claim()) {
         std::lock_guard<std::mutex> lock(m);
-        for (auto i = shard.begin; i < shard.end; ++i) {
-          EXPECT_EQ(seen[i], 0) << "position claimed twice";
-          seen[i] = 1;
-        }
+        EXPECT_EQ(seen[*pos], 0) << "position claimed twice";
+        seen[*pos] = 1;
       }
     });
   }
@@ -274,7 +275,6 @@ TEST(BatchEngine, JsonlByteIdenticalAcrossWorkerCounts) {
 
   opt.jsonl_stream = &eight;
   opt.exec.workers = 8;
-  opt.exec.shard_size = 1;  // maximize interleaving
   exp::run_batch(configs, opt);
 
   EXPECT_FALSE(one.str().empty());
@@ -299,7 +299,6 @@ TEST(BatchEngine, CollectedResultsMatchSerialRuns) {
 TEST(BatchEngine, ResumeSkipsCompletedJobsAndCompletesTheSweep) {
   const auto configs = small_sweep();
   const auto store = temp_path("resume.jsonl");
-  const auto ckpt = exp::Checkpoint::default_path(store);
 
   // "Interrupted" run: only the first 5 jobs ever executed.
   {
@@ -311,7 +310,6 @@ TEST(BatchEngine, ResumeSkipsCompletedJobsAndCompletesTheSweep) {
     const auto outcome = exp::run_batch(partial, opt);
     ASSERT_TRUE(outcome.report.ok());
     ASSERT_EQ(line_count(store), 5u);
-    ASSERT_EQ(line_count(ckpt), 5u);
   }
 
   // Resume over the full sweep: 5 skipped, 13 executed, store complete.
@@ -345,13 +343,11 @@ TEST(BatchEngine, ResumeSkipsCompletedJobsAndCompletesTheSweep) {
   EXPECT_EQ(line_count(store), 18u);
 
   std::remove(store.c_str());
-  std::remove(ckpt.c_str());
 }
 
 TEST(BatchEngine, ResumeAfterMidWriteKillDoesNotGlueRecords) {
   const auto configs = small_sweep();
   const auto store = temp_path("midwrite.jsonl");
-  const auto ckpt = exp::Checkpoint::default_path(store);
   {
     const std::vector<core::ExperimentConfig> partial(configs.begin(),
                                                       configs.begin() + 3);
@@ -360,8 +356,8 @@ TEST(BatchEngine, ResumeAfterMidWriteKillDoesNotGlueRecords) {
     opt.collect = false;
     ASSERT_TRUE(exp::run_batch(partial, opt).report.ok());
   }
-  // Simulate kill -9 mid-write: the store's (and checkpoint's) last line
-  // is cut off with no trailing newline.
+  // Simulate kill -9 mid-write: the store's last line is cut off with no
+  // trailing newline.
   auto truncate_tail = [](const std::string& path, std::size_t drop) {
     std::ifstream in(path, std::ios::binary);
     std::string content((std::istreambuf_iterator<char>(in)),
@@ -372,7 +368,6 @@ TEST(BatchEngine, ResumeAfterMidWriteKillDoesNotGlueRecords) {
     out << content;
   };
   truncate_tail(store, 40);
-  truncate_tail(ckpt, 5);
 
   exp::BatchOptions opt;
   opt.jsonl_path = store;
@@ -398,39 +393,29 @@ TEST(BatchEngine, ResumeAfterMidWriteKillDoesNotGlueRecords) {
   EXPECT_EQ(exp::load_completed_hashes(store).size(), 18u);
 
   std::remove(store.c_str());
-  std::remove(ckpt.c_str());
 }
 
-TEST(BatchEngine, ResumeRecoversFromCheckpointAloneAndStoreAlone) {
+TEST(BatchEngine, NoRunWritesACheckpointFile) {
   const auto configs = small_sweep();
-  const auto store = temp_path("recover.jsonl");
-  const auto ckpt = exp::Checkpoint::default_path(store);
-  {
-    const std::vector<core::ExperimentConfig> partial(configs.begin(),
-                                                      configs.begin() + 4);
-    exp::BatchOptions opt;
-    opt.jsonl_path = store;
-    opt.collect = false;
-    ASSERT_TRUE(exp::run_batch(partial, opt).report.ok());
-  }
-
-  // Checkpoint missing (deleted): the JSONL store alone still resumes.
-  std::remove(ckpt.c_str());
+  const auto store = temp_path("nockpt.jsonl");
+  const auto csv = temp_path("nockpt.csv");
   exp::BatchOptions opt;
   opt.jsonl_path = store;
+  opt.csv_path = csv;
+  opt.collect = false;
+  ASSERT_TRUE(exp::run_batch(configs, opt).report.ok());
   opt.resume = true;
-  const auto outcome = exp::run_batch(configs, opt);
-  EXPECT_EQ(outcome.report.skipped, 4u);
-  EXPECT_EQ(line_count(store), 18u);
-
+  EXPECT_EQ(exp::run_batch(configs, opt).report.skipped, 18u);
+  // The stores are the only durable record of a completed job.
+  EXPECT_FALSE(util::file_exists(store + ".ckpt"));
+  EXPECT_FALSE(util::file_exists(csv + ".ckpt"));
   std::remove(store.c_str());
-  std::remove(ckpt.c_str());
+  std::remove(csv.c_str());
 }
 
 TEST(BatchEngine, CsvOnlyResumeSkipsCompletedJobsWithoutDuplicateRows) {
   const auto configs = small_sweep();
   const auto csv = temp_path("csvonly.csv");
-  const auto ckpt = exp::Checkpoint::default_path(csv);
   {
     const std::vector<core::ExperimentConfig> partial(configs.begin(),
                                                       configs.begin() + 6);
@@ -448,14 +433,12 @@ TEST(BatchEngine, CsvOnlyResumeSkipsCompletedJobsWithoutDuplicateRows) {
   EXPECT_EQ(outcome.report.executed, 12u);
   EXPECT_EQ(line_count(csv), 19u);  // header + 18 rows, no duplicates
 
-  // Even with the checkpoint gone, the CSV rows alone carry the hashes.
-  std::remove(ckpt.c_str());
+  // The CSV rows alone carry the hashes: a second resume is a no-op.
   const auto again = exp::run_batch(configs, opt);
   EXPECT_EQ(again.report.skipped, 18u);
   EXPECT_EQ(line_count(csv), 19u);
 
   std::remove(csv.c_str());
-  std::remove(ckpt.c_str());
 }
 
 TEST(BatchEngine, FailedJobsAreReportedAndRetriedOnResume) {
@@ -474,64 +457,197 @@ TEST(BatchEngine, FailedJobsAreReportedAndRetriedOnResume) {
   EXPECT_EQ(outcome.results.size(), 17u);  // failed job has no record
   EXPECT_EQ(line_count(store), 17u);
 
-  // The failed job was not checkpointed: a resume retries exactly it.
+  // The failed job has no record: a resume retries exactly it.
   opt.resume = true;
   const auto retry = exp::run_batch(configs, opt);
   EXPECT_EQ(retry.report.skipped, 17u);
   EXPECT_EQ(retry.report.failed, 1u);
 
   std::remove(store.c_str());
-  std::remove(exp::Checkpoint::default_path(store).c_str());
 }
 
-// -------------------------------------------------- checkpoint durability --
+// ---------------------------------------------------- ordered committer --
 
-TEST(Checkpoint, EveryRecordIsDurableImmediately) {
-  // Crash-replay: after each record() returns, a *separate reader* (stand-in
-  // for the resume scan of a process that took over after kill -9) must
-  // already see the hash on disk — no buffering until close/destruction.
-  const auto path = temp_path("ckpt_durable.ckpt");
-  std::remove(path.c_str());
-  exp::Checkpoint ckpt(path);
-  std::vector<std::uint64_t> hashes = {0x1111, 0x2222, 0xdeadbeef,
-                                       0xffffffffffffffffULL};
-  for (std::size_t i = 0; i < hashes.size(); ++i) {
-    ckpt.record(hashes[i]);
-    // The writing Checkpoint stays open — read behind its back.
-    exp::Checkpoint reader(path);
-    EXPECT_EQ(reader.load(), i + 1);
-    for (std::size_t j = 0; j <= i; ++j)
-      EXPECT_TRUE(reader.contains(hashes[j]));
+/// Forwards to a JSONL file store and throws on its `fail_at`-th write.
+class FailingSink : public exp::ResultSink {
+ public:
+  FailingSink(const std::string& path, std::size_t fail_at)
+      : store_(path), fail_at_(fail_at) {}
+  void write(const exp::ExperimentJob& job,
+             const stats::RunResult& r) override {
+    if (++writes_ == fail_at_) throw SimulationError("injected sink failure");
+    store_.write(job, r);
   }
+  void flush() override { store_.flush(); }
+
+ private:
+  exp::JsonlSink store_;
+  std::size_t fail_at_;
+  std::size_t writes_ = 0;
+};
+
+/// Renders JSONL in memory and records how many jobs each flush covered.
+class CountingSink : public exp::ResultSink {
+ public:
+  void write(const exp::ExperimentJob& job,
+             const stats::RunResult& r) override {
+    jsonl_.write(job, r);
+    ++unflushed_;
+  }
+  void flush() override {
+    groups.push_back(unflushed_);
+    flushed.fetch_add(unflushed_);
+    unflushed_ = 0;
+  }
+  std::string bytes() const { return os_.str(); }
+
+  std::vector<std::size_t> groups;    ///< jobs per flush, in commit order
+  std::atomic<std::size_t> flushed{0};
+
+ private:
+  std::ostringstream os_;
+  exp::JsonlSink jsonl_{os_};
+  std::size_t unflushed_ = 0;
+};
+
+TEST(Committer, SinkErrorFailsTheRunAndLeavesACleanPrefix) {
+  const auto configs = small_sweep();
+  const auto path = temp_path("sink_error.jsonl");
+  constexpr std::size_t kFailAt = 4;
+  constexpr std::size_t kWorkers = 4;
+  std::string error;
+  {
+    exp::JobQueue queue(configs);
+    FailingSink sink(path, kFailAt);
+    exp::ExecutorOptions opts;
+    opts.workers = kWorkers;
+    try {
+      exp::Executor(opts).run(queue, sink);
+    } catch (const SimulationError& e) {
+      error = e.what();
+    }
+  }
+  EXPECT_NE(error.find("injected sink failure"), std::string::npos);
+
+  // The store parses line by line and holds the job-order prefix.
+  std::ifstream in(path);
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(in, line)) {
+    const auto rec = exp::parse_jsonl_record(line);
+    ASSERT_TRUE(rec.has_value()) << line;
+    EXPECT_EQ(rec->job_index, records);
+    ++records;
+  }
+  EXPECT_LE(records, kFailAt + kWorkers);
+  EXPECT_EQ(records, kFailAt - 1);
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ReplayAfterMidWriteKillTerminatesPartialLine) {
-  const auto path = temp_path("ckpt_replay.ckpt");
-  std::remove(path.c_str());
-  {
-    exp::Checkpoint ckpt(path);
-    ckpt.record(0xaaaa);
-    ckpt.record(0xbbbb);
+TEST(Committer, SlowFrontierJobGrowsOneGroupAndKeepsBytesIdentical) {
+  const auto configs = small_sweep();
+  std::string reference;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    exp::JobQueue queue(configs);
+    CountingSink sink;
+    exp::ExecutorOptions opts;
+    opts.workers = workers;
+    // Job 0 holds the frontier far longer than the rest of the sweep takes.
+    opts.stop_before = [](const exp::ExperimentJob& job) {
+      if (job.index == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      return false;
+    };
+    ASSERT_TRUE(exp::Executor(opts).run(queue, sink).ok());
+
+    std::size_t total = 0, largest = 0;
+    for (const auto g : sink.groups) {
+      total += g;
+      largest = std::max(largest, g);
+    }
+    EXPECT_EQ(total, configs.size());
+    if (workers > 1) {
+      EXPECT_GT(largest, 1u) << workers << " workers";
+    }
+    if (reference.empty()) reference = sink.bytes();
+    EXPECT_EQ(sink.bytes(), reference) << workers << " workers";
   }
-  // Simulate kill -9 mid-append: a partial hash with no newline.
-  {
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << "00000000000";
+  EXPECT_FALSE(reference.empty());
+}
+
+TEST(Committer, StopBeforeMidRunCommitsExactlyTheContiguousPrefix) {
+  const auto configs = small_sweep();
+  std::ostringstream serial, stopped;
+  exp::BatchOptions opt;
+  opt.collect = false;
+  opt.exec.workers = 1;
+  opt.jsonl_stream = &serial;
+  ASSERT_TRUE(exp::run_batch(configs, opt).report.ok());
+
+  opt.exec.workers = 8;
+  opt.jsonl_stream = &stopped;
+  opt.exec.stop_before = [](const exp::ExperimentJob& job) {
+    return job.index >= 9;
+  };
+  const auto report = exp::run_batch(configs, opt).report;
+  EXPECT_EQ(report.executed, 9u);
+  EXPECT_EQ(report.cancelled, 9u);
+
+  std::istringstream in(serial.str());
+  std::string line, prefix;
+  for (int i = 0; i < 9 && std::getline(in, line); ++i) prefix += line + '\n';
+  EXPECT_EQ(stopped.str(), prefix);
+}
+
+TEST(Committer, CommitBeforeStopCheckSeesEveryEarlierJobFlushed) {
+  const auto configs = small_sweep();
+  exp::JobQueue queue(configs);
+  CountingSink sink;
+  exp::ExecutorOptions opts;
+  opts.workers = 1;
+  std::vector<std::size_t> flushed_at_check;
+  opts.stop_before = [&](const exp::ExperimentJob&) {
+    flushed_at_check.push_back(sink.flushed.load());
+    return false;
+  };
+  ASSERT_TRUE(exp::Executor(opts).run(queue, sink).ok());
+  ASSERT_EQ(flushed_at_check.size(), configs.size());
+  for (std::size_t i = 0; i < flushed_at_check.size(); ++i)
+    EXPECT_EQ(flushed_at_check[i], i);
+}
+
+TEST(ResultSinks, FlushThrowsWhenTheStoreCannotBeSynced) {
+  exp::ExperimentJob job;
+  job.config = small_config();
+  job.content_hash = exp::job_content_hash(job.config);
+  const auto result = core::run_experiment(job.config);
+
+  const auto jsonl = temp_path("fsync_fail.jsonl");
+  const auto csv = temp_path("fsync_fail.csv");
+  for (const auto& p : {jsonl, csv}) std::filesystem::remove_all(p);
+  exp::JsonlSink jsonl_sink(jsonl);
+  exp::CsvSink csv_sink(csv);
+  for (exp::ResultSink* sink : {static_cast<exp::ResultSink*>(&jsonl_sink),
+                                static_cast<exp::ResultSink*>(&csv_sink)}) {
+    sink->write(job, result);
+    EXPECT_NO_THROW(sink->flush());
   }
-  // The next run loads the intact prefix, terminates the partial line, and
-  // keeps appending; a final replay sees old + new but never the fragment.
-  {
-    exp::Checkpoint ckpt(path);
-    EXPECT_EQ(ckpt.load(), 2u);
-    ckpt.record(0xcccc);
+  // Each store path now names a directory: the fsync cannot reach a file.
+  for (const auto& p : {jsonl, csv}) {
+    std::filesystem::remove(p);
+    std::filesystem::create_directory(p);
   }
-  exp::Checkpoint reader(path);
-  EXPECT_EQ(reader.load(), 3u);
-  EXPECT_TRUE(reader.contains(0xaaaa));
-  EXPECT_TRUE(reader.contains(0xbbbb));
-  EXPECT_TRUE(reader.contains(0xcccc));
-  std::remove(path.c_str());
+  for (exp::ResultSink* sink : {static_cast<exp::ResultSink*>(&jsonl_sink),
+                                static_cast<exp::ResultSink*>(&csv_sink)}) {
+    sink->write(job, result);
+    EXPECT_THROW(sink->flush(), SimulationError);
+  }
+  for (const auto& p : {jsonl, csv}) std::filesystem::remove_all(p);
+
+  // A target that cannot sync at all (EINVAL) is not an error.
+  exp::JsonlSink null_sink("/dev/null");
+  null_sink.write(job, result);
+  EXPECT_NO_THROW(null_sink.flush());
 }
 
 // --------------------------------------- lease workers & golden identity --
@@ -540,10 +656,7 @@ TEST(BatchEngine, StopBeforeCancelsTheTailAndResumeFinishesIt) {
   const auto configs = small_sweep();
   const auto store = temp_path("cancel.jsonl");
   const auto serial = temp_path("cancel_serial.jsonl");
-  for (const auto& p : {store, serial}) {
-    std::remove(p.c_str());
-    std::remove(exp::Checkpoint::default_path(p).c_str());
-  }
+  for (const auto& p : {store, serial}) std::remove(p.c_str());
 
   exp::BatchOptions sopt;
   sopt.jsonl_path = serial;
@@ -578,10 +691,7 @@ TEST(BatchEngine, StopBeforeCancelsTheTailAndResumeFinishesIt) {
   sb << b.rdbuf();
   EXPECT_EQ(sa.str(), sb.str());
 
-  for (const auto& p : {store, serial}) {
-    std::remove(p.c_str());
-    std::remove(exp::Checkpoint::default_path(p).c_str());
-  }
+  for (const auto& p : {store, serial}) std::remove(p.c_str());
 }
 
 TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
@@ -595,19 +705,11 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
   const auto statik = temp_path("golden_static.jsonl");
   const auto steal = temp_path("golden_steal.jsonl");
   auto cleanup = [&] {
-    for (const auto& p : {serial, statik, steal}) {
-      std::remove(p.c_str());
-      std::remove(exp::Checkpoint::default_path(p).c_str());
-    }
-    for (std::size_t i = 0; i < 3; ++i) {
-      const auto s = exp::shard_store_path(statik, i, 3);
-      std::remove(s.c_str());
-      std::remove(exp::Checkpoint::default_path(s).c_str());
-    }
+    for (const auto& p : {serial, statik, steal}) std::remove(p.c_str());
+    for (std::size_t i = 0; i < 3; ++i)
+      std::remove(exp::shard_store_path(statik, i, 3).c_str());
     for (std::size_t k = 0; k < 4; ++k) {
       for (const auto& f : {exp::worker_store_path(steal, k, 4),
-                            exp::Checkpoint::default_path(
-                                exp::worker_store_path(steal, k, 4)),
                             exp::worker_lease_path(steal, k, 4),
                             exp::worker_heartbeat_path(steal, k, 4)})
         std::remove(f.c_str());
@@ -675,8 +777,6 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(golden, slurp(statik));
   EXPECT_EQ(golden, slurp(steal));
-  EXPECT_EQ(slurp(exp::Checkpoint::default_path(serial)),
-            slurp(exp::Checkpoint::default_path(steal)));
   cleanup();
 }
 

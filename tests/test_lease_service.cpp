@@ -89,7 +89,6 @@ const std::string& serial_store() {
     path = temp_path("serial_golden." + std::to_string(::getpid()) +
                      ".jsonl");
     std::remove(path.c_str());
-    std::remove(exp::Checkpoint::default_path(path).c_str());
     exp::BatchOptions opt;
     opt.jsonl_path = path;
     opt.collect = false;
@@ -101,13 +100,11 @@ const std::string& serial_store() {
 
 void remove_run_files(const std::string& canonical, std::size_t slots) {
   std::remove(canonical.c_str());
-  std::remove(exp::Checkpoint::default_path(canonical).c_str());
   std::remove((canonical + ".marker").c_str());
   std::remove(exp::quarantine_path(canonical).c_str());
   for (std::size_t k = 0; k < slots; ++k) {
     const auto store = exp::worker_store_path(canonical, k, slots);
     std::remove(store.c_str());
-    std::remove(exp::Checkpoint::default_path(store).c_str());
   }
 }
 
@@ -546,8 +543,7 @@ TEST(DistributedLease, CleanSweepConvergesToSerialBytes) {
   EXPECT_EQ(report.orphaned, 0u);
   EXPECT_EQ(report.restarts, 0u);
   EXPECT_EQ(read_file(serial_store()), read_file(canonical));
-  EXPECT_EQ(read_file(exp::Checkpoint::default_path(serial_store())),
-            read_file(exp::Checkpoint::default_path(canonical)));
+  EXPECT_FALSE(util::file_exists(canonical + ".ckpt"));
 
   const int status = wait_child(server);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
@@ -656,8 +652,7 @@ TEST(DistributedLease, ServerSigkillOrphansWorkersThenReplayResumeConverges) {
   EXPECT_TRUE(resumed.ok()) << resumed.summary();
   EXPECT_EQ(resumed.orphaned, 0u);
   EXPECT_EQ(read_file(serial_store()), read_file(canonical));
-  EXPECT_EQ(read_file(exp::Checkpoint::default_path(serial_store())),
-            read_file(exp::Checkpoint::default_path(canonical)));
+  EXPECT_FALSE(util::file_exists(canonical + ".ckpt"));
 
   const int status2 = wait_child(server2);
   EXPECT_TRUE(WIFEXITED(status2) && WEXITSTATUS(status2) == 0);

@@ -23,7 +23,6 @@
 #include "core/sweep.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/batch.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/job_queue.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/service.hpp"
@@ -66,7 +65,6 @@ core::SweepSpec small_sweep() {
 /// "already have the results" precondition for warm queries).
 void prebuild_store(const core::SweepSpec& spec, const std::string& store) {
   std::remove(store.c_str());
-  std::remove(exp::Checkpoint::default_path(store).c_str());
   exp::BatchOptions opt;
   opt.jsonl_path = store;
   opt.collect = false;
@@ -100,7 +98,6 @@ stats::RunResult fabricated_result(const exp::ExperimentJob& job,
 void fabricate_store(const core::SweepSpec& spec, const std::string& store,
                      double speedup = 2.0) {
   std::remove(store.c_str());
-  std::remove(exp::Checkpoint::default_path(store).c_str());
   exp::JobQueue queue(spec.build());
   std::ofstream out(store, std::ios::binary);
   ASSERT_TRUE(out.is_open());

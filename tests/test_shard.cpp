@@ -67,11 +67,9 @@ void keep_lines(const std::string& path, std::size_t n) {
 
 void remove_run_files(const std::string& canonical, std::size_t shards) {
   std::remove(canonical.c_str());
-  std::remove(exp::Checkpoint::default_path(canonical).c_str());
   for (std::size_t i = 0; i < shards; ++i) {
     const auto store = exp::shard_store_path(canonical, i, shards);
     std::remove(store.c_str());
-    std::remove(exp::Checkpoint::default_path(store).c_str());
   }
 }
 
@@ -188,12 +186,10 @@ TEST(ShardMerger, MergedStoreIsByteIdenticalToSerialRun) {
   const auto serial_bytes = read_file(serial);
   ASSERT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, read_file(canonical));
-  // The rebuilt canonical checkpoint matches the serial run's too.
-  EXPECT_EQ(read_file(exp::Checkpoint::default_path(serial)),
-            read_file(exp::Checkpoint::default_path(canonical)));
+  // The merge writes the canonical store and nothing beside it.
+  EXPECT_FALSE(util::file_exists(canonical + ".ckpt"));
 
   std::remove(serial.c_str());
-  std::remove(exp::Checkpoint::default_path(serial).c_str());
   remove_run_files(canonical, 3);
 }
 
@@ -244,7 +240,7 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   ASSERT_TRUE(exp::run_batch(configs, sopt).report.ok());
 
   // All three workers run; then the busiest one is "SIGKILLed" after 2
-  // jobs — its store and checkpoint keep a clean 2-record prefix.
+  // jobs — its store keeps a clean 2-record prefix.
   for (std::size_t i = 0; i < 3; ++i)
     ASSERT_TRUE(run_shard_worker(configs, canonical, i, 3).report.ok());
   exp::JobQueue queue(configs);
@@ -256,7 +252,6 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   ASSERT_GT(plan.shard_hashes(victim).size(), 2u);  // pigeonhole: max >= 6
   const auto victim_store = exp::shard_store_path(canonical, victim, 3);
   keep_lines(victim_store, 2);
-  keep_lines(exp::Checkpoint::default_path(victim_store), 2);
 
   // Crash detection: only the killed shard is incomplete.
   EXPECT_EQ(plan.incomplete_shards(canonical),
@@ -280,7 +275,6 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   EXPECT_EQ(read_file(serial), read_file(canonical));
 
   std::remove(serial.c_str());
-  std::remove(exp::Checkpoint::default_path(serial).c_str());
   remove_run_files(canonical, 3);
 }
 
@@ -297,7 +291,6 @@ TEST(ShardPlan, JobsMergedIntoCanonicalStoreAreNotReRun) {
     const auto store = exp::shard_store_path(canonical, i, 2);
     merger.add_store(store);
     std::remove(store.c_str());
-    std::remove(exp::Checkpoint::default_path(store).c_str());
   }
   ASSERT_EQ(merger.merge_to(canonical).records, configs.size());
 
@@ -740,7 +733,6 @@ TEST(ShardWorkers, EmptyLeaseWorkerExitsCleanlyWithValidEmptyStore) {
   const auto canonical = temp_path("empty_lease.jsonl");
   const auto store = exp::worker_store_path(canonical, 0, 2);
   std::remove(store.c_str());
-  std::remove(exp::Checkpoint::default_path(store).c_str());
 
   exp::LeaseWorkerOptions wopt;
   wopt.canonical_out = canonical;
@@ -764,7 +756,6 @@ TEST(ShardWorkers, EmptyLeaseWorkerExitsCleanlyWithValidEmptyStore) {
   EXPECT_TRUE(read_file(store).empty());
 
   std::remove(store.c_str());
-  std::remove(exp::Checkpoint::default_path(store).c_str());
   std::remove(exp::worker_lease_path(canonical, 0, 2).c_str());
   std::remove(exp::worker_heartbeat_path(canonical, 0, 2).c_str());
 }

@@ -97,7 +97,6 @@ const std::string& serial_store() {
     path = temp_path("serial_golden." + std::to_string(::getpid()) +
                      ".jsonl");
     std::remove(path.c_str());
-    std::remove(exp::Checkpoint::default_path(path).c_str());
     exp::BatchOptions opt;
     opt.jsonl_path = path;
     opt.collect = false;
@@ -115,7 +114,6 @@ const std::string& slow_serial_store() {
     path = temp_path("slow_serial_golden." + std::to_string(::getpid()) +
                      ".jsonl");
     std::remove(path.c_str());
-    std::remove(exp::Checkpoint::default_path(path).c_str());
     exp::BatchOptions opt;
     opt.jsonl_path = path;
     opt.collect = false;
@@ -127,13 +125,10 @@ const std::string& slow_serial_store() {
 
 void remove_steal_files(const std::string& canonical, std::size_t slots) {
   std::remove(canonical.c_str());
-  std::remove(exp::Checkpoint::default_path(canonical).c_str());
   std::remove((canonical + ".marker").c_str());
   for (std::size_t k = 0; k < slots; ++k) {
     for (const auto& f :
          {exp::worker_store_path(canonical, k, slots),
-          exp::Checkpoint::default_path(
-              exp::worker_store_path(canonical, k, slots)),
           exp::worker_lease_path(canonical, k, slots),
           exp::worker_heartbeat_path(canonical, k, slots)})
       std::remove(f.c_str());
@@ -189,8 +184,7 @@ TEST(StealSupervisor, MatchesSerialByteIdenticallyIncludingMoreWorkersThanJobs) 
     EXPECT_EQ(report.planned_jobs, 18u);
     EXPECT_EQ(report.merge.records, 18u);
     EXPECT_EQ(read_file(serial_store()), read_file(canonical));
-    EXPECT_EQ(read_file(exp::Checkpoint::default_path(serial_store())),
-              read_file(exp::Checkpoint::default_path(canonical)));
+    EXPECT_FALSE(util::file_exists(canonical + ".ckpt"));
   }
   remove_steal_files(canonical, 25);
 }

@@ -16,7 +16,6 @@
 
 #include "core/sweep.hpp"
 #include "exp/batch.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/job_queue.hpp"
 #include "exp/store_index.hpp"
 
@@ -55,7 +54,6 @@ std::string fake_record(const std::string& hex16, const std::string& tag) {
 TEST(StoreIndex, BuildFromRealStoreRoundTrips) {
   const auto store = temp_path("real.jsonl");
   std::remove(store.c_str());
-  std::remove(exp::Checkpoint::default_path(store).c_str());
 
   const auto configs = core::SweepBuilder()
                            .topologies({"grid:4x4"})

@@ -182,10 +182,24 @@ TEST(TracedExecutor, TraceIsValidJsonWithBalancedNesting) {
     if (ev->ph == 'X') tracks[{ev->pid, ev->tid}].push_back(*ev);
   }
   EXPECT_EQ(job_spans, configs.size());
-  for (auto& [track, spans] : tracks)
+  std::size_t commit_tracks = 0;
+  for (auto& [track, spans] : tracks) {
     EXPECT_TRUE(spans_nest(spans))
         << "partial span overlap on pid " << track.first << " tid "
         << track.second;
+    // Commits run on the one committer thread, never on a worker.
+    const auto named = [&spans](const char* name) {
+      return std::any_of(spans.begin(), spans.end(),
+                         [name](const obs::ParsedEvent& e) {
+                           return e.name == name;
+                         });
+    };
+    if (named("commit")) {
+      ++commit_tracks;
+      EXPECT_FALSE(named("job")) << "commit span on a worker track";
+    }
+  }
+  EXPECT_EQ(commit_tracks, 1u);
   std::remove(trace.c_str());
 }
 
