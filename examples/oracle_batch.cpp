@@ -3,9 +3,9 @@
 // points in exp/commands.hpp (which own all behaviour; see that header
 // and README.md for the full flag reference):
 //
-//   oracle_batch [run] ...          cartesian sweeps: threaded, sharded
-//                                   multi-process, work-stealing, or
-//                                   cross-host lease-client execution
+//   oracle_batch [run] ...          cartesian sweeps: threaded, or
+//                                   supervised worker processes over a
+//                                   local or cross-host lease service
 //   oracle_batch aggregate ...      multi-seed summary tables / CSV over
 //                                   one or more JSONL result stores
 //   oracle_batch trace <base>       stitch distributed --trace files
@@ -45,13 +45,11 @@ void print_usage() {
       "                    [--sample N] [--hop-latency N] [--no-progress]\n"
       "                    [--sim-threads N] [--sim-partitions K]\n"
       "                    [--log-level LVL] [--trace PATH] [--status-file PATH]\n"
-      "       oracle_batch run ... --workers N [--keep-shards]   (multi-process)\n"
-      "       oracle_batch run ... --workers N --steal [--heartbeat-ms N]\n"
+      "       oracle_batch run ... --workers N [--keep-shards] [--heartbeat-ms N]\n"
       "                    [--max-restarts N] [--retry-quarantined]\n"
-      "                                                  (work-stealing supervisor)\n"
-      "       oracle_batch run ... --workers N --lease-server HOST:PORT\n"
-      "                    [--lease-timeout-ms N] [--lease-retries N]\n"
-      "                                                  (cross-host lease client)\n"
+      "                    [--lease-server HOST:PORT] [--lease-timeout-ms N]\n"
+      "                    [--lease-retries N]  (supervised worker processes;\n"
+      "                    --steal is accepted and ignored)\n"
       "       oracle_batch serve-leases ... --workers W --journal PATH\n"
       "                    [--listen H:P] [--status-file PATH] [--linger-ms N]\n"
       "                                                  (cross-host lease server)\n"
@@ -358,7 +356,7 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
       if (n < 1) usage_error("--workers must be >= 1");
       cmd.workers = static_cast<std::size_t>(n);
     } else if (arg == "--steal" && run_mode) {
-      cmd.steal = true;
+      // Accepted and ignored: every supervised run steals.
     } else if (arg == "--heartbeat-ms" && run_mode) {
       cmd.heartbeat_ms = static_cast<std::uint32_t>(parse_int(value(), arg));
       cmd.heartbeat_given = true;  // explicit (even 0) disables adaptive mode

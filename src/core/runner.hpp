@@ -23,12 +23,10 @@ std::vector<stats::RunResult> run_all(const std::vector<ExperimentConfig>& confi
 /// workers.
 void prewarm_topologies(const std::vector<ExperimentConfig>& configs);
 
-/// Run the configs as a crash-safe multi-process sharded batch: either the
-/// static content-hash partition (one worker process per shard) or, with
-/// options.steal, the supervised work-stealing lease scheduler (heartbeat
-/// monitoring, auto-restart, dynamic re-leasing of heavy tails). Either
-/// way the per-worker stores merge into the canonical store in job order,
-/// byte-identical to a serial run. Thin forward to
+/// Run the configs as a crash-safe multi-process batch: supervised lease
+/// workers (heartbeat monitoring, auto-restart, work stealing through the
+/// lease service) whose per-worker stores merge into the canonical store
+/// in job order, byte-identical to a serial run. Thin forward to
 /// exp::run_sharded_processes; see exp/shard.hpp for the protocol.
 exp::ShardRunReport run_sharded(const std::vector<ExperimentConfig>& configs,
                                 const exp::ShardRunOptions& options);

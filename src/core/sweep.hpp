@@ -45,12 +45,9 @@ class SweepBuilder {
   /// (parallel execution, JSONL/CSV stores, resume from the store).
   exp::BatchOutcome run_batch(const exp::BatchOptions& options = {}) const;
 
-  /// Materialize and execute the sweep as a multi-process sharded run:
-  /// self-exec worker processes over private stores, merged into the
-  /// canonical store in job order (exp::run_sharded_processes). The
-  /// options choose between the static hash-modulo partition and the
-  /// work-stealing lease supervisor (options.steal, heartbeat_ms,
-  /// max_restarts).
+  /// Materialize and execute the sweep as a multi-process run: supervised
+  /// self-exec lease workers over private stores, merged into the
+  /// canonical store in job order (exp::run_sharded_processes).
   exp::ShardRunReport run_sharded(const exp::ShardRunOptions& options) const;
 
  private:

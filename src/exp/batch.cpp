@@ -6,24 +6,8 @@
 #include <vector>
 
 #include "topo/factory.hpp"
-#include "util/file_util.hpp"
 
 namespace oracle::exp {
-
-namespace {
-
-/// Touches the shard heartbeat file once per commit group.
-class HeartbeatSink : public ResultSink {
- public:
-  explicit HeartbeatSink(std::string path) : path_(std::move(path)) {}
-  void write(const ExperimentJob&, const stats::RunResult&) override {}
-  void flush() override { util::touch_file(path_); }
-
- private:
-  std::string path_;
-};
-
-}  // namespace
 
 BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
                        const BatchOptions& options) {
@@ -35,11 +19,6 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
     queue.retain_range(options.lease_begin, options.lease_end);
   // From here on "the sweep" means this shard's/lease's slice of it.
   const std::size_t planned = queue.size();
-
-  // First touch before any work: the supervisor's liveness baseline must
-  // cover the window before the first group commits.
-  if (!options.heartbeat_path.empty())
-    util::touch_file(options.heartbeat_path);
 
   std::size_t skipped = 0;
   if (options.resume) {
@@ -79,10 +58,6 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
     tee.add(*csv_file);
   }
   if (options.collect) tee.add(memory);
-  // Last in the tee, so its flush runs after the stores' fsyncs returned:
-  // "alive" still means "durable progress".
-  HeartbeatSink heartbeat(options.heartbeat_path);
-  if (!options.heartbeat_path.empty()) tee.add(heartbeat);
 
   // Pre-build each distinct topology remaining in the queue into the
   // shared cache, so workers hit warm routing tables instead of racing to

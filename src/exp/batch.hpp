@@ -48,18 +48,12 @@ struct BatchOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  /// Work-stealing lease slice: run only the jobs with sweep index in
+  /// Lease slice: run only the jobs with sweep index in
   /// [lease_begin, lease_end) (JobQueue::retain_range). lease_end at its
-  /// default (npos) disables lease slicing. Composable with the exec
-  /// stop_before hook so a parent can shrink the live range mid-run.
+  /// default (npos) disables lease slicing.
   static constexpr std::size_t kNoLease = ~std::size_t{0};
   std::size_t lease_begin = 0;
   std::size_t lease_end = kNoLease;
-
-  /// When non-empty, this file's mtime is bumped at run start and once per
-  /// commit group, after the store fsync returns — the worker-side
-  /// heartbeat of the shard supervisor (see exp/shard.hpp).
-  std::string heartbeat_path;
 
   /// When nonzero, re-seed each job with Rng::derive_seed(master_seed, i)
   /// — independent reproducible streams without enumerating seeds by hand.

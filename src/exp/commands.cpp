@@ -339,8 +339,8 @@ namespace {
 
 /// The worker self-exec command line: the sweep re-encoded canonically
 /// (core::SweepSpec::to_args) plus the engine flags workers need. The
-/// shard supervisor appends the worker identity (--shard i/N /
-/// --worker-slot k/W) and --resume itself.
+/// supervisor appends the worker identity (--worker-slot k/W), the lease
+/// server address and --resume itself.
 std::vector<std::string> worker_command_line(const SweepCommand& cmd) {
   std::vector<std::string> args;
   args.push_back("run");
@@ -359,12 +359,10 @@ std::vector<std::string> worker_command_line(const SweepCommand& cmd) {
     args.push_back(std::to_string(
         std::max<std::size_t>(1, hw / std::max<std::size_t>(1, cmd.workers))));
   }
-  if (!cmd.lease_server.empty()) {
-    args.push_back("--lease-timeout-ms");
-    args.push_back(std::to_string(cmd.lease_timeout_ms));
-    args.push_back("--lease-retries");
-    args.push_back(std::to_string(cmd.lease_retries));
-  }
+  args.push_back("--lease-timeout-ms");
+  args.push_back(std::to_string(cmd.lease_timeout_ms));
+  args.push_back("--lease-retries");
+  args.push_back(std::to_string(cmd.lease_retries));
   if (!cmd.log_level.empty()) {
     // Workers inherit the chosen verbosity.
     args.push_back("--log-level");
@@ -400,13 +398,12 @@ int run_sweep_command(const SweepCommand& cmd) {
     ORACLE_REQUIRE(!(cmd.shard.has_value() && cmd.worker_slot.has_value()),
                    "--shard i/N and --worker-slot k/W are exclusive");
   }
-  ORACLE_REQUIRE(
-      !(cmd.steal && cmd.workers == 0 && !cmd.worker_slot.has_value()),
-      "--steal needs --workers N (the supervisor forks them)");
   ORACLE_REQUIRE(!(!cmd.lease_server.empty() && cmd.workers == 0 &&
                    !cmd.worker_slot.has_value()),
                  "--lease-server needs --workers N (parent) or "
                  "--worker-slot k/W (one worker)");
+  ORACLE_REQUIRE(!(cmd.worker_slot.has_value() && cmd.lease_server.empty()),
+                 "--worker-slot k/W needs --lease-server HOST:PORT");
   ORACLE_REQUIRE(!(!cmd.lease_server.empty() && cmd.shard.has_value()),
                  "--lease-server and --shard i/N are exclusive");
   ORACLE_REQUIRE(!(cmd.retry_quarantined && !cmd.resume),
@@ -436,9 +433,10 @@ int run_sweep_command(const SweepCommand& cmd) {
     opt.collect = false;  // sweeps can be huge; the store is the output
 
     if (cmd.workers > 0) {
-      // Parent of a multi-process run: self-exec one worker per shard.
-      // The supervisor's own lifecycle events (spawns, steals, reaps)
-      // record on logical pid 0; workers take pid k+1 for slot k.
+      // Parent of a multi-process run: self-exec one lease-client worker
+      // per slot. The supervisor's own lifecycle events (spawns, reaps,
+      // and the in-process lease service's steals) record on logical
+      // pid 0; workers take pid k+1 for slot k.
       if (!cmd.trace_path.empty()) obs::Tracer::enable(0, "supervisor");
       ShardRunOptions sopt;
       sopt.workers = cmd.workers;
@@ -446,13 +444,10 @@ int run_sweep_command(const SweepCommand& cmd) {
       sopt.resume = opt.resume;
       sopt.keep_shard_stores = cmd.keep_shards;
       sopt.master_seed = opt.master_seed;
-      sopt.steal = cmd.steal;
       sopt.heartbeat_ms = cmd.heartbeat_ms;
-      // No explicit --heartbeat-ms in a supervised (steal or lease-server)
-      // run: stall detection defaults to the adaptive, pace-tracking
-      // timeout instead of a fixed guess.
-      sopt.adaptive_heartbeat = (cmd.steal || !cmd.lease_server.empty()) &&
-                                !cmd.heartbeat_given;
+      // No explicit --heartbeat-ms: stall detection defaults to the
+      // adaptive, pace-tracking timeout instead of a fixed guess.
+      sopt.adaptive_heartbeat = !cmd.heartbeat_given;
       sopt.max_restarts = cmd.max_restarts;
       sopt.retry_quarantined = cmd.retry_quarantined;
       sopt.lease_server = cmd.lease_server;
@@ -465,9 +460,9 @@ int run_sweep_command(const SweepCommand& cmd) {
       std::printf("%s\n", report.summary().c_str());
       for (const auto& w : report.workers) {
         if (w.ok()) continue;
-        // In steal mode a failed exit may have been absorbed by an
-        // auto-restart; the summary above already says so. Still surface
-        // each failure for the log.
+        // A failed exit may have been absorbed by an auto-restart; the
+        // summary above already says so. Still surface each failure for
+        // the log.
         const char* hint =
             report.merged ? "auto-restarted"
                           : "its completed jobs are safe; --resume finishes "
@@ -503,8 +498,8 @@ int run_sweep_command(const SweepCommand& cmd) {
     }
 
     if (cmd.worker_slot.has_value()) {
-      // Steal-mode worker: run this slot's current lease into its private
-      // store, re-reading the lease before every job.
+      // Supervised worker: run the leases the lease server grants this
+      // slot into its private store.
       const ShardSpec& slot = *cmd.worker_slot;
       log::set_tag(strfmt("worker %zu/%zu", slot.index, slot.count));
       if (!cmd.trace_path.empty())
@@ -517,6 +512,9 @@ int run_sweep_command(const SweepCommand& cmd) {
       wopt.merge_resume = opt.resume;
       wopt.master_seed = opt.master_seed;
       wopt.threads = cmd.jobs_given ? opt.exec.workers : 1;
+      wopt.lease_server = cmd.lease_server;
+      wopt.op_timeout_ms = cmd.lease_timeout_ms;
+      wopt.retry_budget = cmd.lease_retries;
       // CI fault injection: ORACLE_SHARD_FAULT="die|kill|stall:<slot>:<n>"
       // arms a one-shot fault in the matching slot ("kill" raises SIGKILL,
       // "die" _exit(1)s, "stall" sleeps through the heartbeat timeout).
@@ -564,34 +562,20 @@ int run_sweep_command(const SweepCommand& cmd) {
             /*append=*/true);
       };
 
-      if (!cmd.lease_server.empty()) {
-        // Cross-host mode: fenced leases over TCP instead of lease files.
-        wopt.lease_server = cmd.lease_server;
-        wopt.op_timeout_ms = cmd.lease_timeout_ms;
-        wopt.retry_budget = cmd.lease_retries;
-        const auto report = run_lease_client_worker(sweep.build(), wopt);
-        ORACLE_LOG_INFO(strfmt(
-            "%zu lease(s) run, %zu job(s) executed, %zu skipped; "
-            "%llu retries, %llu reconnects%s%s",
-            report.leases_run, report.batch.executed, report.batch.skipped,
-            static_cast<unsigned long long>(report.retries),
-            static_cast<unsigned long long>(report.reconnects),
-            report.fenced ? "; fenced" : "",
-            report.orphaned ? "; ORPHANED" : ""));
-        for (const auto& err : report.batch.errors)
-          ORACLE_LOG_ERROR("failed: " + err);
-        write_worker_trace();
-        if (report.orphaned) return kOrphanedExitCode;
-        return report.batch.ok() ? 0 : 1;
-      }
-
-      const auto report = run_lease_worker(sweep.build(), wopt);
-      ORACLE_LOG_INFO(report.summary());
-      ORACLE_LOG_DEBUG(report.job_wall.summary());
-      for (const auto& err : report.errors)
+      const auto report = run_lease_client_worker(sweep.build(), wopt);
+      ORACLE_LOG_INFO(strfmt(
+          "%zu lease(s) run, %zu job(s) executed, %zu skipped; "
+          "%llu retries, %llu reconnects%s%s",
+          report.leases_run, report.batch.executed, report.batch.skipped,
+          static_cast<unsigned long long>(report.retries),
+          static_cast<unsigned long long>(report.reconnects),
+          report.fenced ? "; fenced" : "",
+          report.orphaned ? "; ORPHANED" : ""));
+      for (const auto& err : report.batch.errors)
         ORACLE_LOG_ERROR("failed: " + err);
       write_worker_trace();
-      return report.ok() ? 0 : 1;
+      if (report.orphaned) return kOrphanedExitCode;
+      return report.batch.ok() ? 0 : 1;
     }
 
     if (cmd.shard.has_value()) {
@@ -614,8 +598,8 @@ int run_sweep_command(const SweepCommand& cmd) {
       for (const auto& err : outcome.report.errors)
         ORACLE_LOG_ERROR("failed: " + err);
       if (!cmd.trace_path.empty()) {
-        // Static shards are spawned exactly once per run, so truncate
-        // rather than append — a re-run replaces the slot's trace.
+        // A standalone shard runs once, so truncate rather than append —
+        // a re-run replaces the shard's trace.
         obs::Tracer::write_event_lines(
             obs::worker_trace_path(cmd.trace_path, shard.index, shard.count),
             /*append=*/false);

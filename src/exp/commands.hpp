@@ -71,8 +71,9 @@ struct QueryCommand {
 int run_query_command(const QueryCommand& cmd);
 
 /// `oracle_batch [run] ...` — the sweep/run mode in all its shapes: plain
-/// threaded run, static multi-process shards, work-stealing supervisor,
-/// cross-host lease client, and the internal worker roles.
+/// threaded run, the multi-process supervisor (in-process or remote lease
+/// service), a standalone `--shard i/N` slice, and the internal worker
+/// role.
 struct SweepCommand {
   core::SweepSpec sweep;
 
@@ -85,15 +86,14 @@ struct SweepCommand {
 
   // Distributed mode.
   std::size_t workers = 0;                   ///< parent: fork this many
-  std::optional<ShardSpec> shard;            ///< worker: static shard i/N
-  std::optional<ShardSpec> worker_slot;      ///< steal worker: slot k/W
+  std::optional<ShardSpec> shard;            ///< standalone shard i/N
+  std::optional<ShardSpec> worker_slot;      ///< lease worker: slot k/W
   bool keep_shards = false;
-  bool steal = false;
   std::uint32_t heartbeat_ms = 0;
   bool heartbeat_given = false;  ///< absent => adaptive stall detection
   std::size_t max_restarts = 2;
   bool retry_quarantined = false;
-  std::string lease_server;  ///< "" = single-host file-lease protocol
+  std::string lease_server;  ///< "" = in-process lease service
   std::uint32_t lease_timeout_ms = 2'000;
   std::size_t lease_retries = 10;
 

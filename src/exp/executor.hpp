@@ -52,14 +52,13 @@ struct ExecutorOptions {
   /// Cooperative cancellation hook: called with each job immediately
   /// before it would run; returning true skips that job and stops the run
   /// (no further jobs are claimed; in-flight jobs finish and their
-  /// contiguous prefix still commits). Work-stealing lease workers use it
-  /// to observe a lease the parent shrank mid-run: jobs at or beyond the
-  /// new lease end are abandoned for the thief to pick up. The hook runs
-  /// on worker threads, so it must be thread-safe. With one worker thread
-  /// the hook is called only once every job ahead of it in the queue has
-  /// been committed (written and flushed): lease workers fence on the
-  /// frontier they report from the hook, and the steal supervisor blames a
-  /// dead worker's first uncommitted job.
+  /// contiguous prefix still commits). Lease workers use it to observe a
+  /// lease the service shrank mid-run: jobs at or beyond the new lease end
+  /// are abandoned for the thief to pick up. The hook runs on worker
+  /// threads, so it must be thread-safe. With one worker thread the hook
+  /// is called only once every job ahead of it in the queue has been
+  /// committed (written and flushed), so the supervisor can blame a dead
+  /// worker's first uncommitted job.
   std::function<bool(const ExperimentJob&)> stop_before;
 };
 

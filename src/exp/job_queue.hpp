@@ -49,9 +49,10 @@ class JobQueue {
 
   /// Keep only the jobs whose *sweep index* lies in [begin, end) — the
   /// work-stealing lease rule. Unlike retain_shard's hash modulus, a lease
-  /// is a contiguous slice of the job order, so the parent can shrink it
-  /// (steal its tail) while a worker runs: jobs already committed keep
-  /// their identity and the stolen tail re-slices cleanly elsewhere.
+  /// is a contiguous slice of the job order, so the lease service can
+  /// shrink it (steal its tail) while a worker runs: jobs already
+  /// committed keep their identity and the stolen tail re-slices cleanly
+  /// elsewhere.
   /// Surviving jobs keep their sweep indices. Returns the number of jobs
   /// removed. Resets the claim cursor.
   std::size_t retain_range(std::size_t begin, std::size_t end);

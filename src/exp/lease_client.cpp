@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 #include "util/string_util.hpp"
 
 namespace oracle::exp {
@@ -87,10 +86,6 @@ LeaseResponse LeaseClient::call(LeaseRequest req) {
       return rsp;
     }
     if (failures >= options_.retry_budget) {
-      ORACLE_LOG_WARN(strfmt(
-          "lease slot %zu: server %s unreachable after %zu attempts; "
-          "orphaning (committed prefix is durable)",
-          options_.slot, options_.server.str().c_str(), failures + 1));
       throw LeaseOrphanedError(
           strfmt("lease server %s unreachable (retry budget %zu exhausted)",
                  options_.server.str().c_str(), options_.retry_budget));
@@ -100,10 +95,13 @@ LeaseResponse LeaseClient::call(LeaseRequest req) {
   }
 }
 
-std::optional<LeaseGrant> LeaseClient::work_request(LeaseRequest req) {
+std::optional<LeaseGrant> LeaseClient::work_request(
+    LeaseRequest req, const std::function<void()>& on_idle) {
   // `empty` means "someone is still running; nothing to steal *yet*" —
-  // poll gently until the verdict becomes lease or done.
-  for (std::size_t idle = 0;; ++idle) {
+  // poll at the base backoff until the verdict becomes lease or done. The
+  // poll does not back off further: a sweep ends only once its idle
+  // workers have heard `done`.
+  while (true) {
     const LeaseResponse rsp = call(req);
     switch (rsp.kind) {
       case LeaseResponseKind::kLease:
@@ -111,7 +109,8 @@ std::optional<LeaseGrant> LeaseClient::work_request(LeaseRequest req) {
       case LeaseResponseKind::kDone:
         return std::nullopt;
       case LeaseResponseKind::kEmpty:
-        backoff_sleep(std::min<std::size_t>(idle, 4));
+        if (on_idle) on_idle();
+        backoff_sleep(0);
         break;
       case LeaseResponseKind::kFenced:
         // Only a stale-epoch steal can land here; re-acquiring the slot
@@ -130,21 +129,23 @@ std::optional<LeaseGrant> LeaseClient::work_request(LeaseRequest req) {
   }
 }
 
-std::optional<LeaseGrant> LeaseClient::acquire() {
+std::optional<LeaseGrant> LeaseClient::acquire(
+    const std::function<void()>& on_idle) {
   LeaseRequest req;
   req.op = LeaseOp::kAcquire;
   req.slot = options_.slot;
   req.slot_count = options_.slot_count;
   req.jobs = options_.jobs;
-  return work_request(req);
+  return work_request(req, on_idle);
 }
 
-std::optional<LeaseGrant> LeaseClient::next_lease(std::uint64_t drained_epoch) {
+std::optional<LeaseGrant> LeaseClient::next_lease(
+    std::uint64_t drained_epoch, const std::function<void()>& on_idle) {
   LeaseRequest req;
   req.op = LeaseOp::kSteal;
   req.slot = options_.slot;
   req.epoch = drained_epoch;
-  return work_request(req);
+  return work_request(req, on_idle);
 }
 
 LeaseClient::CommitResult LeaseClient::commit(std::uint64_t epoch,

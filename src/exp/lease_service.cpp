@@ -110,8 +110,6 @@ std::optional<JournalRecord> parse_journal_line(const std::string& line) {
 
 void LeaseService::start() {
   Impl& im = *impl_;
-  ORACLE_REQUIRE(!options_.journal_path.empty(),
-                 "the lease service requires a --journal path");
   ORACLE_REQUIRE(options_.jobs > 0, "lease service over an empty sweep");
 
   // ---- journal replay --------------------------------------------------
@@ -121,7 +119,7 @@ void LeaseService::start() {
   // observed. A torn final record (server killed mid-append) describes a
   // transition nobody was ever told about — skipping it is correct, and
   // the terminating newline we add below keeps it inert forever.
-  {
+  if (!options_.journal_path.empty()) {
     std::ifstream in(options_.journal_path);
     std::string line;
     bool saw_init = false;
@@ -199,26 +197,27 @@ void LeaseService::start() {
       ORACLE_LOG_INFO(strfmt(
           "lease journal replayed: %zu record(s), %zu torn/skipped",
           stats_.replayed_records, stats_.torn_journal_records));
-  }
 
-  const bool partial_tail = has_partial_last_line(options_.journal_path);
-  const bool fresh = !util::file_exists(options_.journal_path);
-  im.journal_fd = ::open(options_.journal_path.c_str(),
-                         O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (im.journal_fd < 0)
-    throw SimulationError("cannot open lease journal '" +
-                          options_.journal_path + "' for append");
-  if (partial_tail) {
-    const char nl = '\n';
-    util::write_full(im.journal_fd, &nl, 1);
-  }
-  if (fresh) {
-    const std::string init = strfmt(
-        "%s init %zu %zu %llu\n", kJournalTag, options_.jobs,
-        im.slots.size(), static_cast<unsigned long long>(options_.master_seed));
-    if (!util::write_full(im.journal_fd, init.data(), init.size()) ||
-        !util::fsync_retry(im.journal_fd))
-      throw SimulationError("lease journal write failed");
+    const bool partial_tail = has_partial_last_line(options_.journal_path);
+    const bool fresh = !util::file_exists(options_.journal_path);
+    im.journal_fd = ::open(options_.journal_path.c_str(),
+                           O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (im.journal_fd < 0)
+      throw SimulationError("cannot open lease journal '" +
+                            options_.journal_path + "' for append");
+    if (partial_tail) {
+      const char nl = '\n';
+      util::write_full(im.journal_fd, &nl, 1);
+    }
+    if (fresh) {
+      const std::string init = strfmt(
+          "%s init %zu %zu %llu\n", kJournalTag, options_.jobs,
+          im.slots.size(),
+          static_cast<unsigned long long>(options_.master_seed));
+      if (!util::write_full(im.journal_fd, init.data(), init.size()) ||
+          !util::fsync_retry(im.journal_fd))
+        throw SimulationError("lease journal write failed");
+    }
   }
 
   im.listener = util::listen_tcp(options_.listen);
@@ -232,7 +231,10 @@ void LeaseService::start() {
                          "slots, journal %s)",
                          options_.listen.host.c_str(),
                          static_cast<unsigned>(port()), options_.jobs,
-                         im.slots.size(), options_.journal_path.c_str()));
+                         im.slots.size(),
+                         options_.journal_path.empty()
+                             ? "none"
+                             : options_.journal_path.c_str()));
 }
 
 LeaseServiceStats LeaseService::run() {
@@ -246,6 +248,7 @@ LeaseServiceStats LeaseService::run() {
 
   // Append one record durably; write-ahead of the state change it names.
   auto journal = [&](const std::string& body) {
+    if (im.journal_fd < 0) return;  // no journal: the stores are the record
     const std::string line = std::string(kJournalTag) + " " + body + "\n";
     obs::Span span("lease", "journal.fsync");
     if (!util::write_full(im.journal_fd, line.data(), line.size()) ||
@@ -358,14 +361,21 @@ LeaseServiceStats LeaseService::run() {
       rsp.end = lease->end;
       return rsp;
     }
-    // 2. Steal the biggest unclaimed tail among live leases.
+    // 2. Steal the biggest unclaimed tail among live leases. A slot never
+    //    granted has no worker yet: splitting its lease would only race
+    //    that worker's start-up (a dead one expires instead). The victim
+    //    keeps its in-flight job and at least one more, so a steal never
+    //    leaves it a lease it drains at once and turns it into a thief.
     std::size_t best_victim = w, best_split = 0, best_take = 0;
     for (std::size_t v = 0; v < w; ++v) {
-      if (v == thief || im.table.drained(v) || im.slots[v].expired) continue;
+      if (v == thief || im.table.drained(v) || im.slots[v].expired ||
+          im.slots[v].epoch == 0)
+        continue;
       const Lease& lease = im.table.lease(v);
       const std::size_t f = std::min(im.slots[v].frontier, lease.end);
-      if (lease.end - f < min_steal + 1) continue;  // head must stay
-      const std::size_t split = f + (lease.end - f + 1) / 2;
+      if (lease.end - f < min_steal + 2) continue;
+      const std::size_t split =
+          std::max(f + 2, f + (lease.end - f + 1) / 2);
       const std::size_t take = lease.end - split;
       if (take >= min_steal && take > best_take) {
         best_victim = v;

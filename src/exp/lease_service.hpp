@@ -1,8 +1,10 @@
 #pragma once
-// exp::LeaseService — the cross-host promotion of the shard supervisor's
-// lease files: a small single-threaded TCP server that owns the
-// LeaseTable and hands out fenced job-range leases over the versioned
-// frame protocol in lease_protocol.hpp.
+// exp::LeaseService — the lease owner of every multi-process sweep: a
+// small single-threaded TCP server that owns the LeaseTable and hands out
+// fenced job-range leases over the versioned frame protocol in
+// lease_protocol.hpp. `oracle_batch serve-leases` runs it for cross-host
+// fleets; a local `oracle_batch run --workers N` runs one in-process on
+// loopback, without a journal.
 //
 // Fault model, in the order things die in practice:
 //   - Worker crashes: its slot store keeps a durable prefix; the respawned
@@ -13,11 +15,12 @@
 //     committed job walls) expires the slot, bumps its epoch (fencing the
 //     wedged process), and the next idle worker takes over the
 //     uncommitted tail of its lease.
-//   - Server crashes: every state transition was journaled (fsynced,
-//     write-ahead) before it was applied or acknowledged; restarting the
-//     server replays the journal — a torn final record is skipped, like
-//     the trace/JSONL stores — and live workers reconnect and continue
-//     under their existing epochs without losing a job.
+//   - Server crashes: with a journal, every state transition was
+//     journaled (fsynced, write-ahead) before it was applied or
+//     acknowledged; restarting the server replays the journal — a torn
+//     final record is skipped, like the trace/JSONL stores — and live
+//     workers reconnect and continue under their existing epochs without
+//     losing a job.
 //   - Network flakes: requests are idempotent-by-design (acquire/steal
 //     re-grant, commit is monotonic max, responses echo the client seq so
 //     duplicates are discarded), so the client retries blindly under
@@ -43,11 +46,12 @@ struct LeaseServiceOptions {
   std::size_t slots = 1;  ///< worker slot count; acquire requests must match
   std::uint64_t master_seed = 0;  ///< recorded in the journal init line
 
-  /// Write-ahead journal (required): every state transition is appended +
-  /// fsynced here before it takes effect. If the file already holds a
-  /// matching init record, the server *replays* it and resumes the run;
-  /// an init mismatch (different sweep shape) is a hard error — remove
-  /// the journal to start over.
+  /// Write-ahead journal: every state transition is appended + fsynced
+  /// here before it takes effect. If the file already holds a matching
+  /// init record, the server *replays* it and resumes the run; an init
+  /// mismatch (different sweep shape) is a hard error — remove the journal
+  /// to start over. `serve-leases` requires one; only the in-process
+  /// service of a local `run --workers N` leaves it empty (no journal).
   std::string journal_path;
 
   /// Optional obs::StatusSnapshot file, atomically rewritten every

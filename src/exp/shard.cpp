@@ -8,20 +8,22 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exp/batch.hpp"
 #include "exp/job_queue.hpp"
 #include "exp/lease_client.hpp"
+#include "exp/lease_service.hpp"
 #include "exp/result_sink.hpp"
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
+#include "topo/factory.hpp"
 #include "util/error.hpp"
 #include "util/file_util.hpp"
 #include "util/log.hpp"
+#include "util/net.hpp"
 #include "util/posix_io.hpp"
 #include "util/string_util.hpp"
 
@@ -68,69 +70,9 @@ std::string worker_store_path(const std::string& canonical_store,
   return canonical_store + strfmt(".worker%zuof%zu", slot, count);
 }
 
-std::string worker_lease_path(const std::string& canonical_store,
-                              std::size_t slot, std::size_t count) {
-  return canonical_store + strfmt(".lease%zuof%zu", slot, count);
-}
-
 std::string worker_heartbeat_path(const std::string& canonical_store,
                                   std::size_t slot, std::size_t count) {
   return canonical_store + strfmt(".hb%zuof%zu", slot, count);
-}
-
-// ------------------------------------------------------------ lease files --
-
-namespace {
-
-std::atomic<std::size_t> g_lease_torn_reads{0};
-
-/// Checksum over the lease payload: catches a torn write whose prefix
-/// still parses as plausible numbers (observed on filesystems where the
-/// tmp+rename dance is not atomic against concurrent readers).
-std::uint64_t lease_checksum(const Lease& lease) {
-  return fnv1a64(strfmt("%llu %zu %zu",
-                        static_cast<unsigned long long>(lease.generation),
-                        lease.begin, lease.end));
-}
-
-}  // namespace
-
-std::size_t lease_file_torn_reads() noexcept {
-  return g_lease_torn_reads.load(std::memory_order_relaxed);
-}
-
-void write_lease_file(const std::string& path, const Lease& lease) {
-  util::write_file_atomic(
-      path, strfmt("v2 %llu %zu %zu %016llx\n",
-                   static_cast<unsigned long long>(lease.generation),
-                   lease.begin, lease.end,
-                   static_cast<unsigned long long>(lease_checksum(lease))));
-}
-
-std::optional<Lease> read_lease_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  const auto torn = [] {
-    g_lease_torn_reads.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  };
-  std::string tag;
-  unsigned long long generation = 0, begin = 0, end = 0;
-  if (!(in >> tag >> generation >> begin >> end)) return torn();
-  Lease lease;
-  lease.generation = generation;
-  lease.begin = static_cast<std::size_t>(begin);
-  lease.end = static_cast<std::size_t>(end);
-  if (begin > end) return torn();
-  if (tag == "v1") return lease;  // pre-checksum files stay readable
-  if (tag != "v2") return torn();
-  std::string cksum_hex;
-  unsigned long long cksum = 0;
-  if (!(in >> cksum_hex) ||
-      std::sscanf(cksum_hex.c_str(), "%llx", &cksum) != 1 ||
-      cksum != lease_checksum(lease))
-    return torn();
-  return lease;
 }
 
 // ------------------------------------------------------------- LeaseTable --
@@ -342,33 +284,6 @@ void append_quarantine_entry(const std::string& path,
 #endif
 }
 
-// -------------------------------------------------------------- ShardPlan --
-
-ShardPlan::ShardPlan(const JobQueue& queue, std::size_t count)
-    : hashes_(std::max<std::size_t>(count, 1)), total_(queue.size()) {
-  for (const auto& job : queue.jobs())
-    hashes_[shard_of_hash(job.content_hash, hashes_.size())].push_back(
-        job.content_hash);
-}
-
-std::vector<std::size_t> ShardPlan::incomplete_shards(
-    const std::string& canonical_store,
-    const std::unordered_set<std::uint64_t>& already_done) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < hashes_.size(); ++i) {
-    if (hashes_[i].empty()) continue;
-    const std::string store = shard_store_path(canonical_store, i,
-                                               hashes_.size());
-    const auto done = load_completed_hashes(store);
-    const bool incomplete = std::any_of(
-        hashes_[i].begin(), hashes_[i].end(), [&](std::uint64_t h) {
-          return !done.contains(h) && !already_done.contains(h);
-        });
-    if (incomplete) out.push_back(i);
-  }
-  return out;
-}
-
 // ------------------------------------------------------------ ShardMerger --
 
 void ShardMerger::add_store(const std::string& path) {
@@ -420,7 +335,7 @@ MergeReport ShardMerger::merge_to(const std::string& canonical_path) {
   return report_;
 }
 
-// ------------------------------------------------------- run_lease_worker --
+// ------------------------------------------------ run_lease_client_worker --
 
 namespace {
 
@@ -437,98 +352,6 @@ namespace {
 #endif
 }
 
-}  // namespace
-
-BatchReport run_lease_worker(const std::vector<core::ExperimentConfig>& configs,
-                             const LeaseWorkerOptions& options) {
-  ORACLE_REQUIRE(!options.canonical_out.empty(),
-                 "lease workers need the canonical --out store path");
-  ORACLE_REQUIRE(options.slot < std::max<std::size_t>(options.slot_count, 1),
-                 "lease worker slot out of range");
-  const std::string store =
-      worker_store_path(options.canonical_out, options.slot,
-                        options.slot_count);
-  const std::string lease_path =
-      worker_lease_path(options.canonical_out, options.slot,
-                        options.slot_count);
-  const std::string hb_path =
-      worker_heartbeat_path(options.canonical_out, options.slot,
-                            options.slot_count);
-
-  // Missing/malformed lease file ⇒ empty lease: run zero jobs but still
-  // leave a valid (possibly empty) store so the merge never trips over a
-  // slot that had nothing to do.
-  Lease lease;
-  if (const auto l = read_lease_file(lease_path)) lease = *l;
-
-  BatchOptions opt;
-  opt.jsonl_path = store;
-  opt.collect = false;
-  opt.master_seed = options.master_seed;
-  opt.lease_begin = lease.begin;
-  opt.lease_end = lease.end;
-  opt.heartbeat_path = hb_path;
-  // Always append + skip-own-completed: the supervisor pre-cleans slot
-  // files on a fresh run, so "resume" here only ever sees this run's own
-  // durable prefix — which is exactly what a respawned worker must skip.
-  opt.resume = true;
-  opt.exec.workers = std::max<std::size_t>(1, options.threads);
-  opt.exec.progress = false;
-  if (options.merge_resume && util::file_exists(options.canonical_out))
-    opt.extra_resume_stores.push_back(options.canonical_out);
-  for (std::size_t j = 0; j < options.slot_count; ++j) {
-    // Sibling stores: after a steal race the victim may already hold
-    // records from this slot's lease; reading them up front avoids
-    // re-running those jobs (re-running would still merge correctly).
-    if (j == options.slot) continue;
-    const auto sibling =
-        worker_store_path(options.canonical_out, j, options.slot_count);
-    if (util::file_exists(sibling)) opt.extra_resume_stores.push_back(sibling);
-  }
-
-  // Poison jobs already quarantined by the supervisor are pre-marked
-  // completed: a respawned worker must not walk into the same crash.
-  for (const auto& q :
-       read_quarantine_file(quarantine_path(options.canonical_out)))
-    opt.skip_hashes.push_back(q.content_hash);
-
-  const ShardTestHooks hooks = options.hooks;
-  auto fault_armed = [&hooks]() {
-    return hooks.once_marker.empty() || !util::file_exists(hooks.once_marker);
-  };
-  auto mark_fired = [&hooks]() {
-    if (!hooks.once_marker.empty()) util::touch_file(hooks.once_marker);
-  };
-  std::atomic<std::size_t> jobs_started{0};
-  opt.exec.stop_before = [&](const ExperimentJob& job) {
-    const std::size_t n =
-        jobs_started.fetch_add(1, std::memory_order_relaxed);
-    if ((n == hooks.die_after_n_jobs || job.index == hooks.die_on_job_index) &&
-        fault_armed()) {
-      mark_fired();
-      fire_death_fault(hooks.die_with_sigkill);
-    }
-    if (n == hooks.stall_after_n_jobs && fault_armed()) {
-      mark_fired();
-      std::this_thread::sleep_for(std::chrono::milliseconds(hooks.stall_ms));
-    }
-    // The live lease check: the parent may have stolen our tail since the
-    // last job. Anything at or past the current end belongs to the thief.
-    const auto live = read_lease_file(lease_path);
-    return live.has_value() && job.index >= live->end;
-  };
-
-  const auto outcome = run_batch(configs, opt);
-  // Final liveness mark: a worker that skipped everything (fully resumed
-  // lease) must still register a sign of life before exiting 0.
-  util::touch_file(hb_path);
-  return outcome.report;
-}
-
-// ------------------------------------------------ run_lease_client_worker --
-
-namespace {
-
 void accumulate_batch(BatchReport* into, const BatchReport& one) {
   into->total_jobs += one.total_jobs;
   into->skipped += one.skipped;
@@ -544,6 +367,86 @@ void accumulate_batch(BatchReport* into, const BatchReport& one) {
           ? static_cast<double>(into->executed) / into->elapsed_seconds
           : 0.0;
 }
+
+/// The last sink of a lease run. Once the store's group fsync returned, it
+/// touches the heartbeat file and commits the new durable frontier — the
+/// first queue job not yet written, or the lease end — to the lease
+/// server. The reply's lease end (shrunk by steals) and fencing verdict
+/// feed stop(), which the executor consults before every job.
+class LeaseCommitSink : public ResultSink {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  LeaseCommitSink(LeaseClient& client, const LeaseGrant& grant,
+                  const JobQueue& queue, std::string heartbeat_path)
+      : client_(client),
+        grant_(grant),
+        queue_(queue),
+        heartbeat_path_(std::move(heartbeat_path)),
+        committed_(grant.begin),
+        end_(grant.end) {}
+
+  void write(const ExperimentJob& job, const stats::RunResult&) override {
+    written_ = job.index + 1;
+  }
+
+  /// Also called once before the run, so the jobs skipped as already
+  /// complete count as committed before the first job starts.
+  void flush() override {
+    util::touch_file(heartbeat_path_);
+    while (next_ < queue_.size() && queue_.job(next_).index < written_)
+      ++next_;
+    const std::size_t frontier =
+        next_ < queue_.size() ? queue_.job(next_).index : grant_.end;
+    if (frontier <= committed_) return;
+    // The wall since the last commit is the pace sample behind the
+    // server's adaptive expiry; a commit before any job ran carries none.
+    const auto now = Clock::now();
+    const auto wall_us =
+        written_ == 0 ? 0
+                      : static_cast<std::uint64_t>(
+                            std::chrono::duration_cast<std::chrono::microseconds>(
+                                now - last_commit_)
+                                .count());
+    last_commit_ = now;
+    std::size_t end = end_.load(std::memory_order_relaxed);
+    switch (client_.commit(grant_.epoch, frontier, wall_us, &end)) {
+      case LeaseClient::CommitResult::kOk:
+        committed_ = frontier;
+        end_.store(end, std::memory_order_relaxed);
+        break;
+      case LeaseClient::CommitResult::kFenced:
+        fenced_.store(true, std::memory_order_relaxed);
+        break;
+      case LeaseClient::CommitResult::kDone:
+        done_.store(true, std::memory_order_relaxed);
+        break;
+    }
+  }
+
+  /// True once the job belongs to someone else: past the (possibly
+  /// stolen-from) lease end, or the lease was fenced or the sweep is done.
+  bool stop(const ExperimentJob& job) const {
+    return fenced() || done() ||
+           job.index >= end_.load(std::memory_order_relaxed);
+  }
+  bool fenced() const { return fenced_.load(std::memory_order_relaxed); }
+  bool done() const { return done_.load(std::memory_order_relaxed); }
+  std::size_t end() const { return end_.load(std::memory_order_relaxed); }
+
+ private:
+  LeaseClient& client_;
+  const LeaseGrant grant_;
+  const JobQueue& queue_;
+  const std::string heartbeat_path_;
+  std::size_t written_ = 0;    ///< one past the last job written
+  std::size_t next_ = 0;       ///< queue position of the first unwritten job
+  std::size_t committed_;      ///< frontier the server acknowledged
+  Clock::time_point last_commit_ = Clock::now();
+  std::atomic<std::size_t> end_;
+  std::atomic<bool> fenced_{false};
+  std::atomic<bool> done_{false};
+};
 
 }  // namespace
 
@@ -579,16 +482,40 @@ LeaseWorkerReport run_lease_client_worker(
   copt.jitter_seed = fnv1a64(strfmt("lease-jitter %zu", options.slot));
   LeaseClient client(copt);
 
-  LeaseWorkerReport report;
-  auto finish = [&] {
-    report.retries = client.retries();
-    report.reconnects = client.reconnects();
-    util::touch_file(hb_path);
-    return report;
+  // Jobs another record already covers: sibling slots may have run part
+  // of a stolen lease, the canonical store holds merged jobs on resume,
+  // and quarantined poison jobs must never run again. Re-read per lease.
+  auto completed_elsewhere = [&] {
+    auto done = load_completed_hashes(store);
+    for (std::size_t j = 0; j < options.slot_count; ++j)
+      if (j != options.slot)
+        done.merge(load_completed_hashes(
+            worker_store_path(options.canonical_out, j, options.slot_count)));
+    if (options.merge_resume)
+      done.merge(load_completed_hashes(options.canonical_out));
+    for (const auto& q :
+         read_quarantine_file(quarantine_path(options.canonical_out)))
+      done.insert(q.content_hash);
+    return done;
   };
 
+  const ShardTestHooks& hooks = options.hooks;
+  auto fault_armed = [&hooks]() {
+    return hooks.once_marker.empty() || !util::file_exists(hooks.once_marker);
+  };
+  auto mark_fired = [&hooks]() {
+    if (!hooks.once_marker.empty()) util::touch_file(hooks.once_marker);
+  };
+  std::atomic<std::size_t> jobs_started{0};
+
+  // A worker waiting for the server to hand it work is idle, not wedged:
+  // it keeps its heartbeat fresh while it polls.
+  const auto idle = [&hb_path] { util::touch_file(hb_path); };
+  idle();
+
+  LeaseWorkerReport report;
   try {
-    std::optional<LeaseGrant> grant = client.acquire();
+    std::optional<LeaseGrant> grant = client.acquire(idle);
     while (grant) {
       obs::Span lease_span("lease", "worker.lease", "begin",
                            static_cast<std::int64_t>(grant->begin), "end",
@@ -599,46 +526,37 @@ LeaseWorkerReport run_lease_client_worker(
           static_cast<unsigned long long>(grant->epoch),
           options.lease_server.c_str()));
 
-      BatchOptions opt;
-      opt.jsonl_path = store;
-      opt.collect = false;
-      opt.master_seed = options.master_seed;
-      opt.lease_begin = grant->begin;
-      opt.lease_end = grant->end;
-      opt.heartbeat_path = hb_path;
-      // Append + skip-own-completed, exactly like the file-protocol worker:
-      // a respawned or re-leased worker must skip its own durable prefix.
-      opt.resume = true;
-      // The frontier the server fences on *is* the job index being
-      // started: one executor thread, and stop_before runs only once
-      // every earlier job is committed.
-      opt.exec.workers = 1;
-      opt.exec.progress = false;
-      if (options.merge_resume && util::file_exists(options.canonical_out))
-        opt.extra_resume_stores.push_back(options.canonical_out);
-      for (std::size_t j = 0; j < options.slot_count; ++j) {
-        if (j == options.slot) continue;
-        const auto sibling =
-            worker_store_path(options.canonical_out, j, options.slot_count);
-        if (util::file_exists(sibling))
-          opt.extra_resume_stores.push_back(sibling);
+      JobQueue queue(configs);
+      if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
+      queue.retain_range(grant->begin, grant->end);
+      const std::size_t planned = queue.size();
+      const std::size_t skipped = queue.skip_completed(completed_elsewhere());
+      // Build the lease's topologies into the shared cache on this thread:
+      // executor threads only look them up, and a worker that runs many
+      // leases keeps its long-lived topologies in one heap arena instead
+      // of spreading them over per-lease thread arenas.
+      for (const auto& job : queue.jobs()) {
+        try {
+          (void)topo::make_topology_shared(job.config.topology);
+        } catch (const std::exception&) {
+          // A malformed spec fails the job that names it, when it runs.
+        }
       }
 
-      const ShardTestHooks hooks = options.hooks;
-      auto fault_armed = [&hooks]() {
-        return hooks.once_marker.empty() ||
-               !util::file_exists(hooks.once_marker);
-      };
-      auto mark_fired = [&hooks]() {
-        if (!hooks.once_marker.empty()) util::touch_file(hooks.once_marker);
-      };
+      // Append + skip-completed: a respawned or re-leased worker continues
+      // its own durable prefix.
+      JsonlSink store_sink(store, /*append=*/true);
+      LeaseCommitSink commit(client, *grant, queue, hb_path);
+      TeeSink tee;
+      tee.add(store_sink);
+      tee.add(commit);  // last: commits only what the store has fsynced
+      commit.flush();
 
-      std::size_t current_end = grant->end;
-      bool fenced_mid_lease = false;
-      std::size_t jobs_started = 0;
-      auto last_commit = std::chrono::steady_clock::now();
-      opt.exec.stop_before = [&](const ExperimentJob& job) {
-        const std::size_t n = jobs_started++;
+      ExecutorOptions exec;
+      exec.workers = std::max<std::size_t>(1, options.threads);
+      exec.stop_before = [&](const ExperimentJob& job) {
+        const std::size_t n =
+            jobs_started.fetch_add(1, std::memory_order_relaxed);
         if ((n == hooks.die_after_n_jobs ||
              job.index == hooks.die_on_job_index) &&
             fault_armed()) {
@@ -650,88 +568,96 @@ LeaseWorkerReport run_lease_client_worker(
           std::this_thread::sleep_for(
               std::chrono::milliseconds(hooks.stall_ms));
         }
-        // Everything before job.index is durable (one executor thread), so
-        // the commit is both the fencing check and the progress heartbeat;
-        // its reply carries the (possibly stolen-from) current lease end.
-        const auto now = std::chrono::steady_clock::now();
-        const auto wall_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - last_commit)
-                .count());
-        last_commit = now;
-        const auto verdict =
-            client.commit(grant->epoch, job.index, n == 0 ? 0 : wall_us,
-                          &current_end);
-        if (verdict == LeaseClient::CommitResult::kFenced) {
-          fenced_mid_lease = true;
-          report.fenced = true;
-          return true;  // stop: our range now belongs to someone else
-        }
-        if (verdict == LeaseClient::CommitResult::kDone) return true;
-        util::touch_file(hb_path);
-        return job.index >= current_end;
+        return commit.stop(job);
       };
-
-      const auto outcome = run_batch(configs, opt);
-      accumulate_batch(&report.batch, outcome.report);
+      BatchReport batch = Executor(exec).run(queue, tee);
+      batch.total_jobs = planned;
+      batch.skipped = skipped;
+      accumulate_batch(&report.batch, batch);
       ++report.leases_run;
 
-      if (fenced_mid_lease) {
+      if (commit.fenced()) {
         // The server revoked this epoch (we were presumed dead). Our
         // durable records are harmless duplicates; ask for fresh work
         // under a fresh epoch.
+        report.fenced = true;
         ORACLE_LOG_WARN(strfmt(
             "slot %zu fenced mid-lease (epoch %llu); re-acquiring",
             options.slot, static_cast<unsigned long long>(grant->epoch)));
-        grant = client.acquire();
+        grant = client.acquire(idle);
         continue;
       }
+      if (commit.done()) break;
 
-      // Lease drained: publish the final frontier, then ask for more.
-      const auto verdict =
-          client.commit(grant->epoch, current_end, 0, nullptr);
-      if (verdict == LeaseClient::CommitResult::kDone) break;
-      grant = client.next_lease(grant->epoch);
+      // Lease drained: publish its end, then ask for more.
+      if (client.commit(grant->epoch, commit.end(), 0, nullptr) ==
+          LeaseClient::CommitResult::kDone)
+        break;
+      grant = client.next_lease(grant->epoch, idle);
     }
   } catch (const LeaseOrphanedError& e) {
-    // Committed prefix is already fsynced by the batch engine; surface the
-    // distinct orphaned outcome so the launcher exits with its own code
-    // and a later --resume reshapes leases around this worker's store.
+    // Committed prefix is already fsynced; surface the distinct orphaned
+    // outcome so the launcher exits with its own code and a later
+    // --resume reshapes leases around this worker's store.
     ORACLE_LOG_WARN(strfmt("slot %zu orphaned: %s", options.slot, e.what()));
     obs::instant("lease", "worker.orphaned", "slot",
                  static_cast<std::int64_t>(options.slot));
     report.orphaned = true;
   }
-  return finish();
+  report.retries = client.retries();
+  report.reconnects = client.reconnects();
+  return report;
 }
 
-// ---------------------------------------------------------- process layer --
+// -------------------------------------------------------------- supervisor --
+
+bool ShardRunReport::ok() const noexcept {
+  // The merge is the completion criterion: failed exits of workers the
+  // supervisor restarted do not count against a run that converged.
+  return merged;
+}
+
+std::string ShardRunReport::summary() const {
+  std::size_t failed = 0;
+  for (const auto& w : workers)
+    if (!w.ok()) ++failed;
+  std::string s = strfmt("%zu jobs over %zu worker(s)", planned_jobs,
+                         shards_launched);
+  if (steals > 0) s += strfmt(", %zu lease(s) stolen", steals);
+  if (restarts > 0) s += strfmt(", %zu worker(s) auto-restarted", restarts);
+  if (quarantined > 0)
+    s += strfmt(", %zu poison job(s) quarantined", quarantined);
+  if (orphaned > 0)
+    s += strfmt(", %zu worker(s) orphaned by the lease server", orphaned);
+  if (failed > 0) s += strfmt(", %zu worker exit(s) failed", failed);
+  if (merged)
+    s += strfmt("; merged %zu record(s) (%zu duplicate(s) dropped)",
+                merge.records, merge.duplicates_dropped);
+  else
+    s += "; merge skipped (re-run with --resume to finish)";
+  return s;
+}
 
 #if defined(_WIN32)
 
-std::vector<WorkerExit> spawn_and_wait(
-    const std::vector<std::vector<std::string>>&,
-    const std::vector<std::size_t>&) {
-  throw SimulationError("multi-process sharded runs require a POSIX host");
-}
-
 std::string self_exec_path(const std::string& argv0) { return argv0; }
 
-namespace {
-
-ShardRunReport run_stealing_processes(
+ShardRunReport run_sharded_processes(
     const std::vector<core::ExperimentConfig>&, const ShardRunOptions&) {
-  throw SimulationError("work-stealing sharded runs require a POSIX host");
+  throw SimulationError("multi-process runs require a POSIX host");
 }
-
-ShardRunReport run_lease_server_processes(
-    const std::vector<core::ExperimentConfig>&, const ShardRunOptions&) {
-  throw SimulationError("lease-server sharded runs require a POSIX host");
-}
-
-}  // namespace
 
 #else
+
+std::string self_exec_path(const std::string& argv0) {
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n > 0) {
+    buf[n] = '\0';
+    return std::string(buf);
+  }
+  return argv0;
+}
 
 namespace {
 
@@ -755,76 +681,37 @@ pid_t spawn_one(const std::vector<std::string>& args) {
   return pid;
 }
 
-}  // namespace
-
-std::vector<WorkerExit> spawn_and_wait(
-    const std::vector<std::vector<std::string>>& argvs,
-    const std::vector<std::size_t>& shards) {
-  ORACLE_ASSERT(argvs.size() == shards.size());
-  std::vector<pid_t> pids(argvs.size(), -1);
-  std::vector<WorkerExit> exits(argvs.size());
-
-  for (std::size_t k = 0; k < argvs.size(); ++k) {
-    exits[k].shard = shards[k];
-    try {
-      pids[k] = spawn_one(argvs[k]);
-    } catch (const SimulationError&) {
-      // Don't strand the workers already launched: a concurrent retry
-      // (--resume) would otherwise race them on the same shard stores.
-      for (std::size_t j = 0; j < k; ++j) {
-        if (pids[j] <= 0) continue;
-        ::kill(pids[j], SIGKILL);
-        int status = 0;
-        ::waitpid(pids[j], &status, 0);
-      }
-      throw SimulationError("fork failed for shard worker " +
-                            std::to_string(shards[k]));
-    }
-  }
-
-  for (std::size_t k = 0; k < pids.size(); ++k) {
-    int status = 0;
-    if (::waitpid(pids[k], &status, 0) < 0) {
-      exits[k].exit_code = 126;  // lost track of the child: treat as failed
-      continue;
-    }
-    if (WIFEXITED(status)) {
-      exits[k].exit_code = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status)) {
-      exits[k].term_signal = WTERMSIG(status);
-    } else {
-      exits[k].exit_code = 126;
-    }
-  }
-  return exits;
-}
-
-std::string self_exec_path(const std::string& argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return std::string(buf);
-  }
-  return argv0;
-}
-
-// ------------------------------------------------- stealing supervisor --
-
-namespace {
-
 /// Per-slot process state the supervisor tracks between polls.
 struct SlotProc {
   pid_t pid = -1;
   std::size_t restarts = 0;
-  bool done = false;       ///< lease drained and nothing left to steal
   bool kill_sent = false;  ///< SIGKILL dispatched by the heartbeat monitor
 };
 
-ShardRunReport run_stealing_processes(
+/// A LeaseService serving on its own thread until scope exit.
+struct ServiceThread {
+  std::unique_ptr<LeaseService> service;
+  std::thread thread;
+
+  ~ServiceThread() {
+    if (!thread.joinable()) return;
+    service->stop();
+    thread.join();
+  }
+};
+
+}  // namespace
+
+ShardRunReport run_sharded_processes(
     const std::vector<core::ExperimentConfig>& configs,
     const ShardRunOptions& options) {
   using Clock = std::chrono::steady_clock;
+  ORACLE_REQUIRE(!options.out.empty(),
+                 "sharded runs need a canonical --out store");
+  ORACLE_REQUIRE(options.workers >= 1, "--workers must be >= 1");
+  ORACLE_REQUIRE(!options.exec_path.empty(),
+                 "sharded runs need the worker executable path");
+  ORACLE_REQUIRE(!configs.empty(), "sharded run over an empty sweep");
 
   JobQueue queue(configs);
   if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
@@ -832,35 +719,27 @@ ShardRunReport run_stealing_processes(
 
   ShardRunReport report;
   report.planned_jobs = n;
-
-  // One worker per job at most: a lease of zero jobs buys nothing but a
-  // process spawn (the empty-lease path still works — workers exit 0 with
-  // an empty-but-valid store — it is just pointless to schedule).
+  // One worker per job at most: a slot without a lease buys nothing but a
+  // process spawn.
   const std::size_t slots =
       std::max<std::size_t>(1, std::min(options.workers, n));
-
-  std::unordered_set<std::uint64_t> canonical_done;
-  if (options.resume) canonical_done = load_completed_hashes(options.out);
+  report.shards_launched = slots;
 
   // Quarantine lifecycle: a fresh run forgets old verdicts, --resume keeps
   // them (the poison jobs stay skipped), --resume --retry-quarantined
   // wipes the file so the recorded jobs get another chance.
   const std::string qpath = quarantine_path(options.out);
   if (!options.resume || options.retry_quarantined) util::remove_file(qpath);
-  std::size_t prior_quarantined = 0;
-  for (const auto& q : read_quarantine_file(qpath)) {
-    canonical_done.insert(q.content_hash);
-    ++prior_quarantined;
-  }
-  // Deaths per suspect job (the job at the victim's committed frontier):
-  // max_restarts deaths on the *same* job quarantines it instead of
-  // burning the slot's whole restart budget.
+  std::unordered_set<std::uint64_t> quarantined;
+  for (const auto& q : read_quarantine_file(qpath))
+    quarantined.insert(q.content_hash);
+  const std::size_t prior_quarantined = quarantined.size();
+  // Deaths per suspect job (the job at the dead slot's committed frontier).
   std::unordered_map<std::uint64_t, std::size_t> suspect_deaths;
 
   auto slot_files = [&](std::size_t k) {
     return std::vector<std::string>{
         worker_store_path(options.out, k, slots),
-        worker_lease_path(options.out, k, slots),
         worker_heartbeat_path(options.out, k, slots)};
   };
   if (!options.resume) {
@@ -874,10 +753,50 @@ ShardRunReport run_stealing_processes(
     }
   }
 
-  LeaseTable table(n, slots);
-  for (std::size_t k = 0; k < slots; ++k)
-    write_lease_file(worker_lease_path(options.out, k, slots),
-                     table.lease(k));
+  // The lease service: the remote one named by --lease-server, or one this
+  // process serves on loopback until the run returns. The
+  // in-process one keeps no journal: the slot stores are the durable
+  // record, and a --resume rebuilds the leases around them.
+  ServiceThread local;
+  std::string server = options.lease_server;
+  if (server.empty()) {
+    LeaseServiceOptions lopt;
+    lopt.jobs = n;
+    lopt.slots = slots;
+    lopt.master_seed = options.master_seed;
+    lopt.min_steal_jobs = options.min_steal_jobs;
+    lopt.poll_ms = options.poll_ms;
+    // Keep answering `done` until stop(): every worker must hear it.
+    lopt.linger_ms = std::numeric_limits<std::uint32_t>::max();
+    local.service = std::make_unique<LeaseService>(lopt);
+    local.service->start();
+    server = strfmt("127.0.0.1:%u", static_cast<unsigned>(local.service->port()));
+    local.thread = std::thread([&service = *local.service] {
+      try {
+        service.run();
+      } catch (const std::exception& e) {
+        ORACLE_LOG_ERROR(strfmt("in-process lease service failed: %s",
+                                e.what()));
+      }
+    });
+  }
+  const auto server_addr = util::HostPort::parse(server);
+  if (!server_addr)
+    throw ConfigError("bad --lease-server address: " + server);
+
+  // The supervisor's own view of the service: the status op, best-effort
+  // (one quick retry, never orphaned — a dead remote server just means
+  // no lease/frontier detail).
+  LeaseClientOptions status_opt;
+  status_opt.server = *server_addr;
+  status_opt.op_timeout_ms = 500;
+  status_opt.retry_budget = 1;
+  LeaseClient status_client(status_opt);
+  auto server_status = [&]() -> std::optional<obs::StatusSnapshot> {
+    const auto text = status_client.status();
+    if (!text) return std::nullopt;
+    return obs::StatusSnapshot::parse(*text);
+  };
 
   auto make_argv = [&](std::size_t k) {
     std::vector<std::string> argv;
@@ -886,6 +805,8 @@ ShardRunReport run_stealing_processes(
                 options.worker_args.end());
     argv.push_back("--worker-slot");
     argv.push_back(strfmt("%zu/%zu", k, slots));
+    argv.push_back("--lease-server");
+    argv.push_back(server);
     if (options.resume) argv.push_back("--resume");
     return argv;
   };
@@ -903,109 +824,16 @@ ShardRunReport run_stealing_processes(
           : std::chrono::nanoseconds(
                 std::chrono::milliseconds(options.heartbeat_ms)));
 
-  // `shards_launched` counts slots (leases), not spawns: respawns after a
-  // crash and post-steal re-arms are reported through report.workers,
-  // steals, and restarts instead, keeping summary()'s worker arithmetic
-  // meaningful.
-  report.shards_launched = slots;
-
   auto spawn_slot = [&](std::size_t k) {
     procs[k].pid = spawn_one(make_argv(k));
     procs[k].kill_sent = false;
-    procs[k].done = false;
     monitor.start(k, Clock::now());
     obs::instant("shard", "worker.spawn", "slot",
                  static_cast<std::int64_t>(k), "restarts",
                  static_cast<std::int64_t>(procs[k].restarts));
-    ORACLE_LOG_INFO(strfmt("worker slot %zu spawned (pid %d, lease [%zu,%zu))",
+    ORACLE_LOG_INFO(strfmt("worker slot %zu spawned (pid %d, leases from %s)",
                            k, static_cast<int>(procs[k].pid),
-                           table.lease(k).begin, table.lease(k).end));
-  };
-
-  // The victim's committed frontier: one past the highest lease position
-  // whose record is in the victim's store (or the canonical store).
-  // Workers commit in ascending index order, so everything beyond is
-  // unclaimed tail — up to the in-flight window, which steal races
-  // tolerate by design.
-  auto committed_frontier = [&](std::size_t victim) {
-    const Lease& lease = table.lease(victim);
-    const auto done =
-        load_completed_hashes(worker_store_path(options.out, victim, slots));
-    std::size_t frontier = lease.begin;
-    for (std::size_t p = lease.begin; p < lease.end; ++p) {
-      const std::uint64_t h = queue.job(p).content_hash;
-      if (done.contains(h) || canonical_done.contains(h)) frontier = p + 1;
-    }
-    return frontier;
-  };
-
-  const std::size_t min_steal = std::max<std::size_t>(options.min_steal_jobs, 1);
-
-  // An idle (drained) slot steals the biggest unclaimed tail among live
-  // leases: victim keeps the head half (including its in-flight window),
-  // the thief takes the tail half. Returns false when no live lease has a
-  // tail worth a process spawn.
-  auto try_steal = [&](std::size_t thief) {
-    std::size_t best_victim = slots, best_split = 0, best_take = 0;
-    for (std::size_t v = 0; v < slots; ++v) {
-      if (v == thief || procs[v].pid < 0 || table.drained(v)) continue;
-      const Lease& lease = table.lease(v);
-      const std::size_t frontier = committed_frontier(v);
-      if (lease.end - frontier < min_steal + 1) continue;  // head must stay
-      const std::size_t split = frontier + (lease.end - frontier + 1) / 2;
-      const std::size_t take = lease.end - split;
-      if (take >= min_steal && take > best_take) {
-        best_victim = v;
-        best_split = split;
-        best_take = take;
-      }
-    }
-    // ORACLE_STEAL_DEBUG predates the leveled logger; it still forces the
-    // dump so existing test invocations keep working.
-    if (std::getenv("ORACLE_STEAL_DEBUG") ||
-        log::enabled(log::Level::Debug)) {
-      std::string line = strfmt("try_steal(thief=%zu): ", thief);
-      for (std::size_t v = 0; v < slots; ++v)
-        line += strfmt("slot%zu[%zu,%zu)%s%s f=%zu ", v,
-                       table.lease(v).begin, table.lease(v).end,
-                       table.drained(v) ? "D" : "",
-                       procs[v].pid >= 0 ? "L" : "",
-                       (procs[v].pid >= 0 && !table.drained(v))
-                           ? committed_frontier(v)
-                           : 0);
-      line += strfmt("-> victim=%lld split=%zu take=%zu",
-                     best_victim == slots ? -1ll
-                                          : static_cast<long long>(best_victim),
-                     best_split, best_take);
-      log::write(log::Level::Debug, line);
-    }
-    if (best_victim == slots) return false;
-    if (!table.steal(best_victim, thief, best_split)) return false;
-    // Publish the shrink before arming the thief: the overlap window in
-    // which both workers could run a stolen job is then at most the
-    // victim's current in-flight jobs (harmless: duplicates merge away).
-    write_lease_file(worker_lease_path(options.out, best_victim, slots),
-                     table.lease(best_victim));
-    write_lease_file(worker_lease_path(options.out, thief, slots),
-                     table.lease(thief));
-    ++report.steals;
-    // The steal renders as a flow arrow: source at the victim's shrink,
-    // sink at the thief's respawn over the stolen tail.
-    const std::uint64_t flow_id = obs::Tracer::next_flow_id();
-    obs::flow('s', flow_id, "shard", "steal", "victim",
-              static_cast<std::int64_t>(best_victim), "split",
-              static_cast<std::int64_t>(best_split));
-    obs::instant("shard", "lease.rewrite", "slot",
-                 static_cast<std::int64_t>(best_victim), "end",
-                 static_cast<std::int64_t>(best_split));
-    ORACLE_LOG_INFO(strfmt(
-        "slot %zu stole [%zu,%zu) from slot %zu", thief, best_split,
-        table.lease(thief).end, best_victim));
-    spawn_slot(thief);
-    obs::flow('f', flow_id, "shard", "steal", "thief",
-              static_cast<std::int64_t>(thief), "take",
-              static_cast<std::int64_t>(best_take));
-    return true;
+                           server.c_str()));
   };
 
   auto kill_all_live = [&] {
@@ -1018,47 +846,80 @@ ShardRunReport run_stealing_processes(
     }
   };
 
+  // The prime suspect for a worker death is the job at its slot's
+  // committed frontier — the first one a respawn would retry. Dying
+  // max_restarts times (never fewer than twice: one death is coincidence,
+  // not conviction) on the same job convicts the job, not the slot: it is
+  // quarantined — durably recorded, and skipped by every worker from its
+  // next lease on.
+  auto convict_suspect = [&](std::size_t k) {
+    if (options.max_restarts == 0) return false;
+    const auto st = server_status();
+    if (!st || k >= st->workers.size()) return false;
+    const std::size_t frontier = st->workers[k].frontier;
+    if (frontier >= st->workers[k].lease_end || frontier >= n) return false;
+    const std::uint64_t h = queue.job(frontier).content_hash;
+    if (quarantined.contains(h) ||
+        ++suspect_deaths[h] < std::max<std::size_t>(2, options.max_restarts))
+      return false;
+    append_quarantine_entry(qpath, {h, frontier});
+    quarantined.insert(h);
+    ++report.quarantined;
+    ORACLE_LOG_WARN(strfmt(
+        "job %zu (hash %016llx) killed its worker %zu time(s); quarantined "
+        "(re-run with --resume --retry-quarantined to retry it)",
+        frontier, static_cast<unsigned long long>(h), suspect_deaths[h]));
+    obs::instant("shard", "job.quarantined", "index",
+                 static_cast<std::int64_t>(frontier), "slot",
+                 static_cast<std::int64_t>(k));
+    return true;
+  };
+
   const auto run_start = Clock::now();
   auto last_status = run_start;
 
-  // One consistent snapshot of supervisor state, atomically rewritten so a
-  // dashboard polling the file never sees a torn read. jobs_done counts
-  // from the durable frontiers: retired/drained ranges are complete,
-  // live leases are complete up to their store frontier.
+  // One consistent snapshot, atomically rewritten so a dashboard polling
+  // the file never sees a torn read: job progress and per-slot leases come
+  // from the service, process custody (liveness, restarts, heartbeat age)
+  // from this supervisor.
   auto write_status = [&](const std::string& phase) {
     if (options.status_path.empty()) return;
     const auto now = Clock::now();
+    const auto served = server_status();
     obs::StatusSnapshot st;
     st.phase = phase;
     st.jobs_total = n;
-    std::size_t remaining = 0;
-    for (std::size_t k = 0; k < slots; ++k) {
-      obs::WorkerStatus w;
-      w.slot = k;
-      w.live = procs[k].pid >= 0;
-      const Lease& lease = table.lease(k);
-      w.lease_begin = lease.begin;
-      w.lease_end = lease.end;
-      w.frontier = table.drained(k) ? lease.end : committed_frontier(k);
-      w.restarts = procs[k].restarts;
-      w.heartbeat_age_s = monitor.age_seconds(k, now);
-      if (!table.drained(k)) remaining += lease.end - w.frontier;
-      st.workers.push_back(w);
-    }
-    remaining = std::min(remaining, n);
-    st.jobs_done = n - remaining;
+    st.jobs_done = phase == "done" ? n : served ? served->jobs_done : 0;
     st.elapsed_seconds =
         std::chrono::duration<double>(now - run_start).count();
     st.jobs_per_second =
         st.elapsed_seconds > 0
             ? static_cast<double>(st.jobs_done) / st.elapsed_seconds
             : 0.0;
-    st.eta_seconds = st.jobs_per_second > 0
-                         ? static_cast<double>(remaining) / st.jobs_per_second
-                         : -1.0;
-    st.steals = report.steals;
+    st.eta_seconds =
+        st.jobs_per_second > 0
+            ? static_cast<double>(n - st.jobs_done) / st.jobs_per_second
+            : -1.0;
     st.restarts = report.restarts;
     st.quarantined = prior_quarantined + report.quarantined;
+    if (served) {
+      st.steals = served->steals;
+      st.fenced = served->fenced;
+      st.retries = served->retries;
+    }
+    for (std::size_t k = 0; k < slots; ++k) {
+      obs::WorkerStatus w;
+      w.slot = k;
+      w.live = procs[k].pid >= 0;
+      w.restarts = procs[k].restarts;
+      w.heartbeat_age_s = monitor.age_seconds(k, now);
+      if (served && k < served->workers.size()) {
+        w.lease_begin = served->workers[k].lease_begin;
+        w.lease_end = served->workers[k].lease_end;
+        w.frontier = served->workers[k].frontier;
+      }
+      st.workers.push_back(w);
+    }
     obs::write_status_file(options.status_path, st);
   };
 
@@ -1096,56 +957,29 @@ ShardRunReport run_stealing_processes(
                          ? static_cast<std::int64_t>(-we.term_signal)
                          : static_cast<std::int64_t>(we.exit_code));
 
-        if (we.ok()) {
-          // Lease drained; go steal the biggest live tail or retire.
-          ORACLE_LOG_INFO(strfmt("worker slot %zu drained its lease", k));
-          table.mark_drained(k);
-          if (!try_steal(k)) proc.done = true;
+        if (we.ok()) continue;  // the server said done
+        if (we.term_signal == 0 && we.exit_code == kOrphanedExitCode) {
+          // The worker lost the server past its retry budget. Its durable
+          // prefix is safe; respawning would only orphan again, so note it
+          // and let the completeness check decide whether the rest of the
+          // fleet covered the gap.
+          ORACLE_LOG_WARN(strfmt(
+              "worker slot %zu orphaned (lease server unreachable); "
+              "not respawning",
+              k));
+          ++report.orphaned;
           continue;
         }
 
-        // The prime suspect for the death: the job at the committed
-        // frontier — the first one the respawn would retry. Dying
-        // max_restarts times (but never fewer than twice — one death is
-        // coincidence, not conviction) on the same job convicts the job,
-        // not the slot: it is quarantined (durably recorded + skipped
-        // everywhere) and the slot's restart budget is restored.
-        bool quarantined_now = false;
-        if (!table.drained(k) && options.max_restarts > 0) {
-          const Lease& lease = table.lease(k);
-          const std::size_t frontier = committed_frontier(k);
-          if (frontier < lease.end) {
-            const std::uint64_t h = queue.job(frontier).content_hash;
-            const std::size_t convict =
-                std::max<std::size_t>(2, options.max_restarts);
-            if (++suspect_deaths[h] >= convict) {
-              append_quarantine_entry(qpath, {h, frontier});
-              canonical_done.insert(h);  // advances every frontier past it
-              ++report.quarantined;
-              quarantined_now = true;
-              ORACLE_LOG_WARN(strfmt(
-                  "job %zu (hash %016llx) killed its worker %zu time(s); "
-                  "quarantined (re-run with --resume --retry-quarantined "
-                  "to retry it)",
-                  frontier, static_cast<unsigned long long>(h),
-                  options.max_restarts));
-              obs::instant("shard", "job.quarantined", "index",
-                           static_cast<std::int64_t>(frontier), "slot",
-                           static_cast<std::int64_t>(k));
-            }
-          }
-        }
-
-        if (quarantined_now) {
-          // The poison job is out of the lease now; give the slot a clean
-          // budget for whatever legitimately remains.
+        if (convict_suspect(k)) {
+          // The poison job is out of every lease now; give the slot a
+          // clean budget for whatever legitimately remains.
           proc.restarts = 0;
           ++report.restarts;
           spawn_slot(k);
         } else if (proc.restarts < options.max_restarts) {
-          // Crash (or heartbeat SIGKILL): respawn over the same lease —
-          // the slot store keeps a durable prefix, so the
-          // respawned worker skips straight to the first missing job.
+          // Crash (or heartbeat SIGKILL): respawn; the re-acquired lease
+          // runs under a fresh epoch and skips the slot's durable prefix.
           ORACLE_LOG_WARN(strfmt(
               "worker slot %zu died (%s %d); respawning (%zu/%zu)", k,
               we.term_signal != 0 ? "signal" : "exit code",
@@ -1223,284 +1057,24 @@ ShardRunReport run_stealing_processes(
     write_status("failed");
     return report;
   }
-
-  ORACLE_ASSERT(table.all_drained());
-  write_status("merging");
-  {
-    obs::Span merge_span("shard", "merge");
-    ShardMerger merger;
-    if (options.resume) merger.add_store(options.out);
-    for (std::size_t k = 0; k < slots; ++k)
-      merger.add_store(worker_store_path(options.out, k, slots));
-    report.merge = merger.merge_to(options.out);
-    report.merged = true;
-  }
-  ORACLE_LOG_INFO(strfmt(
-      "merged %zu record(s) into %s (%zu duplicate(s) dropped)",
-      report.merge.records, options.out.c_str(),
-      report.merge.duplicates_dropped));
-  write_status("done");
-
-  if (!options.keep_shard_stores) {
-    for (std::size_t k = 0; k < slots; ++k)
-      for (const auto& f : slot_files(k)) util::remove_file(f);
-  }
-  return report;
-}
-
-// ------------------------------------------- lease-server supervisor --
-//
-// With --lease-server the parent sheds most of its supervisor duties:
-// leases, steals, fencing, and stall expiry live in the (possibly
-// remote) lease service. What remains here is process custody — spawn
-// one lease-client worker per slot, reap and respawn crashed ones,
-// SIGKILL wedged ones as a local belt-and-braces (the server would
-// expire them anyway, but only this parent can free the wedged PID) —
-// plus the final completeness check and merge.
-
-ShardRunReport run_lease_server_processes(
-    const std::vector<core::ExperimentConfig>& configs,
-    const ShardRunOptions& options) {
-  using Clock = std::chrono::steady_clock;
-
-  JobQueue queue(configs);
-  if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
-  const std::size_t n = queue.size();
-
-  ShardRunReport report;
-  report.planned_jobs = n;
-  const std::size_t slots =
-      std::max<std::size_t>(1, std::min(options.workers, n));
-  report.shards_launched = slots;
-
-  auto slot_files = [&](std::size_t k) {
-    return std::vector<std::string>{
-        worker_store_path(options.out, k, slots),
-        worker_heartbeat_path(options.out, k, slots)};
-  };
-  if (!options.resume) {
-    for (std::size_t k = 0; k < slots; ++k) {
-      for (const auto& f : slot_files(k)) util::remove_file(f);
-      if (!options.trace_path.empty())
-        util::remove_file(obs::worker_trace_path(options.trace_path, k, slots));
-    }
-  }
-
-  auto make_argv = [&](std::size_t k) {
-    std::vector<std::string> argv;
-    argv.push_back(options.exec_path);
-    argv.insert(argv.end(), options.worker_args.begin(),
-                options.worker_args.end());
-    argv.push_back("--worker-slot");
-    argv.push_back(strfmt("%zu/%zu", k, slots));
-    argv.push_back("--lease-server");
-    argv.push_back(options.lease_server);
-    if (options.resume) argv.push_back("--resume");
-    return argv;
-  };
-
-  std::vector<SlotProc> procs(slots);
-  AdaptiveTimeout adaptive(options.adaptive_config);
-  const bool stall_detection =
-      options.adaptive_heartbeat || options.heartbeat_ms > 0;
-  HeartbeatMonitor monitor(
-      options.adaptive_heartbeat
-          ? std::chrono::nanoseconds(std::chrono::hours(24 * 365))
-          : std::chrono::nanoseconds(
-                std::chrono::milliseconds(options.heartbeat_ms)));
-
-  auto spawn_slot = [&](std::size_t k) {
-    procs[k].pid = spawn_one(make_argv(k));
-    procs[k].kill_sent = false;
-    procs[k].done = false;
-    monitor.start(k, Clock::now());
-    obs::instant("shard", "worker.spawn", "slot",
-                 static_cast<std::int64_t>(k), "restarts",
-                 static_cast<std::int64_t>(procs[k].restarts));
-    ORACLE_LOG_INFO(strfmt(
-        "worker slot %zu spawned (pid %d, leases from %s)", k,
-        static_cast<int>(procs[k].pid), options.lease_server.c_str()));
-  };
-
-  auto kill_all_live = [&] {
-    for (auto& proc : procs) {
-      if (proc.pid <= 0) continue;
-      ::kill(proc.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(proc.pid, &status, 0);
-      proc.pid = -1;
-    }
-  };
-
-  const auto run_start = Clock::now();
-  auto last_status = run_start;
-  // Job-level progress lives in the server's status file; this one covers
-  // what only the parent knows — process custody per slot.
-  auto write_status = [&](const std::string& phase) {
-    if (options.status_path.empty()) return;
-    const auto now = Clock::now();
-    obs::StatusSnapshot st;
-    st.phase = phase;
-    st.jobs_total = n;
-    for (std::size_t k = 0; k < slots; ++k) {
-      obs::WorkerStatus w;
-      w.slot = k;
-      w.live = procs[k].pid >= 0;
-      w.restarts = procs[k].restarts;
-      w.heartbeat_age_s = monitor.age_seconds(k, now);
-      st.workers.push_back(w);
-    }
-    st.elapsed_seconds =
-        std::chrono::duration<double>(now - run_start).count();
-    st.restarts = report.restarts;
-    obs::write_status_file(options.status_path, st);
-  };
-
-  bool failed = false;
-  try {
-    for (std::size_t k = 0; k < slots; ++k) spawn_slot(k);
-    write_status("running");
-
-    while (true) {
-      for (std::size_t k = 0; k < slots && !failed; ++k) {
-        SlotProc& proc = procs[k];
-        if (proc.pid < 0) continue;
-        int status = 0;
-        const pid_t r = ::waitpid(proc.pid, &status, WNOHANG);
-        if (r == 0) continue;
-
-        monitor.stop(k);
-        proc.pid = -1;
-        WorkerExit we;
-        we.shard = k;
-        if (r < 0) {
-          we.exit_code = 126;
-        } else if (WIFEXITED(status)) {
-          we.exit_code = WEXITSTATUS(status);
-        } else if (WIFSIGNALED(status)) {
-          we.term_signal = WTERMSIG(status);
-        } else {
-          we.exit_code = 126;
-        }
-        report.workers.push_back(we);
-        obs::instant("shard", we.ok() ? "worker.drained" : "worker.died",
-                     "slot", static_cast<std::int64_t>(k), "code",
-                     we.term_signal != 0
-                         ? static_cast<std::int64_t>(-we.term_signal)
-                         : static_cast<std::int64_t>(we.exit_code));
-
-        if (we.ok()) {
-          // The server said done; nothing left for this slot to do.
-          proc.done = true;
-        } else if (we.term_signal == 0 &&
-                   we.exit_code == kOrphanedExitCode) {
-          // The worker lost the server past its retry budget. Its durable
-          // prefix is safe; respawning would only orphan again, so note it
-          // and let the completeness check decide whether the rest of the
-          // fleet covered the gap.
-          ORACLE_LOG_WARN(strfmt(
-              "worker slot %zu orphaned (lease server unreachable); "
-              "not respawning",
-              k));
-          ++report.orphaned;
-          proc.done = true;
-        } else if (proc.restarts < options.max_restarts) {
-          ORACLE_LOG_WARN(strfmt(
-              "worker slot %zu died (%s %d); respawning (%zu/%zu)", k,
-              we.term_signal != 0 ? "signal" : "exit code",
-              we.term_signal != 0 ? we.term_signal : we.exit_code,
-              proc.restarts + 1, options.max_restarts));
-          ++proc.restarts;
-          ++report.restarts;
-          spawn_slot(k);
-        } else {
-          ORACLE_LOG_ERROR(strfmt(
-              "worker slot %zu exhausted its restart budget (%zu); "
-              "aborting (state kept for --resume)",
-              k, options.max_restarts));
-          failed = true;
-        }
-      }
-      if (failed) break;
-
-      const bool any_live = std::any_of(
-          procs.begin(), procs.end(),
-          [](const SlotProc& p) { return p.pid >= 0; });
-      if (!any_live) break;
-
-      if (stall_detection) {
-        const auto now = Clock::now();
-        for (std::size_t k = 0; k < slots; ++k) {
-          if (procs[k].pid < 0 || procs[k].kill_sent) continue;
-          const auto mtime =
-              util::file_mtime_ns(worker_heartbeat_path(options.out, k, slots));
-          const auto interval = monitor.observe(k, mtime.value_or(-1), now);
-          if (options.adaptive_heartbeat) {
-            if (interval) adaptive.record(*interval);
-            const double t = adaptive.timeout_seconds();
-            if (std::isfinite(t))
-              monitor.set_timeout(std::chrono::nanoseconds(
-                  static_cast<std::int64_t>(t * 1e9)));
-          }
-          if (monitor.stale(k, now)) {
-            ORACLE_LOG_WARN(strfmt(
-                "worker slot %zu heartbeat stale (%.1fs); sending SIGKILL",
-                k, monitor.age_seconds(k, now)));
-            obs::instant("shard", "worker.stale_kill", "slot",
-                         static_cast<std::int64_t>(k));
-            ::kill(procs[k].pid, SIGKILL);
-            procs[k].kill_sent = true;
-          }
-        }
-      }
-
-      if (!options.status_path.empty()) {
-        const auto now = Clock::now();
-        if (now - last_status >=
-            std::chrono::milliseconds(
-                std::max<std::uint32_t>(options.status_interval_ms, 1))) {
-          last_status = now;
-          write_status("running");
-        }
-      }
-
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max<std::uint32_t>(options.poll_ms, 1)));
-    }
-  } catch (...) {
-    kill_all_live();
-    throw;
-  }
-
-  if (failed) {
-    kill_all_live();
-    write_status("failed");
-    return report;
-  }
+  if (const auto st = server_status()) report.steals = st->steals;
 
   // Completeness gate: the server's `done` plus orphan exits are not proof
   // that every record landed on *this* host's disks. Merge only when the
-  // union of the canonical + slot stores covers the whole sweep; anything
-  // short of that keeps the state for --resume.
+  // canonical + slot stores (and the quarantine) cover the whole sweep;
+  // anything short of that keeps the state for --resume.
   {
-    std::unordered_set<std::uint64_t> have;
-    if (options.resume) {
-      const auto canon = load_completed_hashes(options.out);
-      have.insert(canon.begin(), canon.end());
-    }
-    for (std::size_t k = 0; k < slots; ++k) {
-      const auto hashes =
-          load_completed_hashes(worker_store_path(options.out, k, slots));
-      have.insert(hashes.begin(), hashes.end());
-    }
+    std::unordered_set<std::uint64_t> have = quarantined;
+    if (options.resume) have.merge(load_completed_hashes(options.out));
+    for (std::size_t k = 0; k < slots; ++k)
+      have.merge(load_completed_hashes(worker_store_path(options.out, k, slots)));
     std::size_t missing = 0;
-    for (std::size_t p = 0; p < n; ++p)
-      if (!have.contains(queue.job(p).content_hash)) ++missing;
+    for (const auto& job : queue.jobs())
+      if (!have.contains(job.content_hash)) ++missing;
     if (missing > 0) {
       ORACLE_LOG_ERROR(strfmt(
-          "lease-server run incomplete: %zu job(s) missing from local "
-          "stores (orphaned workers? wrong server?); merge skipped — "
-          "re-run with --resume",
+          "run incomplete: %zu job(s) missing from local stores (orphaned "
+          "workers? wrong server?); merge skipped — re-run with --resume",
           missing));
       write_status("failed");
       return report;
@@ -1530,127 +1104,6 @@ ShardRunReport run_lease_server_processes(
   return report;
 }
 
-}  // namespace
-
 #endif
-
-// ------------------------------------------------- run_sharded_processes --
-
-bool ShardRunReport::ok() const noexcept {
-  // The merge is the completion criterion. Static runs only merge when
-  // every worker exited cleanly; steal-mode runs may carry failed exits
-  // from workers the supervisor killed and successfully restarted — the
-  // run still converged.
-  return merged;
-}
-
-std::string ShardRunReport::summary() const {
-  std::size_t failed = 0;
-  for (const auto& w : workers)
-    if (!w.ok()) ++failed;
-  std::string s = strfmt(
-      "%zu jobs over %zu worker(s): %zu launched, %zu shard(s) already "
-      "complete",
-      planned_jobs, shards_launched + shards_skipped, shards_launched,
-      shards_skipped);
-  if (steals > 0) s += strfmt(", %zu lease(s) stolen", steals);
-  if (restarts > 0) s += strfmt(", %zu worker(s) auto-restarted", restarts);
-  if (quarantined > 0)
-    s += strfmt(", %zu poison job(s) quarantined", quarantined);
-  if (orphaned > 0)
-    s += strfmt(", %zu worker(s) orphaned by the lease server", orphaned);
-  if (failed > 0) s += strfmt(", %zu worker exit(s) failed", failed);
-  if (merged)
-    s += strfmt("; merged %zu record(s) (%zu duplicate(s) dropped)",
-                merge.records, merge.duplicates_dropped);
-  else
-    s += "; merge skipped (re-run with --resume to finish)";
-  return s;
-}
-
-ShardRunReport run_sharded_processes(
-    const std::vector<core::ExperimentConfig>& configs,
-    const ShardRunOptions& options) {
-  ORACLE_REQUIRE(!options.out.empty(),
-                 "sharded runs need a canonical --out store");
-  ORACLE_REQUIRE(options.workers >= 1, "--workers must be >= 1");
-  ORACLE_REQUIRE(!options.exec_path.empty(),
-                 "sharded runs need the worker executable path");
-  ORACLE_REQUIRE(!configs.empty(), "sharded run over an empty sweep");
-
-  if (!options.lease_server.empty())
-    return run_lease_server_processes(configs, options);
-  if (options.steal) return run_stealing_processes(configs, options);
-
-  JobQueue queue(configs);
-  if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
-  const ShardPlan plan(queue, options.workers);
-
-  ShardRunReport report;
-  report.planned_jobs = plan.total_jobs();
-
-  // Which shards need a worker? Fresh runs: every shard with jobs (their
-  // workers truncate any stale per-shard state). Resume: only shards with
-  // jobs not already durable in their own store or in the
-  // previously merged canonical store.
-  std::vector<std::size_t> to_run;
-  if (options.resume) {
-    to_run = plan.incomplete_shards(options.out,
-                                    load_completed_hashes(options.out));
-  } else {
-    for (std::size_t i = 0; i < plan.count(); ++i)
-      if (!plan.shard_hashes(i).empty()) to_run.push_back(i);
-  }
-  std::size_t nonempty = 0;
-  for (std::size_t i = 0; i < plan.count(); ++i)
-    if (!plan.shard_hashes(i).empty()) ++nonempty;
-  report.shards_launched = to_run.size();
-  report.shards_skipped = nonempty - to_run.size();
-
-  // A fresh run must not inherit stale per-shard state from an older,
-  // different sweep: clear every shard store of this layout up front
-  // (workers would truncate their own anyway; shards that get no worker
-  // this time must not leak stale records into the merge).
-  if (!options.resume) {
-    for (std::size_t i = 0; i < plan.count(); ++i)
-      util::remove_file(shard_store_path(options.out, i, plan.count()));
-  }
-
-  if (!to_run.empty()) {
-    std::vector<std::vector<std::string>> argvs;
-    argvs.reserve(to_run.size());
-    for (const std::size_t shard : to_run) {
-      std::vector<std::string> argv;
-      argv.push_back(options.exec_path);
-      argv.insert(argv.end(), options.worker_args.begin(),
-                  options.worker_args.end());
-      argv.push_back("--shard");
-      argv.push_back(ShardSpec{shard, plan.count()}.to_string());
-      if (options.resume) argv.push_back("--resume");
-      argvs.push_back(std::move(argv));
-    }
-    report.workers = spawn_and_wait(argvs, to_run);
-  }
-
-  for (const auto& w : report.workers)
-    if (!w.ok()) return report;  // merge skipped; every store stays put
-
-  // All workers finished cleanly: fold the per-shard stores (plus, when
-  // resuming, the previously merged canonical store) into the canonical
-  // store. A fresh run replaces the canonical store outright, mirroring
-  // the serial engine's truncate-on-fresh-run semantics.
-  ShardMerger merger;
-  if (options.resume) merger.add_store(options.out);
-  for (std::size_t i = 0; i < plan.count(); ++i)
-    merger.add_store(shard_store_path(options.out, i, plan.count()));
-  report.merge = merger.merge_to(options.out);
-  report.merged = true;
-
-  if (!options.keep_shard_stores) {
-    for (std::size_t i = 0; i < plan.count(); ++i)
-      util::remove_file(shard_store_path(options.out, i, plan.count()));
-  }
-  return report;
-}
 
 }  // namespace oracle::exp

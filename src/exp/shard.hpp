@@ -1,45 +1,43 @@
 #pragma once
-// Crash-safe distributed sharding: run one sweep as N cooperating worker
+// Crash-safe distributed sweeps: run one sweep as N cooperating worker
 // *processes* over one canonical result store.
 //
-// The model:
-//   - Every job is assigned to a shard by content hash modulo shard count
-//     (shard_of_hash). The slice is a pure function of job identity, so it
-//     is stable across invocations, resumes, and hosts.
-//   - Each worker process runs its slice into a private per-shard JSONL
-//     store (shard_store_path), using the ordinary batch engine — group
-//     commit durability included, so a SIGKILLed worker
-//     leaves a clean, resumable prefix and can never corrupt any other
-//     shard's state.
-//   - When every worker has exited cleanly, the parent merges the shard
-//     stores (plus any previously merged canonical store) into the
-//     canonical store *in job order* via ShardMerger: the merged bytes are
-//     identical to what a serial run would have produced.
-//   - A killed/failed worker leaves the merge unperformed; a later
-//     --resume re-runs only the incomplete shards' incomplete jobs
-//     (ShardPlan::incomplete_shards over the per-shard stores)
-//     and then merges, converging to the same byte-identical store.
+// The model (`oracle_batch run --workers N`, run_sharded_processes):
+//   - A lease service owns the job order [0, jobs) and hands each of the
+//     W worker *slots* fenced, contiguous job-range leases. It is either
+//     an in-process exp::LeaseService on loopback (single-host runs) or a
+//     remote `oracle_batch serve-leases` named by --lease-server.
+//   - Each worker is a self-exec'd lease client (run_lease_client_worker):
+//     it runs its lease into a private per-slot JSONL store with the
+//     ordinary executor, commits its durable frontier to the service once
+//     per commit group (after the store fsync), and asks for more work
+//     when the lease drains — the service then steals the unclaimed tail
+//     of the most-loaded live lease for it.
+//   - The parent keeps process custody: it spawns one worker per slot,
+//     respawns crashed or heartbeat-stale ones, quarantines a job that
+//     keeps killing its worker, and — once every worker has exited and the
+//     slot stores cover the sweep — merges them into the canonical store
+//     *in job order* via ShardMerger: the merged bytes are identical to
+//     what a serial run would have produced.
+//   - A killed/failed run leaves the merge unperformed and every slot
+//     store in place; a later --resume skips what the stores already hold
+//     and converges to the same byte-identical store.
 //
-// run_sharded_processes() drives the whole protocol by re-executing the
-// current binary with `--shard i/N` per worker (self-exec); the pieces
-// (ShardSpec, ShardPlan, ShardMerger, spawn_and_wait) are exposed for
-// custom launchers — e.g. starting workers on different hosts and merging
-// their stores with `oracle_batch aggregate <store>...`.
+// The standalone `--shard i/N` worker (JobQueue::retain_shard over
+// shard_of_hash, into shard_store_path) stays available for custom
+// cross-host launchers that merge with `oracle_batch aggregate`.
 
 #include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
 #include "exp/executor.hpp"
 
 namespace oracle::exp {
-
-class JobQueue;
 
 /// One worker's identity inside a sharded run: shard `index` of `count`.
 struct ShardSpec {
@@ -62,39 +60,18 @@ inline std::size_t shard_of_hash(std::uint64_t content_hash,
 std::string shard_store_path(const std::string& canonical_store,
                              std::size_t index, std::size_t count);
 
-// ------------------------------------------------------------------------
-// Work-stealing lease protocol (the `--steal` mode of `oracle_batch run`).
-//
-// Instead of the static hash-modulo partition, the parent keeps the whole
-// job order [0, N) and hands each of W supervised worker *slots* a
-// contiguous job-range lease through a small control file the worker
-// re-reads before every job. Three files per slot, all derived from the
-// canonical store path:
-//   - worker_store_path:     private JSONL store, the slot's durable record
-//   - worker_lease_path:     the lease, rewritten atomically by the parent
-//   - worker_heartbeat_path: mtime-touched by the worker once per commit
-//     group, after the store fsync returns; the parent treats an unchanged
-//     mtime as "wedged" and reaps
-// When a worker drains its lease it exits 0; the parent then steals the
-// unclaimed tail of the most-loaded live lease for it and respawns it. A
-// crashed (or heartbeat-reaped) worker is respawned over the same lease —
-// its store keeps a durable prefix, so the respawn skips what is
-// already done. Steal races can run a job twice on two slots; that is
-// harmless: the simulator is deterministic, so the duplicate records are
-// byte-identical and the merge dedups them by content hash in job order.
-// ------------------------------------------------------------------------
-
-/// Worker-slot file paths, "<canonical>.{worker,lease,hb}<k>of<W>".
+/// Worker-slot file paths, "<canonical>.{worker,hb}<k>of<W>": the slot's
+/// private JSONL store, and the heartbeat file the worker mtime-touches
+/// once per commit group (after the store fsync returns) and while it
+/// waits for work; the parent treats an unchanged mtime as "wedged" and
+/// reaps.
 std::string worker_store_path(const std::string& canonical_store,
-                              std::size_t slot, std::size_t count);
-std::string worker_lease_path(const std::string& canonical_store,
                               std::size_t slot, std::size_t count);
 std::string worker_heartbeat_path(const std::string& canonical_store,
                                   std::size_t slot, std::size_t count);
 
 /// One contiguous job-range lease [begin, end) over sweep indices. The
-/// generation increments on every parent rewrite, so a worker can tell a
-/// reissued lease from the one it started with.
+/// generation increments on every steal or reassignment that moves it.
 struct Lease {
   std::uint64_t generation = 0;
   std::size_t begin = 0;
@@ -104,24 +81,7 @@ struct Lease {
   std::size_t size() const noexcept { return empty() ? 0 : end - begin; }
 };
 
-/// Serialize `lease` into its one-line control file, atomically (tmp +
-/// rename): a worker mid-read sees the whole old lease or the whole new
-/// one, never a torn line. Writes the checksummed v2 format
-/// ("v2 <gen> <begin> <end> <cksum>"). Throws SimulationError on I/O
-/// failure.
-void write_lease_file(const std::string& path, const Lease& lease);
-
-/// Parse a lease control file (v1 or checksummed v2); nullopt when missing
-/// or malformed (a worker treats that as an empty lease and exits
-/// cleanly). A file that *exists* but fails to parse — a torn/partial
-/// write observed mid-rename on filesystems without atomic rename — bumps
-/// the process-wide torn-read counter instead of asserting.
-std::optional<Lease> read_lease_file(const std::string& path);
-
-/// Process-wide count of lease files that existed but failed to parse.
-std::size_t lease_file_torn_reads() noexcept;
-
-/// The parent's lease bookkeeping: every job position in [0, jobs) belongs
+/// The lease service's bookkeeping: every job position in [0, jobs) belongs
 /// to exactly one lease — live (a worker owns it) or retired (drained).
 /// Steals move the tail of a live lease onto a drained slot; the class
 /// never creates overlap, so the property test can assert the partition
@@ -137,7 +97,7 @@ class LeaseTable {
   const Lease& lease(std::size_t slot) const { return slots_[slot].current; }
   bool drained(std::size_t slot) const { return slots_[slot].drained; }
 
-  /// The slot's worker exited 0: its current lease is fully executed.
+  /// The slot's worker drained its lease: it is fully executed.
   void mark_drained(std::size_t slot);
   bool all_drained() const;
 
@@ -237,8 +197,8 @@ struct AdaptiveTimeoutConfig {
 /// Replaces the fixed --heartbeat-ms guess: a staleness timeout derived
 /// from observed job wall times. Seeded from a prior run's
 /// BatchReport::job_wall p99 and updated online from per-job samples
-/// (committed job walls in server mode, inter-heartbeat intervals in file
-/// mode), it tracks the sweep's actual pace:
+/// (commit-group walls in the lease service, inter-heartbeat intervals in
+/// the supervisor), it tracks the sweep's actual pace:
 ///
 ///   timeout = clamp(max(p99 * multiplier, max_sample * 2), floor, cap)
 ///
@@ -268,35 +228,6 @@ class AdaptiveTimeout {
   std::size_t next_ = 0;         ///< ring write position
   std::size_t count_ = 0;        ///< total samples ever recorded
   double max_sample_ = 0.0;      ///< all-time max (whale guard)
-};
-
-/// The parent's view of a sharded run: which content hashes each shard is
-/// responsible for, and which shards still have work left on disk.
-class ShardPlan {
- public:
-  /// Plan `count` shards over the (seed-derived, unfiltered) queue.
-  ShardPlan(const JobQueue& queue, std::size_t count);
-
-  std::size_t count() const noexcept { return hashes_.size(); }
-  std::size_t total_jobs() const noexcept { return total_; }
-
-  /// Content hashes owned by shard `i`, in job order.
-  const std::vector<std::uint64_t>& shard_hashes(std::size_t i) const {
-    return hashes_[i];
-  }
-
-  /// Shards that still have jobs not completed by (a) their own shard
-  /// store under `canonical_store` or (b) the `already_done`
-  /// set (typically the canonical store's hashes). Empty shards are never
-  /// reported. This is the crash-detection step of --resume: only these
-  /// shards get a worker process.
-  std::vector<std::size_t> incomplete_shards(
-      const std::string& canonical_store,
-      const std::unordered_set<std::uint64_t>& already_done = {}) const;
-
- private:
-  std::vector<std::vector<std::uint64_t>> hashes_;  // [shard][job order]
-  std::size_t total_ = 0;
 };
 
 /// Outcome of merging shard stores into the canonical store.
@@ -342,39 +273,23 @@ struct WorkerExit {
   bool ok() const noexcept { return term_signal == 0 && exit_code == 0; }
 };
 
-/// Fork+exec one process per argv vector and wait for all of them.
-/// argvs[k] is the full argument vector (argv[0] = executable path) for
-/// worker k; `shards[k]` labels it in the result. POSIX only; throws
-/// SimulationError elsewhere or when spawning fails.
-std::vector<WorkerExit> spawn_and_wait(
-    const std::vector<std::vector<std::string>>& argvs,
-    const std::vector<std::size_t>& shards);
-
 /// Resolve the path of the currently running executable for self-exec
 /// (/proc/self/exe on Linux, falling back to argv0).
 std::string self_exec_path(const std::string& argv0);
 
 struct ShardRunOptions {
-  std::size_t workers = 2;     ///< worker process count (= shard/slot count)
+  std::size_t workers = 2;     ///< worker process count (= slot count)
   std::string out;             ///< canonical JSONL store path (required)
-  bool resume = false;         ///< re-run only dead shards' incomplete jobs
-  bool keep_shard_stores = false;  ///< keep per-shard stores after merging
+  bool resume = false;         ///< skip what the stores already hold
+  bool keep_shard_stores = false;  ///< keep per-slot stores after merging
   std::uint64_t master_seed = 0;   ///< forwarded to each worker's queue
 
   /// Self-exec recipe: executable plus the sweep-defining arguments. The
-  /// parent appends "--shard i/N" (static) or "--worker-slot k/W" (steal
-  /// mode), plus "--resume" when resuming, per worker; the worker rebuilds
-  /// the identical sweep, slices it, and runs only its share.
+  /// parent appends "--worker-slot k/W --lease-server H:P", plus
+  /// "--resume" when resuming, per worker; the worker rebuilds the
+  /// identical sweep and runs whatever leases the service grants it.
   std::string exec_path;
   std::vector<std::string> worker_args;
-
-  // --- work-stealing supervisor (steal = true) ---
-
-  /// Supervise workers over dynamic job-range leases with work stealing
-  /// instead of the fixed hash-modulo partition. Single-host only (the
-  /// parent must share a filesystem and PID namespace with its workers);
-  /// keep the static `--shard i/N` layout for cross-host runs.
-  bool steal = false;
 
   /// Heartbeat timeout: a worker whose heartbeat file mtime is unchanged
   /// for this long is SIGKILLed and respawned (counts against
@@ -385,8 +300,8 @@ struct ShardRunOptions {
   /// Adaptive stall detection (ignores heartbeat_ms): the timeout is
   /// derived online from observed inter-heartbeat intervals via
   /// AdaptiveTimeout, so no per-sweep tuning is needed and a healthy slow
-  /// whale job is never reaped. The CLI turns this on by default in steal
-  /// mode when --heartbeat-ms is not given.
+  /// whale job is never reaped. The CLI turns this on by default when
+  /// --heartbeat-ms is not given.
   bool adaptive_heartbeat = false;
   AdaptiveTimeoutConfig adaptive_config;
 
@@ -401,20 +316,19 @@ struct ShardRunOptions {
   /// quarantine file) so the recorded poison jobs get another chance.
   bool retry_quarantined = false;
 
-  /// Cross-host lease service ("host:port", empty = single-host file
-  /// protocol). The parent then only spawns/reaps/merges; leases, steals,
-  /// fencing, and stall expiry live in the server (`oracle_batch
-  /// serve-leases`), which must already be running and must have been
-  /// started over the same sweep with the same slot count.
+  /// Remote lease service ("host:port"): an `oracle_batch serve-leases`
+  /// that must already be running over the same sweep with the same slot
+  /// count. Empty = the parent runs an in-process LeaseService on
+  /// 127.0.0.1 (no journal: the stores are the durable record) for the
+  /// lifetime of the run.
   std::string lease_server;
 
   /// Supervisor poll period (reap + heartbeat checks).
   std::uint32_t poll_ms = 25;
 
-  /// Don't steal tails smaller than this. The default of 1 is right for
-  /// heavy-tailed sweeps (one whale job is worth a process spawn); raise
-  /// it when jobs are uniformly tiny and end-of-run spawns outweigh the
-  /// balance gain.
+  /// The in-process service does not steal tails smaller than this. The
+  /// default of 1 is right for heavy-tailed sweeps (one whale job is worth
+  /// a steal round-trip); raise it to turn stealing off.
   std::size_t min_steal_jobs = 1;
 
   /// When non-empty, the supervisor atomically rewrites this file with a
@@ -434,9 +348,8 @@ struct ShardRunOptions {
 };
 
 struct ShardRunReport {
-  std::size_t planned_jobs = 0;     ///< sweep size (all shards)
-  std::size_t shards_launched = 0;  ///< workers actually spawned
-  std::size_t shards_skipped = 0;   ///< already complete (resume) or empty
+  std::size_t planned_jobs = 0;     ///< sweep size
+  std::size_t shards_launched = 0;  ///< worker slots
   std::vector<WorkerExit> workers;  ///< one entry per worker process exit
   bool merged = false;              ///< canonical store written
   MergeReport merge;
@@ -504,7 +417,7 @@ struct ShardTestHooks {
 };
 
 /// Worker side of the lease protocol (what `oracle_batch run
-/// --worker-slot k/W` executes).
+/// --worker-slot k/W --lease-server H:P` executes).
 struct LeaseWorkerOptions {
   std::string canonical_out;   ///< canonical store (slot files derive from it)
   std::size_t slot = 0;        ///< this worker's slot k
@@ -515,9 +428,7 @@ struct LeaseWorkerOptions {
   std::size_t threads = 1;     ///< executor threads inside this worker
   ShardTestHooks hooks;        ///< fault injection (tests only)
 
-  // --- cross-host lease service mode (lease_server non-empty) ---
-
-  /// Lease server address ("host:port"); empty keeps the file protocol.
+  /// Lease server address ("host:port", required).
   std::string lease_server;
 
   /// Per-request deadline and retry/backoff budget for the lease client.
@@ -546,47 +457,33 @@ struct LeaseWorkerReport {
   std::uint64_t reconnects = 0; ///< TCP reconnects
 };
 
-/// Run this slot's current lease: read the lease file, slice the queue to
-/// [begin, end), and execute into the slot's private store — always in
-/// append/skip-completed mode (the supervisor pre-cleans slot files on a
-/// fresh run), re-reading the lease before every job so a parent-side
-/// shrink stops the worker at the new end. An empty or missing lease
-/// still creates a valid empty store and reports 0 jobs. Returns the
-/// slice's batch report.
-BatchReport run_lease_worker(const std::vector<core::ExperimentConfig>& configs,
-                             const LeaseWorkerOptions& options);
-
-/// The lease-service flavour of run_lease_worker (options.lease_server
-/// set): instead of re-reading a lease file, the worker acquires fenced
-/// leases from the server and loops — run the lease, commit the frontier
-/// per job (the commit doubles as the heartbeat), then ask for more work
-/// until the server says `done`. A `fenced` verdict stops the worker
-/// mid-lease (its durable records are harmless duplicates); an
-/// unreachable server past the retry budget orphans it: the committed
-/// prefix is already fsynced, the report says orphaned, and the caller
-/// exits with the distinct orphaned status so `--resume` reshapes leases
-/// around it.
+/// The worker loop: acquire a fenced lease from the server, run it into
+/// the slot's private store (append + skip what this slot, its siblings,
+/// the canonical store on resume and the quarantine file already cover)
+/// with `threads` executor threads, commit the durable frontier once per
+/// commit group after the store fsync (the commit reply carries the
+/// possibly steal-shrunk lease end), then ask for more work until the
+/// server says `done`. A `fenced` verdict stops the worker mid-lease (its
+/// durable records are harmless duplicates); an unreachable server past
+/// the retry budget orphans it: the committed prefix is already fsynced,
+/// the report says orphaned, and the caller exits with the distinct
+/// orphaned status so `--resume` reshapes leases around it.
 LeaseWorkerReport run_lease_client_worker(
     const std::vector<core::ExperimentConfig>& configs,
     const LeaseWorkerOptions& options);
 
-/// The parent side of `oracle_batch run --workers N`: plan shards over the
-/// sweep, spawn one self-exec worker per incomplete shard, wait, and — iff
-/// every worker exited cleanly — merge the shard stores into the canonical
-/// store and (unless keep_shard_stores) delete them. On any worker
-/// failure the merge is skipped so a later resume sees every shard's
-/// surviving state. Throws SimulationError on setup errors (empty sweep,
-/// missing out path, spawn failure).
-///
-/// With options.steal, the fork-join topology becomes a supervisor: the
-/// parent partitions the job order into leases (clamped to one worker per
-/// job), spawns one lease worker per slot, and loops — reaping exits,
-/// re-leasing the unclaimed tail of the most-loaded live lease to each
-/// drained worker (work stealing), SIGKILLing heartbeat-stale workers,
-/// and respawning crashed ones up to max_restarts. The merge and its
-/// byte-identity guarantee are unchanged: worker stores hold arbitrary
-/// job subsets (possibly overlapping after steal races) and fold into the
-/// canonical store in job order with content-hash dedup.
+/// The parent side of `oracle_batch run --workers N`: one supervisor over
+/// lease-client workers. It starts an in-process LeaseService unless
+/// options.lease_server names a remote one, spawns one self-exec worker
+/// per slot (clamped to one per job), and loops — reaping exits,
+/// respawning crashed or heartbeat-stale workers up to max_restarts, and
+/// quarantining a job that keeps killing its worker (the suspect is the
+/// dead slot's frontier as the service's status op reports it). Once every
+/// worker has exited and the slot stores cover the sweep, it merges them
+/// into the canonical store in job order with content-hash dedup and
+/// (unless keep_shard_stores) deletes them; otherwise the merge is skipped
+/// and every store stays for a later --resume. Throws SimulationError on
+/// setup errors (empty sweep, missing out path, spawn failure).
 ShardRunReport run_sharded_processes(
     const std::vector<core::ExperimentConfig>& configs,
     const ShardRunOptions& options);

@@ -18,7 +18,7 @@
 
 namespace oracle::obs {
 
-/// Per-worker-slot state inside a supervised (steal-mode) run.
+/// Per-worker-slot state inside a supervised multi-process run.
 struct WorkerStatus {
   std::size_t slot = 0;
   bool live = false;              ///< a process currently runs this slot

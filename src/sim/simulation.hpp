@@ -1,12 +1,11 @@
 #pragma once
-// Simulation: a Scheduler plus run-scoped services (named resources,
-// processes, periodic samplers). One Simulation == one ORACLE run.
+// Simulation: a Scheduler plus run-scoped services (named resources and
+// periodic samplers). One Simulation == one ORACLE run.
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/process.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -38,12 +37,6 @@ class Simulation {
     return resources_;
   }
 
-  /// Launch a coroutine process (runs to first suspension immediately).
-  void spawn(Process p) {
-    processes_.push_back(std::move(p));
-    processes_.back().spawn(sched_);
-  }
-
   /// Sampler hooks ride the same no-heap-fallback callable as scheduler
   /// events: sampling is part of the engine's steady state (one firing per
   /// interval for the whole run), so its callback must not reintroduce
@@ -71,7 +64,6 @@ class Simulation {
 
   Scheduler sched_;
   std::vector<std::unique_ptr<Resource>> resources_;
-  std::vector<Process> processes_;
   std::vector<Sampler> samplers_;
 };
 

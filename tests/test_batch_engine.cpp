@@ -708,12 +708,8 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
     for (const auto& p : {serial, statik, steal}) std::remove(p.c_str());
     for (std::size_t i = 0; i < 3; ++i)
       std::remove(exp::shard_store_path(statik, i, 3).c_str());
-    for (std::size_t k = 0; k < 4; ++k) {
-      for (const auto& f : {exp::worker_store_path(steal, k, 4),
-                            exp::worker_lease_path(steal, k, 4),
-                            exp::worker_heartbeat_path(steal, k, 4)})
-        std::remove(f.c_str());
-    }
+    for (std::size_t k = 0; k < 4; ++k)
+      std::remove(exp::worker_store_path(steal, k, 4).c_str());
   };
   cleanup();
 
@@ -749,15 +745,12 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
   const std::vector<std::pair<std::size_t, std::size_t>> leases = {
       {0, 10}, {8, 14}, {12, 18}};
   for (std::size_t k = 0; k < leases.size(); ++k) {
-    exp::Lease lease;
-    lease.begin = leases[k].first;
-    lease.end = leases[k].second;
-    exp::write_lease_file(exp::worker_lease_path(steal, k, 4), lease);
-    exp::LeaseWorkerOptions wopt;
-    wopt.canonical_out = steal;
-    wopt.slot = k;
-    wopt.slot_count = 4;
-    ASSERT_TRUE(exp::run_lease_worker(configs, wopt).ok());
+    exp::BatchOptions opt;
+    opt.jsonl_path = exp::worker_store_path(steal, k, 4);
+    opt.lease_begin = leases[k].first;
+    opt.lease_end = leases[k].second;
+    opt.collect = false;
+    ASSERT_TRUE(exp::run_batch(configs, opt).report.ok());
   }
   // Slot 3's store is a byte copy of slot 0's: a steal race that re-ran an
   // entire range on a second worker.

@@ -1,9 +1,9 @@
 // Crash-safe distributed sharding (src/exp/shard.*): shard assignment and
 // slicing, the merge protocol's byte-identical guarantee vs a serial run,
-// crash detection + resume convergence after a simulated SIGKILL, the
-// POSIX process-spawn layer, and property tests for the work-stealing
-// lease protocol (lease partition invariants under random steal sequences,
-// retain_range/retain_shard vs a reference model, heartbeat staleness).
+// resume convergence after a simulated SIGKILL, self-exec path
+// resolution, and property tests for the lease bookkeeping (partition
+// invariants under random steal sequences, retain_range/retain_shard vs a
+// reference model, heartbeat staleness, adaptive timeouts).
 
 #include <gtest/gtest.h>
 
@@ -73,6 +73,14 @@ void remove_run_files(const std::string& canonical, std::size_t shards) {
   }
 }
 
+/// Jobs in shard `index` of `count`.
+std::size_t shard_size(const std::vector<core::ExperimentConfig>& configs,
+                       std::size_t index, std::size_t count) {
+  exp::JobQueue q(configs);
+  q.retain_shard(index, count);
+  return q.size();
+}
+
 /// Run one shard's slice in-process, exactly as an `oracle_batch run
 /// --shard i/N` worker would.
 exp::BatchOutcome run_shard_worker(
@@ -137,20 +145,6 @@ TEST(ShardPlan, RetainShardPartitionsTheQueueDisjointly) {
   exp::JobQueue q(configs);
   EXPECT_EQ(q.retain_shard(0, 1), 0u);
   EXPECT_EQ(q.size(), configs.size());
-}
-
-TEST(ShardPlan, PlanMatchesRetainShardAndCountsJobs) {
-  const auto configs = small_sweep();
-  exp::JobQueue q(configs);
-  const exp::ShardPlan plan(q, 3);
-  EXPECT_EQ(plan.count(), 3u);
-  EXPECT_EQ(plan.total_jobs(), configs.size());
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (const auto h : plan.shard_hashes(i)) EXPECT_EQ(h % 3, i);
-    total += plan.shard_hashes(i).size();
-  }
-  EXPECT_EQ(total, configs.size());
 }
 
 // ------------------------------------------------ merge = serial, bytewise --
@@ -243,27 +237,20 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   // jobs — its store keeps a clean 2-record prefix.
   for (std::size_t i = 0; i < 3; ++i)
     ASSERT_TRUE(run_shard_worker(configs, canonical, i, 3).report.ok());
-  exp::JobQueue queue(configs);
-  const exp::ShardPlan plan(queue, 3);
   std::size_t victim = 0;
   for (std::size_t i = 1; i < 3; ++i)
-    if (plan.shard_hashes(i).size() > plan.shard_hashes(victim).size())
+    if (shard_size(configs, i, 3) > shard_size(configs, victim, 3))
       victim = i;
-  ASSERT_GT(plan.shard_hashes(victim).size(), 2u);  // pigeonhole: max >= 6
+  const std::size_t victim_jobs = shard_size(configs, victim, 3);
+  ASSERT_GT(victim_jobs, 2u);  // pigeonhole: max >= 6
   const auto victim_store = exp::shard_store_path(canonical, victim, 3);
   keep_lines(victim_store, 2);
-
-  // Crash detection: only the killed shard is incomplete.
-  EXPECT_EQ(plan.incomplete_shards(canonical),
-            (std::vector<std::size_t>{victim}));
 
   // Resume re-runs only the dead shard's missing jobs...
   const auto resumed = run_shard_worker(configs, canonical, victim, 3, true);
   ASSERT_TRUE(resumed.report.ok());
   EXPECT_EQ(resumed.report.skipped, 2u);
-  EXPECT_EQ(resumed.report.executed,
-            plan.shard_hashes(victim).size() - 2u);
-  EXPECT_TRUE(plan.incomplete_shards(canonical).empty());
+  EXPECT_EQ(resumed.report.executed, victim_jobs - 2u);
 
   // ...and the merge converges to the serial bytes: no loss, no dupes.
   exp::ShardMerger merger;
@@ -294,87 +281,16 @@ TEST(ShardPlan, JobsMergedIntoCanonicalStoreAreNotReRun) {
   }
   ASSERT_EQ(merger.merge_to(canonical).records, configs.size());
 
-  // Crash detection consults the canonical store as well.
-  exp::JobQueue queue(configs);
-  const exp::ShardPlan plan(queue, 2);
-  EXPECT_TRUE(
-      plan.incomplete_shards(canonical,
-                             exp::load_completed_hashes(canonical))
-          .empty());
-
   // A resumed worker skips everything via extra_resume_stores.
   const auto resumed = run_shard_worker(configs, canonical, 0, 2, true);
   EXPECT_TRUE(resumed.report.ok());
   EXPECT_EQ(resumed.report.executed, 0u);
-  EXPECT_EQ(resumed.report.skipped, plan.shard_hashes(0).size());
+  EXPECT_EQ(resumed.report.skipped, shard_size(configs, 0, 2));
 
   remove_run_files(canonical, 2);
 }
 
-// ----------------------------------------------- lease files & partition --
-
-TEST(LeaseFile, RoundTripsAndRejectsMalformed) {
-  const auto path = temp_path("lease_roundtrip");
-  exp::Lease lease;
-  lease.generation = 7;
-  lease.begin = 12;
-  lease.end = 40;
-  exp::write_lease_file(path, lease);
-  const auto back = exp::read_lease_file(path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->generation, 7u);
-  EXPECT_EQ(back->begin, 12u);
-  EXPECT_EQ(back->end, 40u);
-
-  EXPECT_FALSE(exp::read_lease_file(temp_path("lease_missing")).has_value());
-  for (const char* bad : {"", "v2 1 0 4", "v1 1 9 4", "v1 nonsense"}) {
-    std::ofstream out(path, std::ios::trunc);
-    out << bad << "\n";
-    out.close();
-    EXPECT_FALSE(exp::read_lease_file(path).has_value()) << bad;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(LeaseFile, ChecksumMismatchReadsAsTornAndBumpsTheCounter) {
-  const auto path = temp_path("lease_torn");
-
-  // A torn write can leave a line whose prefix parses as plausible
-  // numbers; only the checksum betrays it. Valid "v2" shape, wrong sum.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "v2 7 12 40 deadbeefdeadbeef\n";
-  }
-  const auto before = exp::lease_file_torn_reads();
-  EXPECT_FALSE(exp::read_lease_file(path).has_value());
-  EXPECT_EQ(exp::lease_file_torn_reads(), before + 1);
-
-  // Pre-checksum "v1" files have no sum to verify: still readable, and
-  // not counted as torn.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "v1 7 12 40\n";
-  }
-  const auto v1 = exp::read_lease_file(path);
-  ASSERT_TRUE(v1.has_value());
-  EXPECT_EQ(v1->generation, 7u);
-  EXPECT_EQ(v1->begin, 12u);
-  EXPECT_EQ(v1->end, 40u);
-  EXPECT_EQ(exp::lease_file_torn_reads(), before + 1);
-
-  // A rewrite through the real writer repairs the file in place.
-  exp::Lease lease;
-  lease.generation = 8;
-  lease.begin = 12;
-  lease.end = 40;
-  exp::write_lease_file(path, lease);
-  const auto repaired = exp::read_lease_file(path);
-  ASSERT_TRUE(repaired.has_value());
-  EXPECT_EQ(repaired->generation, 8u);
-  EXPECT_EQ(exp::lease_file_torn_reads(), before + 1);
-
-  std::remove(path.c_str());
-}
+// -------------------------------------------------------- lease partition --
 
 TEST(LeaseTable, InitialPartitionIsBalancedAndComplete) {
   for (const auto& [jobs, slots] : std::vector<std::pair<std::size_t,
@@ -497,21 +413,24 @@ TEST(JobQueue, RetainRangeMatchesReferenceModelAndTilesTheQueue) {
   }
 }
 
-TEST(JobQueue, RetainShardAgreesWithShardPlanReferenceModel) {
+TEST(JobQueue, RetainShardAgreesWithHashModuloReferenceModel) {
   const auto configs = small_sweep();
+  const exp::JobQueue full(configs);
   std::mt19937 rng(55);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t count = 1 + rng() % 9;
-    exp::JobQueue full(configs);
-    const exp::ShardPlan plan(full, count);
     for (std::size_t i = 0; i < count; ++i) {
       exp::JobQueue q(configs);
       q.retain_shard(i, count);
-      // The plan's per-shard hash list is the reference model: same jobs,
-      // same order.
-      ASSERT_EQ(q.size(), plan.shard_hashes(i).size());
+      // Reference model: filter the enumerated sweep through
+      // shard_of_hash directly — same jobs, same order.
+      std::vector<std::uint64_t> expected;
+      for (const auto& job : full.jobs())
+        if (exp::shard_of_hash(job.content_hash, count) == i)
+          expected.push_back(job.content_hash);
+      ASSERT_EQ(q.size(), expected.size());
       for (std::size_t pos = 0; pos < q.size(); ++pos)
-        EXPECT_EQ(q.job(pos).content_hash, plan.shard_hashes(i)[pos]);
+        EXPECT_EQ(q.job(pos).content_hash, expected[pos]);
     }
   }
 }
@@ -693,7 +612,7 @@ TEST(AdaptiveTimeout, SeedsFromAPriorRunsDistribution) {
   EXPECT_DOUBLE_EQ(at.timeout_seconds(), 20.0);  // max(2.5 * 8, 5.0)
 }
 
-// -------------------------------------------- empty shards & empty leases --
+// ------------------------------------------------------------ empty shards --
 
 TEST(ShardWorkers, EmptyStaticShardExitsCleanlyWithValidEmptyStore) {
   // More shards than jobs: some '--shard i/N' workers own zero jobs (the
@@ -704,11 +623,9 @@ TEST(ShardWorkers, EmptyStaticShardExitsCleanlyWithValidEmptyStore) {
   const auto canonical = temp_path("empty_shard.jsonl");
   remove_run_files(canonical, count);
 
-  exp::JobQueue probe(configs);
-  const exp::ShardPlan plan(probe, count);
   std::size_t empty_shard = count;
   for (std::size_t i = 0; i < count; ++i)
-    if (plan.shard_hashes(i).empty()) empty_shard = i;
+    if (shard_size(configs, i, count) == 0) empty_shard = i;
   ASSERT_LT(empty_shard, count);
 
   const auto outcome =
@@ -728,58 +645,9 @@ TEST(ShardWorkers, EmptyStaticShardExitsCleanlyWithValidEmptyStore) {
   remove_run_files(canonical, count);
 }
 
-TEST(ShardWorkers, EmptyLeaseWorkerExitsCleanlyWithValidEmptyStore) {
-  const auto configs = small_sweep();
-  const auto canonical = temp_path("empty_lease.jsonl");
-  const auto store = exp::worker_store_path(canonical, 0, 2);
-  std::remove(store.c_str());
-
-  exp::LeaseWorkerOptions wopt;
-  wopt.canonical_out = canonical;
-  wopt.slot = 0;
-  wopt.slot_count = 2;
-
-  // Case 1: no lease file at all (supervisor died before writing it).
-  auto report = exp::run_lease_worker(configs, wopt);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.total_jobs, 0u);
-  EXPECT_TRUE(oracle::util::file_exists(store));
-  EXPECT_TRUE(read_file(store).empty());
-
-  // Case 2: an explicitly empty lease range.
-  exp::Lease lease;
-  lease.begin = lease.end = 5;
-  exp::write_lease_file(exp::worker_lease_path(canonical, 0, 2), lease);
-  report = exp::run_lease_worker(configs, wopt);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.total_jobs, 0u);
-  EXPECT_TRUE(read_file(store).empty());
-
-  std::remove(store.c_str());
-  std::remove(exp::worker_lease_path(canonical, 0, 2).c_str());
-  std::remove(exp::worker_heartbeat_path(canonical, 0, 2).c_str());
-}
-
 // ---------------------------------------------------------- process layer --
 
 #if !defined(_WIN32)
-
-TEST(ShardProcesses, SpawnAndWaitReportsExitCodesAndSignals) {
-  const std::vector<std::vector<std::string>> argvs = {
-      {"/bin/sh", "-c", "exit 0"},
-      {"/bin/sh", "-c", "exit 3"},
-      {"/bin/sh", "-c", "kill -9 $$"},
-  };
-  const auto exits = exp::spawn_and_wait(argvs, {0, 1, 2});
-  ASSERT_EQ(exits.size(), 3u);
-  EXPECT_TRUE(exits[0].ok());
-  EXPECT_EQ(exits[0].exit_code, 0);
-  EXPECT_FALSE(exits[1].ok());
-  EXPECT_EQ(exits[1].exit_code, 3);
-  EXPECT_FALSE(exits[2].ok());
-  EXPECT_EQ(exits[2].term_signal, 9);
-  EXPECT_EQ(exits[2].shard, 2u);
-}
 
 TEST(ShardProcesses, SelfExecPathResolvesToARealFile) {
   const auto path = exp::self_exec_path("fallback");

@@ -1,9 +1,10 @@
-// Deterministic fault-injection tests for the work-stealing shard
-// supervisor (exp::run_sharded_processes with steal=true): worker death by
-// SIGKILL and _exit(1), stall detection via the heartbeat monitor,
-// auto-restart, lease re-issue to idle workers, restart-budget exhaustion,
-// and --resume convergence — all in-process under ctest instead of only in
-// the CI kill+resume smoke script.
+// Deterministic fault-injection tests for the sweep supervisor
+// (exp::run_sharded_processes over its in-process lease service): worker
+// death by SIGKILL and _exit(1), stall detection via the heartbeat
+// monitor, auto-restart, steals by idle workers, restart-budget
+// exhaustion, poison-job quarantine, and --resume convergence — all
+// in-process under ctest instead of only in the CI kill+resume smoke
+// script.
 //
 // The binary is its own worker: a custom main() dispatches to
 // worker_main() when argv[1] == "--shard-worker", so the supervisor under
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -127,17 +129,15 @@ void remove_steal_files(const std::string& canonical, std::size_t slots) {
   std::remove(canonical.c_str());
   std::remove((canonical + ".marker").c_str());
   for (std::size_t k = 0; k < slots; ++k) {
-    for (const auto& f :
-         {exp::worker_store_path(canonical, k, slots),
-          exp::worker_lease_path(canonical, k, slots),
-          exp::worker_heartbeat_path(canonical, k, slots)})
+    for (const auto& f : {exp::worker_store_path(canonical, k, slots),
+                          exp::worker_heartbeat_path(canonical, k, slots)})
       std::remove(f.c_str());
   }
 }
 
-/// Launch a supervised steal run over fault_sweep(), with optional fault
-/// flags replayed onto every worker's command line (the worker applies
-/// them only to --fault-slot's slot).
+/// Launch a supervised run over fault_sweep(), with optional fault flags
+/// replayed onto every worker's command line (the worker applies them
+/// only to --fault-slot's slot).
 exp::ShardRunReport run_steal(const std::string& canonical,
                               std::size_t workers,
                               const std::vector<std::string>& fault_flags = {},
@@ -152,7 +152,6 @@ exp::ShardRunReport run_steal(const std::string& canonical,
   exp::ShardRunOptions sopt;
   sopt.workers = workers;
   sopt.out = canonical;
-  sopt.steal = true;
   sopt.heartbeat_ms = heartbeat_ms;
   sopt.adaptive_heartbeat = adaptive_heartbeat;
   sopt.max_restarts = max_restarts;
@@ -211,7 +210,7 @@ TEST(StealSupervisor, ExitFaultIsAutoRestartedAndConverges) {
   remove_steal_files(canonical, 3);
   const auto report = run_steal(
       canonical, 3,
-      {"--fault-slot", "0", "--die-after", "3", "--marker",
+      {"--fault-slot", "0", "--die-after", "2", "--marker",
        canonical + ".marker"});
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.restarts, 1u);
@@ -415,14 +414,36 @@ TEST(StealSupervisor, AdaptiveHeartbeatNeverReapsAHealthySlowWhale) {
   remove_steal_files(canonical, 3);
 }
 
+TEST(StealSupervisor, MultiThreadedWorkersMatchSerialAndLeaveNoLeaseFiles) {
+  const auto canonical = temp_path("threads.jsonl");
+  remove_steal_files(canonical, 2);
+  // Two workers with two executor threads each: the frontier is committed
+  // once per commit group, not per job, and the merge is still the serial
+  // bytes. The in-process lease service leaves no lease files or journal.
+  const auto report = run_steal(canonical, 2, {"--threads", "2"});
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.merge.records, 18u);
+  EXPECT_EQ(read_file(serial_store()), read_file(canonical));
+  const auto dir = canonical.substr(0, canonical.rfind('/') + 1);
+  const auto base = canonical.substr(dir.size());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const auto name = entry.path().filename().string();
+    if (name.rfind(base, 0) != 0) continue;
+    EXPECT_EQ(name.find(".lease"), std::string::npos) << name;
+    EXPECT_EQ(name.find("journal"), std::string::npos) << name;
+  }
+  remove_steal_files(canonical, 2);
+}
+
 // ------------------------------------------------------------ worker side --
 
 /// The self-exec'd worker: rebuild the sweep, apply targeted fault hooks,
-/// and run this slot's lease.
+/// and run the leases the supervisor's lease service grants this slot.
 int worker_main(int argc, char** argv) {
-  std::string out, marker, sweep_name;
+  std::string out, marker, sweep_name, lease_server;
   std::optional<exp::ShardSpec> slot;
   bool resume = false;
+  std::size_t threads = 1;
   std::size_t fault_slot = exp::ShardTestHooks::kOff;
   std::size_t poison_index = exp::ShardTestHooks::kOff;
   exp::ShardTestHooks hooks;
@@ -433,8 +454,12 @@ int worker_main(int argc, char** argv) {
       out = value();
     } else if (arg == "--worker-slot") {
       slot = exp::ShardSpec::parse(value());
+    } else if (arg == "--lease-server") {
+      lease_server = value();
     } else if (arg == "--resume") {
       resume = true;
+    } else if (arg == "--threads") {
+      threads = std::stoul(value());
     } else if (arg == "--fault-slot") {
       fault_slot = std::stoul(value());
     } else if (arg == "--die-after") {
@@ -453,13 +478,15 @@ int worker_main(int argc, char** argv) {
       marker = value();
     }
   }
-  if (out.empty() || !slot) return 2;
+  if (out.empty() || !slot || lease_server.empty()) return 2;
 
   exp::LeaseWorkerOptions wopt;
   wopt.canonical_out = out;
   wopt.slot = slot->index;
   wopt.slot_count = slot->count;
   wopt.merge_resume = resume;
+  wopt.threads = threads;
+  wopt.lease_server = lease_server;
   if (slot->index == fault_slot) {
     wopt.hooks = hooks;
     wopt.hooks.once_marker = marker;
@@ -471,7 +498,9 @@ int worker_main(int argc, char** argv) {
     wopt.hooks.die_with_sigkill = true;
   }
   const auto sweep = sweep_name == "slow" ? slow_sweep() : fault_sweep();
-  return exp::run_lease_worker(sweep, wopt).ok() ? 0 : 1;
+  const auto report = exp::run_lease_client_worker(sweep, wopt);
+  if (report.orphaned) return exp::kOrphanedExitCode;
+  return report.batch.ok() ? 0 : 1;
 }
 
 }  // namespace
