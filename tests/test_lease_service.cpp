@@ -2,7 +2,8 @@
 // (exp::LeaseService + exp::LeaseClient + the lease-server flavour of the
 // shard supervisor): protocol round-trips, fencing-epoch rejection,
 // write-ahead journal replay with a torn tail, adaptive expiry +
-// reassignment of a silent slot, and the deterministic kill matrix —
+// reassignment of a silent slot, the journal-less in-process service and
+// its steal policy, and the deterministic kill matrix —
 // worker SIGKILL, server SIGKILL (workers orphan, journal replay +
 // --resume converges), and a 30% frame-drop network between client and
 // server.
@@ -518,6 +519,190 @@ TEST(LeaseService, SilentSlotExpiresAdaptivelyAndIsReassigned) {
   EXPECT_GE(srv.stats.expirations, 1u);
   EXPECT_GE(srv.stats.reassigns, 1u);
   std::remove(journal.c_str());
+}
+
+/// Thrown from a client's on_idle callback: the server answered `empty`
+/// (nothing to hand out yet) and the test wants to stop polling there.
+struct StillEmpty {};
+void stop_polling() { throw StillEmpty{}; }
+
+constexpr auto kOk = exp::LeaseClient::CommitResult::kOk;
+
+TEST(LeaseService, RunsWithoutAJournalUntilEveryLeaseDrains) {
+  // The in-process service of a local `run --workers N` keeps no journal:
+  // the slot stores are the durable record.
+  ServerThread srv(service_options("", 2));
+  exp::LeaseClient a(client_options(srv.port(), 0, 2));
+  exp::LeaseClient b(client_options(srv.port(), 1, 2));
+  const auto grant_a = a.acquire();
+  const auto grant_b = b.acquire();
+  ASSERT_TRUE(grant_a.has_value());
+  ASSERT_TRUE(grant_b.has_value());
+  EXPECT_EQ(grant_a->begin, 0u);
+  EXPECT_EQ(grant_a->end, 9u);
+  EXPECT_EQ(grant_b->begin, 9u);
+  EXPECT_EQ(grant_b->end, 18u);
+
+  std::size_t end = 0;
+  ASSERT_EQ(a.commit(grant_a->epoch, grant_a->end, 1000, &end), kOk);
+  ASSERT_EQ(b.commit(grant_b->epoch, grant_b->end, 1000, &end), kOk);
+  // A drained first; B has not said so yet, so A hears `empty`, not done.
+  EXPECT_THROW(a.next_lease(grant_a->epoch, stop_polling), StillEmpty);
+  EXPECT_FALSE(b.next_lease(grant_b->epoch).has_value()) << "sweep is done";
+  EXPECT_FALSE(a.acquire().has_value()) << "late acquires hear done too";
+
+  srv.stop();
+  EXPECT_TRUE(srv.stats.completed);
+  EXPECT_EQ(srv.stats.grants, 2u);
+  EXPECT_EQ(srv.stats.steals, 0u);
+  EXPECT_EQ(srv.stats.journal_records, 0u);
+  EXPECT_EQ(srv.stats.replayed_records, 0u);
+}
+
+TEST(LeaseService, NeverSplitsTheLeaseOfASlotThatWasNeverAcquired) {
+  ServerThread srv(service_options("", 2));
+  exp::LeaseClient a(client_options(srv.port(), 0, 2));
+  const auto grant_a = a.acquire();
+  ASSERT_TRUE(grant_a.has_value());
+  std::size_t end = 0;
+  ASSERT_EQ(a.commit(grant_a->epoch, grant_a->end, 1000, &end), kOk);
+
+  // Slot 1's worker has not started: stealing from it would only race its
+  // start-up, so the idle thief waits instead.
+  EXPECT_THROW(a.next_lease(grant_a->epoch, stop_polling), StillEmpty);
+  exp::LeaseClient b(client_options(srv.port(), 1, 2));
+  const auto grant_b = b.acquire();
+  ASSERT_TRUE(grant_b.has_value());
+  EXPECT_EQ(grant_b->epoch, 1u);
+  EXPECT_EQ(grant_b->begin, 9u) << "the late worker gets its whole lease";
+  EXPECT_EQ(grant_b->end, 18u);
+
+  // Once granted, the unclaimed half of its lease is fair game.
+  const auto stolen = a.next_lease(grant_a->epoch);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(stolen->begin, 14u);
+  EXPECT_EQ(stolen->end, 18u);
+  ASSERT_EQ(b.commit(grant_b->epoch, 10, 1000, &end), kOk);
+  EXPECT_EQ(end, 14u) << "the victim learns its shrunk end on commit";
+
+  srv.stop();
+  EXPECT_EQ(srv.stats.steals, 1u);
+}
+
+TEST(LeaseService, StealLeavesTheVictimItsInFlightJobAndOneMore) {
+  ServerThread srv(service_options("", 2));
+  exp::LeaseClient a(client_options(srv.port(), 0, 2));
+  exp::LeaseClient b(client_options(srv.port(), 1, 2));
+  const auto grant_a = a.acquire();
+  const auto grant_b = b.acquire();
+  ASSERT_TRUE(grant_a.has_value());
+  ASSERT_TRUE(grant_b.has_value());
+
+  // A has jobs 6, 7 and 8 left (6 is in flight); B drains and steals.
+  std::size_t end = 0;
+  ASSERT_EQ(a.commit(grant_a->epoch, 6, 1000, &end), kOk);
+  ASSERT_EQ(b.commit(grant_b->epoch, grant_b->end, 1000, &end), kOk);
+  const auto stolen = b.next_lease(grant_b->epoch);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(stolen->begin, 8u) << "A keeps job 6 (in flight) and job 7";
+  EXPECT_EQ(stolen->end, 9u);
+  ASSERT_EQ(a.commit(grant_a->epoch, 6, 1000, &end), kOk);
+  EXPECT_EQ(end, 8u);
+
+  // Two jobs left is the in-flight one plus one more: nothing to split.
+  ASSERT_EQ(b.commit(stolen->epoch, stolen->end, 1000, &end), kOk);
+  EXPECT_THROW(b.next_lease(stolen->epoch, stop_polling), StillEmpty);
+
+  srv.stop();
+  EXPECT_EQ(srv.stats.steals, 1u);
+}
+
+TEST(LeaseService, LostFinalCommitIsRegrantedUnderTheSameEpoch) {
+  // A worker that believes it drained while the server still sees a tail
+  // (its last commit was lost) gets the tail back, not someone else's.
+  ServerThread srv(service_options("", 2));
+  exp::LeaseClient a(client_options(srv.port(), 0, 2));
+  const auto grant_a = a.acquire();
+  ASSERT_TRUE(grant_a.has_value());
+  std::size_t end = 0;
+  ASSERT_EQ(a.commit(grant_a->epoch, 5, 1000, &end), kOk);
+
+  const auto again = a.next_lease(grant_a->epoch);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->epoch, grant_a->epoch);
+  EXPECT_EQ(again->begin, 5u);
+  EXPECT_EQ(again->end, grant_a->end);
+
+  srv.stop();
+  EXPECT_EQ(srv.stats.steals, 0u);
+  EXPECT_EQ(srv.stats.fenced, 0u);
+  EXPECT_EQ(srv.stats.grants, 1u);
+}
+
+TEST(LeaseService, RejectsAcquiresForADifferentSweepShapeOrSlot) {
+  ServerThread srv(service_options("", 2));
+  auto wrong_jobs = client_options(srv.port(), 0, 2);
+  wrong_jobs.jobs = fault_sweep().size() - 1;
+  exp::LeaseClient c1(wrong_jobs);
+  EXPECT_THROW(c1.acquire(), SimulationError);
+  exp::LeaseClient c2(client_options(srv.port(), 0, 3));
+  EXPECT_THROW(c2.acquire(), SimulationError);
+  exp::LeaseClient c3(client_options(srv.port(), 2, 2));
+  EXPECT_THROW(c3.acquire(), SimulationError);
+
+  srv.stop();
+  EXPECT_EQ(srv.stats.bad_requests, 3u);
+  EXPECT_EQ(srv.stats.grants, 0u);
+}
+
+TEST(LeaseService, StatusReportsEachSlotsLeaseAndFrontier) {
+  // The supervisor's quarantine suspect and the per-slot fields of its
+  // status file both come from this snapshot.
+  ServerThread srv(service_options("", 2));
+  exp::LeaseClient a(client_options(srv.port(), 0, 2));
+  const auto grant_a = a.acquire();
+  ASSERT_TRUE(grant_a.has_value());
+  std::size_t end = 0;
+  ASSERT_EQ(a.commit(grant_a->epoch, 4, 1000, &end), kOk);
+
+  auto status_json = a.status();
+  ASSERT_TRUE(status_json.has_value());
+  auto snapshot = obs::StatusSnapshot::parse(*status_json);
+  ASSERT_TRUE(snapshot.has_value()) << *status_json;
+  EXPECT_EQ(snapshot->phase, "serving");
+  EXPECT_EQ(snapshot->jobs_total, 18u);
+  EXPECT_EQ(snapshot->jobs_done, 4u);
+  ASSERT_EQ(snapshot->workers.size(), 2u);
+  EXPECT_TRUE(snapshot->workers[0].live);
+  EXPECT_EQ(snapshot->workers[0].lease_begin, 0u);
+  EXPECT_EQ(snapshot->workers[0].lease_end, 9u);
+  EXPECT_EQ(snapshot->workers[0].frontier, 4u);
+  EXPECT_FALSE(snapshot->workers[1].live) << "slot 1 was never granted";
+  EXPECT_EQ(snapshot->workers[1].lease_begin, 9u);
+  EXPECT_EQ(snapshot->workers[1].frontier, 9u);
+  EXPECT_DOUBLE_EQ(snapshot->workers[1].heartbeat_age_s, -1.0);
+
+  // A steal moves both slots' bounds.
+  exp::LeaseClient b(client_options(srv.port(), 1, 2));
+  const auto grant_b = b.acquire();
+  ASSERT_TRUE(grant_b.has_value());
+  ASSERT_EQ(b.commit(grant_b->epoch, grant_b->end, 1000, &end), kOk);
+  const auto stolen = b.next_lease(grant_b->epoch);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(stolen->begin, 7u);
+
+  status_json = a.status();
+  ASSERT_TRUE(status_json.has_value());
+  snapshot = obs::StatusSnapshot::parse(*status_json);
+  ASSERT_TRUE(snapshot.has_value()) << *status_json;
+  ASSERT_EQ(snapshot->workers.size(), 2u);
+  EXPECT_EQ(snapshot->workers[0].lease_end, 7u);
+  EXPECT_EQ(snapshot->workers[0].frontier, 4u);
+  EXPECT_EQ(snapshot->workers[1].lease_begin, 7u);
+  EXPECT_EQ(snapshot->workers[1].lease_end, 9u);
+  EXPECT_EQ(snapshot->workers[1].frontier, 7u);
+  EXPECT_EQ(snapshot->steals, 1u);
+  srv.stop();
 }
 
 // ---------------------------------------------------- distributed runs --

@@ -1,9 +1,12 @@
 // Crash-safe distributed sharding (src/exp/shard.*): shard assignment and
 // slicing, the merge protocol's byte-identical guarantee vs a serial run,
 // resume convergence after a simulated SIGKILL, self-exec path
-// resolution, and property tests for the lease bookkeeping (partition
-// invariants under random steal sequences, retain_range/retain_shard vs a
-// reference model, heartbeat staleness, adaptive timeouts).
+// resolution, the quarantine file, the supervisor's setup checks and run
+// summary, in-process lease-client workers (empty leases, several
+// executor threads, an unreachable server), and property tests for the
+// lease bookkeeping (partition invariants under random steal sequences,
+// retain_range/retain_shard vs a reference model, heartbeat staleness,
+// adaptive timeouts).
 
 #include <gtest/gtest.h>
 
@@ -14,11 +17,13 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "core/sweep.hpp"
 #include "exp/exp.hpp"
+#include "util/error.hpp"
 #include "util/file_util.hpp"
 
 namespace oracle {
@@ -612,6 +617,72 @@ TEST(AdaptiveTimeout, SeedsFromAPriorRunsDistribution) {
   EXPECT_DOUBLE_EQ(at.timeout_seconds(), 20.0);  // max(2.5 * 8, 5.0)
 }
 
+// ------------------------------------------------------------- quarantine --
+
+TEST(Quarantine, EntriesRoundTripAndMalformedLinesAreSkipped) {
+  const auto canonical = temp_path("quarantine.jsonl");
+  const auto path = exp::quarantine_path(canonical);
+  EXPECT_EQ(path, canonical + ".quarantine");
+  std::remove(path.c_str());
+  EXPECT_TRUE(exp::read_quarantine_file(path).empty()) << "missing file";
+
+  exp::append_quarantine_entry(path, {0x0123456789abcdefULL, 7});
+  {
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << "not-a-hash 3\n";
+  }
+  exp::append_quarantine_entry(path, {0xfedcba9876543210ULL, 12});
+  {
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << "0123";  // torn final append
+  }
+
+  const auto entries = exp::read_quarantine_file(path);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].content_hash, 0x0123456789abcdefULL);
+  EXPECT_EQ(entries[0].job_index, 7u);
+  EXPECT_EQ(entries[1].content_hash, 0xfedcba9876543210ULL);
+  EXPECT_EQ(entries[1].job_index, 12u);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------- run reports --
+
+TEST(ShardRunReport, SummaryNamesEveryEventAndTheMergeVerdict) {
+  exp::ShardRunReport r;
+  r.planned_jobs = 18;
+  r.shards_launched = 3;
+  EXPECT_FALSE(r.ok()) << "no merge, no success";
+  EXPECT_EQ(r.summary(),
+            "18 jobs over 3 worker(s); merge skipped (re-run with --resume "
+            "to finish)");
+
+  exp::WorkerExit clean;
+  clean.exit_code = 0;
+  exp::WorkerExit killed;
+  killed.term_signal = 9;
+  exp::WorkerExit failed;
+  failed.exit_code = 3;
+  EXPECT_TRUE(clean.ok());
+  EXPECT_FALSE(killed.ok());
+  EXPECT_FALSE(failed.ok());
+
+  r.workers = {clean, killed, clean};
+  r.steals = 2;
+  r.restarts = 1;
+  r.quarantined = 1;
+  r.orphaned = 1;
+  r.merged = true;
+  r.merge.records = 17;
+  r.merge.duplicates_dropped = 2;
+  EXPECT_TRUE(r.ok()) << "a restarted worker's exit does not fail the run";
+  EXPECT_EQ(r.summary(),
+            "18 jobs over 3 worker(s), 2 lease(s) stolen, 1 worker(s) "
+            "auto-restarted, 1 poison job(s) quarantined, 1 worker(s) "
+            "orphaned by the lease server, 1 worker exit(s) failed; merged "
+            "17 record(s) (2 duplicate(s) dropped)");
+}
+
 // ------------------------------------------------------------ empty shards --
 
 TEST(ShardWorkers, EmptyStaticShardExitsCleanlyWithValidEmptyStore) {
@@ -653,6 +724,186 @@ TEST(ShardProcesses, SelfExecPathResolvesToARealFile) {
   const auto path = exp::self_exec_path("fallback");
   std::ifstream probe(path, std::ios::binary);
   EXPECT_TRUE(probe.good()) << path;
+}
+
+TEST(ShardProcesses, SupervisorRejectsBadSetupBeforeSpawningAnything) {
+  const auto configs = small_sweep();
+  exp::ShardRunOptions good;
+  good.workers = 2;
+  good.out = temp_path("setup.jsonl");
+  good.exec_path = exp::self_exec_path("fallback");
+
+  auto opt = good;
+  opt.out.clear();
+  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  opt = good;
+  opt.workers = 0;
+  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  opt = good;
+  opt.exec_path.clear();
+  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  opt = good;
+  opt.lease_server = "nohost";
+  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  EXPECT_THROW(exp::run_sharded_processes({}, good), ConfigError);
+  EXPECT_FALSE(util::file_exists(good.out));
+}
+
+// ------------------------------------------------------------ lease workers --
+
+/// A journal-less in-process lease service (what a local `run --workers
+/// N` starts), served on its own thread until finish() or destruction.
+struct LocalLeaseService {
+  static exp::LeaseServiceOptions options(std::size_t jobs,
+                                          std::size_t slots) {
+    exp::LeaseServiceOptions opt;
+    opt.jobs = jobs;
+    opt.slots = slots;
+    opt.poll_ms = 5;
+    opt.linger_ms = 60'000;  // answer `done` until finish()
+    return opt;
+  }
+
+  LocalLeaseService(std::size_t jobs, std::size_t slots)
+      : svc(options(jobs, slots)) {
+    svc.start();
+    th = std::thread([this] { svc.run(); });
+  }
+  ~LocalLeaseService() { finish(); }
+
+  std::string address() const {
+    return "127.0.0.1:" + std::to_string(svc.port());
+  }
+  const exp::LeaseServiceStats& finish() {
+    svc.stop();
+    if (th.joinable()) th.join();
+    return svc.stats();
+  }
+
+  exp::LeaseService svc;
+  std::thread th;
+};
+
+exp::LeaseWorkerOptions lease_worker_options(const std::string& canonical,
+                                             const std::string& server) {
+  exp::LeaseWorkerOptions wopt;
+  wopt.canonical_out = canonical;
+  wopt.slot = 0;
+  wopt.slot_count = 1;
+  wopt.lease_server = server;
+  wopt.backoff_base_ms = 1;
+  wopt.backoff_cap_ms = 5;
+  return wopt;
+}
+
+void write_serial_store(const std::vector<core::ExperimentConfig>& configs,
+                        const std::string& path) {
+  std::remove(path.c_str());
+  exp::BatchOptions opt;
+  opt.jsonl_path = path;
+  opt.collect = false;
+  ASSERT_TRUE(exp::run_batch(configs, opt).report.ok());
+}
+
+void remove_lease_run_files(const std::string& canonical) {
+  std::remove(canonical.c_str());
+  std::remove(exp::worker_store_path(canonical, 0, 1).c_str());
+  std::remove(exp::worker_heartbeat_path(canonical, 0, 1).c_str());
+}
+
+TEST(ShardWorkers, EmptyLeaseWorkerExitsCleanlyWithValidEmptyStore) {
+  // A lease worker with nothing left to run — its lease is already in the
+  // canonical store (a --resume), or the sweep finished before it asked —
+  // must succeed and leave a valid, empty store.
+  const auto configs = small_sweep();
+  const auto canonical = temp_path("empty_lease.jsonl");
+  const auto merged = temp_path("empty_lease_merged.jsonl");
+  const auto store = exp::worker_store_path(canonical, 0, 1);
+  remove_lease_run_files(canonical);
+  write_serial_store(configs, canonical);
+
+  LocalLeaseService service(configs.size(), 1);
+  auto wopt = lease_worker_options(canonical, service.address());
+  wopt.merge_resume = true;
+
+  // Case 1: every job of the lease is already merged.
+  auto report = exp::run_lease_client_worker(configs, wopt);
+  EXPECT_TRUE(report.batch.ok());
+  EXPECT_FALSE(report.orphaned);
+  EXPECT_EQ(report.leases_run, 1u);
+  EXPECT_EQ(report.batch.executed, 0u);
+  EXPECT_EQ(report.batch.skipped, configs.size());
+  EXPECT_TRUE(util::file_exists(store));
+  EXPECT_TRUE(read_file(store).empty());
+
+  // Case 2: a respawned worker asks after the sweep is done.
+  report = exp::run_lease_client_worker(configs, wopt);
+  EXPECT_TRUE(report.batch.ok());
+  EXPECT_FALSE(report.orphaned);
+  EXPECT_EQ(report.leases_run, 0u);
+  EXPECT_EQ(report.batch.total_jobs, 0u);
+  EXPECT_TRUE(read_file(store).empty());
+  EXPECT_TRUE(service.finish().completed);
+
+  // And the merger treats the empty store as a valid no-op input.
+  exp::ShardMerger merger;
+  merger.add_store(store);
+  EXPECT_EQ(merger.merge_to(merged).records, 0u);
+
+  remove_lease_run_files(canonical);
+  std::remove(merged.c_str());
+}
+
+TEST(ShardWorkers, LeaseWorkerWithSeveralThreadsMatchesSerialBytes) {
+  // Workers commit their durable frontier once per commit group, so they
+  // run the executor threads the supervisor passes them.
+  const auto configs = small_sweep();
+  const auto serial = temp_path("lease_threads_serial.jsonl");
+  const auto canonical = temp_path("lease_threads.jsonl");
+  remove_lease_run_files(canonical);
+  write_serial_store(configs, serial);
+
+  LocalLeaseService service(configs.size(), 1);
+  auto wopt = lease_worker_options(canonical, service.address());
+  wopt.threads = 3;
+  const auto report = exp::run_lease_client_worker(configs, wopt);
+  EXPECT_TRUE(report.batch.ok());
+  EXPECT_FALSE(report.orphaned);
+  EXPECT_FALSE(report.fenced);
+  EXPECT_EQ(report.leases_run, 1u);
+  EXPECT_EQ(report.batch.executed, configs.size());
+  EXPECT_EQ(read_file(exp::worker_store_path(canonical, 0, 1)),
+            read_file(serial));
+  const auto& stats = service.finish();
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.fenced, 0u);
+
+  remove_lease_run_files(canonical);
+  std::remove(serial.c_str());
+}
+
+TEST(ShardWorkers, LeaseWorkerIsOrphanedWhenNoServerAnswers) {
+  const auto configs = small_sweep();
+  const auto canonical = temp_path("lease_orphan.jsonl");
+  remove_lease_run_files(canonical);
+  std::uint16_t port = 0;
+  {
+    exp::LeaseService gone(LocalLeaseService::options(configs.size(), 1));
+    gone.start();
+    port = gone.port();
+  }  // the listener closes: nothing answers on `port` any more
+
+  auto wopt =
+      lease_worker_options(canonical, "127.0.0.1:" + std::to_string(port));
+  wopt.op_timeout_ms = 200;
+  wopt.retry_budget = 2;
+  const auto report = exp::run_lease_client_worker(configs, wopt);
+  EXPECT_TRUE(report.orphaned);
+  EXPECT_EQ(report.leases_run, 0u);
+  EXPECT_EQ(report.batch.executed, 0u);
+  EXPECT_EQ(report.retries, 2u);
+
+  remove_lease_run_files(canonical);
 }
 
 #endif  // !_WIN32
