@@ -31,13 +31,6 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
       done.merge(load_completed_hashes(store));
     skipped = queue.skip_completed(done);
   }
-  if (!options.skip_hashes.empty()) {
-    // Quarantined poison jobs: dropped even on a fresh run — the record of
-    // the verdict lives outside the stores on purpose.
-    const std::unordered_set<std::uint64_t> poison(
-        options.skip_hashes.begin(), options.skip_hashes.end());
-    skipped += queue.skip_completed(poison);
-  }
 
   TeeSink tee;
   std::unique_ptr<JsonlSink> jsonl_file;

@@ -36,11 +36,6 @@ struct BatchOptions {
   /// into it are not re-run after the per-shard stores were cleaned up.
   std::vector<std::string> extra_resume_stores;
 
-  /// Content hashes to drop from the queue unconditionally (resume or
-  /// not) — quarantined poison jobs this worker must never run. Dropped
-  /// jobs count as skipped in the report.
-  std::vector<std::uint64_t> skip_hashes;
-
   /// Distributed shard slice: run only the jobs whose content hash
   /// satisfies hash % shard_count == shard_index (see
   /// JobQueue::retain_shard). shard_count <= 1 runs the whole sweep.

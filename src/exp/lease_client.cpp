@@ -95,8 +95,7 @@ LeaseResponse LeaseClient::call(LeaseRequest req) {
   }
 }
 
-std::optional<LeaseGrant> LeaseClient::work_request(
-    LeaseRequest req, const std::function<void()>& on_idle) {
+std::optional<LeaseGrant> LeaseClient::work_request(LeaseRequest req) {
   // `empty` means "someone is still running; nothing to steal *yet*" —
   // poll at the base backoff until the verdict becomes lease or done. The
   // poll does not back off further: a sweep ends only once its idle
@@ -109,7 +108,6 @@ std::optional<LeaseGrant> LeaseClient::work_request(
       case LeaseResponseKind::kDone:
         return std::nullopt;
       case LeaseResponseKind::kEmpty:
-        if (on_idle) on_idle();
         backoff_sleep(0);
         break;
       case LeaseResponseKind::kFenced:
@@ -129,23 +127,21 @@ std::optional<LeaseGrant> LeaseClient::work_request(
   }
 }
 
-std::optional<LeaseGrant> LeaseClient::acquire(
-    const std::function<void()>& on_idle) {
+std::optional<LeaseGrant> LeaseClient::acquire() {
   LeaseRequest req;
   req.op = LeaseOp::kAcquire;
   req.slot = options_.slot;
   req.slot_count = options_.slot_count;
   req.jobs = options_.jobs;
-  return work_request(req, on_idle);
+  return work_request(req);
 }
 
-std::optional<LeaseGrant> LeaseClient::next_lease(
-    std::uint64_t drained_epoch, const std::function<void()>& on_idle) {
+std::optional<LeaseGrant> LeaseClient::next_lease(std::uint64_t drained_epoch) {
   LeaseRequest req;
   req.op = LeaseOp::kSteal;
   req.slot = options_.slot;
   req.epoch = drained_epoch;
-  return work_request(req, on_idle);
+  return work_request(req);
 }
 
 LeaseClient::CommitResult LeaseClient::commit(std::uint64_t epoch,

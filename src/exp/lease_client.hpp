@@ -8,7 +8,6 @@
 // distinct orphaned status.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -54,15 +53,12 @@ class LeaseClient {
   /// Acquire this slot's current lease (a fresh fencing epoch is issued;
   /// any previous holder of the slot is fenced). nullopt = the sweep is
   /// done. An `empty` verdict (nothing to hand out yet) is retried
-  /// internally under backoff until the server says lease or done;
-  /// `on_idle`, when set, runs before each of those waits (a worker
-  /// touches its heartbeat there: idle is not wedged).
-  std::optional<LeaseGrant> acquire(const std::function<void()>& on_idle = {});
+  /// internally under backoff until the server says lease or done.
+  std::optional<LeaseGrant> acquire();
 
   /// Ask for more work after draining a lease (the steal op). Same
   /// return/retry contract as acquire().
-  std::optional<LeaseGrant> next_lease(
-      std::uint64_t drained_epoch, const std::function<void()>& on_idle = {});
+  std::optional<LeaseGrant> next_lease(std::uint64_t drained_epoch);
 
   enum class CommitResult { kOk, kFenced, kDone };
 
@@ -89,8 +85,7 @@ class LeaseClient {
   LeaseResponse call(LeaseRequest req);
   bool attempt(const LeaseRequest& req, LeaseResponse* rsp);
   void backoff_sleep(std::size_t attempt);
-  std::optional<LeaseGrant> work_request(
-      LeaseRequest req, const std::function<void()>& on_idle);
+  std::optional<LeaseGrant> work_request(LeaseRequest req);
 
   LeaseClientOptions options_;
   util::Socket conn_;

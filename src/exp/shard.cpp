@@ -508,14 +508,9 @@ LeaseWorkerReport run_lease_client_worker(
   };
   std::atomic<std::size_t> jobs_started{0};
 
-  // A worker waiting for the server to hand it work is idle, not wedged:
-  // it keeps its heartbeat fresh while it polls.
-  const auto idle = [&hb_path] { util::touch_file(hb_path); };
-  idle();
-
   LeaseWorkerReport report;
   try {
-    std::optional<LeaseGrant> grant = client.acquire(idle);
+    std::optional<LeaseGrant> grant = client.acquire();
     while (grant) {
       obs::Span lease_span("lease", "worker.lease", "begin",
                            static_cast<std::int64_t>(grant->begin), "end",
@@ -531,16 +526,14 @@ LeaseWorkerReport run_lease_client_worker(
       queue.retain_range(grant->begin, grant->end);
       const std::size_t planned = queue.size();
       const std::size_t skipped = queue.skip_completed(completed_elsewhere());
-      // Build the lease's topologies into the shared cache on this thread:
-      // executor threads only look them up, and a worker that runs many
-      // leases keeps its long-lived topologies in one heap arena instead
-      // of spreading them over per-lease thread arenas.
-      for (const auto& job : queue.jobs()) {
-        try {
-          (void)topo::make_topology_shared(job.config.topology);
-        } catch (const std::exception&) {
-          // A malformed spec fails the job that names it, when it runs.
-        }
+      {
+        // As run_batch: each distinct topology builds once, not once per
+        // racing executor thread.
+        std::vector<std::string> specs;
+        specs.reserve(queue.size());
+        for (const auto& job : queue.jobs())
+          specs.push_back(job.config.topology);
+        topo::prewarm_topology_cache(specs);
       }
 
       // Append + skip-completed: a respawned or re-leased worker continues
@@ -584,7 +577,7 @@ LeaseWorkerReport run_lease_client_worker(
         ORACLE_LOG_WARN(strfmt(
             "slot %zu fenced mid-lease (epoch %llu); re-acquiring",
             options.slot, static_cast<unsigned long long>(grant->epoch)));
-        grant = client.acquire(idle);
+        grant = client.acquire();
         continue;
       }
       if (commit.done()) break;
@@ -593,7 +586,7 @@ LeaseWorkerReport run_lease_client_worker(
       if (client.commit(grant->epoch, commit.end(), 0, nullptr) ==
           LeaseClient::CommitResult::kDone)
         break;
-      grant = client.next_lease(grant->epoch, idle);
+      grant = client.next_lease(grant->epoch);
     }
   } catch (const LeaseOrphanedError& e) {
     // Committed prefix is already fsynced; surface the distinct orphaned
@@ -687,6 +680,13 @@ struct SlotProc {
   std::size_t restarts = 0;
   bool kill_sent = false;  ///< SIGKILL dispatched by the heartbeat monitor
 };
+
+/// A slot that drained its lease and now only polls the service for more
+/// work (never-granted slots report a negative age; expired ones keep an
+/// uncommitted tail).
+bool waiting_for_work(const obs::WorkerStatus& ws) {
+  return !ws.live && ws.heartbeat_age_s >= 0 && ws.frontier >= ws.lease_end;
+}
 
 /// A LeaseService serving on its own thread until scope exit.
 struct ServiceThread {
@@ -1003,19 +1003,35 @@ ShardRunReport run_sharded_processes(
           [](const SlotProc& p) { return p.pid >= 0; });
       if (!any_live) break;
 
-      if (stall_detection) {
+      // Stall detection needs the service's view: a slot that drained its
+      // lease touches no heartbeat file while it polls for more work. Its
+      // last request is its sign of life instead, and its poll gaps are no
+      // job pace, so they never feed the adaptive timeout.
+      const auto served = stall_detection ? server_status() : std::nullopt;
+      if (served) {
         const auto now = Clock::now();
         for (std::size_t k = 0; k < slots; ++k) {
           if (procs[k].pid < 0 || procs[k].kill_sent) continue;
-          const auto mtime =
-              util::file_mtime_ns(worker_heartbeat_path(options.out, k, slots));
-          const auto interval = monitor.observe(k, mtime.value_or(-1), now);
-          if (options.adaptive_heartbeat) {
-            if (interval) adaptive.record(*interval);
-            const double t = adaptive.timeout_seconds();
-            if (std::isfinite(t))
-              monitor.set_timeout(std::chrono::nanoseconds(
-                  static_cast<std::int64_t>(t * 1e9)));
+          const obs::WorkerStatus* ws =
+              k < served->workers.size() ? &served->workers[k] : nullptr;
+          if (ws && waiting_for_work(*ws)) {
+            // Re-arming also keeps the idle gap out of the next interval;
+            // the min protects a respawn from its predecessor's silence.
+            const double age =
+                std::min(ws->heartbeat_age_s, monitor.age_seconds(k, now));
+            monitor.start(k, now - std::chrono::duration_cast<Clock::duration>(
+                                       std::chrono::duration<double>(age)));
+          } else {
+            const auto mtime = util::file_mtime_ns(
+                worker_heartbeat_path(options.out, k, slots));
+            const auto interval = monitor.observe(k, mtime.value_or(-1), now);
+            if (options.adaptive_heartbeat) {
+              if (interval) adaptive.record(*interval);
+              const double t = adaptive.timeout_seconds();
+              if (std::isfinite(t))
+                monitor.set_timeout(std::chrono::nanoseconds(
+                    static_cast<std::int64_t>(t * 1e9)));
+            }
           }
           if (monitor.stale(k, now)) {
             // Wedged worker: no commit progress for a full timeout.

@@ -521,10 +521,26 @@ TEST(LeaseService, SilentSlotExpiresAdaptivelyAndIsReassigned) {
   std::remove(journal.c_str());
 }
 
-/// Thrown from a client's on_idle callback: the server answered `empty`
-/// (nothing to hand out yet) and the test wants to stop polling there.
-struct StillEmpty {};
-void stop_polling() { throw StillEmpty{}; }
+/// One raw steal request and its verdict. LeaseClient::next_lease polls
+/// through `empty` (nothing to hand out yet); these tests want to see it.
+exp::LeaseResponseKind steal_once(std::uint16_t port, std::size_t slot,
+                                  std::uint64_t epoch) {
+  const auto deadline = util::NetClock::now() + std::chrono::seconds(1);
+  util::Socket conn =
+      util::connect_tcp(util::HostPort{"127.0.0.1", port}, deadline);
+  exp::LeaseRequest req;
+  req.seq = 1;
+  req.op = exp::LeaseOp::kSteal;
+  req.slot = slot;
+  req.epoch = epoch;
+  if (!conn.valid() || !util::send_frame(conn.fd(), req.encode(), deadline))
+    return exp::LeaseResponseKind::kError;
+  const auto frame = util::recv_frame(conn.fd(), deadline);
+  const auto rsp = frame ? exp::LeaseResponse::parse(*frame) : std::nullopt;
+  return rsp ? rsp->kind : exp::LeaseResponseKind::kError;
+}
+
+constexpr auto kEmpty = exp::LeaseResponseKind::kEmpty;
 
 constexpr auto kOk = exp::LeaseClient::CommitResult::kOk;
 
@@ -547,7 +563,7 @@ TEST(LeaseService, RunsWithoutAJournalUntilEveryLeaseDrains) {
   ASSERT_EQ(a.commit(grant_a->epoch, grant_a->end, 1000, &end), kOk);
   ASSERT_EQ(b.commit(grant_b->epoch, grant_b->end, 1000, &end), kOk);
   // A drained first; B has not said so yet, so A hears `empty`, not done.
-  EXPECT_THROW(a.next_lease(grant_a->epoch, stop_polling), StillEmpty);
+  EXPECT_EQ(steal_once(srv.port(), 0, grant_a->epoch), kEmpty);
   EXPECT_FALSE(b.next_lease(grant_b->epoch).has_value()) << "sweep is done";
   EXPECT_FALSE(a.acquire().has_value()) << "late acquires hear done too";
 
@@ -569,7 +585,7 @@ TEST(LeaseService, NeverSplitsTheLeaseOfASlotThatWasNeverAcquired) {
 
   // Slot 1's worker has not started: stealing from it would only race its
   // start-up, so the idle thief waits instead.
-  EXPECT_THROW(a.next_lease(grant_a->epoch, stop_polling), StillEmpty);
+  EXPECT_EQ(steal_once(srv.port(), 0, grant_a->epoch), kEmpty);
   exp::LeaseClient b(client_options(srv.port(), 1, 2));
   const auto grant_b = b.acquire();
   ASSERT_TRUE(grant_b.has_value());
@@ -611,7 +627,7 @@ TEST(LeaseService, StealLeavesTheVictimItsInFlightJobAndOneMore) {
 
   // Two jobs left is the in-flight one plus one more: nothing to split.
   ASSERT_EQ(b.commit(stolen->epoch, stolen->end, 1000, &end), kOk);
-  EXPECT_THROW(b.next_lease(stolen->epoch, stop_polling), StillEmpty);
+  EXPECT_EQ(steal_once(srv.port(), 1, stolen->epoch), kEmpty);
 
   srv.stop();
   EXPECT_EQ(srv.stats.steals, 1u);

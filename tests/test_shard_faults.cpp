@@ -77,6 +77,25 @@ std::vector<core::ExperimentConfig> slow_sweep() {
       .build();
 }
 
+/// Six 0.5-1.2s jobs for the tail-whale test: slow enough that the adaptive
+/// timeout's p99 term, not its floor, decides whether a whale survives.
+std::vector<core::ExperimentConfig> paced_sweep() {
+  auto cfg = small_config();
+  cfg.workload = "fib:26";
+  cfg.topology = "grid:6x6";
+  return core::SweepBuilder(cfg)
+      .strategies({"cwn:radius=4,horizon=1", "random"})
+      .seeds({1, 2, 3})
+      .build();
+}
+
+/// The sweep a test runs and its self-exec'd workers rebuild, by name.
+std::vector<core::ExperimentConfig> named_sweep(const std::string& name) {
+  if (name == "slow") return slow_sweep();
+  if (name == "paced") return paced_sweep();
+  return fault_sweep();
+}
+
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "oracle_faults_" + name;
 }
@@ -148,7 +167,7 @@ exp::ShardRunReport run_steal(const std::string& canonical,
                               const std::string& status_path = {},
                               bool adaptive_heartbeat = false,
                               bool retry_quarantined = false,
-                              bool slow = false) {
+                              const std::string& sweep = {}) {
   exp::ShardRunOptions sopt;
   sopt.workers = workers;
   sopt.out = canonical;
@@ -163,13 +182,13 @@ exp::ShardRunReport run_steal(const std::string& canonical,
   sopt.status_interval_ms = 25;  // many rewrites for the atomicity poller
   sopt.exec_path = exp::self_exec_path(g_self);
   sopt.worker_args = {"--shard-worker", "--out", canonical};
-  if (slow) {
+  if (!sweep.empty()) {
     sopt.worker_args.push_back("--sweep");
-    sopt.worker_args.push_back("slow");
+    sopt.worker_args.push_back(sweep);
   }
   sopt.worker_args.insert(sopt.worker_args.end(), fault_flags.begin(),
                           fault_flags.end());
-  return exp::run_sharded_processes(slow ? slow_sweep() : fault_sweep(), sopt);
+  return exp::run_sharded_processes(named_sweep(sweep), sopt);
 }
 
 // ------------------------------------------------------------ fault tests --
@@ -208,10 +227,13 @@ TEST(StealSupervisor, SigkilledWorkerIsAutoRestartedAndConverges) {
 TEST(StealSupervisor, ExitFaultIsAutoRestartedAndConverges) {
   const auto canonical = temp_path("exit1.jsonl");
   remove_steal_files(canonical, 3);
+  // Stealing is off so slot 0 still holds its fourth job when it dies.
   const auto report = run_steal(
       canonical, 3,
-      {"--fault-slot", "0", "--die-after", "2", "--marker",
-       canonical + ".marker"});
+      {"--fault-slot", "0", "--die-after", "3", "--marker",
+       canonical + ".marker"},
+      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*min_steal_jobs=*/1000);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.restarts, 1u);
   bool saw_exit1 = false;
@@ -383,7 +405,7 @@ TEST(StealSupervisor, AdaptiveHeartbeatReapsWedgedWorkerWithoutTuning) {
        "--marker", canonical + ".marker"},
       /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, /*status_path=*/{}, /*adaptive_heartbeat=*/true,
-      /*retry_quarantined=*/false, /*slow=*/true);
+      /*retry_quarantined=*/false, /*sweep=*/"slow");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GE(report.restarts, 1u);
   bool saw_reap = false;
@@ -406,12 +428,35 @@ TEST(StealSupervisor, AdaptiveHeartbeatNeverReapsAHealthySlowWhale) {
        "--marker", canonical + ".marker"},
       /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, /*status_path=*/{}, /*adaptive_heartbeat=*/true,
-      /*retry_quarantined=*/false, /*slow=*/true);
+      /*retry_quarantined=*/false, /*sweep=*/"slow");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.restarts, 0u);
   for (const auto& w : report.workers) EXPECT_NE(w.term_signal, SIGKILL);
   EXPECT_EQ(read_file(slow_serial_store()), read_file(canonical));
   remove_steal_files(canonical, 3);
+}
+
+TEST(StealSupervisor, AdaptiveHeartbeatSparesATailWhaleWhileTheOthersIdle) {
+  const auto canonical = temp_path("tail_whale.jsonl");
+  remove_steal_files(canonical, 6);
+  // One 0.5-1.2s job per worker. Slot 5 stalls 3.3s before its job,
+  // every time it runs (no marker), so it finishes alone while the other
+  // five poll the lease service for work. Its ~4s of silence is past the
+  // 3s floor and twice every other job: only the p99 term (8 x ~1.2s)
+  // spares it, and only while idle polls never count as job intervals.
+  const auto report = run_steal(
+      canonical, 6,
+      {"--fault-slot", "5", "--stall-after", "0", "--stall-ms", "3300"},
+      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*min_steal_jobs=*/1, /*status_path=*/{}, /*adaptive_heartbeat=*/true,
+      /*retry_quarantined=*/false, /*sweep=*/"paced");
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.restarts, 0u);
+  EXPECT_EQ(report.quarantined, 0u);
+  EXPECT_EQ(report.merge.records, 6u);
+  for (const auto& w : report.workers) EXPECT_NE(w.term_signal, SIGKILL);
+  remove_steal_files(canonical, 6);
+  std::remove(exp::quarantine_path(canonical).c_str());
 }
 
 TEST(StealSupervisor, MultiThreadedWorkersMatchSerialAndLeaveNoLeaseFiles) {
@@ -497,7 +542,7 @@ int worker_main(int argc, char** argv) {
     wopt.hooks.die_on_job_index = poison_index;
     wopt.hooks.die_with_sigkill = true;
   }
-  const auto sweep = sweep_name == "slow" ? slow_sweep() : fault_sweep();
+  const auto sweep = named_sweep(sweep_name);
   const auto report = exp::run_lease_client_worker(sweep, wopt);
   if (report.orphaned) return exp::kOrphanedExitCode;
   return report.batch.ok() ? 0 : 1;
