@@ -106,7 +106,6 @@ PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
                       const std::string& reference) {
   exp::ServiceOptions opt;
   opt.store = store;
-  opt.poll_ms = 5;
   opt.query_threads = query_threads;
   exp::Service service(opt);
   service.start();

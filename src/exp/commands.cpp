@@ -151,11 +151,11 @@ int run_serve_leases_command(const ServeLeasesCommand& cmd) {
     std::printf(
         "%s: %zu request(s), %zu grant(s), %zu steal(s), %zu reassign(s), "
         "%zu expiration(s), %zu fenced, %zu journal record(s) "
-        "(%zu replayed, %zu torn skipped)\n",
+        "(%zu replayed, %zu torn skipped), %zu evicted\n",
         stats.completed ? "sweep complete" : "stopped", stats.requests,
         stats.grants, stats.steals, stats.reassigns, stats.expirations,
         stats.fenced, stats.journal_records, stats.replayed_records,
-        stats.torn_journal_records);
+        stats.torn_journal_records, stats.evicted);
     return stats.completed ? 0 : 1;
   } catch (const ConfigError&) {
     throw;  // pre-flight problem: the CLI renders it as a usage error

@@ -7,7 +7,6 @@
 
 #if !defined(_WIN32)
 #include <fcntl.h>
-#include <poll.h>
 #include <unistd.h>
 #endif
 
@@ -30,8 +29,14 @@ constexpr const char* kJournalTag = "J1";
 struct LeaseService::Impl {
   using Clock = std::chrono::steady_clock;
 
+  // Lease frames are tiny: a peer that cannot finish one within 250 ms of
+  // its last byte, or take a reply within 2 s, is evicted. It reconnects
+  // and retries; the protocol is retry-safe by construction.
   explicit Impl(const LeaseServiceOptions& opt)
-      : table(opt.jobs, opt.slots), timeout(opt.timeout) {
+      : table(opt.jobs, opt.slots),
+        timeout(opt.timeout),
+        server({.read_timeout = std::chrono::milliseconds(250),
+                .write_timeout = std::chrono::seconds(2)}) {
     slots.resize(std::max<std::size_t>(opt.slots, 1));
     for (std::size_t k = 0; k < slots.size(); ++k)
       slots[k].frontier = table.lease(k).begin;
@@ -49,8 +54,7 @@ struct LeaseService::Impl {
   LeaseTable table;
   std::vector<SlotState> slots;
   AdaptiveTimeout timeout;
-  util::Socket listener;
-  std::vector<util::Socket> conns;
+  util::FrameServer server;
   int journal_fd = -1;
   bool completed = false;
 
@@ -66,8 +70,11 @@ LeaseService::LeaseService(LeaseServiceOptions options)
 
 LeaseService::~LeaseService() { delete impl_; }
 
-std::uint16_t LeaseService::port() const {
-  return impl_->listener.valid() ? util::local_port(impl_->listener.fd()) : 0;
+std::uint16_t LeaseService::port() const { return impl_->server.port(); }
+
+void LeaseService::stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  impl_->server.wake();
 }
 
 #if defined(_WIN32)
@@ -220,8 +227,7 @@ void LeaseService::start() {
     }
   }
 
-  im.listener = util::listen_tcp(options_.listen);
-  if (!im.listener.valid())
+  if (!im.server.listen(options_.listen))
     throw SimulationError("lease service cannot listen on " +
                           options_.listen.str());
 
@@ -239,7 +245,7 @@ void LeaseService::start() {
 
 LeaseServiceStats LeaseService::run() {
   Impl& im = *impl_;
-  ORACLE_REQUIRE(im.listener.valid(), "LeaseService::start() not called");
+  ORACLE_REQUIRE(im.server.port() != 0, "LeaseService::start() not called");
 
   const std::size_t n = options_.jobs;
   const std::size_t w = im.slots.size();
@@ -285,6 +291,7 @@ LeaseServiceStats LeaseService::run() {
     st.steals = stats_.steals + stats_.reassigns;
     st.fenced = stats_.fenced;
     st.retries = stats_.client_retries;
+    st.evicted = im.server.evicted();
     for (std::size_t k = 0; k < w; ++k) {
       const auto& s = im.slots[k];
       obs::WorkerStatus ws;
@@ -552,7 +559,47 @@ LeaseServiceStats LeaseService::run() {
     }
   };
 
-  auto last_status = Clock::now();
+  // Adaptive expiry: a granted, undrained slot silent for longer than
+  // the observed-pace timeout is presumed wedged/dead. Its epoch bumps
+  // — the journal record *is* the fencing event — and the next idle
+  // worker takes the uncommitted tail over. Returns when the next live
+  // slot falls due (re-checked at least once a minute).
+  auto expire_silent_slots = [&](Clock::time_point now) {
+    auto next = Clock::time_point::max();
+    const double timeout_s = im.timeout.timeout_seconds();
+    for (std::size_t k = 0; k < w; ++k) {
+      auto& slot = im.slots[k];
+      if (im.table.drained(k) || slot.expired) continue;
+      if (slot.epoch == 0 && im.timeout.samples() == 0) continue;
+      const double age =
+          std::chrono::duration<double>(now - slot.last_life).count();
+      if (age <= timeout_s) {
+        next = std::min(
+            next, now + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(
+                                std::min(timeout_s - age, 60.0))));
+        continue;
+      }
+      const std::uint64_t epoch = slot.epoch + 1;
+      journal(strfmt("expire %zu %llu", k,
+                     static_cast<unsigned long long>(epoch)));
+      slot.epoch = epoch;
+      slot.expired = true;
+      ++stats_.expirations;
+      obs::instant("lease", "expire", "slot", static_cast<std::int64_t>(k),
+                   "age_ms", static_cast<std::int64_t>(age * 1e3));
+      ORACLE_LOG_WARN(strfmt(
+          "slot %zu expired after %.1fs silence (timeout %.1fs); lease "
+          "[%zu,%zu) f=%zu up for takeover",
+          k, age, timeout_s, im.table.lease(k).begin, im.table.lease(k).end,
+          slot.frontier));
+    }
+    return next;
+  };
+
+  const auto status_every = std::chrono::milliseconds(
+      std::max<std::uint32_t>(options_.status_interval_ms, 1));
+  auto next_status = Clock::now() + status_every;
   std::optional<Clock::time_point> linger_until;
 
   auto write_status = [&] {
@@ -563,111 +610,41 @@ LeaseServiceStats LeaseService::run() {
 
   while (!stop_.load(std::memory_order_relaxed)) {
     const auto now = Clock::now();
-    if (im.completed) {
-      if (!linger_until)
-        linger_until = now + std::chrono::milliseconds(options_.linger_ms);
-      else if (now >= *linger_until)
-        break;
-    }
-
-    // Adaptive expiry: a granted, undrained slot silent for longer than
-    // the observed-pace timeout is presumed wedged/dead. Its epoch bumps
-    // — the journal record *is* the fencing event — and the next idle
-    // worker takes the uncommitted tail over.
-    if (!im.completed) {
-      const double timeout_s = im.timeout.timeout_seconds();
-      for (std::size_t k = 0; k < w; ++k) {
-        auto& slot = im.slots[k];
-        if (im.table.drained(k) || slot.expired) continue;
-        if (slot.epoch == 0 && im.timeout.samples() == 0) continue;
-        const double age =
-            std::chrono::duration<double>(now - slot.last_life).count();
-        if (age > timeout_s) {
-          const std::uint64_t epoch = slot.epoch + 1;
-          journal(strfmt("expire %zu %llu", k,
-                         static_cast<unsigned long long>(epoch)));
-          slot.epoch = epoch;
-          slot.expired = true;
-          ++stats_.expirations;
-          obs::instant("lease", "expire", "slot", static_cast<std::int64_t>(k),
-                       "age_ms", static_cast<std::int64_t>(age * 1e3));
-          ORACLE_LOG_WARN(strfmt(
-              "slot %zu expired after %.1fs silence (timeout %.1fs); lease "
-              "[%zu,%zu) f=%zu up for takeover",
-              k, age, timeout_s, im.table.lease(k).begin,
-              im.table.lease(k).end, slot.frontier));
-        }
+    if (im.completed && !linger_until)
+      linger_until = now + std::chrono::milliseconds(options_.linger_ms);
+    if (linger_until && now >= *linger_until) break;
+    auto until = linger_until ? *linger_until : expire_silent_slots(now);
+    if (!options_.status_path.empty()) {
+      if (now >= next_status) {
+        next_status = now + status_every;
+        write_status();
       }
+      until = std::min(until, next_status);
     }
 
-    if (now - last_status >=
-        std::chrono::milliseconds(
-            std::max<std::uint32_t>(options_.status_interval_ms, 1))) {
-      last_status = now;
-      write_status();
-    }
-
-    // ---- poll listen + client sockets ---------------------------------
-    std::vector<pollfd> fds;
-    fds.reserve(im.conns.size() + 1);
-    fds.push_back({im.listener.fd(), POLLIN, 0});
-    for (const auto& c : im.conns) fds.push_back({c.fd(), POLLIN, 0});
-    const int ready = util::poll_retry(
-        fds.data(), fds.size(), static_cast<int>(options_.poll_ms));
-    if (ready <= 0) continue;
-
-    // Conns accepted below were not part of this poll: fds only covers
-    // the first `polled` entries, and indexing past it is UB (the bug
-    // mode: a fresh conn inherits garbage revents and is dropped on
-    // arrival). They are served from the next tick on.
-    const std::size_t polled = im.conns.size();
-    if (fds[0].revents & POLLIN) {
-      while (true) {
-        auto conn = util::accept_tcp(im.listener.fd());
-        if (!conn.valid()) break;
-        im.conns.push_back(std::move(conn));
-      }
-    }
-
-    for (std::size_t i = 0; i < polled;) {
-      const short rev = fds[i + 1].revents;
-      if (rev == 0) {
-        ++i;
+    // Every request is answered inline on this thread; the core keeps a
+    // slow or half-sent peer from delaying anyone else.
+    for (const auto& ev : im.server.poll(until)) {
+      if (ev.kind != util::FrameServer::Event::Kind::kFrame ||
+          !im.server.open(ev.conn))
+        continue;
+      const auto req = LeaseRequest::parse(ev.payload);
+      if (!req) {
+        ++stats_.bad_requests;
+        im.server.close(ev.conn);  // unparseable: the stream is not trusted
         continue;
       }
-      bool drop = (rev & (POLLERR | POLLNVAL)) != 0;
-      if (!drop && (rev & (POLLIN | POLLHUP))) {
-        // Frames are tiny; a peer that cannot complete one inside this
-        // deadline is dropped (it reconnects and retries — the protocol
-        // is retry-safe by construction).
-        const auto frame = util::recv_frame(
-            im.conns[i].fd(), Clock::now() + std::chrono::milliseconds(250));
-        if (!frame) {
-          drop = true;
-        } else if (const auto req = LeaseRequest::parse(*frame)) {
-          LeaseResponse rsp = handle(*req);
-          // The seq echo is the client's stale-frame filter; enforce the
-          // invariant here so no handler path (find_work in particular)
-          // can return a frame the client would discard.
-          rsp.seq = req->seq;
-          if (!util::send_frame(im.conns[i].fd(), rsp.encode(),
-                                Clock::now() + std::chrono::seconds(2)))
-            drop = true;
-        } else {
-          ++stats_.bad_requests;
-          drop = true;  // unparseable request: the stream is not trusted
-        }
-      }
-      if (drop) {
-        im.conns.erase(im.conns.begin() + static_cast<std::ptrdiff_t>(i));
-        // fds is rebuilt next tick; indices past i are off by one now, so
-        // finish this tick conservatively by re-polling.
-        break;
-      }
-      ++i;
+      LeaseResponse rsp = handle(*req);
+      // The seq echo is the client's stale-frame filter; enforce the
+      // invariant here so no handler path (find_work in particular) can
+      // return a frame the client would discard.
+      rsp.seq = req->seq;
+      im.server.send(ev.conn, rsp.encode());
     }
+    stats_.evicted = im.server.evicted();
   }
 
+  im.server.shutdown();
   stats_.completed = im.completed;
   write_status();
   return stats_;

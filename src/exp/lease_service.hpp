@@ -21,6 +21,10 @@
 //     final record is skipped, like the trace/JSONL stores — and live
 //     workers reconnect and continue under their existing epochs without
 //     losing a job.
+//   - Slow or half-sent peers: every request is answered inline on one
+//     util::FrameServer poll loop. A peer that leaves a frame half-sent
+//     for 250 ms or takes no reply bytes for 2 s is evicted, never stalls
+//     others (LeaseServiceStats::evicted).
 //   - Network flakes: requests are idempotent-by-design (acquire/steal
 //     re-grant, commit is monotonic max, responses echo the client seq so
 //     duplicates are discarded), so the client retries blindly under
@@ -71,8 +75,6 @@ struct LeaseServiceOptions {
   /// How long to keep answering `done` after the sweep completes, so
   /// every worker hears the verdict instead of timing out.
   std::uint32_t linger_ms = 1500;
-
-  std::uint32_t poll_ms = 50;  ///< poll loop tick (expiry + status cadence)
 };
 
 struct LeaseServiceStats {
@@ -83,6 +85,7 @@ struct LeaseServiceStats {
   std::size_t expirations = 0;   ///< slots expired by the adaptive timeout
   std::size_t fenced = 0;        ///< stale-epoch requests rejected
   std::size_t bad_requests = 0;  ///< unparseable/invalid frames
+  std::size_t evicted = 0;  ///< connections dropped for stalling a frame
   std::size_t journal_records = 0;         ///< records appended this run
   std::size_t replayed_records = 0;        ///< records applied at startup
   std::size_t torn_journal_records = 0;    ///< malformed lines skipped
@@ -109,9 +112,10 @@ class LeaseService {
   /// called. Returns the final stats. Call start() first.
   LeaseServiceStats run();
 
-  /// Thread-safe shutdown request for in-process tests: run() returns
-  /// within one poll tick.
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Thread-safe and async-signal-safe shutdown request (serve-leases
+  /// installs it as the SIGINT/SIGTERM action; a local run calls it when
+  /// its workers are done): wakes run(), which returns at once.
+  void stop();
 
   const LeaseServiceStats& stats() const { return stats_; }
 

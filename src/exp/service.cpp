@@ -11,11 +11,8 @@
 #include <optional>
 #include <shared_mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
-
-#if !defined(_WIN32)
-#include <poll.h>
-#endif
 
 #include "exp/aggregate.hpp"
 #include "exp/batch.hpp"
@@ -24,7 +21,6 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/posix_io.hpp"
 #include "util/string_util.hpp"
 
 namespace oracle::exp {
@@ -302,15 +298,14 @@ bool QueryRun::step(ServiceSink& sink, std::size_t budget) {
 
 // ------------------------------------------------------- daemon plumbing --
 
-/// What workers hand the poll thread: encoded response frames to queue on
-/// a connection, and query-completion notices that release the
+/// What workers hand the poll thread: encoded response payloads to queue
+/// on a connection, and query-completion notices that release the
 /// connection for its next request and settle the daemon counters.
 struct SvcEvent {
   enum class Kind { kFrame, kQueryDone };
   Kind kind = Kind::kFrame;
   std::uint64_t conn_id = 0;
-  std::string wire;        ///< kFrame: [len][payload] bytes ready to write
-  bool drop_conn = false;  ///< kFrame: response unencodable — drop the peer
+  std::string payload;     ///< kFrame: one encoded ServiceResponse
   QueryStats stats;        ///< kQueryDone
   bool config_error = false;  ///< kQueryDone: rejected (counts bad_requests)
   bool errored = false;       ///< kQueryDone: ended with an error frame
@@ -341,14 +336,14 @@ struct DaemonState {
   bool draining = false;      ///< abort queued queries with a shutdown error
   bool exit_workers = false;  ///< workers return once the queue is empty
   std::deque<SvcEvent> events;
-  util::WakePipe wake;
+  util::FrameServer* server = nullptr;  ///< wake() only, from workers
 
   void push_event(SvcEvent ev) {
     {
       std::lock_guard<std::mutex> lk(mu);
       events.push_back(std::move(ev));
     }
-    wake.notify();
+    server->wake();
   }
 };
 
@@ -415,10 +410,7 @@ class EmitSink : public ServiceSink {
     SvcEvent ev;
     ev.kind = SvcEvent::Kind::kFrame;
     ev.conn_id = conn_id_;
-    ev.wire = util::frame_bytes(rsp.encode(), kServiceMaxFrameBytes);
-    // An over-cap frame cannot be sent partially; the old blocking path
-    // dropped the connection, and so do we.
-    if (ev.wire.empty()) ev.drop_conn = true;
+    ev.payload = rsp.encode();
     ds_.push_event(std::move(ev));
   }
 
@@ -501,24 +493,15 @@ void worker_main(DaemonState& ds) {
       --ds.in_flight;
       ds.events.push_back(std::move(ev));
     }
-    ds.wake.notify();
+    ds.server->wake();
   }
 }
 
-/// Per-connection state machine owned exclusively by the poll thread.
+/// The service's view of one open connection (the FrameServer owns the
+/// socket and its buffers), touched only by the poll thread.
 struct Conn {
-  util::Socket sock;
-  std::uint64_t id = 0;
-  util::FrameSplitter in{kServiceMaxFrameBytes};
-  std::string out;            ///< queued response bytes (whole frames)
-  std::size_t out_off = 0;    ///< already-written prefix of `out`
-  Clock::time_point write_stall_since{};  ///< last write progress (out != "")
-  Clock::time_point read_stall_since{};   ///< partial inbound frame started
-  bool read_stalled = false;
   bool busy = false;  ///< a query of this connection is queued/in flight
   std::deque<std::string> backlog;  ///< frames parsed while busy (FIFO)
-  bool close_after_flush = false;
-  bool dead = false;
   std::size_t requests = 0;
   std::int64_t trace_t0 = 0;
 };
@@ -534,20 +517,27 @@ std::size_t resolve_query_threads(std::size_t configured) {
 using svc_detail::Clock;
 
 struct Service::Impl {
+  explicit Impl(const ServiceOptions& o)
+      : server({.max_frame_bytes = kServiceMaxFrameBytes,
+                .read_timeout = std::chrono::milliseconds(
+                    std::max<std::uint32_t>(1, o.read_timeout_ms)),
+                .write_timeout = std::chrono::milliseconds(
+                    std::max<std::uint32_t>(1, o.write_timeout_ms)),
+                .sndbuf_bytes = o.sndbuf_bytes}) {}
+
   StoreIndex index;
   std::shared_mutex index_mu;
   std::mutex store_mu;
   bool opened = false;
-  util::Socket listener;
+  util::FrameServer server;
   Clock::time_point started{};
   svc_detail::DaemonState ds;
   std::vector<std::thread> workers;
-  std::vector<svc_detail::Conn> conns;
-  std::uint64_t next_conn_id = 1;
+  std::unordered_map<std::uint64_t, svc_detail::Conn> conns;
 };
 
 Service::Service(ServiceOptions options)
-    : impl_(new Impl), options_(std::move(options)) {}
+    : impl_(new Impl(options)), options_(std::move(options)) {}
 
 Service::~Service() { delete impl_; }
 
@@ -582,24 +572,16 @@ QueryStats Service::query(const ServiceQuery& q, ServiceSink& sink) {
   return run.stats();
 }
 
-std::uint16_t Service::port() const {
-  return impl_->listener.valid() ? util::local_port(impl_->listener.fd()) : 0;
+std::uint16_t Service::port() const { return impl_->server.port(); }
+
+void Service::stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  impl_->server.wake();
 }
-
-#if defined(_WIN32)
-
-void Service::start() {
-  throw SimulationError("the oracle service daemon requires a POSIX host");
-}
-
-ServiceStats Service::run() { return stats_; }
-
-#else
 
 void Service::start() {
   open();
-  impl_->listener = util::listen_tcp(options_.listen);
-  if (!impl_->listener.valid())
+  if (!impl_->server.listen(options_.listen))
     throw SimulationError("oracle service cannot listen on " +
                           options_.listen.str());
   impl_->started = Clock::now();
@@ -612,16 +594,16 @@ void Service::start() {
 ServiceStats Service::run() {
   using svc_detail::Conn;
   using svc_detail::SvcEvent;
+  using Kind = util::FrameServer::Event::Kind;
 
   Impl& im = *impl_;
-  ORACLE_REQUIRE(im.listener.valid(), "Service::start() not called");
-  ORACLE_REQUIRE(im.ds.wake.valid(),
-                 "oracle service cannot create its wake pipe");
+  ORACLE_REQUIRE(im.server.port() != 0, "Service::start() not called");
 
   im.ds.index = &im.index;
   im.ds.index_mu = &im.index_mu;
   im.ds.store_mu = &im.store_mu;
   im.ds.options = &options_;
+  im.ds.server = &im.server;
   const std::size_t nworkers =
       svc_detail::resolve_query_threads(options_.query_threads);
   for (std::size_t i = 0; i < nworkers; ++i)
@@ -637,7 +619,7 @@ ServiceStats Service::run() {
     st.requests = stats_.requests;
     st.cache_hits = stats_.cache_hits;
     st.connections = im.conns.size();
-    st.evicted = stats_.evicted;
+    st.evicted = im.server.evicted();
     {
       std::lock_guard<std::mutex> lk(im.ds.mu);
       st.queue_depth = im.ds.ready.size();
@@ -651,88 +633,38 @@ ServiceStats Service::run() {
   };
 
   auto find_conn = [&](std::uint64_t id) -> Conn* {
-    for (auto& c : im.conns)
-      if (c.id == id) return &c;
-    return nullptr;
-  };
-
-  // Try to push a connection's queued bytes out right now (called on
-  // POLLOUT and opportunistically after queueing, so a responsive client
-  // never waits a poll tick for its answer).
-  auto flush_conn = [&](Conn& c) {
-    if (c.dead || c.out_off >= c.out.size()) return;
-    std::size_t written = 0;
-    const auto r = util::write_some(c.sock.fd(), c.out.data() + c.out_off,
-                                    c.out.size() - c.out_off, &written);
-    if (r == util::IoResult::kClosed) {
-      c.dead = true;
-      return;
-    }
-    if (written > 0) {
-      c.out_off += written;
-      c.write_stall_since = Clock::now();
-    }
-    if (c.out_off >= c.out.size()) {
-      c.out.clear();
-      c.out_off = 0;
-      if (c.close_after_flush) c.dead = true;
-    } else if (c.out_off > (1u << 20)) {
-      c.out.erase(0, c.out_off);
-      c.out_off = 0;
-    }
-  };
-
-  auto queue_bytes = [&](Conn& c, std::string wire) {
-    if (c.dead) return;
-    if (c.out.empty()) c.write_stall_since = Clock::now();
-    c.out += wire;
-    flush_conn(c);
-  };
-
-  auto queue_response = [&](Conn& c, ServiceResponse rsp, std::uint64_t seq) {
-    rsp.seq = seq;
-    auto wire = util::frame_bytes(rsp.encode(), kServiceMaxFrameBytes);
-    if (wire.empty()) {
-      c.dead = true;
-      return;
-    }
-    queue_bytes(c, std::move(wire));
+    const auto it = im.conns.find(id);
+    return it != im.conns.end() && im.server.open(id) ? &it->second : nullptr;
   };
 
   // Dispatch one parsed request. ping/status/shutdown answer inline on
   // the poll thread (never behind a query); queries go to the worker
   // pool, one in flight per connection (further frames wait in the
   // backlog so response streams of one connection never interleave).
-  auto dispatch = [&](Conn& c, const ServiceRequest& req) {
+  auto dispatch = [&](std::uint64_t id, Conn& c, const ServiceRequest& req) {
     ++stats_.requests;
     ++c.requests;
     obs::Span span("serve", "request", "op",
                    static_cast<std::int64_t>(req.op));
     ServiceResponse rsp;
+    rsp.seq = req.seq;
+    rsp.kind = ServiceResponseKind::kOk;
     switch (req.op) {
-      case ServiceOp::kPing: {
-        rsp.kind = ServiceResponseKind::kOk;
-        queue_response(c, rsp, req.seq);
-        return;
-      }
-      case ServiceOp::kStatus: {
+      case ServiceOp::kPing:
+        break;
+      case ServiceOp::kStatus:
         rsp.kind = ServiceResponseKind::kStatus;
         rsp.text = snapshot().to_json();
-        queue_response(c, rsp, req.seq);
-        return;
-      }
-      case ServiceOp::kShutdown: {
+        break;
+      case ServiceOp::kShutdown:
         stats_.shutdown_requested = true;
         stop();
-        rsp.kind = ServiceResponseKind::kOk;
-        queue_response(c, rsp, req.seq);
-        return;
-      }
+        break;
       case ServiceOp::kQuery: {
         ++stats_.queries;
         c.busy = true;
         auto task = std::make_unique<svc_detail::QueryTask>();
-        task->conn_id = c.id;
+        task->conn_id = id;
         task->seq = req.seq;
         task->query = req.query;
         {
@@ -743,73 +675,59 @@ ServiceStats Service::run() {
         return;
       }
     }
+    im.server.send(id, rsp.encode());
   };
 
-  auto handle_frame = [&](Conn& c, const std::string& payload) {
-    if (c.busy || !c.backlog.empty()) {
-      // Strictly ordered per connection; a flooding client is bounded.
-      if (c.backlog.size() >= 64) {
-        c.dead = true;
+  // Parse and dispatch frames in order until the connection is busy with
+  // a query or dropped; an unparseable request means the stream is not
+  // trusted.
+  auto drain_backlog = [&](std::uint64_t id, Conn& c) {
+    while (!c.busy && !c.backlog.empty() && im.server.open(id)) {
+      const std::string payload = std::move(c.backlog.front());
+      c.backlog.pop_front();
+      const auto req = ServiceRequest::parse(payload);
+      if (!req) {
+        ++stats_.bad_requests;
+        im.server.close(id);
         return;
       }
-      c.backlog.push_back(payload);
-      return;
+      dispatch(id, c, *req);
     }
-    const auto req = ServiceRequest::parse(payload);
-    if (!req) {
-      ++stats_.bad_requests;
-      c.dead = true;  // unparseable request: the stream is not trusted
-      return;
-    }
-    dispatch(c, *req);
   };
 
-  auto apply_event = [&](SvcEvent& ev) {
+  auto apply_event = [&](const SvcEvent& ev) {
     Conn* c = find_conn(ev.conn_id);
-    switch (ev.kind) {
-      case SvcEvent::Kind::kFrame: {
-        if (c == nullptr) return;  // peer already gone; drop the frame
-        if (ev.drop_conn) {
-          c->dead = true;
-          return;
-        }
-        queue_bytes(*c, std::move(ev.wire));
-        return;
-      }
-      case SvcEvent::Kind::kQueryDone: {
-        if (ev.config_error) ++stats_.bad_requests;
-        if (!ev.errored) {
-          const QueryStats& qs = ev.stats;
-          stats_.jobs_requested += qs.total;
-          stats_.cache_hits += qs.cached;
-          stats_.jobs_scheduled += qs.scheduled;
-          ORACLE_LOG_INFO(strfmt(
-              "query: %zu point(s), %zu cached, %zu scheduled, %zu failed, "
-              "%zu round(s), %.1f ms",
-              qs.total, qs.cached, qs.scheduled, qs.failed, qs.rounds,
-              static_cast<double>(qs.wall_us) / 1e3));
-        }
-        if (c == nullptr) return;
-        c->busy = false;
-        // The backlog drains until empty or the next query claims the
-        // connection again.
-        while (!c->busy && !c->dead && !c->backlog.empty()) {
-          const std::string payload = std::move(c->backlog.front());
-          c->backlog.pop_front();
-          const auto req = ServiceRequest::parse(payload);
-          if (!req) {
-            ++stats_.bad_requests;
-            c->dead = true;
-            break;
-          }
-          dispatch(*c, *req);
-        }
-        return;
-      }
+    if (ev.kind == SvcEvent::Kind::kFrame) {
+      if (c != nullptr) im.server.send(ev.conn_id, ev.payload);
+      return;
     }
+    if (ev.config_error) ++stats_.bad_requests;
+    if (!ev.errored) {
+      const QueryStats& qs = ev.stats;
+      stats_.jobs_requested += qs.total;
+      stats_.cache_hits += qs.cached;
+      stats_.jobs_scheduled += qs.scheduled;
+      ORACLE_LOG_INFO(strfmt(
+          "query: %zu point(s), %zu cached, %zu scheduled, %zu failed, "
+          "%zu round(s), %.1f ms",
+          qs.total, qs.cached, qs.scheduled, qs.failed, qs.rounds,
+          static_cast<double>(qs.wall_us) / 1e3));
+    }
+    if (c == nullptr) return;
+    c->busy = false;  // the query is done: release the connection
+    drain_backlog(ev.conn_id, *c);
   };
 
-  auto close_conn_trace = [&](const Conn& c) {
+  auto apply_worker_events = [&] {
+    std::deque<SvcEvent> events;
+    {
+      std::lock_guard<std::mutex> lk(im.ds.mu);
+      events.swap(im.ds.events);
+    }
+    for (const auto& ev : events) apply_event(ev);
+  };
+
+  auto close_conn_trace = [&](std::uint64_t id, const Conn& c) {
     if (!obs::Tracer::enabled()) return;
     obs::TraceEvent ev;
     ev.cat = "serve";
@@ -818,21 +736,19 @@ ServiceStats Service::run() {
     ev.ts_ns = c.trace_t0;
     ev.dur_ns = obs::Tracer::now_ns() - c.trace_t0;
     ev.arg0_name = "conn";
-    ev.arg0 = static_cast<std::int64_t>(c.id);
+    ev.arg0 = static_cast<std::int64_t>(id);
     ev.arg1_name = "requests";
     ev.arg1 = static_cast<std::int64_t>(c.requests);
     obs::Tracer::emit(ev);
   };
 
-  auto last_status = Clock::now();
+  const auto status_every = std::chrono::milliseconds(
+      std::max<std::uint32_t>(options_.status_interval_ms, 1));
+  auto next_status = Clock::now() + status_every;
   write_status();
 
   bool draining = false;
   Clock::time_point drain_deadline{};
-  const auto write_timeout =
-      std::chrono::milliseconds(std::max<std::uint32_t>(1, options_.write_timeout_ms));
-  const auto read_timeout =
-      std::chrono::milliseconds(std::max<std::uint32_t>(1, options_.read_timeout_ms));
 
   while (true) {
     const auto now = Clock::now();
@@ -843,6 +759,7 @@ ServiceStats Service::run() {
       draining = true;
       drain_deadline =
           now + std::chrono::milliseconds(options_.drain_timeout_ms);
+      im.server.stop_accepting();
       {
         std::lock_guard<std::mutex> lk(im.ds.mu);
         im.ds.draining = true;
@@ -857,131 +774,54 @@ ServiceStats Service::run() {
         engine_idle = im.ds.ready.empty() && im.ds.in_flight == 0;
         events_pending = !im.ds.events.empty();
       }
-      bool flushed = true;
-      for (const auto& c : im.conns)
-        if (!c.dead && c.out_off < c.out.size()) flushed = false;
-      if ((engine_idle && !events_pending && flushed) || now >= drain_deadline)
+      if ((engine_idle && !events_pending && im.server.flushed()) ||
+          now >= drain_deadline)
         break;
     }
 
-    if (now - last_status >=
-        std::chrono::milliseconds(
-            std::max<std::uint32_t>(options_.status_interval_ms, 1))) {
-      last_status = now;
-      write_status();
+    util::NetDeadline until = util::NetDeadline::max();
+    if (!options_.status_path.empty()) {
+      if (now >= next_status) {
+        next_status = now + status_every;
+        write_status();
+      }
+      until = next_status;
     }
+    if (draining) until = std::min(until, drain_deadline);
 
-    std::vector<pollfd> fds;
-    fds.reserve(im.conns.size() + 2);
-    fds.push_back({im.listener.fd(),
-                   static_cast<short>(draining ? 0 : POLLIN), 0});
-    fds.push_back({im.ds.wake.poll_fd(), POLLIN, 0});
-    for (const auto& c : im.conns) {
-      short events = POLLIN;
-      if (c.out_off < c.out.size()) events |= POLLOUT;
-      fds.push_back({c.sock.fd(), events, 0});
-    }
-    util::poll_retry(fds.data(), fds.size(),
-                     static_cast<int>(options_.poll_ms));
-
+    auto io = im.server.poll(until);
+    stats_.evicted = im.server.evicted();
     // Worker completions first: frames queue onto their connections and
-    // finished queries release them before new input is read.
-    if (fds[1].revents & POLLIN) im.ds.wake.drain();
-    {
-      std::deque<SvcEvent> events;
-      {
-        std::lock_guard<std::mutex> lk(im.ds.mu);
-        events.swap(im.ds.events);
-      }
-      for (auto& ev : events) apply_event(ev);
-    }
-
-    if (fds[0].revents & POLLIN) {
-      while (true) {
-        auto sock = util::accept_tcp(im.listener.fd());
-        if (!sock.valid()) break;
-        util::set_send_buffer(sock.fd(), options_.sndbuf_bytes);
-        Conn c;
-        c.sock = std::move(sock);
-        c.id = im.next_conn_id++;
-        c.trace_t0 = obs::Tracer::enabled() ? obs::Tracer::now_ns() : 0;
-        obs::instant("serve", "conn.accept", "conn",
-                     static_cast<std::int64_t>(c.id));
-        im.conns.push_back(std::move(c));
-      }
-    }
-
-    // Per-connection I/O. fds entry i+2 tracks conns[i] for the first
-    // `polled` connections (later accepts wait one tick).
-    const std::size_t polled =
-        std::min(im.conns.size(), fds.size() - 2);
-    for (std::size_t i = 0; i < polled; ++i) {
-      Conn& c = im.conns[i];
-      const short rev = fds[i + 2].revents;
-      if (c.dead) continue;
-      if (rev & (POLLERR | POLLNVAL)) {
-        c.dead = true;
-        continue;
-      }
-      if (rev & (POLLIN | POLLHUP)) {
-        std::string buf;
-        const auto r = util::read_some(c.sock.fd(), buf);
-        if (r == util::IoResult::kClosed) {
-          c.dead = true;
-          continue;
+    // finished queries release them before new input is dispatched.
+    apply_worker_events();
+    for (auto& ev : io) {
+      switch (ev.kind) {
+        case Kind::kOpened: {
+          Conn& c = im.conns[ev.conn];
+          c.trace_t0 = obs::Tracer::enabled() ? obs::Tracer::now_ns() : 0;
+          obs::instant("serve", "conn.accept", "conn",
+                       static_cast<std::int64_t>(ev.conn));
+          break;
         }
-        if (!buf.empty()) {
-          c.in.feed(buf);
-          while (true) {
-            const auto frame = c.in.next();
-            if (!frame) break;
-            handle_frame(c, *frame);
-            if (c.dead) break;
+        case Kind::kFrame: {
+          Conn* c = find_conn(ev.conn);
+          if (c == nullptr) break;
+          // Strictly ordered per connection; a flooding client is bounded.
+          if (c->backlog.size() >= 64) {
+            im.server.close(ev.conn);
+            break;
           }
-          if (c.in.corrupt()) c.dead = true;
-          if (c.dead) continue;
-          if (c.in.partial() && !c.read_stalled) {
-            c.read_stalled = true;
-            c.read_stall_since = Clock::now();
-          } else if (!c.in.partial()) {
-            c.read_stalled = false;
-          }
+          c->backlog.push_back(std::move(ev.payload));
+          drain_backlog(ev.conn, *c);
+          break;
         }
-      }
-      if (rev & POLLOUT) flush_conn(c);
-    }
-
-    // Deadline sweeps: a peer that takes none of its queued bytes, or
-    // leaves a request frame half-sent, is evicted — only that
-    // connection pays, never the daemon or its other clients.
-    const auto sweep_now = Clock::now();
-    for (auto& c : im.conns) {
-      if (c.dead) continue;
-      if (c.out_off < c.out.size() &&
-          sweep_now - c.write_stall_since > write_timeout) {
-        ++stats_.evicted;
-        ORACLE_LOG_WARN(strfmt("evicting stalled client (conn %llu): %zu "
-                               "response byte(s) unaccepted",
-                               static_cast<unsigned long long>(c.id),
-                               c.out.size() - c.out_off));
-        c.dead = true;
-        continue;
-      }
-      if (c.read_stalled && sweep_now - c.read_stall_since > read_timeout) {
-        ++stats_.evicted;
-        ORACLE_LOG_WARN(strfmt("evicting stalled client (conn %llu): "
-                               "partial request frame",
-                               static_cast<unsigned long long>(c.id)));
-        c.dead = true;
-      }
-    }
-
-    for (std::size_t i = 0; i < im.conns.size();) {
-      if (im.conns[i].dead) {
-        close_conn_trace(im.conns[i]);
-        im.conns.erase(im.conns.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
+        case Kind::kClosed: {
+          const auto it = im.conns.find(ev.conn);
+          if (it == im.conns.end()) break;
+          close_conn_trace(ev.conn, it->second);
+          im.conns.erase(it);
+          break;
+        }
       }
     }
   }
@@ -996,25 +836,16 @@ ServiceStats Service::run() {
   for (auto& w : im.workers) w.join();
   im.workers.clear();
 
-  // Settle counters from any completions that raced the drain decision
-  // (their frames have no takers; the stats still count).
-  {
-    std::deque<SvcEvent> events;
-    {
-      std::lock_guard<std::mutex> lk(im.ds.mu);
-      events.swap(im.ds.events);
-    }
-    for (auto& ev : events)
-      if (ev.kind == SvcEvent::Kind::kQueryDone) apply_event(ev);
-  }
-
-  for (auto& c : im.conns) close_conn_trace(c);
+  // Settle counters from any completions that raced the drain decision:
+  // with the connections closed their frames have no takers, but the
+  // stats still count.
+  im.server.shutdown();
+  apply_worker_events();
+  for (const auto& [id, c] : im.conns) close_conn_trace(id, c);
   im.conns.clear();
 
   write_status();
   return stats_;
 }
-
-#endif
 
 }  // namespace oracle::exp

@@ -19,24 +19,15 @@
 //   - the daemon: start()/run() serve the service_protocol frames over
 //     TCP to MANY clients at once.
 //
-// Daemon concurrency model (PR 10): one poll thread owns every socket and
-// runs per-connection non-blocking state machines — partial reads
-// accumulate in a FrameSplitter, responses queue in a per-connection
-// write buffer flushed under POLLOUT, and a peer that stalls either
-// direction past its deadline is evicted (only that connection drops;
-// see ServiceStats::evicted). ping/status/shutdown answer inline on the
-// poll thread, so they are never behind a heavy query. Query execution
-// happens on a small worker pool: each query advances in SLICES of at
-// most `job_budget` scheduled jobs, and unfinished queries go to the back
-// of a round-robin run queue — a million-point cold sweep cannot starve a
-// one-point warm hit, it merely shares. Workers never touch sockets; they
-// hand completed frames to the poll thread through a completion queue +
-// wake pipe. Store appends are serialized (the batch executor already
-// uses every core), and the StoreIndex is behind a readers-writer lock:
-// aggregation reads share, the post-commit refresh() is exclusive, so
-// concurrent queries always see a consistent snapshot. Concurrency
-// changes scheduling, never results: warm tables stay byte-identical to
-// `oracle_batch aggregate` regardless of client count.
+// Daemon concurrency model: one poll thread serves every connection
+// through util::FrameServer and answers ping/status/shutdown inline, so
+// they never wait behind a query. Queries run on a worker pool in slices
+// of at most `job_budget` jobs, round-robin, so a million-point cold
+// sweep shares the pool with a one-point warm hit instead of starving
+// it. Store appends are serialized and the StoreIndex sits behind a
+// readers-writer lock, so every query sees a consistent snapshot:
+// concurrency changes scheduling, never results (warm tables stay
+// byte-identical to `oracle_batch aggregate`).
 
 #include <atomic>
 #include <cstdint>
@@ -68,8 +59,6 @@ struct ServiceOptions {
   std::string status_path;
   std::uint32_t status_interval_ms = 500;
 
-  std::uint32_t poll_ms = 50;  ///< daemon poll tick
-
   /// Precision-target queries stop extending the seed axis after this
   /// many extra rounds even if some grid point is still wider than asked.
   std::size_t max_target_rounds = 8;
@@ -90,7 +79,7 @@ struct ServiceOptions {
   std::uint32_t write_timeout_ms = 10'000;
 
   /// A connection holding a partial request frame that sends no further
-  /// bytes for this long is evicted.
+  /// bytes for this long (measured from its last byte) is evicted.
   std::uint32_t read_timeout_ms = 10'000;
 
   /// On shutdown, how long run() keeps flushing queued response bytes to
@@ -175,9 +164,10 @@ class Service {
   /// final counters. Call start() first.
   ServiceStats run();
 
-  /// Thread-safe shutdown request: run() begins draining within one poll
-  /// tick (commands.cpp installs this as the SIGINT/SIGTERM action).
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Thread-safe and async-signal-safe shutdown request: wakes run(),
+  /// which begins draining at once (commands.cpp installs this as the
+  /// SIGINT/SIGTERM action).
+  void stop();
 
   const ServiceStats& stats() const { return stats_; }
 

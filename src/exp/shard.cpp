@@ -765,7 +765,6 @@ ShardRunReport run_sharded_processes(
     lopt.slots = slots;
     lopt.master_seed = options.master_seed;
     lopt.min_steal_jobs = options.min_steal_jobs;
-    lopt.poll_ms = options.poll_ms;
     // Keep answering `done` until stop(): every worker must hear it.
     lopt.linger_ms = std::numeric_limits<std::uint32_t>::max();
     local.service = std::make_unique<LeaseService>(lopt);

@@ -16,6 +16,7 @@
 #endif
 
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/posix_io.hpp"
 #include "util/string_util.hpp"
 
@@ -152,10 +153,30 @@ Socket& Socket::operator=(Socket&& o) noexcept {
   return *this;
 }
 
-int Socket::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
+bool FrameServer::listen(const HostPort& at) {
+  if (!wake_.valid()) return false;
+  listener_ = listen_tcp(at);
+  port_ = listener_.valid() ? local_port(listener_.fd()) : 0;
+  return listener_.valid();
+}
+
+FrameServer::Conn* FrameServer::find(std::uint64_t conn) {
+  for (auto& c : conns_)
+    if (c.id == conn && !c.dead) return &c;
+  return nullptr;
+}
+
+bool FrameServer::flushed() const {
+  return std::all_of(conns_.begin(), conns_.end(), [](const Conn& c) {
+    return c.dead || c.out_off >= c.out.size();
+  });
+}
+
+void FrameServer::reap(std::vector<Event>& events) {
+  std::erase_if(conns_, [&](const Conn& c) {
+    if (c.dead) events.push_back({Event::Kind::kClosed, c.id, {}});
+    return c.dead;
+  });
 }
 
 #if defined(_WIN32)
@@ -165,22 +186,18 @@ Socket listen_tcp(const HostPort&, int) { return Socket(); }
 std::uint16_t local_port(int) { return 0; }
 Socket connect_tcp(const HostPort&, NetDeadline) { return Socket(); }
 Socket accept_tcp(int) { return Socket(); }
-void set_send_buffer(int, int) {}
 bool send_frame(int, const std::string&, NetDeadline, std::size_t) {
   return false;
 }
 std::optional<std::string> recv_frame(int, NetDeadline, std::size_t) {
   return std::nullopt;
 }
-IoResult read_some(int, std::string&, std::size_t) { return IoResult::kClosed; }
-IoResult write_some(int, const char*, std::size_t, std::size_t* written) {
-  if (written != nullptr) *written = 0;
-  return IoResult::kClosed;
-}
 WakePipe::WakePipe() = default;
 WakePipe::~WakePipe() = default;
 void WakePipe::notify() {}
 void WakePipe::drain() {}
+std::vector<FrameServer::Event> FrameServer::poll(NetDeadline) { return {}; }
+bool FrameServer::send(std::uint64_t, const std::string&) { return false; }
 
 #else
 
@@ -203,11 +220,12 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Remaining milliseconds until `deadline`, clamped to >= 0.
+/// Remaining milliseconds until `deadline`, rounded up (a poll never
+/// wakes just short of it) and clamped to [0, 60 s].
 int ms_until(NetDeadline deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - NetClock::now())
-                        .count();
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - NetClock::now())
+          .count();
   if (left <= 0) return 0;
   if (left > 60'000) return 60'000;
   return static_cast<int>(left);
@@ -341,52 +359,6 @@ Socket accept_tcp(int listen_fd) {
   return s;
 }
 
-void set_send_buffer(int fd, int bytes) {
-  if (bytes <= 0) return;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
-}
-
-IoResult read_some(int fd, std::string& buf, std::size_t max_bytes) {
-  char chunk[16384];
-  std::size_t total = 0;
-  while (total < max_bytes) {
-    const std::size_t want = std::min(sizeof(chunk), max_bytes - total);
-    const ssize_t r = ::recv(fd, chunk, want, 0);
-    if (r > 0) {
-      buf.append(chunk, static_cast<std::size_t>(r));
-      total += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) return IoResult::kClosed;  // EOF
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return total > 0 ? IoResult::kProgress : IoResult::kWouldBlock;
-    return IoResult::kClosed;
-  }
-  return IoResult::kProgress;
-}
-
-IoResult write_some(int fd, const char* data, std::size_t len,
-                    std::size_t* written) {
-  std::size_t done = 0;
-  IoResult result = IoResult::kWouldBlock;
-  while (done < len) {
-    const ssize_t r = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
-    if (r > 0) {
-      done += static_cast<std::size_t>(r);
-      result = IoResult::kProgress;
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    result = IoResult::kClosed;
-    break;
-  }
-  if (done == len && len > 0) result = IoResult::kProgress;
-  if (written != nullptr) *written = done;
-  return result;
-}
-
 WakePipe::WakePipe() {
   int fds[2];
   if (::pipe(fds) != 0) return;
@@ -416,22 +388,147 @@ void WakePipe::drain() {
   }
 }
 
+std::vector<FrameServer::Event> FrameServer::poll(NetDeadline until) {
+  std::vector<Event> events;
+  reap(events);  // connections close()d since the last pass
+  for (const auto& c : conns_) {
+    if (c.out_off < c.out.size())
+      until = std::min(until, c.last_write + limits_.write_timeout);
+    if (c.in.partial())
+      until = std::min(until, c.last_read + limits_.read_timeout);
+  }
+
+  std::vector<pollfd> fds;
+  fds.reserve(conns_.size() + 2);
+  fds.push_back({wake_.poll_fd(), POLLIN, 0});
+  fds.push_back({listener_.fd(), POLLIN, 0});  // -1 once stop_accepting()
+  for (const auto& c : conns_) {
+    const bool pending = c.out_off < c.out.size();
+    fds.push_back({c.sock.fd(),
+                   static_cast<short>(POLLIN | (pending ? POLLOUT : 0)), 0});
+  }
+  poll_retry(fds.data(), fds.size(), events.empty() ? ms_until(until) : 0);
+  if (fds[0].revents & POLLIN) wake_.drain();
+
+  const auto now = NetClock::now();
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    Conn& c = conns_[i];
+    const short rev = fds[i + 2].revents;
+    if (rev & (POLLERR | POLLNVAL)) {
+      c.dead = true;
+      continue;
+    }
+    if (rev & (POLLIN | POLLHUP)) read(c, now, events);
+    if (!c.dead && (rev & POLLOUT)) flush(c);
+  }
+  if (fds[1].revents & POLLIN) accept_all(now, events);
+  evict(NetClock::now());
+  reap(events);
+  return events;
+}
+
+bool FrameServer::send(std::uint64_t conn, const std::string& payload) {
+  Conn* c = find(conn);
+  if (c == nullptr) return false;
+  std::string wire = frame_bytes(payload, limits_.max_frame_bytes);
+  if (wire.empty()) {
+    c->dead = true;
+    return false;
+  }
+  if (c->out_off >= c->out.size()) c->last_write = NetClock::now();
+  c->out += wire;
+  flush(*c);
+  return !c->dead;
+}
+
+void FrameServer::read(Conn& c, NetClock::time_point now,
+                       std::vector<Event>& events) {
+  // Up to 64 KiB per pass, so one fast sender cannot monopolise the loop.
+  char chunk[16384];
+  bool got = false;
+  for (int i = 0; i < 4;) {
+    const ssize_t r = ::recv(c.sock.fd(), chunk, sizeof(chunk), 0);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (r <= 0) {  // EOF or a hard socket error
+      c.dead = true;
+      return;
+    }
+    c.in.feed(chunk, static_cast<std::size_t>(r));
+    got = true;
+    ++i;
+  }
+  if (!got) return;
+  c.last_read = now;
+  while (auto frame = c.in.next())
+    events.push_back({Event::Kind::kFrame, c.id, std::move(*frame)});
+  if (c.in.corrupt()) c.dead = true;
+}
+
+void FrameServer::flush(Conn& c) {
+  while (c.out_off < c.out.size()) {
+    const ssize_t r = ::send(c.sock.fd(), c.out.data() + c.out_off,
+                             c.out.size() - c.out_off, MSG_NOSIGNAL);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (r <= 0) {
+      c.dead = true;
+      return;
+    }
+    c.out_off += static_cast<std::size_t>(r);
+    c.last_write = NetClock::now();
+  }
+  if (c.out_off >= c.out.size()) {
+    c.out.clear();
+    c.out_off = 0;
+  } else if (c.out_off > (1u << 20)) {
+    c.out.erase(0, c.out_off);
+    c.out_off = 0;
+  }
+}
+
+void FrameServer::accept_all(NetClock::time_point now,
+                             std::vector<Event>& events) {
+  while (true) {
+    Socket sock = accept_tcp(listener_.fd());
+    if (!sock.valid()) return;
+    // Bounds what a stalled peer can sink into the kernel before the
+    // write queue and its eviction deadline take over.
+    if (limits_.sndbuf_bytes > 0)
+      ::setsockopt(sock.fd(), SOL_SOCKET, SO_SNDBUF, &limits_.sndbuf_bytes,
+                   sizeof(limits_.sndbuf_bytes));
+    Conn& c = conns_.emplace_back();
+    c.sock = std::move(sock);
+    c.id = next_id_++;
+    c.in = FrameSplitter(limits_.max_frame_bytes);
+    c.last_read = now;
+    events.push_back({Event::Kind::kOpened, c.id, {}});
+  }
+}
+
+void FrameServer::evict(NetClock::time_point now) {
+  for (auto& c : conns_) {
+    const bool write_stall = c.out_off < c.out.size() &&
+                             now - c.last_write >= limits_.write_timeout;
+    const bool read_stall =
+        c.in.partial() && now - c.last_read >= limits_.read_timeout;
+    if (c.dead || !(write_stall || read_stall)) continue;
+    ++evicted_;
+    c.dead = true;
+    ORACLE_LOG_WARN(strfmt("evicting stalled client (conn %llu): %s",
+                           static_cast<unsigned long long>(c.id),
+                           write_stall ? "reply bytes unaccepted"
+                                       : "partial request frame"));
+  }
+}
+
 bool send_frame(int fd, const std::string& payload, NetDeadline deadline,
                 std::size_t max_bytes) {
-  if (payload.size() > max_bytes) return false;
-  unsigned char hdr[4];
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  hdr[0] = static_cast<unsigned char>(n & 0xff);
-  hdr[1] = static_cast<unsigned char>((n >> 8) & 0xff);
-  hdr[2] = static_cast<unsigned char>((n >> 16) & 0xff);
-  hdr[3] = static_cast<unsigned char>((n >> 24) & 0xff);
   // Header and payload in one buffer: a single send() usually covers both,
   // and a peer can never observe a header-only partial frame from us.
-  std::string buf;
-  buf.reserve(4 + payload.size());
-  buf.append(reinterpret_cast<const char*>(hdr), 4);
-  buf.append(payload);
-  return write_all_deadline(fd, buf.data(), buf.size(), deadline);
+  const std::string buf = frame_bytes(payload, max_bytes);
+  return !buf.empty() &&
+         write_all_deadline(fd, buf.data(), buf.size(), deadline);
 }
 
 std::optional<std::string> recv_frame(int fd, NetDeadline deadline,

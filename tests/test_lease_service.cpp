@@ -136,7 +136,6 @@ exp::LeaseServiceOptions service_options(const std::string& journal,
   opt.jobs = fault_sweep().size();
   opt.slots = slots;
   opt.journal_path = journal;
-  opt.poll_ms = 5;
   opt.linger_ms = 60'000;  // in-process tests stop() explicitly
   return opt;
 }
@@ -721,6 +720,64 @@ TEST(LeaseService, StatusReportsEachSlotsLeaseAndFrontier) {
   srv.stop();
 }
 
+TEST(LeaseService, PartialFramePeersDoNotDelayOtherClients) {
+  // Eight peers each park one byte of a length prefix before a client
+  // asks for status. The service answers every request inline on one
+  // poll loop, so a blocking per-peer frame read would answer only after
+  // each stalled peer's deadline; the status must come back at once and
+  // every stalled peer must be evicted.
+  ServerThread srv(service_options("", 2));
+  const util::HostPort at{"127.0.0.1", srv.port()};
+  const auto deadline = util::NetClock::now() + std::chrono::seconds(5);
+  std::vector<util::Socket> peers;
+  for (int i = 0; i < 8; ++i) {
+    peers.push_back(util::connect_tcp(at, deadline));
+    ASSERT_TRUE(peers.back().valid());
+    const char byte = 0x10;
+    ASSERT_EQ(::send(peers.back().fd(), &byte, 1, MSG_NOSIGNAL), 1);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  exp::LeaseRequest req;
+  req.seq = 1;
+  req.op = exp::LeaseOp::kStatus;
+  const auto t0 = std::chrono::steady_clock::now();
+  util::Socket client = util::connect_tcp(at, deadline);
+  ASSERT_TRUE(client.valid());
+  ASSERT_TRUE(util::send_frame(client.fd(), req.encode(), deadline));
+  const auto frame = util::recv_frame(client.fd(), deadline);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(frame.has_value());
+  const auto rsp = exp::LeaseResponse::parse(*frame);
+  ASSERT_TRUE(rsp.has_value());
+  EXPECT_EQ(rsp->kind, exp::LeaseResponseKind::kStatus);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
+      << "status took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms behind 8 half-sent frames";
+
+  for (auto& peer : peers) {
+    pollfd p{peer.fd(), POLLIN, 0};
+    ASSERT_EQ(util::poll_retry(&p, 1, 5'000), 1) << "peer was not evicted";
+    char b = 0;
+    EXPECT_EQ(::recv(peer.fd(), &b, 1, 0), 0) << "expected EOF";
+  }
+  // The evictions show in the status reply as well as the final stats.
+  req.seq = 2;
+  ASSERT_TRUE(util::send_frame(client.fd(), req.encode(), deadline));
+  const auto later = util::recv_frame(client.fd(), deadline);
+  ASSERT_TRUE(later.has_value());
+  const auto later_rsp = exp::LeaseResponse::parse(*later);
+  ASSERT_TRUE(later_rsp.has_value());
+  const auto snapshot = obs::StatusSnapshot::parse(later_rsp->text);
+  ASSERT_TRUE(snapshot.has_value()) << later_rsp->text;
+  EXPECT_EQ(snapshot->evicted, 8u);
+
+  srv.stop();
+  EXPECT_EQ(srv.stats.evicted, 8u);
+}
+
 // ---------------------------------------------------- distributed runs --
 
 TEST(DistributedLease, CleanSweepConvergesToSerialBytes) {
@@ -1136,7 +1193,6 @@ int lease_server_main(int argc, char** argv) {
   opt.jobs = fault_sweep().size();
   opt.slots = slots;
   opt.journal_path = journal;
-  opt.poll_ms = 10;
   opt.linger_ms = linger_ms;
   try {
     exp::LeaseService svc(opt);

@@ -709,7 +709,6 @@ TEST(ServiceDaemon, ConcurrentWarmAndColdQueriesStayByteIdentical) {
 
   exp::ServiceOptions opt;
   opt.store = store;
-  opt.poll_ms = 10;
   ServiceThread daemon(opt);
   ASSERT_GT(daemon.svc.port(), 0);
 
@@ -797,7 +796,6 @@ TEST(ServiceDaemon, StalledClientIsEvictedWithoutBlockingOthers) {
 
   exp::ServiceOptions opt;
   opt.store = store;
-  opt.poll_ms = 10;
   opt.write_timeout_ms = 300;
   opt.sndbuf_bytes = 8192;  // bound the kernel's share of the stall
   ServiceThread daemon(opt);
@@ -851,6 +849,43 @@ TEST(ServiceDaemon, StalledClientIsEvictedWithoutBlockingOthers) {
   EXPECT_EQ(daemon.stats.evicted, 1u);
 }
 
+TEST(ServiceDaemon, SteadilyArrivingRequestIsNotEvicted) {
+  // read_timeout_ms bounds a peer's silence, not a frame's transit time:
+  // a 13-byte ping sent in four chunks 200 ms apart (600 ms in all) is
+  // answered under a 300 ms read timeout, and nobody is evicted.
+  const auto store = temp_path("trickle.jsonl");
+  prebuild_store(small_sweep(), store);
+  exp::ServiceOptions opt;
+  opt.store = store;
+  opt.read_timeout_ms = 300;
+  ServiceThread daemon(opt);
+  ASSERT_GT(daemon.svc.port(), 0);
+
+  auto conn = connect_to(daemon.svc.port());
+  ServiceRequest ping;
+  ping.seq = 9;
+  ping.op = ServiceOp::kPing;
+  const std::string wire = util::frame_bytes(ping.encode());
+  ASSERT_EQ(wire.size(), 13u);
+  for (std::size_t off = 0; off < wire.size(); off += 4) {
+    if (off > 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const std::string chunk = wire.substr(off, 4);
+    ASSERT_EQ(::send(conn.fd(), chunk.data(), chunk.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(chunk.size()));
+  }
+  const auto payload =
+      util::recv_frame(conn.fd(), in_1s(), exp::kServiceMaxFrameBytes);
+  ASSERT_TRUE(payload.has_value()) << "the trickled ping was not answered";
+  const auto rsp = ServiceResponse::parse(*payload);
+  ASSERT_TRUE(rsp.has_value());
+  EXPECT_EQ(rsp->kind, ServiceResponseKind::kOk);
+  EXPECT_EQ(rsp->seq, 9u);
+
+  daemon.svc.stop();
+  daemon.join();
+  EXPECT_EQ(daemon.stats.evicted, 0u);
+}
+
 TEST(ServiceDaemon, StopMidQueryEndsTheStreamCleanly) {
   // SIGTERM while a query is in flight (commands.cpp routes the signal to
   // Service::stop()) must leave the client with a parseable stream ending
@@ -861,7 +896,6 @@ TEST(ServiceDaemon, StopMidQueryEndsTheStreamCleanly) {
 
   exp::ServiceOptions opt;
   opt.store = store;
-  opt.poll_ms = 10;
   opt.job_budget = 1;  // many short slices: stop lands mid-query
   ServiceThread daemon(opt);
   ASSERT_GT(daemon.svc.port(), 0);

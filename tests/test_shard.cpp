@@ -759,7 +759,6 @@ struct LocalLeaseService {
     exp::LeaseServiceOptions opt;
     opt.jobs = jobs;
     opt.slots = slots;
-    opt.poll_ms = 5;
     opt.linger_ms = 60'000;  // answer `done` until finish()
     return opt;
   }
