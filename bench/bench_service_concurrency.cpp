@@ -10,12 +10,14 @@
 // simulations): the bench measures the daemon, not the engine.
 //
 // Output: one JSON object (CI saves it as BENCH_service.json and asserts
-// speedup >= 2 on runners with >= 4 cores). `tables_identical` asserts
+// speedup >= 2 on runners with >= 4 cores), with each phase's per-query
+// wall latency percentiles (p50/p99 in ms). `tables_identical` asserts
 // the concurrency contract — every response byte-identical to a direct
 // aggregation — so a throughput win can never come from a wrong answer.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -98,8 +100,20 @@ std::string wire_query(int fd, const core::SweepSpec& spec,
 
 struct PhaseResult {
   double qps = 0.0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
   bool tables_identical = true;
 };
+
+/// The sample p% of the way through `v` (rounded rank; sorts `v` in
+/// place); 0 when empty.
+double percentile(std::vector<double>& v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(
+      p / 100.0 * static_cast<double>(v.size() - 1) + 0.5);
+  return v[std::min(rank, v.size() - 1)];
+}
 
 PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
                       std::size_t query_threads,
@@ -114,6 +128,7 @@ PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
 
   PhaseResult out;
   std::vector<char> client_ok(kClients, 1);
+  std::vector<std::vector<double>> latency_ms(kClients);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -124,8 +139,12 @@ PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
         return;
       }
       for (std::size_t q = 0; q < kQueriesPerClient; ++q) {
+        const auto sent = std::chrono::steady_clock::now();
         const auto table =
             wire_query(sock.fd(), spec, c * kQueriesPerClient + q + 1);
+        latency_ms[c].push_back(std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - sent)
+                                    .count());
         if (table != reference) {
           client_ok[c] = 0;
           return;
@@ -143,6 +162,10 @@ PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
 
   for (const char ok : client_ok)
     if (!ok) out.tables_identical = false;
+  std::vector<double> all;
+  for (const auto& v : latency_ms) all.insert(all.end(), v.begin(), v.end());
+  out.p50_ms = percentile(all, 50);
+  out.p99_ms = percentile(all, 99);
   out.qps = secs > 0
                 ? static_cast<double>(kClients * kQueriesPerClient) / secs
                 : 0.0;
@@ -173,8 +196,11 @@ int main() {
   std::printf(
       "{\"bench\":\"service_concurrency\",\"cpus\":%u,\"clients\":%zu,"
       "\"queries_per_client\":%zu,\"serial_qps\":%.1f,"
-      "\"concurrent_qps\":%.1f,\"speedup\":%.3f,\"tables_identical\":%s}\n",
+      "\"concurrent_qps\":%.1f,\"speedup\":%.3f,\"serial_p50_ms\":%.3f,"
+      "\"serial_p99_ms\":%.3f,\"concurrent_p50_ms\":%.3f,"
+      "\"concurrent_p99_ms\":%.3f,\"tables_identical\":%s}\n",
       cpus, kClients, kQueriesPerClient, serial.qps, concurrent.qps, speedup,
+      serial.p50_ms, serial.p99_ms, concurrent.p50_ms, concurrent.p99_ms,
       serial.tables_identical && concurrent.tables_identical ? "true"
                                                              : "false");
   return serial.tables_identical && concurrent.tables_identical ? 0 : 1;

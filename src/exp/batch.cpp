@@ -15,9 +15,7 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
   if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
   if (options.shard_count > 1)
     queue.retain_shard(options.shard_index, options.shard_count);
-  if (options.lease_end != BatchOptions::kNoLease)
-    queue.retain_range(options.lease_begin, options.lease_end);
-  // From here on "the sweep" means this shard's/lease's slice of it.
+  // From here on "the sweep" means this shard's slice of it.
   const std::size_t planned = queue.size();
 
   std::size_t skipped = 0;
@@ -32,6 +30,13 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
     skipped = queue.skip_completed(done);
   }
 
+  BatchOutcome outcome = run_batch(queue, options);
+  outcome.report.total_jobs = planned;
+  outcome.report.skipped = skipped;
+  return outcome;
+}
+
+BatchOutcome run_batch(JobQueue& queue, const BatchOptions& options) {
   TeeSink tee;
   std::unique_ptr<JsonlSink> jsonl_file;
   std::unique_ptr<JsonlSink> jsonl_stream;
@@ -66,8 +71,6 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
   Executor executor(options.exec);
   BatchOutcome outcome;
   outcome.report = executor.run(queue, tee);
-  outcome.report.total_jobs = planned;
-  outcome.report.skipped = skipped;
   if (options.collect) outcome.results = memory.results();
   return outcome;
 }

@@ -12,6 +12,7 @@
 
 #include "core/config.hpp"
 #include "exp/executor.hpp"
+#include "exp/job_queue.hpp"
 
 namespace oracle::exp {
 
@@ -43,13 +44,6 @@ struct BatchOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  /// Lease slice: run only the jobs with sweep index in
-  /// [lease_begin, lease_end) (JobQueue::retain_range). lease_end at its
-  /// default (npos) disables lease slicing.
-  static constexpr std::size_t kNoLease = ~std::size_t{0};
-  std::size_t lease_begin = 0;
-  std::size_t lease_end = kNoLease;
-
   /// When nonzero, re-seed each job with Rng::derive_seed(master_seed, i)
   /// — independent reproducible streams without enumerating seeds by hand.
   std::uint64_t master_seed = 0;
@@ -67,9 +61,21 @@ struct BatchOutcome {
   std::vector<stats::RunResult> results;  ///< only when collect = true
 };
 
-/// Execute every config as one batch. Throws SimulationError on store I/O
-/// failure; individual simulation failures land in outcome.report instead.
+/// Execute every config as one batch: build the JobQueue, apply
+/// master_seed, the shard slice and (with resume) the store scan that
+/// skips completed jobs, then run the queue overload below.
+/// Throws SimulationError on store I/O failure; individual simulation
+/// failures land in outcome.report instead.
 BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
                        const BatchOptions& options = {});
+
+/// Execute exactly the jobs left in `queue`, which the caller has already
+/// sliced and filtered (the service keeps a job-index window with
+/// JobQueue::retain_range and drops the jobs its StoreIndex holds). Uses
+/// the sink, executor and collect options; `resume` only opens the stores
+/// in append mode — nothing is scanned. master_seed, the shard slice and
+/// extra_resume_stores are the caller's business here. The report's
+/// total_jobs is the queue size and skipped is 0.
+BatchOutcome run_batch(JobQueue& queue, const BatchOptions& options);
 
 }  // namespace oracle::exp

@@ -43,7 +43,7 @@ std::string hash_hex(std::uint64_t hash) {
   return std::string(buf, 16);
 }
 
-bool parse_hash_hex(const std::string& hex, std::uint64_t& out) {
+bool parse_hash_hex(std::string_view hex, std::uint64_t& out) {
   if (hex.size() != 16) return false;
   std::uint64_t v = 0;
   for (const char ch : hex) {

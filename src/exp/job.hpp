@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/config.hpp"
 
@@ -39,6 +40,6 @@ std::uint64_t job_content_hash(const core::ExperimentConfig& config);
 std::string hash_hex(std::uint64_t hash);
 
 /// Inverse of hash_hex; returns false on malformed input.
-bool parse_hash_hex(const std::string& hex, std::uint64_t& out);
+bool parse_hash_hex(std::string_view hex, std::uint64_t& out);
 
 }  // namespace oracle::exp

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "stats/csv.hpp"
 #include "util/error.hpp"
@@ -63,85 +65,130 @@ bool has_partial_last_line(const std::string& path) {
 
 namespace {
 
-// --- minimal JSONL field extraction (we only parse records we wrote) -----
+// --- one-pass JSONL record parsing (we only parse records we wrote) ------
 
-/// Find the raw value substring following `"key":`; npos-pair on absence.
-bool find_value(const std::string& line, const char* key, std::size_t& begin,
-                std::size_t& end) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  begin = at + needle.size();
-  if (begin >= line.size()) return false;
-  if (line[begin] == '"') {
-    // String value: scan to the closing unescaped quote.
-    std::size_t i = begin + 1;
-    while (i < line.size() && (line[i] != '"' || line[i - 1] == '\\')) ++i;
-    if (i >= line.size()) return false;
-    end = i + 1;
-  } else {
-    std::size_t i = begin;
-    while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-    if (i >= line.size()) return false;
-    end = i;
+/// One past the closing quote of the JSON string that opens at s[open];
+/// npos when it is unterminated. The character after a backslash is
+/// skipped, so `\"` stays inside the string and `\\"` closes it.
+std::size_t string_end(std::string_view s, std::size_t open) {
+  for (std::size_t i = open + 1; i < s.size(); ++i) {
+    if (s[i] == '\\') {
+      ++i;
+    } else if (s[i] == '"') {
+      return i + 1;
+    }
   }
-  return true;
+  return std::string_view::npos;
 }
 
-bool get_string(const std::string& line, const char* key, std::string& out) {
-  std::size_t b = 0, e = 0;
-  if (!find_value(line, key, b, e)) return false;
-  if (line[b] != '"' || e - b < 2) return false;
-  const std::string raw = line.substr(b + 1, e - b - 2);
+/// A number that spans the whole value: no '+', space or suffix.
+template <typename T>
+bool to_number(std::string_view v, T& out) {
+  const char* end = v.data() + v.size();
+  const auto [p, ec] = std::from_chars(v.data(), end, out);
+  return ec == std::errc() && p == end;
+}
+
+/// A quoted value with its escapes (jsonl_record's json_escape) undone.
+bool to_string(std::string_view v, std::string& out) {
+  if (v.size() < 2 || v.front() != '"' || v.back() != '"') return false;
+  v = v.substr(1, v.size() - 2);
   out.clear();
-  out.reserve(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] == '\\' && i + 1 < raw.size()) {
-      const char c = raw[++i];
-      switch (c) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        default: out += c;
+  out.reserve(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != '\\') {
+      out += v[i];
+      continue;
+    }
+    if (++i == v.size()) return false;
+    switch (v[i]) {
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'u': {
+        // json_escape writes \u00XX for the remaining control bytes.
+        unsigned code = 0;
+        const auto hex = v.substr(i + 1, 4);
+        const auto [p, ec] =
+            std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+        if (hex.size() != 4 || ec != std::errc() ||
+            p != hex.data() + hex.size() || code > 0xff)
+          return false;
+        out += static_cast<char>(code);
+        i += 4;
+        break;
       }
-    } else {
-      out += raw[i];
+      default: out += v[i];
     }
   }
   return true;
 }
 
-bool get_u64(const std::string& line, const char* key, std::uint64_t& out) {
-  std::size_t b = 0, e = 0;
-  if (!find_value(line, key, b, e)) return false;
-  errno = 0;
-  char* endp = nullptr;
-  const auto v = std::strtoull(line.c_str() + b, &endp, 10);
-  if (errno != 0 || endp != line.c_str() + e) return false;
-  out = v;
-  return true;
+/// Setters for the record fields, one per value kind.
+bool job_field(std::string_view v, JsonlRecord& r) {
+  return to_number(v, r.job_index);
 }
 
-bool get_i64(const std::string& line, const char* key, std::int64_t& out) {
-  std::size_t b = 0, e = 0;
-  if (!find_value(line, key, b, e)) return false;
-  errno = 0;
-  char* endp = nullptr;
-  const auto v = std::strtoll(line.c_str() + b, &endp, 10);
-  if (errno != 0 || endp != line.c_str() + e) return false;
-  out = v;
-  return true;
+bool hash_field(std::string_view v, JsonlRecord& r) {
+  return v.size() == 18 && v.front() == '"' && v.back() == '"' &&
+         parse_hash_hex(v.substr(1, 16), r.content_hash);
 }
 
-bool get_double(const std::string& line, const char* key, double& out) {
-  std::size_t b = 0, e = 0;
-  if (!find_value(line, key, b, e)) return false;
-  errno = 0;
-  char* endp = nullptr;
-  const double v = std::strtod(line.c_str() + b, &endp);
-  if (errno != 0 || endp != line.c_str() + e) return false;
-  out = v;
-  return true;
+template <auto Member>
+bool number_field(std::string_view v, JsonlRecord& r) {
+  return to_number(v, r.result.*Member);
+}
+
+template <auto Member>
+bool string_field(std::string_view v, JsonlRecord& r) {
+  return to_string(v, r.result.*Member);
+}
+
+/// The 22 fields of a record, in the order jsonl_record writes them.
+struct Field {
+  std::string_view key;
+  bool (*set)(std::string_view value, JsonlRecord& rec);
+};
+
+using stats::RunResult;
+constexpr Field kFields[] = {
+    {"job", job_field},
+    {"hash", hash_field},
+    {"topology", string_field<&RunResult::topology>},
+    {"strategy", string_field<&RunResult::strategy>},
+    {"workload", string_field<&RunResult::workload>},
+    {"num_pes", number_field<&RunResult::num_pes>},
+    {"seed", number_field<&RunResult::seed>},
+    {"completion_time", number_field<&RunResult::completion_time>},
+    {"goals_executed", number_field<&RunResult::goals_executed>},
+    {"total_work", number_field<&RunResult::total_work>},
+    {"critical_path", number_field<&RunResult::critical_path>},
+    {"avg_utilization", number_field<&RunResult::avg_utilization>},
+    {"speedup", number_field<&RunResult::speedup>},
+    {"utilization_cv", number_field<&RunResult::utilization_cv>},
+    {"max_min_utilization_gap",
+     number_field<&RunResult::max_min_utilization_gap>},
+    {"avg_goal_distance", number_field<&RunResult::avg_goal_distance>},
+    {"goal_transmissions", number_field<&RunResult::goal_transmissions>},
+    {"response_transmissions",
+     number_field<&RunResult::response_transmissions>},
+    {"control_transmissions", number_field<&RunResult::control_transmissions>},
+    {"avg_channel_utilization",
+     number_field<&RunResult::avg_channel_utilization>},
+    {"max_channel_utilization",
+     number_field<&RunResult::max_channel_utilization>},
+    {"events_executed", number_field<&RunResult::events_executed>},
+};
+constexpr std::size_t kNumFields = std::size(kFields);
+static_assert(kNumFields < 32, "the seen-field mask is 32 bits");
+
+/// Index of `key` in kFields, trying `hint` (the writer's next field)
+/// first; kNumFields for a key the record does not define.
+std::size_t field_index(std::string_view key, std::size_t hint) {
+  if (hint < kNumFields && kFields[hint].key == key) return hint;
+  for (std::size_t f = 0; f < kNumFields; ++f)
+    if (kFields[f].key == key) return f;
+  return kNumFields;
 }
 
 }  // namespace
@@ -176,40 +223,46 @@ std::string jsonl_record(const ExperimentJob& job, const stats::RunResult& r) {
   return os.str();
 }
 
-std::optional<JsonlRecord> parse_jsonl_record(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}')
+std::optional<JsonlRecord> parse_jsonl_record(std::string_view line) {
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}')
     return std::nullopt;
+  // Walk the "key":value pairs between the braces once. A string value
+  // ends at its closing quote; any other value at the next comma.
+  const std::string_view body = line.substr(1, line.size() - 2);
   JsonlRecord rec;
-  std::string hash_str;
-  if (!get_u64(line, "job", rec.job_index)) return std::nullopt;
-  if (!get_string(line, "hash", hash_str) ||
-      !parse_hash_hex(hash_str, rec.content_hash))
-    return std::nullopt;
-  auto& r = rec.result;
-  std::uint64_t num_pes = 0;
-  if (!get_string(line, "topology", r.topology) ||
-      !get_string(line, "strategy", r.strategy) ||
-      !get_string(line, "workload", r.workload) ||
-      !get_u64(line, "num_pes", num_pes) || !get_u64(line, "seed", r.seed) ||
-      !get_i64(line, "completion_time", r.completion_time) ||
-      !get_u64(line, "goals_executed", r.goals_executed) ||
-      !get_i64(line, "total_work", r.total_work) ||
-      !get_i64(line, "critical_path", r.critical_path) ||
-      !get_double(line, "avg_utilization", r.avg_utilization) ||
-      !get_double(line, "speedup", r.speedup) ||
-      !get_double(line, "utilization_cv", r.utilization_cv) ||
-      !get_double(line, "max_min_utilization_gap", r.max_min_utilization_gap) ||
-      !get_double(line, "avg_goal_distance", r.avg_goal_distance) ||
-      !get_u64(line, "goal_transmissions", r.goal_transmissions) ||
-      !get_u64(line, "response_transmissions", r.response_transmissions) ||
-      !get_u64(line, "control_transmissions", r.control_transmissions) ||
-      !get_double(line, "avg_channel_utilization",
-                  r.avg_channel_utilization) ||
-      !get_double(line, "max_channel_utilization",
-                  r.max_channel_utilization) ||
-      !get_u64(line, "events_executed", r.events_executed))
-    return std::nullopt;
-  r.num_pes = static_cast<std::uint32_t>(num_pes);
+  std::uint32_t seen = 0;  ///< bit f: kFields[f] already parsed
+  std::size_t next = 0;    ///< the field the writer emits next
+  std::size_t pos = 0;
+  while (true) {
+    if (pos >= body.size() || body[pos] != '"') return std::nullopt;
+    const std::size_t key_end = string_end(body, pos);
+    if (key_end >= body.size() || body[key_end] != ':') return std::nullopt;
+    const std::string_view key = body.substr(pos + 1, key_end - pos - 2);
+
+    const std::size_t value_begin = key_end + 1;
+    std::size_t value_end = body.size();
+    if (value_begin < body.size() && body[value_begin] == '"') {
+      value_end = string_end(body, value_begin);
+      if (value_end == std::string_view::npos) return std::nullopt;
+    } else {
+      value_end = std::min(body.find(',', value_begin), body.size());
+    }
+
+    // The first occurrence of a key wins; unknown keys are ignored.
+    const std::size_t f = field_index(key, next);
+    if (f < kNumFields && (seen & (1u << f)) == 0) {
+      if (!kFields[f].set(body.substr(value_begin, value_end - value_begin),
+                          rec))
+        return std::nullopt;
+      seen |= 1u << f;
+      next = f + 1;
+    }
+
+    if (value_end == body.size()) break;
+    if (body[value_end] != ',') return std::nullopt;
+    pos = value_end + 1;
+  }
+  if (seen != (1u << kNumFields) - 1) return std::nullopt;
   return rec;
 }
 

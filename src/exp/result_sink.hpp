@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -54,9 +55,17 @@ struct JsonlRecord {
   stats::RunResult result;
 };
 
-/// Parse one JSONL line; std::nullopt on malformed/truncated input (a
-/// killed run's final partial line must not poison a resume).
-std::optional<JsonlRecord> parse_jsonl_record(const std::string& line);
+/// Parse one JSONL line in a single pass over its "key":value pairs;
+/// std::nullopt on malformed/truncated input (a killed run's final partial
+/// line must not poison a resume). The contract:
+///   - the line starts with '{' and ends with '}';
+///   - all 22 fields jsonl_record writes are present, and each value is
+///     consumed exactly (no '+', space or suffix around a number; a
+///     string's escapes decode as json_escape wrote them);
+///   - the first occurrence of a key wins; unknown keys are ignored;
+///   - values are strings or scalars: a string ends at its first
+///     unescaped quote, any other value at the next comma.
+std::optional<JsonlRecord> parse_jsonl_record(std::string_view line);
 
 /// Scan an existing JSONL file and collect the content hashes of completed
 /// jobs. Missing file ⇒ empty set; corrupt lines are skipped.

@@ -12,6 +12,7 @@
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "exp/aggregate.hpp"
@@ -41,9 +42,10 @@ constexpr std::size_t kUnbudgeted = std::numeric_limits<std::size_t>::max();
 ///
 /// Every step touches the StoreIndex under the readers-writer lock
 /// (shared for lookups/aggregation, exclusive for the post-commit
-/// refresh) and serializes store appends behind the store mutex — the
-/// batch executor already uses every core, so one append-batch at a time
-/// is the fast configuration, not a compromise.
+/// refresh) and serializes store appends behind the store mutex, which
+/// also covers the index skip before the append and the refresh after it
+/// — the batch executor already uses every core, so one append-batch at a
+/// time is the fast configuration, not a compromise.
 class QueryRun {
  public:
   QueryRun(StoreIndex& index, std::shared_mutex& index_mu,
@@ -169,34 +171,49 @@ bool QueryRun::run_chunk(ServiceSink& sink, std::size_t budget) {
     return false;
   }
 
-  // Schedule only the missing jobs: a resume-mode batch run into the
-  // canonical store skips every hash the store already holds and appends
-  // the rest in job order (ordered commit keeps the store deterministic;
-  // the extra stores contribute their hashes too).
+  // Schedule only the missing jobs: the slice keeps the job-index window
+  // [first_missing, end) of the full sweep (so job numbering, master-seed
+  // derivation and store append order match an unchunked run) and drops
+  // every hash the index holds. The store lock spans that skip, the run
+  // and the refresh, so the next slice — this query's or a concurrent
+  // one's — decides what is missing from an index that already holds
+  // these records: no hash is appended twice, and no store is rescanned.
+  JobQueue slice(spec_.build());
+  if (spec_.master_seed != 0) slice.derive_seeds(spec_.master_seed);
+  slice.retain_range(first_missing, end);
   BatchOptions opt;
   opt.exec.workers = options_.exec_threads;
   opt.exec.progress = false;
   opt.jsonl_path = options_.store;
-  opt.resume = true;
-  opt.extra_resume_stores = options_.extra_stores;
-  opt.master_seed = spec_.master_seed;
+  opt.resume = true;  // append to the canonical store
   opt.collect = false;
-  opt.lease_begin = first_missing;
-  opt.lease_end = end;
   BatchOutcome outcome;
   {
     std::lock_guard<std::mutex> lk(store_mu_);
-    outcome = run_batch(spec_.build(), opt);
+    {
+      std::unordered_set<std::uint64_t> held;
+      std::shared_lock<std::shared_mutex> ilk(index_mu_);
+      for (const auto& job : slice.jobs())
+        if (index_.contains(job.content_hash)) held.insert(job.content_hash);
+      slice.skip_completed(held);
+    }
+    const auto refresh = [&] {
+      std::unique_lock<std::shared_mutex> ilk(index_mu_);
+      index_.refresh();
+    };
+    try {
+      outcome = run_batch(slice, opt);
+    } catch (...) {
+      refresh();  // index the groups that committed before a store error
+      throw;
+    }
+    refresh();
   }
   st_.scheduled += outcome.report.executed + outcome.report.failed;
   st_.failed += outcome.report.failed;
   round_done_ += outcome.report.executed;
   for (const auto& err : outcome.report.errors)
     ORACLE_LOG_ERROR("query job failed: " + err);
-  {
-    std::unique_lock<std::shared_mutex> lk(index_mu_);
-    index_.refresh();
-  }
   cursor_ = end;
   sink.on_progress(st_.total, st_.cached, st_.scheduled,
                    round_cached_ + round_done_);

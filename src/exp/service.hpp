@@ -3,15 +3,16 @@
 // content-hash result stores. A query names a sweep (grid spec + seeds +
 // optional precision target); the service answers every (config, seed)
 // point already present in its StoreIndex straight from disk, schedules
-// ONLY the missing jobs through the existing batch executor (resume-mode
-// run into the canonical store, so new records commit durably and
-// byte-identically ordered), refreshes the index, and streams progress +
-// final aggregates back through a ServiceSink.
+// ONLY the missing jobs through the existing batch executor (appended to
+// the canonical store, so new records commit durably and byte-identically
+// ordered), refreshes the index, and streams progress + final aggregates
+// back through a ServiceSink.
 //
 // Cost model, which is the point: a repeated query is pure index lookups
 // — zero jobs scheduled, aggregates byte-identical to `oracle_batch
 // aggregate` over the same store — and a novel query costs exactly its
-// missing grid points.
+// missing grid points plus an incremental index refresh. The index alone
+// decides what is missing: no query rescans a store.
 //
 // Two front ends share the same query engine:
 //   - in-process: library clients construct a Service and call query()

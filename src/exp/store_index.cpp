@@ -1,51 +1,49 @@
 #include "exp/store_index.hpp"
 
-#include <cstring>
-#include <fstream>
-
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <cstring>
+#include <string_view>
 
 #include "exp/job.hpp"
+#include "util/posix_io.hpp"
 
 namespace oracle::exp {
 
 namespace {
 
-/// Stores below this size (and growth suffixes) use plain buffered reads;
-/// above it the initial scan goes through a read-only mmap window.
+/// Store suffixes below this size are read with one pread; above it the
+/// scan goes through a read-only mmap window.
 constexpr std::uint64_t kMmapThreshold = 4u << 20;
 
 /// Extract the content hash from one raw JSONL record line without paying
 /// for a full record parse: the writer (exp::jsonl_record) always emits
-/// `"hash":"<16 lower hex>"`.
+/// `"hash":"<16 lower hex>"`. Only a line that begins with '{' and ends
+/// with '}' counts — the first test parse_jsonl_record applies — so a torn
+/// record whose hash survived, newline-terminated by a later resume
+/// append, is corrupt rather than cached.
 std::optional<std::uint64_t> line_hash(const char* data, std::size_t size) {
-  static constexpr char kNeedle[] = "\"hash\":\"";
-  constexpr std::size_t kNeedleLen = sizeof(kNeedle) - 1;
-  if (size < kNeedleLen + 16) return std::nullopt;
-  const char* end = data + size - (kNeedleLen + 16);
-  for (const char* p = data; p <= end; ++p) {
-    if (std::memcmp(p, kNeedle, kNeedleLen) != 0) continue;
-    std::uint64_t hash = 0;
-    if (!parse_hash_hex(std::string(p + kNeedleLen, 16), hash))
-      return std::nullopt;
-    return hash;
-  }
-  return std::nullopt;
-}
-
-std::uint64_t file_size_of(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return 0;
-  const auto pos = in.tellg();
-  return pos > 0 ? static_cast<std::uint64_t>(pos) : 0;
+  static constexpr std::string_view kNeedle = "\"hash\":\"";
+  const std::string_view line(data, size);
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}')
+    return std::nullopt;
+  const std::size_t at = line.find(kNeedle);
+  std::uint64_t hash = 0;
+  if (at == std::string_view::npos ||
+      !parse_hash_hex(line.substr(at + kNeedle.size(), 16), hash))
+    return std::nullopt;
+  return hash;
 }
 
 }  // namespace
+
+StoreIndex::~StoreIndex() {
+  for (const auto& s : stores_)
+    if (s.fd >= 0) ::close(s.fd);
+}
 
 std::optional<StoreIndex::Entry> StoreIndex::lookup(std::uint64_t hash) const {
   const auto it = index_.find(hash);
@@ -92,73 +90,61 @@ std::size_t StoreIndex::index_chunk(std::size_t store_idx, const char* data,
 
 std::size_t StoreIndex::scan_store(std::size_t store_idx) {
   Store& store = stores_[store_idx];
-  const std::uint64_t size = file_size_of(store.path);
-  if (size < store.frontier) {
-    // The store shrank underneath us (truncated / rewritten): drop every
-    // entry pointing into it and start the scan over. fetch_line would
-    // return garbage bytes otherwise.
-    std::erase_if(index_, [&](const auto& kv) {
-      return kv.second.store == store_idx;
-    });
-    store.frontier = 0;
-  }
-  if (size <= store.frontier) return 0;
-
-#if !defined(_WIN32)
-  if (size - store.frontier >= kMmapThreshold) {
-    const int fd = ::open(store.path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
-                         MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map != MAP_FAILED) {
-        const char* data = static_cast<const char*>(map);
-        const std::uint64_t from = store.frontier;
-        const std::size_t added = index_chunk(
-            store_idx, data + from, static_cast<std::size_t>(size - from),
-            from);
-        ::munmap(map, static_cast<std::size_t>(size));
-        return added;
-      }
+  struct stat at_path {};
+  const bool exists = ::stat(store.path.c_str(), &at_path) == 0;
+  if (store.fd >= 0) {
+    // The store shrank (truncated), was deleted, or a rename replaced it:
+    // the recorded offsets no longer name these bytes, so drop every entry
+    // pointing into it and start over on a fresh handle.
+    struct stat held {};
+    const bool same = exists && ::fstat(store.fd, &held) == 0 &&
+                      held.st_dev == at_path.st_dev &&
+                      held.st_ino == at_path.st_ino &&
+                      static_cast<std::uint64_t>(held.st_size) >=
+                          store.frontier;
+    if (!same) {
+      std::erase_if(index_, [&](const auto& kv) {
+        return kv.second.store == store_idx;
+      });
+      store.frontier = 0;
+      ::close(store.fd);
+      store.fd = -1;
     }
-    // mmap refused (FS without mmap support, exotic mount): stream below.
   }
-#endif
+  if (!exists) return 0;  // registered before it exists: refresh finds it
+  if (store.fd < 0) {
+    store.fd = ::open(store.path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (store.fd < 0) return 0;
+  }
+  struct stat st {};
+  if (::fstat(store.fd, &st) != 0) return 0;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  const std::uint64_t from = store.frontier;
+  if (size <= from) return 0;
+  const auto len = static_cast<std::size_t>(size - from);
 
-  std::ifstream in(store.path, std::ios::binary);
-  if (!in) return 0;
-  in.seekg(static_cast<std::streamoff>(store.frontier));
-  if (!in) return 0;
-  std::size_t added = 0;
-  std::string line;
-  std::uint64_t offset = store.frontier;
-  while (std::getline(in, line)) {
-    if (in.eof()) break;  // no terminating newline: torn tail, not indexed
-    if (!line.empty()) {
-      const auto hash = line_hash(line.data(), line.size());
-      if (!hash) {
-        ++corrupt_lines_;
-      } else if (index_.contains(*hash)) {
-        ++duplicates_;
-      } else {
-        Entry e;
-        e.store = static_cast<std::uint32_t>(store_idx);
-        e.offset = offset;
-        e.length = static_cast<std::uint32_t>(line.size());
-        index_.emplace(*hash, e);
-        ++added;
-      }
+  if (len >= kMmapThreshold) {
+    void* map = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
+                       MAP_PRIVATE, store.fd, 0);
+    if (map != MAP_FAILED) {
+      const std::size_t added = index_chunk(
+          store_idx, static_cast<const char*>(map) + from, len, from);
+      ::munmap(map, static_cast<std::size_t>(size));
+      return added;
     }
-    offset += line.size() + 1;
-    store.frontier = offset;
+    // mmap refused (FS without mmap support, exotic mount): pread below.
   }
-  return added;
+  std::string buf(len, '\0');
+  const auto got = util::pread_full(store.fd, buf.data(), len, from);
+  if (got <= 0) return 0;
+  return index_chunk(store_idx, buf.data(), static_cast<std::size_t>(got),
+                     from);
 }
 
 std::size_t StoreIndex::add_store(const std::string& path) {
   for (std::size_t i = 0; i < stores_.size(); ++i)
     if (stores_[i].path == path) return scan_store(i);
-  stores_.push_back(Store{path, 0});
+  stores_.push_back(Store{path});
   return scan_store(stores_.size() - 1);
 }
 
@@ -172,11 +158,10 @@ std::size_t StoreIndex::refresh() {
 std::optional<std::string> StoreIndex::fetch_line(std::uint64_t hash) const {
   const auto entry = lookup(hash);
   if (!entry) return std::nullopt;
-  std::ifstream in(stores_[entry->store].path, std::ios::binary);
-  if (!in) return std::nullopt;
-  in.seekg(static_cast<std::streamoff>(entry->offset));
   std::string line(entry->length, '\0');
-  if (!in.read(line.data(), static_cast<std::streamsize>(entry->length)))
+  if (util::pread_full(stores_[entry->store].fd, line.data(), line.size(),
+                       entry->offset) !=
+      static_cast<std::ptrdiff_t>(line.size()))
     return std::nullopt;
   return line;
 }

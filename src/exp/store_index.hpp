@@ -9,16 +9,23 @@
 // is rescanned. Scanning stops at the last complete (newline-terminated)
 // line — a torn tail left by a killed writer is not indexed, and is
 // naturally picked up by the next refresh() once the line is completed
-// (or re-skipped forever if it never is; resume appends terminate such
-// tails with a newline first, turning them into one counted corrupt line).
+// (or re-skipped forever if it never is). A complete line is indexed only
+// when it begins with '{' and ends with '}' (parse_jsonl_record's first
+// test) and carries a `"hash":"<16 hex>"` field; every other line counts
+// in corrupt_lines(). That matters once a resume append newline-terminates
+// a torn tail: the half record may still hold its hash, but it is not a
+// record, and a cache that claimed it would leave the job out of every
+// table instead of re-running it.
 //
-// Loading is mmap-or-stream: large stores are scanned through a read-only
-// mmap window (no double-buffering a multi-GB file through ifstream);
-// small stores, growth suffixes, and platforms without mmap fall back to
-// plain buffered reads. Lookups never keep file data resident — only the
-// ~32 bytes/entry of index state — and fetch_line() seeks out the exact
-// recorded bytes, so a warm cache hit returns the stored record
-// byte-identically.
+// Each registered store keeps one read-only fd, opened when the store
+// first exists. A scan reads the unindexed suffix through that fd: one
+// pread for small suffixes, a read-only mmap window for large ones (no
+// double-buffering a multi-GB file). Lookups never keep file data
+// resident — only the ~32 bytes/entry of index state — and fetch_line()
+// preads the exact recorded bytes, so a warm cache hit returns the stored
+// record byte-identically without opening anything. A store that shrank,
+// vanished, or was replaced by a rename loses its entries and is
+// reindexed from a fresh fd.
 //
 // Duplicate hashes (the same job present in several registered stores, or
 // twice in one after an overlapping merge) keep the FIRST occurrence, in
@@ -27,13 +34,14 @@
 //
 // Threading contract: the index itself is NOT internally synchronized.
 // contains()/lookup()/fetch_line()/size() are safe to call concurrently
-// from many readers (fetch_line opens its own file handle per call), but
-// add_store()/refresh() mutate the map and must be exclusive with every
-// reader. exp::Service wraps the index in a readers-writer lock: queries
-// aggregate under the shared side, and the one refresh() after each
-// committed batch chunk takes the exclusive side — because the stores are
-// append-only, a reader between refreshes still sees a consistent (merely
-// slightly stale) snapshot, never a torn one.
+// from many readers (fetch_line uses pread, which keeps no seek state on
+// the shared fd), but add_store()/refresh() mutate the map and the fds
+// and must be exclusive with every reader. exp::Service wraps the index
+// in a readers-writer lock: queries aggregate under the shared side, and
+// the one refresh() after each committed batch chunk takes the exclusive
+// side — because the stores are append-only, a reader between refreshes
+// still sees a consistent (merely slightly stale) snapshot, never a torn
+// one.
 
 #include <cstdint>
 #include <optional>
@@ -50,6 +58,12 @@ class StoreIndex {
     std::uint64_t offset = 0;   ///< byte offset of the line in the store
     std::uint32_t length = 0;   ///< line length, excluding the newline
   };
+
+  StoreIndex() = default;
+  ~StoreIndex();  ///< closes the store fds
+
+  StoreIndex(const StoreIndex&) = delete;
+  StoreIndex& operator=(const StoreIndex&) = delete;
 
   /// Register a JSONL store and index its current contents. A missing
   /// file registers with zero entries (the store may be created later by
@@ -77,8 +91,8 @@ class StoreIndex {
   /// Later occurrences of an already-indexed hash (first one wins).
   std::size_t duplicates() const { return duplicates_; }
 
-  /// Complete lines that did not parse as a JSONL record (counted once;
-  /// never rescanned).
+  /// Complete lines that are not a `{...}` record with a hash (counted
+  /// once; never rescanned).
   std::size_t corrupt_lines() const { return corrupt_lines_; }
 
   /// Total bytes of complete lines indexed across all stores.
@@ -93,6 +107,7 @@ class StoreIndex {
   struct Store {
     std::string path;
     std::uint64_t frontier = 0;  ///< bytes indexed so far (complete lines)
+    int fd = -1;                 ///< read-only handle; -1 until it exists
   };
 
   std::size_t scan_store(std::size_t store_idx);

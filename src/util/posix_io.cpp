@@ -14,6 +14,9 @@ namespace oracle::util {
 #if defined(_WIN32)
 
 std::ptrdiff_t read_full(int, void*, std::size_t) noexcept { return -1; }
+std::ptrdiff_t pread_full(int, void*, std::size_t, std::uint64_t) noexcept {
+  return -1;
+}
 bool write_full(int, const void*, std::size_t) noexcept { return false; }
 bool fsync_retry(int) noexcept { return false; }
 
@@ -24,6 +27,23 @@ std::ptrdiff_t read_full(int fd, void* buf, std::size_t n) noexcept {
   std::size_t done = 0;
   while (done < n) {
     const ssize_t r = ::read(fd, p + done, n - done);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (r == 0) break;  // EOF
+    done += static_cast<std::size_t>(r);
+  }
+  return static_cast<std::ptrdiff_t>(done);
+}
+
+std::ptrdiff_t pread_full(int fd, void* buf, std::size_t n,
+                          std::uint64_t offset) noexcept {
+  auto* p = static_cast<char*>(buf);
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t r = ::pread(fd, p + done, n - done,
+                              static_cast<off_t>(offset + done));
     if (r < 0) {
       if (errno == EINTR) continue;
       return -1;

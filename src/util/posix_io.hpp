@@ -20,6 +20,11 @@ namespace oracle::util {
 /// (== n, or less on EOF), or -1 on error (errno preserved).
 std::ptrdiff_t read_full(int fd, void* buf, std::size_t n) noexcept;
 
+/// read_full at a fixed file offset (pread): keeps no seek state, so any
+/// number of threads may read one fd at once.
+std::ptrdiff_t pread_full(int fd, void* buf, std::size_t n,
+                          std::uint64_t offset) noexcept;
+
 /// Write all `n` bytes, retrying on EINTR and continuing across short
 /// writes (a signal mid-write otherwise silently truncates the record).
 /// Returns false on a real write error (errno preserved).

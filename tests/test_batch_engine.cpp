@@ -8,6 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -233,6 +237,209 @@ TEST(Jsonl, LoadCompletedHashesSkipsCorruptLines) {
   EXPECT_TRUE(done.contains(job.content_hash));
   EXPECT_TRUE(exp::load_completed_hashes(temp_path("missing.jsonl")).empty());
   std::remove(path.c_str());
+}
+
+// ------------------------------------------- JSONL parser property test --
+
+/// Random text over the characters the JSONL escaping and the one-pass
+/// parser's span scanning must get right.
+std::string random_text(std::mt19937_64& rng) {
+  static constexpr char kChars[] = {'a', 'Z', '7', '\\', '"', ',', '{',
+                                    '}', ':', '\n', '\t', '\r', '\x01'};
+  std::string s(rng() % 10, ' ');
+  for (auto& c : s) c = kChars[rng() % std::size(kChars)];
+  return s;
+}
+
+double random_double(std::mt19937_64& rng) {
+  static const double kSpecial[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      -1.5};
+  if (rng() % 2 == 0) return kSpecial[rng() % std::size(kSpecial)];
+  const std::uint64_t bits = rng();
+  double v = 0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// 0, the extremes, or uniform bits — for any integer field type.
+template <typename T>
+T random_int(std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0: return std::numeric_limits<T>::min();
+    case 1: return std::numeric_limits<T>::max();
+    case 2: return T{0};
+    default: return static_cast<T>(rng());
+  }
+}
+
+struct RandomRecord {
+  exp::ExperimentJob job;
+  stats::RunResult result;
+};
+
+RandomRecord random_record(std::mt19937_64& rng) {
+  RandomRecord rec;
+  rec.job.index = random_int<std::uint64_t>(rng);
+  rec.job.content_hash = random_int<std::uint64_t>(rng);
+  auto& r = rec.result;
+  r.topology = random_text(rng);
+  r.strategy = random_text(rng);
+  r.workload = random_text(rng);
+  r.num_pes = random_int<std::uint32_t>(rng);
+  r.seed = random_int<std::uint64_t>(rng);
+  r.completion_time = random_int<sim::SimTime>(rng);
+  r.goals_executed = random_int<std::uint64_t>(rng);
+  r.total_work = random_int<sim::Duration>(rng);
+  r.critical_path = random_int<sim::Duration>(rng);
+  r.avg_utilization = random_double(rng);
+  r.speedup = random_double(rng);
+  r.utilization_cv = random_double(rng);
+  r.max_min_utilization_gap = random_double(rng);
+  r.avg_goal_distance = random_double(rng);
+  r.goal_transmissions = random_int<std::uint64_t>(rng);
+  r.response_transmissions = random_int<std::uint64_t>(rng);
+  r.control_transmissions = random_int<std::uint64_t>(rng);
+  r.avg_channel_utilization = random_double(rng);
+  r.max_channel_utilization = random_double(rng);
+  r.events_executed = random_int<std::uint64_t>(rng);
+  return rec;
+}
+
+/// Every persisted field equal, NaN matching NaN. Returns "" or the name
+/// of the first field that differs.
+std::string first_difference(const RandomRecord& want,
+                             const exp::JsonlRecord& got) {
+  const auto same = [](double a, double b) {
+    return std::isnan(a) ? std::isnan(b) : a == b;
+  };
+  const auto& a = want.result;
+  const auto& b = got.result;
+  if (got.job_index != want.job.index) return "job";
+  if (got.content_hash != want.job.content_hash) return "hash";
+  if (a.topology != b.topology) return "topology";
+  if (a.strategy != b.strategy) return "strategy";
+  if (a.workload != b.workload) return "workload";
+  if (a.num_pes != b.num_pes) return "num_pes";
+  if (a.seed != b.seed) return "seed";
+  if (a.completion_time != b.completion_time) return "completion_time";
+  if (a.goals_executed != b.goals_executed) return "goals_executed";
+  if (a.total_work != b.total_work) return "total_work";
+  if (a.critical_path != b.critical_path) return "critical_path";
+  if (!same(a.avg_utilization, b.avg_utilization)) return "avg_utilization";
+  if (!same(a.speedup, b.speedup)) return "speedup";
+  if (!same(a.utilization_cv, b.utilization_cv)) return "utilization_cv";
+  if (!same(a.max_min_utilization_gap, b.max_min_utilization_gap))
+    return "max_min_utilization_gap";
+  if (!same(a.avg_goal_distance, b.avg_goal_distance))
+    return "avg_goal_distance";
+  if (a.goal_transmissions != b.goal_transmissions)
+    return "goal_transmissions";
+  if (a.response_transmissions != b.response_transmissions)
+    return "response_transmissions";
+  if (a.control_transmissions != b.control_transmissions)
+    return "control_transmissions";
+  if (!same(a.avg_channel_utilization, b.avg_channel_utilization))
+    return "avg_channel_utilization";
+  if (!same(a.max_channel_utilization, b.max_channel_utilization))
+    return "max_channel_utilization";
+  if (a.events_executed != b.events_executed) return "events_executed";
+  return "";
+}
+
+/// The `"key":value` pairs of a record line, in line order. A `,"`
+/// sequence never occurs inside a written string (its quotes are escaped
+/// as `\"`), so the 22 keys' `,"key":` needles mark the pair boundaries.
+std::vector<std::string> record_pairs(const std::string& line) {
+  static const char* const kKeys[] = {
+      "hash", "topology", "strategy", "workload", "num_pes", "seed",
+      "completion_time", "goals_executed", "total_work", "critical_path",
+      "avg_utilization", "speedup", "utilization_cv",
+      "max_min_utilization_gap", "avg_goal_distance", "goal_transmissions",
+      "response_transmissions", "control_transmissions",
+      "avg_channel_utilization", "max_channel_utilization",
+      "events_executed"};
+  std::vector<std::string> pairs;
+  std::size_t begin = 1;  // past '{'
+  for (const char* key : kKeys) {
+    const std::size_t at = line.find(",\"" + std::string(key) + "\":", begin);
+    if (at == std::string::npos) return {};
+    pairs.push_back(line.substr(begin, at - begin));
+    begin = at + 1;
+  }
+  pairs.push_back(line.substr(begin, line.size() - 1 - begin));
+  return pairs;
+}
+
+std::string join_record(const std::vector<std::string>& pairs) {
+  std::string line = "{";
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    line += (i ? "," : "") + pairs[i];
+  return line + "}";
+}
+
+TEST(JsonlRecord, RoundTripsArbitraryRecords) {
+  std::mt19937_64 rng(20260417);
+  for (int iter = 0; iter < 300; ++iter) {
+    auto rec = random_record(rng);
+    // A string that ends in a backslash: written as "w\\", it must not
+    // read back with the closing quote taken as escaped.
+    if (iter == 0) rec.result.workload = "w\\";
+    const std::string line = exp::jsonl_record(rec.job, rec.result);
+    SCOPED_TRACE(line);
+
+    const auto parsed = exp::parse_jsonl_record(line);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(first_difference(rec, *parsed), "");
+
+    for (std::size_t n = 0; n < line.size(); ++n)
+      ASSERT_FALSE(exp::parse_jsonl_record(line.substr(0, n)).has_value())
+          << "prefix of " << n << " bytes parsed";
+
+    // Keys in any order, with an unknown key mixed in, parse the same.
+    auto pairs = record_pairs(line);
+    ASSERT_EQ(pairs.size(), 22u);
+    ASSERT_EQ(join_record(pairs), line);
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    pairs.insert(pairs.begin() + static_cast<std::ptrdiff_t>(rng() % 23),
+                 "\"extra\":\"" + std::string("x\\\\") + "\"");
+    const auto permuted = exp::parse_jsonl_record(join_record(pairs));
+    ASSERT_TRUE(permuted.has_value());
+    ASSERT_EQ(first_difference(rec, *permuted), "");
+
+    // A duplicated key keeps its first value: appended, it changes
+    // nothing; prepended, it wins.
+    const auto other = random_record(rng);
+    const auto other_pairs =
+        record_pairs(exp::jsonl_record(other.job, other.result));
+    ASSERT_EQ(other_pairs.size(), 22u);
+    const std::size_t k = rng() % 22;
+    auto dup_last = record_pairs(line);
+    dup_last.push_back(other_pairs[k]);
+    const auto kept = exp::parse_jsonl_record(join_record(dup_last));
+    ASSERT_TRUE(kept.has_value());
+    ASSERT_EQ(first_difference(rec, *kept), "");
+    auto dup_first = record_pairs(line);
+    dup_first.insert(dup_first.begin(), other_pairs[k]);
+    const auto won = exp::parse_jsonl_record(join_record(dup_first));
+    ASSERT_TRUE(won.has_value());
+    auto swapped_pairs = record_pairs(line);
+    swapped_pairs[k] = other_pairs[k];
+    const auto swapped = exp::parse_jsonl_record(join_record(swapped_pairs));
+    ASSERT_TRUE(swapped.has_value());
+    const RandomRecord want{
+        exp::ExperimentJob{swapped->job_index, {}, swapped->content_hash},
+        swapped->result};
+    ASSERT_EQ(first_difference(want, *won), "");
+  }
 }
 
 // ------------------------------------------------------------- CSV sink --
@@ -747,10 +954,10 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
   for (std::size_t k = 0; k < leases.size(); ++k) {
     exp::BatchOptions opt;
     opt.jsonl_path = exp::worker_store_path(steal, k, 4);
-    opt.lease_begin = leases[k].first;
-    opt.lease_end = leases[k].second;
     opt.collect = false;
-    ASSERT_TRUE(exp::run_batch(configs, opt).report.ok());
+    exp::JobQueue lease(configs);
+    lease.retain_range(leases[k].first, leases[k].second);
+    ASSERT_TRUE(exp::run_batch(lease, opt).report.ok());
   }
   // Slot 3's store is a byte copy of slot 0's: a steal race that re-ran an
   // entire range on a second worker.

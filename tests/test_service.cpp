@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -352,6 +353,49 @@ TEST(Service, ColdQuerySchedulesOnlyTheMissingJobs) {
   ASSERT_FALSE(sink.tables.empty());
   // And renders the identical bytes the cold query rendered.
   EXPECT_EQ(warm.tables[0].second, sink.tables[0].second);
+}
+
+TEST(Service, ColdQueryRerunsATornRecord) {
+  const auto store = temp_path("torn.jsonl");
+  const auto spec = small_sweep();
+  prebuild_store(spec, store);
+  const auto reference = exp::Aggregator::to_table(
+      exp::Aggregator::from_jsonl_files({store}).summarize(), "speedup");
+
+  // Job 1's record is cut after its "strategy" key by a killed writer,
+  // and a resume append newline-terminates the half record: its hash
+  // survives on a line that is not a record.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(store);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 4u);
+  {
+    std::ofstream out(store, std::ios::binary | std::ios::trunc);
+    out << lines[0] << '\n'
+        << lines[1].substr(0, lines[1].find("\"strategy\"") + 10);
+  }
+  const exp::JobQueue queue(spec.build());
+  {
+    exp::JsonlSink sink(store, /*append=*/true);
+    for (std::size_t i = 2; i < 4; ++i)
+      sink.write(queue.job(i), exp::parse_jsonl_record(lines[i])->result);
+    sink.flush();
+  }
+
+  exp::ServiceOptions opt;
+  opt.store = store;
+  exp::Service service(opt);
+  exp::ServiceQuery q;
+  q.sweep = spec;
+  CollectSink sink;
+  const auto stats = service.query(q, sink);
+  EXPECT_EQ(stats.cached, 3u);
+  EXPECT_EQ(stats.scheduled, 1u);  // the torn job runs again
+  EXPECT_EQ(stats.failed, 0u);
+  ASSERT_EQ(sink.tables.size(), 1u);
+  EXPECT_EQ(sink.tables[0].second, reference);  // with job 1's sample
 }
 
 TEST(Service, PrecisionTargetExtendsTheSeedAxis) {
@@ -779,6 +823,67 @@ TEST(ServiceDaemon, ConcurrentWarmAndColdQueriesStayByteIdentical) {
   EXPECT_EQ(daemon.stats.cache_hits,
             static_cast<std::size_t>(kWarm) * spec.size());
   EXPECT_EQ(daemon.stats.jobs_scheduled, static_cast<std::size_t>(kCold));
+}
+
+TEST(ServiceDaemon, ConcurrentColdQueriesForTheSamePointsWriteEachRecordOnce) {
+  const auto store = temp_path("same_cold.jsonl");
+  std::remove(store.c_str());
+  auto spec = small_sweep();
+  spec.seeds = {11, 12, 13, 14};  // 8 points, none in the (absent) store
+
+  exp::ServiceOptions opt;
+  opt.store = store;
+  opt.query_threads = 4;
+  opt.job_budget = 3;  // several slices per query, interleaved
+  ServiceThread daemon(opt);
+  ASSERT_GT(daemon.svc.port(), 0);
+
+  constexpr int kClients = 4;
+  std::vector<WireQueryResult> results(kClients);
+  std::vector<char> transported(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      auto sock = connect_to(daemon.svc.port());
+      if (!sock.valid()) return;
+      exp::ServiceQuery q;
+      q.sweep = spec;
+      transported[static_cast<std::size_t>(i)] = run_wire_query(
+          sock.fd(), q, 100u + static_cast<std::uint64_t>(i),
+          results[static_cast<std::size_t>(i)]);
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  std::size_t scheduled = 0;
+  for (int i = 0; i < kClients; ++i) {
+    ASSERT_TRUE(transported[static_cast<std::size_t>(i)]) << "client " << i;
+    const auto& r = results[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(r.done) << "client " << i << ": " << r.error_text;
+    EXPECT_EQ(r.stats.failed, 0u);
+    ASSERT_EQ(r.tables.size(), 1u);
+    EXPECT_EQ(r.tables[0].second, results[0].tables[0].second)
+        << "client " << i;
+    scheduled += r.stats.scheduled;
+  }
+  EXPECT_EQ(scheduled, spec.size());
+
+  // Every hash is in the store exactly once.
+  std::vector<std::uint64_t> hashes;
+  {
+    std::ifstream in(store);
+    for (std::string line; std::getline(in, line);) {
+      const auto rec = exp::parse_jsonl_record(line);
+      ASSERT_TRUE(rec.has_value()) << line;
+      hashes.push_back(rec->content_hash);
+    }
+  }
+  std::vector<std::uint64_t> want;
+  const exp::JobQueue queue(spec.build());
+  for (const auto& job : queue.jobs()) want.push_back(job.content_hash);
+  std::sort(hashes.begin(), hashes.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(hashes, want);
 }
 
 TEST(ServiceDaemon, StalledClientIsEvictedWithoutBlockingOthers) {

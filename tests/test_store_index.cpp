@@ -2,8 +2,9 @@
 // service: build-from-store round-trips against a real batch run,
 // incremental append visibility through refresh(), first-wins dedup
 // across overlapping stores, torn-tail tolerance (a half-written record
-// is invisible until its newline lands), corrupt-line accounting, and
-// truncation recovery.
+// is invisible until its newline lands, and a torn record a resume append
+// newline-terminated is corrupt, not cached), corrupt-line accounting,
+// and truncation and replacement recovery.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include "core/sweep.hpp"
 #include "exp/batch.hpp"
 #include "exp/job_queue.hpp"
+#include "exp/result_sink.hpp"
 #include "exp/store_index.hpp"
+#include "stats/run_result.hpp"
 
 namespace oracle {
 namespace {
@@ -163,6 +166,49 @@ TEST(StoreIndex, TornTailIsInvisibleUntilCompleted) {
   EXPECT_EQ(index.fetch_line(0x11), torn);
 }
 
+TEST(StoreIndex, TornRecordWithIntactHashIsNotIndexed) {
+  const auto store = temp_path("torn_hash.jsonl");
+  const exp::JobQueue queue(core::SweepBuilder()
+                                .topologies({"grid:4x4"})
+                                .strategies({"random"})
+                                .workloads({"fib:8"})
+                                .seeds({1, 2, 3})
+                                .build());
+  const auto record = [&](std::size_t i) {
+    stats::RunResult r;
+    r.topology = "grid-4x4";
+    r.strategy = "random";
+    r.workload = "fib:8";
+    r.seed = queue.job(i).config.machine.seed;
+    return r;
+  };
+  // Record 0 whole, record 1 cut after its "strategy" key by a killed
+  // writer; the next run's resume append newline-terminates the half
+  // record before it writes record 2.
+  const std::string one = exp::jsonl_record(queue.job(1), record(1));
+  write_file(store, exp::jsonl_record(queue.job(0), record(0)) + "\n" +
+                        one.substr(0, one.find("\"strategy\"") + 10));
+  {
+    exp::JsonlSink sink(store, /*append=*/true);
+    sink.write(queue.job(2), record(2));
+    sink.flush();
+  }
+
+  exp::StoreIndex index;
+  EXPECT_EQ(index.add_store(store), 2u);
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.corrupt_lines(), 1u);
+  EXPECT_TRUE(index.contains(queue.job(0).content_hash));
+  EXPECT_FALSE(index.contains(queue.job(1).content_hash));
+  EXPECT_TRUE(index.contains(queue.job(2).content_hash));
+  // The index and the resume scan agree on what the store holds.
+  EXPECT_EQ(exp::load_completed_hashes(store).size(), index.size());
+  for (std::size_t i : {0u, 2u})
+    EXPECT_TRUE(exp::parse_jsonl_record(
+                    *index.fetch_line(queue.job(i).content_hash))
+                    .has_value());
+}
+
 TEST(StoreIndex, CorruptLinesAreCountedAndSkipped) {
   const auto store = temp_path("corrupt.jsonl");
   write_file(store, "not json at all\n" +
@@ -204,6 +250,28 @@ TEST(StoreIndex, TruncatedStoreIsReindexedFromScratch) {
   EXPECT_FALSE(index.contains(0x41));
   EXPECT_TRUE(index.contains(0x42));
   EXPECT_EQ(index.fetch_line(0x42), fake_record("0000000000000042", "new"));
+}
+
+TEST(StoreIndex, ReplacedStoreIsReindexedFromScratch) {
+  const auto store = temp_path("replaced.jsonl");
+  const auto next = temp_path("replaced.jsonl.next");
+  write_file(store, fake_record("0000000000000050", "old") + "\n");
+
+  exp::StoreIndex index;
+  EXPECT_EQ(index.add_store(store), 1u);
+
+  // A rename replaces the store with a longer file (e.g. a merge's atomic
+  // tmp + rename): the held handle still names the old bytes, so the
+  // index must notice the new file and index it from offset 0.
+  write_file(next, fake_record("0000000000000051", "new-first") + "\n" +
+                       fake_record("0000000000000052", "new-second") + "\n");
+  ASSERT_EQ(std::rename(next.c_str(), store.c_str()), 0);
+  EXPECT_EQ(index.refresh(), 2u);
+  EXPECT_FALSE(index.contains(0x50));
+  EXPECT_EQ(index.fetch_line(0x51),
+            fake_record("0000000000000051", "new-first"));
+  EXPECT_EQ(index.fetch_line(0x52),
+            fake_record("0000000000000052", "new-second"));
 }
 
 }  // namespace
