@@ -194,7 +194,7 @@ BENCHMARK(BM_LegacySchedulerCancelChurn)->Arg(4096);
 void BM_ResourceContention(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler sched;
-    sim::Resource res(sched, "bench", 1);
+    sim::Resource res(sched, 1);
     const int n = static_cast<int>(state.range(0));
     int done = 0;
     for (int i = 0; i < n; ++i) res.acquire_for(3, [&done] { ++done; });

@@ -58,14 +58,15 @@ int main() {
               "5 taps per bus.\nFirst row's buses (node ids):\n",
               dlm->num_links());
   int shown = 0;
-  for (const auto& link : dlm->links()) {
+  for (topo::LinkId lid = 0; lid < dlm->num_links(); ++lid) {
+    const auto link = dlm->link_members(lid);
     bool in_row0 = true;
-    for (const auto m : link.members)
+    for (const auto m : link)
       if (m >= 10) in_row0 = false;
     if (!in_row0) continue;
     std::string members;
-    for (const auto m : link.members) members += strfmt(" %u", m);
-    std::printf("  bus %u: {%s }\n", link.id, members.c_str());
+    for (const auto m : link) members += strfmt(" %u", m);
+    std::printf("  bus %u: {%s }\n", lid, members.c_str());
     if (++shown >= 6) break;
   }
   return 0;

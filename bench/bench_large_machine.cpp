@@ -11,6 +11,9 @@
 // Output: one JSON object on stdout (redirect to BENCH_large.json). The
 // `cpus` field lets CI gate the speedup assertion — on a single-core host
 // the windows serialize and the barrier overhead is all that's left.
+// Both legs must reproduce their recorded completion times (the full
+// workload only); the exit status is non-zero otherwise. Peak RSS is
+// reported after the serial leg and after both.
 //
 // Usage: bench_large_machine [--threads N] [--quick]
 //   --threads N   worker count for the parallel leg (default 4)
@@ -22,10 +25,24 @@
 #include <string>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "core/presets.hpp"
 #include "core/simulator.hpp"
 
 namespace {
+
+// Recorded completion times of the full workload. Each engine's
+// trajectory is fixed (the parallel one by the partition count), so any
+// drift is a behaviour change, not noise.
+constexpr long long kCompletionSerial = 4376;
+constexpr long long kCompletionParallel = 4256;
+
+double peak_rss_mb() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
+}
 
 struct Leg {
   double seconds = 0.0;
@@ -80,6 +97,7 @@ int main(int argc, char** argv) {
                base.workload.c_str(), threads, partitions);
 
   const Leg serial = run_leg(base, 1, partitions);
+  const double serial_rss_mb = peak_rss_mb();
   std::fprintf(stderr, "  serial:   %.2fs (%.2fM events/s)\n", serial.seconds,
                serial.result.events_executed / serial.seconds / 1e6);
   const Leg parallel = run_leg(base, threads, partitions);
@@ -92,6 +110,10 @@ int main(int argc, char** argv) {
   // differ slightly: K schedulers interleave control traffic differently).
   const bool goals_match =
       serial.result.goals_executed == parallel.result.goals_executed;
+  // The quick workload has no recorded completions.
+  const bool completions_match =
+      quick || (serial.result.completion_time == kCompletionSerial &&
+                parallel.result.completion_time == kCompletionParallel);
 
   // `cpus` gates the CI speedup assertion (see ci.yml): with < 4 hardware
   // threads the parallel legs time-slice one core and can only lose.
@@ -112,7 +134,10 @@ int main(int argc, char** argv) {
       "  \"serial_completion\": %lld,\n"
       "  \"parallel_completion\": %lld,\n"
       "  \"goals\": %llu,\n"
-      "  \"goals_match\": %s\n"
+      "  \"goals_match\": %s,\n"
+      "  \"completions_match\": %s,\n"
+      "  \"serial_peak_rss_mb\": %.1f,\n"
+      "  \"peak_rss_mb\": %.1f\n"
       "}\n",
       base.topology.c_str(), base.workload.c_str(), serial.result.num_pes,
       threads, partitions, std::thread::hardware_concurrency(),
@@ -122,6 +147,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(serial.result.completion_time),
       static_cast<long long>(parallel.result.completion_time),
       static_cast<unsigned long long>(serial.result.goals_executed),
-      goals_match ? "true" : "false");
-  return goals_match ? 0 : 1;
+      goals_match ? "true" : "false", completions_match ? "true" : "false",
+      serial_rss_mb, peak_rss_mb());
+  return goals_match && completions_match ? 0 : 1;
 }

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
     std::size_t min_deg = SIZE_MAX, p2p = 0, buses = 0;
     for (topo::NodeId n = 0; n < topo->num_nodes(); ++n)
       min_deg = std::min(min_deg, topo->neighbors(n).size());
-    for (const auto& link : topo->links())
-      (link.is_bus() ? buses : p2p) += 1;
+    for (topo::LinkId lid = 0; lid < topo->num_links(); ++lid)
+      (topo->is_bus(lid) ? buses : p2p) += 1;
 
     std::printf("== %s ==\n", topo->name().c_str());
     std::printf("  nodes           %u\n", topo->num_nodes());

@@ -24,7 +24,7 @@ void LocalOnly::on_goal_arrived(topo::NodeId pe, machine::Message msg) {
 // --------------------------------------------------------------------------
 
 void RandomPush::on_goal_created(topo::NodeId pe, machine::Message msg) {
-  const auto& nbrs = machine().topology().neighbors(pe);
+  const auto nbrs = machine().topology().neighbors(pe);
   if (nbrs.empty()) {
     machine().keep_goal(pe, msg);
     return;
@@ -48,7 +48,7 @@ void RoundRobinPush::attach(machine::Machine& m) {
 }
 
 void RoundRobinPush::on_goal_created(topo::NodeId pe, machine::Message msg) {
-  const auto& nbrs = machine().topology().neighbors(pe);
+  const auto nbrs = machine().topology().neighbors(pe);
   if (nbrs.empty()) {
     machine().keep_goal(pe, msg);
     return;
@@ -116,7 +116,7 @@ void WorkStealing::try_steal(topo::NodeId pe) {
     stealing_[pe] = false;
     return;
   }
-  const auto& nbrs = machine().topology().neighbors(pe);
+  const auto nbrs = machine().topology().neighbors(pe);
   if (nbrs.empty()) {
     stealing_[pe] = false;
     return;

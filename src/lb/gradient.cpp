@@ -25,11 +25,9 @@ void GradientModel::attach(machine::Machine& m) {
   Strategy::attach(m);
   proximity_cap_ = static_cast<std::int64_t>(m.diameter()) + 1;
   const auto n = m.num_pes();
-  neighbor_prox_.resize(n);
   // "All the PEs initially assume that the proximities of their neighbors
   // are 0."
-  for (topo::NodeId pe = 0; pe < n; ++pe)
-    neighbor_prox_[pe].assign(m.topology().neighbors(pe).size(), 0);
+  neighbor_prox_.init(m.topology());
   last_broadcast_.assign(n, 0);
 }
 
@@ -48,9 +46,9 @@ void GradientModel::on_start() {
 
 std::int64_t GradientModel::compute_proximity(topo::NodeId pe, bool idle) const {
   if (idle) return 0;
-  const auto& row = neighbor_prox_[pe];
-  std::int64_t least = proximity_cap_;
-  if (!row.empty()) least = *std::min_element(row.begin(), row.end());
+  const std::int64_t least = neighbor_prox_.degree(pe) == 0
+                                  ? proximity_cap_
+                                  : neighbor_prox_.min_load(pe);
   // "the proximity is one more than the smallest proximity among the
   // immediate neighbors", clamped to diameter + 1.
   return std::min<std::int64_t>(least + 1, proximity_cap_);
@@ -71,23 +69,15 @@ void GradientModel::wakeup(topo::NodeId pe) {
 
   if (abundant) {
     // Neighbor with least proximity; ties broken uniformly.
-    const auto& nbrs = machine().topology().neighbors(pe);
-    const auto& row = neighbor_prox_[pe];
-    if (!nbrs.empty()) {
-      const std::int64_t best = *std::min_element(row.begin(), row.end());
-      std::size_t chosen = 0;
-      std::uint64_t ties = 0;
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        if (row[i] == best) {
-          ++ties;
-          if (machine().rng_for(pe).below(ties) == 0) chosen = i;
-        }
-      }
+    if (neighbor_prox_.degree(pe) > 0) {
+      const std::int64_t best = neighbor_prox_.min_load(pe);
+      const topo::NodeId chosen =
+          neighbor_prox_.least_loaded(pe, machine().rng_for(pe));
       if (!params_.require_gradient || best < proximity_cap_) {
         auto goal = machine().pe(pe).take_transferable_goal(params_.send_newest);
         if (goal) {
           goal->hops += 1;
-          machine().send_goal(pe, nbrs[chosen], std::move(*goal));
+          machine().send_goal(pe, chosen, std::move(*goal));
         }
       }
     }
@@ -111,11 +101,7 @@ void GradientModel::on_goal_arrived(topo::NodeId pe, machine::Message msg) {
 
 void GradientModel::on_control(topo::NodeId pe, const machine::Message& msg) {
   if (msg.ctrl_tag != machine::kCtrlProximity) return;
-  const auto& nbrs = machine().topology().neighbors(pe);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), msg.src);
-  if (it == nbrs.end() || *it != msg.src) return;  // bus overhear: ignore
-  neighbor_prox_[pe][static_cast<std::size_t>(it - nbrs.begin())] =
-      msg.ctrl_value;
+  neighbor_prox_.update(pe, msg.src, msg.ctrl_value);  // ignores bus overhears
 }
 
 }  // namespace oracle::lb

@@ -17,6 +17,7 @@
 // "we assume a communication co-processor to handle the routing and
 // load-balancing functions"), so wakeups cost no PE compute time.
 
+#include "lb/load_info.hpp"
 #include "lb/strategy.hpp"
 #include "sim/time.hpp"
 
@@ -72,8 +73,9 @@ class GradientModel : public Strategy {
 
   GmParams params_;
   std::int64_t proximity_cap_ = 0;  // diameter + 1
-  // neighbor_prox_[pe][i] = last proximity heard from topo.neighbors(pe)[i].
-  std::vector<std::vector<std::int64_t>> neighbor_prox_;
+  // Last proximity heard from each neighbor, in the load table's layout:
+  // "least loaded" is "least proximity".
+  NeighborLoadTable neighbor_prox_;
   std::vector<std::int64_t> last_broadcast_;  // last value each PE broadcast
 };
 

@@ -8,6 +8,7 @@
 // estimates*, never ground truth — the table only updates from messages.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topo/topology.hpp"
@@ -21,7 +22,7 @@ namespace oracle::lb {
 
 class NeighborLoadTable {
  public:
-  /// Allocate per-PE rows; neighbors initially assumed load 0 (idle).
+  /// Allocate the load column; neighbors initially assumed load 0 (idle).
   void init(const topo::Topology& topo);
 
   /// Record that `pe` learned neighbor `from` has load `load`.
@@ -41,9 +42,13 @@ class NeighborLoadTable {
   std::size_t degree(topo::NodeId pe) const;
 
  private:
+  /// `pe`'s row of loads_, parallel to topo.neighbors(pe).
+  std::span<const std::int64_t> row(topo::NodeId pe) const;
+
   const topo::Topology* topo_ = nullptr;
-  // rows_[pe][i] = load estimate for topo.neighbors(pe)[i].
-  std::vector<std::vector<std::int64_t>> rows_;
+  // One flat column laid out like the topology's neighbor rows:
+  // loads_[topo.neighbor_offset(pe) + i] = estimate for neighbors(pe)[i].
+  std::vector<std::int64_t> loads_;
 };
 
 }  // namespace oracle::lb

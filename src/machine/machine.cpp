@@ -12,11 +12,6 @@ namespace {
 // samples). Covers a completion time of 512 sampling intervals without
 // reallocation; longer runs double geometrically.
 constexpr std::size_t kExpectedFrames = 512;
-
-// Above this many PEs the per-object reserves flip from "free insurance"
-// to a memory bill measured in gigabytes; switch to lean sizing and let
-// the few hot structures grow on demand.
-constexpr std::uint32_t kHugeMachinePEs = 65536;
 }  // namespace
 
 std::uint32_t Machine::tuned_ring_ticks(const MachineConfig& config,
@@ -111,7 +106,7 @@ void Machine::init() {
   if (config_.sim_threads > 1) setup_parallel();
 
   const bool huge = topo_.num_nodes() > kHugeMachinePEs;
-  const std::size_t links = topo_.links().size();
+  const std::size_t links = topo_.num_links();
   if (!par_) {
     // Pre-size the event engine so the steady state never reallocates: at
     // most one execution event per PE plus one in-service event per channel
@@ -154,29 +149,18 @@ void Machine::init() {
         f = config_.slow_factor;
   }
 
+  // Small machines pre-size the wait queues so steady-state contention
+  // never allocates. Huge ones grow them on demand from two slots: in the
+  // hypercube:17 CWN run every channel queues a waiter, but fewer than one
+  // in 2,000 ever holds more than two.
   channels_.reserve(links);
-  const std::size_t channel_slots = huge ? 4 : 32;
-  for (const topo::Link& link : topo_.links()) {
-    bool cross = false;
-    if (par_) {
-      const std::uint32_t s0 = shard_of(link.members[0]);
-      for (const topo::NodeId m : link.members)
-        if (shard_of(m) != s0) {
-          cross = true;
-          break;
-        }
-    }
-    if (cross) {
-      // Members span shards: traffic goes through the analytic cross
-      // channels (ShardState::cross_channels) and the window barriers.
-      channels_.push_back(nullptr);
-      continue;
-    }
-    sim::Simulation& owner =
-        par_ ? par_->shards[shard_of(link.members[0])]->sim : sim_;
-    channels_.push_back(&owner.make_resource(
-        strfmt("%s-link-%u", link.is_bus() ? "bus" : "p2p", link.id)));
-    channels_.back()->reserve(channel_slots);
+  for (topo::LinkId lid = 0; lid < links; ++lid) {
+    sim::Scheduler& owner =
+        par_ ? par_->shards[shard_of(topo_.link_members(lid)[0])]
+                   ->sim.scheduler()
+             : sim_.scheduler();
+    channels_.emplace_back(owner);
+    if (!huge) channels_.back().reserve(32);
   }
 
   strategy_.attach(*this);
@@ -254,12 +238,13 @@ void Machine::transmit_pooled(topo::NodeId from, topo::NodeId to,
   const topo::LinkId lid = topo_.link_between(from, to);
   ORACLE_ASSERT_MSG(lid != topo::kInvalidLink,
                     "message between non-adjacent PEs");
-  if (par_ && channels_[lid] == nullptr) {
-    transmit_over_cross_link(from, to, lid, slot);
+  const std::uint32_t cross = cross_index_of(lid);
+  if (cross != ParallelState::kInternalLink) {
+    transmit_over_cross_link(from, to, cross, slot);
     return;
   }
-  channels_[lid]->acquire_for(latency,
-                              [this, slot, to] { deliver_pooled(slot, to); });
+  channels_[lid].acquire_for(latency,
+                             [this, slot, to] { deliver_pooled(slot, to); });
 }
 
 void Machine::send_goal(topo::NodeId from, topo::NodeId to, Message msg) {
@@ -277,28 +262,37 @@ void Machine::send_control(topo::NodeId from, topo::NodeId to,
 void Machine::broadcast_control(topo::NodeId from, std::uint32_t tag,
                                 std::int64_t value) {
   // One channel transaction per attached link; a bus delivers to every
-  // member in that single transaction.
+  // member in that single transaction. All transactions share one pooled
+  // payload: each holds a reference, and the broadcast's own reference
+  // keeps the slot alive until every transaction is issued.
+  MessagePool& pool = pool_for(from);
+  Message msg = Message::control(tag, value);
+  msg.src = from;
+  const sim::Duration occupancy = occupancy_of(msg);
+  const std::uint32_t slot = pool.put(std::move(msg));
   for (const topo::LinkId lid : topo_.links_of(from)) {
-    Message msg = Message::control(tag, value);
-    msg.src = from;
     count_tx(from, MsgKind::Control);
     trace_.record(now(), TraceEvent::ControlSent, from, topo::kInvalidNode,
                   workload::kInvalidGoal, tag);
-    if (par_ && channels_[lid] == nullptr) {
-      broadcast_over_cross_link(from, lid, std::move(msg));
+    const std::uint32_t cross = cross_index_of(lid);
+    if (cross != ParallelState::kInternalLink) {
+      broadcast_over_cross_link(from, lid, cross, slot);
       continue;
     }
-    const sim::Duration occupancy = occupancy_of(msg);
+    pool.retain(slot);
     // [this, slot, lid] is exactly the 16-byte inline budget of
-    // Resource::Callback; the sender rides in msg.src.
-    const std::uint32_t slot = pool_for(from).put(std::move(msg));
-    channels_[lid]->acquire_for(occupancy, [this, slot, lid] {
-      const topo::Link& link = topo_.links()[lid];
-      const Message delivered = pool_for(link.members[0]).take(slot);
-      for (const topo::NodeId member : link.members)
+    // Resource::Callback; the sender rides in msg.src. The link is
+    // internal, so its members share the sender's pool.
+    channels_[lid].acquire_for(occupancy, [this, slot, lid] {
+      const auto members = topo_.link_members(lid);
+      MessagePool& owner = pool_for(members[0]);
+      const Message& delivered = owner.at(slot);
+      for (const topo::NodeId member : members)
         if (member != delivered.src) deliver(delivered, member);
+      owner.release(slot);
     });
   }
+  pool.release(slot);
 }
 
 void Machine::send_response(topo::NodeId from, topo::NodeId to,
@@ -546,9 +540,10 @@ stats::RunResult Machine::run() {
 
   double channel_util_sum = 0.0;
   for (topo::LinkId lid = 0; lid < channels_.size(); ++lid) {
-    const double u = channels_[lid]
-                         ? channels_[lid]->utilization(completion_time_)
-                         : cross_channel_utilization(lid, completion_time_);
+    const std::uint32_t cross = cross_index_of(lid);
+    const double u = cross == ParallelState::kInternalLink
+                         ? channels_[lid].utilization(completion_time_)
+                         : cross_channel_utilization(cross, completion_time_);
     channel_util_sum += u;
     r.max_channel_utilization = std::max(r.max_channel_utilization, u);
   }

@@ -25,7 +25,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "lb/strategy.hpp"
@@ -45,6 +44,12 @@
 
 namespace oracle::machine {
 
+/// Above this many PEs the per-object reserves (scheduler, message pool,
+/// per-PE queues) flip from "free insurance" to a memory bill measured in
+/// gigabytes; the machine switches to lean sizing and lets the few hot
+/// structures grow on demand.
+inline constexpr std::uint32_t kHugeMachinePEs = 65536;
+
 /// Recycling slot pool for in-flight Messages. A network hop parks its
 /// payload here and the channel-completion event captures only the 4-byte
 /// slot index, so a hop's scheduler callback fits inline (sizeof(Message)
@@ -55,32 +60,49 @@ namespace oracle::machine {
 /// `at()` references across strategy hooks, and a hook may transmit (i.e.
 /// put() into this pool) — growth must not invalidate outstanding
 /// references.
+///
+/// A slot is reference-counted so one payload can serve several
+/// deliveries: a load broadcast parks its message once and every link
+/// transaction of the broadcast holds a reference. The last release()
+/// frees the slot.
 class MessagePool {
  public:
   void reserve(std::size_t n) {
     while (chunks_.size() * kChunkSize < n)
       chunks_.push_back(std::make_unique<Message[]>(kChunkSize));
+    refs_.reserve(n);
     free_.reserve(n);
   }
 
+  /// Park `msg` in a slot holding one reference.
   std::uint32_t put(Message&& msg) {
     std::uint32_t idx;
     if (free_.empty()) {
       if (count_ == chunks_.size() * kChunkSize)
         chunks_.push_back(std::make_unique<Message[]>(kChunkSize));
       idx = count_++;
+      refs_.push_back(0);
     } else {
       idx = free_.back();
       free_.pop_back();
       ++reused_;
     }
+    refs_[idx] = 1;
     at(idx) = std::move(msg);
     return idx;
   }
 
-  /// Remove and return the message, releasing the slot for reuse.
+  /// Add a reference to a live slot: one more delivery will release it.
+  void retain(std::uint32_t idx) {
+    ORACLE_ASSERT(refs_[idx] > 0);
+    ++refs_[idx];
+  }
+
+  /// Remove and return the message, releasing its only reference.
   Message take(std::uint32_t idx) {
+    ORACLE_ASSERT_MSG(refs_[idx] == 1, "take() from a shared slot");
     Message out = std::move(at(idx));
+    refs_[idx] = 0;
     free_.push_back(idx);
     return out;
   }
@@ -92,10 +114,15 @@ class MessagePool {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
 
-  /// Release the slot without reading the message (terminal delivery that
-  /// already consumed what it needed, or dropped in-flight traffic).
-  void release(std::uint32_t idx) { free_.push_back(idx); }
+  /// Drop one reference without taking the message (terminal delivery that
+  /// already consumed what it needed, or dropped in-flight traffic); the
+  /// slot is reused once no reference is left.
+  void release(std::uint32_t idx) {
+    ORACLE_ASSERT(refs_[idx] > 0);
+    if (--refs_[idx] == 0) free_.push_back(idx);
+  }
 
+  /// Occupied slots; a shared slot counts once.
   std::size_t in_flight() const noexcept { return count_ - free_.size(); }
 
   /// Slots handed out from the free list rather than freshly constructed —
@@ -108,6 +135,7 @@ class MessagePool {
 
   std::vector<std::unique_ptr<Message[]>> chunks_;
   std::uint32_t count_ = 0;  // slots handed out across all chunks
+  std::vector<std::uint32_t> refs_;  // per slot; 0 = free
   std::vector<std::uint32_t> free_;
   std::uint64_t reused_ = 0;
 };
@@ -191,7 +219,7 @@ struct CrossChannel {
 
 /// Everything one scheduler shard owns. No member is ever touched by two
 /// threads: a shard is executed by exactly one worker per window, and the
-/// main thread reads it only between windows (the barrier's mutex orders
+/// main thread touches it only between windows (the barrier's mutex orders
 /// the handoff).
 struct ShardState {
   explicit ShardState(std::uint32_t ring_ticks) : sim(ring_ticks) {}
@@ -209,13 +237,18 @@ struct ShardState {
   std::uint64_t window_stalls = 0; // windows in which this shard ran 0 events
   stats::Histogram goal_hops;
 
-  /// Sender-side occupancy per cross-shard link.
-  std::unordered_map<topo::LinkId, CrossChannel> cross_channels;
+  /// Sender-side occupancy per cross-shard link, indexed by the link's
+  /// ParallelState::cross_index entry.
+  std::vector<CrossChannel> cross_channels;
   /// Outgoing cross messages of the current window, per destination shard.
   std::vector<std::vector<CrossMsg>> outbox;
-  /// Messages addressed here whose delivery time is still beyond the
-  /// window horizon, sorted by (deliver, src_shard, order).
+  /// Messages addressed here and not yet injected. The barrier appends
+  /// each window's arrivals unsorted; the shard's worker sorts them by
+  /// (deliver, src_shard, order) and injects the due prefix at the start
+  /// of the next window.
   std::vector<CrossMsg> holdback;
+  /// Earliest delivery time in `holdback` (kTimeInfinity when empty).
+  sim::SimTime holdback_min = sim::kTimeInfinity;
 };
 
 /// Shared coordination state of a parallel run: the shards, the lookahead,
@@ -225,6 +258,13 @@ struct ParallelState {
   Lookahead lookahead;
   std::vector<std::unique_ptr<ShardState>> shards;
   std::uint32_t num_workers = 1;
+
+  /// Per topology link: its slot in every shard's cross_channels, or
+  /// kInternalLink when all members sit in one shard (the link is then a
+  /// sim::Resource of that shard).
+  static constexpr std::uint32_t kInternalLink = UINT32_MAX;
+  std::vector<std::uint32_t> cross_index;
+  std::uint32_t num_cross = 0;
 
   // Window barrier (condition variables, not spinning: correctness must
   // not depend on having a core per worker). Workers wait for `epoch` to
@@ -244,7 +284,6 @@ struct ParallelState {
 
   // Barrier-side telemetry (main thread only).
   std::uint64_t windows = 0;
-  std::uint64_t cross_delivered = 0;
 };
 
 class Machine {
@@ -426,13 +465,19 @@ class Machine {
 
   // Parallel engine (machine_parallel.cpp).
   void setup_parallel();
+  /// The link's cross_channels slot, or ParallelState::kInternalLink
+  /// (always, in a serial run).
+  std::uint32_t cross_index_of(topo::LinkId lid) const noexcept {
+    return par_ ? par_->cross_index[lid] : ParallelState::kInternalLink;
+  }
   void transmit_over_cross_link(topo::NodeId from, topo::NodeId to,
-                                topo::LinkId lid, std::uint32_t slot);
+                                std::uint32_t cross, std::uint32_t slot);
   void broadcast_over_cross_link(topo::NodeId from, topo::LinkId lid,
-                                 Message msg);
+                                 std::uint32_t cross, std::uint32_t slot);
   void run_parallel();
   void worker_loop(std::uint32_t worker);
-  double cross_channel_utilization(topo::LinkId lid,
+  void inject_holdback(ShardState& shard, sim::SimTime window_end);
+  double cross_channel_utilization(std::uint32_t cross,
                                    sim::SimTime horizon) const;
 
   // Keeps a cache-shared topology alive; null when the caller owns the
@@ -453,10 +498,11 @@ class Machine {
 
   std::vector<std::unique_ptr<PE>> pes_;
   HotState hot_;
-  // One per topology link; owned by sim_ (serial) or a shard sim
-  // (parallel, links internal to the shard). Null for links whose members
-  // span shards — those route through ShardState::cross_channels.
-  std::vector<sim::Resource*> channels_;
+  // One per topology link, contiguous, built before the run; scheduled on
+  // sim_ (serial) or the owning shard's scheduler (parallel). A link whose
+  // members span shards leaves its entry idle and routes through
+  // ShardState::cross_channels instead.
+  std::vector<sim::Resource> channels_;
   std::vector<std::uint32_t> speed_factor_;  // empty when homogeneous
 
   workload::GoalId next_goal_id_ = 1;

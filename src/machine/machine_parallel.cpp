@@ -11,10 +11,11 @@
 // across shards at the window start. Choosing W = t_min + L therefore
 // guarantees no event executed inside the window can produce a
 // cross-shard delivery inside the same window: deliveries land in the
-// receivers' holdback queues at the barrier and are injected before the
-// next window opens. The trajectory is a pure function of (config, K):
-// workers only decide *which thread* runs a shard, never the order of
-// events within it, so any thread count yields identical results.
+// receivers' holdback queues at the barrier, and each receiver's worker
+// injects the due ones before it runs the next window. The trajectory is
+// a pure function of (config, K): workers only decide *which thread* runs
+// a shard, never the order of events within it, so any thread count
+// yields identical results.
 
 #include <algorithm>
 #include <iterator>
@@ -26,9 +27,6 @@
 namespace oracle::machine {
 
 namespace {
-// Mirrors kHugeMachinePEs in machine.cpp: lean per-shard reserves above it.
-constexpr std::uint32_t kHugeMachinePEs = 65536;
-
 bool holdback_before(const CrossMsg& a, const CrossMsg& b) {
   if (a.deliver != b.deliver) return a.deliver < b.deliver;
   if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
@@ -50,6 +48,16 @@ void Machine::setup_parallel() {
   par_->num_workers = std::min(config_.sim_threads, par_->plan.num_shards);
 
   const std::uint32_t K = par_->plan.num_shards;
+
+  // Members are sorted and shards are id-contiguous, so a link spans
+  // shards iff its first and last members do.
+  par_->cross_index.assign(topo_.num_links(), ParallelState::kInternalLink);
+  for (topo::LinkId lid = 0; lid < topo_.num_links(); ++lid) {
+    const auto members = topo_.link_members(lid);
+    if (shard_of(members.front()) != shard_of(members.back()))
+      par_->cross_index[lid] = par_->num_cross++;
+  }
+
   const std::uint32_t ring = sim_.scheduler().ring_ticks();
   const bool huge = topo_.num_nodes() > kHugeMachinePEs;
   par_->shards.reserve(K);
@@ -62,12 +70,14 @@ void Machine::setup_parallel() {
     // so draws depend only on the shard's event order — a function of K.
     shard->rng = Rng(config_.seed).split(0x9E3700u + s);
     shard->outbox.resize(K);
+    shard->cross_channels.resize(par_->num_cross);
     par_->shards.push_back(std::move(shard));
   }
 }
 
 void Machine::transmit_over_cross_link(topo::NodeId from, topo::NodeId to,
-                                       topo::LinkId lid, std::uint32_t slot) {
+                                       std::uint32_t cross,
+                                       std::uint32_t slot) {
   ShardState& src = *par_->shards[shard_of(from)];
   Message payload = src.pool.take(slot);
   const sim::Duration service = occupancy_of(payload);
@@ -75,7 +85,7 @@ void Machine::transmit_over_cross_link(topo::NodeId from, topo::NodeId to,
   // departs at max(arrival, previous departure) + service, which is when
   // the serial Resource would complete it.
   const sim::SimTime depart =
-      src.cross_channels[lid].occupy(src.sim.now(), service);
+      src.cross_channels[cross].occupy(src.sim.now(), service);
   const std::uint32_t dst_shard = shard_of(to);
   if (dst_shard == shard_of(from)) {
     // A link can span shards while this particular (from, to) pair stays
@@ -93,37 +103,60 @@ void Machine::transmit_over_cross_link(topo::NodeId from, topo::NodeId to,
 }
 
 void Machine::broadcast_over_cross_link(topo::NodeId from, topo::LinkId lid,
-                                        Message msg) {
+                                        std::uint32_t cross,
+                                        std::uint32_t slot) {
   ShardState& src = *par_->shards[shard_of(from)];
   const std::uint32_t src_shard = shard_of(from);
+  const Message& msg = src.pool.at(slot);
   const sim::Duration service = occupancy_of(msg);
   const sim::SimTime depart =
-      src.cross_channels[lid].occupy(src.sim.now(), service);
+      src.cross_channels[cross].occupy(src.sim.now(), service);
   // One bus transaction, every member hears it: local members get a
-  // pooled delivery event, remote members a CrossMsg copy each.
-  for (const topo::NodeId member : topo_.links()[lid].members) {
+  // delivery event holding a reference to the broadcast's pooled payload,
+  // remote members a CrossMsg copy each.
+  for (const topo::NodeId member : topo_.link_members(lid)) {
     if (member == from) continue;
     if (shard_of(member) == src_shard) {
-      const std::uint32_t slot = src.pool.put(Message(msg));
+      src.pool.retain(slot);
       src.sim.scheduler().schedule_at(
           depart, [this, slot, member] { deliver_pooled(slot, member); });
     } else {
       ++src.cross_sent;
-      src.outbox[shard_of(member)].push_back(CrossMsg{
-          depart, member, src_shard, src.send_order++, Message(msg)});
+      src.outbox[shard_of(member)].push_back(
+          CrossMsg{depart, member, src_shard, src.send_order++, msg});
     }
   }
 }
 
-double Machine::cross_channel_utilization(topo::LinkId lid,
+double Machine::cross_channel_utilization(std::uint32_t cross,
                                           sim::SimTime horizon) const {
   if (horizon <= 0) return 0.0;
   sim::Duration busy = 0;
-  for (const auto& shard : par_->shards) {
-    const auto it = shard->cross_channels.find(lid);
-    if (it != shard->cross_channels.end()) busy += it->second.busy_sum;
-  }
+  for (const auto& shard : par_->shards)
+    busy += shard->cross_channels[cross].busy_sum;
   return static_cast<double>(busy) / static_cast<double>(horizon);
+}
+
+void Machine::inject_holdback(ShardState& shard, sim::SimTime window_end) {
+  // Restore the deterministic (deliver, src_shard, order) sequence, then
+  // schedule every message due inside the window. The window invariant
+  // (deliver >= the send window's end) guarantees none is late: holdback
+  // fronts are never below the receiver's clock.
+  std::sort(shard.holdback.begin(), shard.holdback.end(), holdback_before);
+  std::size_t taken = 0;
+  while (taken < shard.holdback.size() &&
+         shard.holdback[taken].deliver < window_end) {
+    CrossMsg& cm = shard.holdback[taken++];
+    const std::uint32_t slot = shard.pool.put(std::move(cm.payload));
+    const topo::NodeId to = cm.to;
+    shard.sim.scheduler().schedule_at(
+        cm.deliver, [this, slot, to] { deliver_pooled(slot, to); });
+  }
+  shard.holdback.erase(shard.holdback.begin(),
+                       shard.holdback.begin() +
+                           static_cast<std::ptrdiff_t>(taken));
+  shard.holdback_min = shard.holdback.empty() ? sim::kTimeInfinity
+                                              : shard.holdback.front().deliver;
 }
 
 void Machine::worker_loop(std::uint32_t worker) {
@@ -146,7 +179,8 @@ void Machine::worker_loop(std::uint32_t worker) {
       for (std::uint32_t s = worker; s < P.plan.num_shards;
            s += P.num_workers) {
         ShardState& shard = *P.shards[s];
-        if (shard.stopped) continue;
+        if (shard.stopped) continue;  // run over there; drop traffic
+        inject_holdback(shard, until);
         const std::uint64_t before = shard.sim.scheduler().executed();
         // run() treats `until` inclusively; the window is [_, until), so
         // stop at until - 1. An infinite window (K == 1, or no link
@@ -200,20 +234,21 @@ void Machine::run_parallel() {
   try {
     while (true) {
       // ---- Barrier section: workers idle, main thread owns all state ----
-      // Move this window's cross traffic into the receivers' holdbacks and
-      // restore the deterministic (deliver, src_shard, order) sequence.
+      // Move this window's cross traffic into the receivers' holdbacks,
+      // tracking only the earliest delivery; the receivers' workers sort
+      // and inject (inject_holdback).
       for (const auto& shard : P.shards)
         for (std::uint32_t dst = 0; dst < K; ++dst) {
           auto& box = shard->outbox[dst];
           if (box.empty()) continue;
-          auto& hold = P.shards[dst]->holdback;
-          hold.insert(hold.end(), std::make_move_iterator(box.begin()),
-                      std::make_move_iterator(box.end()));
+          ShardState& receiver = *P.shards[dst];
+          for (const CrossMsg& cm : box)
+            receiver.holdback_min = std::min(receiver.holdback_min, cm.deliver);
+          receiver.holdback.insert(receiver.holdback.end(),
+                                   std::make_move_iterator(box.begin()),
+                                   std::make_move_iterator(box.end()));
           box.clear();
         }
-      for (const auto& shard : P.shards)
-        std::sort(shard->holdback.begin(), shard->holdback.end(),
-                  holdback_before);
 
       if (P.completed.load(std::memory_order_acquire)) break;
 
@@ -237,8 +272,7 @@ void Machine::run_parallel() {
         sim::SimTime t;
         if (shard->sim.scheduler().next_event_time(t))
           t_min = std::min(t_min, t);
-        if (!shard->holdback.empty())
-          t_min = std::min(t_min, shard->holdback.front().deliver);
+        t_min = std::min(t_min, shard->holdback_min);
       }
       ORACLE_ASSERT_MSG(t_min != sim::kTimeInfinity,
                         "parallel simulation drained every shard before the "
@@ -248,27 +282,6 @@ void Machine::run_parallel() {
           P.lookahead.horizon == sim::kTimeInfinity
               ? sim::kTimeInfinity
               : t_min + P.lookahead.horizon;
-
-      // Inject every held-back message due inside the window. The window
-      // invariant (deliver >= send_window_end) guarantees none is late:
-      // holdback fronts are never below the receiver's clock.
-      for (const auto& shard_ptr : P.shards) {
-        ShardState& shard = *shard_ptr;
-        std::size_t taken = 0;
-        while (taken < shard.holdback.size() &&
-               shard.holdback[taken].deliver < window_end) {
-          CrossMsg& cm = shard.holdback[taken];
-          ++taken;
-          if (shard.stopped) continue;  // run over there; drop traffic
-          const std::uint32_t slot = shard.pool.put(std::move(cm.payload));
-          const topo::NodeId to = cm.to;
-          shard.sim.scheduler().schedule_at(
-              cm.deliver, [this, slot, to] { deliver_pooled(slot, to); });
-          ++P.cross_delivered;
-        }
-        shard.holdback.erase(shard.holdback.begin(),
-                             shard.holdback.begin() + taken);
-      }
 
       ++P.windows;
 

@@ -45,12 +45,13 @@ Lookahead compute_lookahead(const topo::Topology& topo,
 
   const sim::Duration latency = link_min_latency(config);
   std::map<std::pair<std::uint32_t, std::uint32_t>, sim::Duration> edges;
-  for (const topo::Link& link : topo.links()) {
+  for (topo::LinkId lid = 0; lid < topo.num_links(); ++lid) {
     // A bus can attach members in several shards; every ordered pair of
     // distinct member shards is a potential message path.
-    for (const topo::NodeId a : link.members) {
+    const auto members = topo.link_members(lid);
+    for (const topo::NodeId a : members) {
       const std::uint32_t sa = plan.shard_of(a);
-      for (const topo::NodeId b : link.members) {
+      for (const topo::NodeId b : members) {
         const std::uint32_t sb = plan.shard_of(b);
         if (sa == sb) continue;
         auto [it, inserted] =

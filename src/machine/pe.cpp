@@ -10,7 +10,7 @@ PE::PE(Machine& machine, topo::NodeId id)
   // Per-PE container reserves scale down on huge machines: 64-slot reserves
   // are free at 10^3 PEs but cost gigabytes at 10^6, where per-PE queues
   // stay short anyway (the workload fans out across the machine).
-  const bool huge = machine.num_pes() > 65536;
+  const bool huge = machine.num_pes() > kHugeMachinePEs;
   ready_.reserve(huge ? 4 : 64);
   waiting_.reserve(huge ? 4 : 64);
 }

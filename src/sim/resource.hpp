@@ -6,7 +6,6 @@
 // resources of a parallel system").
 
 #include <cstdint>
-#include <string>
 
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -28,12 +27,16 @@ class Resource {
   /// scheduler event. Pass pool indices, not payloads.
   using Callback = util::InlineFunction<void(), 16>;
 
-  Resource(Scheduler& sched, std::string name, std::uint32_t capacity = 1);
+  explicit Resource(Scheduler& sched, std::uint32_t capacity = 1);
 
+  /// Movable only while idle (nothing in service or queued): in-service
+  /// events refer to the resource by address. This lets an owner build
+  /// many resources into one contiguous array before the run.
+  Resource(Resource&& other) noexcept;
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
+  Resource& operator=(Resource&&) = delete;
 
-  const std::string& name() const noexcept { return name_; }
   std::uint32_t capacity() const noexcept { return capacity_; }
   std::uint32_t in_service() const noexcept { return in_service_; }
   std::size_t queue_length() const noexcept { return queue_.size(); }
@@ -67,8 +70,7 @@ class Resource {
   void start_service(Request req);
   void finish_service(Duration service, Callback on_complete);
 
-  Scheduler& sched_;
-  std::string name_;
+  Scheduler* sched_;
   std::uint32_t capacity_;
   std::uint32_t in_service_ = 0;
   util::RingQueue<Request> queue_;

@@ -3,7 +3,6 @@
 // periodic samplers). One Simulation == one ORACLE run.
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/resource.hpp"
@@ -27,9 +26,8 @@ class Simulation {
   SimTime now() const noexcept { return sched_.now(); }
 
   /// Create a resource owned by this simulation.
-  Resource& make_resource(std::string name, std::uint32_t capacity = 1) {
-    resources_.push_back(
-        std::make_unique<Resource>(sched_, std::move(name), capacity));
+  Resource& make_resource(std::uint32_t capacity = 1) {
+    resources_.push_back(std::make_unique<Resource>(sched_, capacity));
     return *resources_.back();
   }
 

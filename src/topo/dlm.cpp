@@ -39,7 +39,7 @@ void DoubleLatticeMesh::build_dimension(bool row_major) {
     members.erase(std::unique(members.begin(), members.end()), members.end());
     if (members.size() < 2) return;
     if (!seen.insert(members).second) return;
-    add_link(std::move(members));
+    add_link(members);
     if (local)
       ++local_buses_;
     else

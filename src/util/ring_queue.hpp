@@ -46,7 +46,8 @@ class RingQueue {
   T& back() { return (*this)[size_ - 1]; }
 
   void push_back(T value) {
-    if (size_ == buf_.size()) regrow(buf_.empty() ? 8 : buf_.size() * 2);
+    if (size_ == buf_.size())
+      regrow(buf_.empty() ? kMinCapacity : buf_.size() * 2);
     buf_[(head_ + size_) & mask_] = std::move(value);
     ++size_;
   }
@@ -104,8 +105,13 @@ class RingQueue {
   }
 
  private:
+  // First allocation of a queue that was never reserved. Small because
+  // unreserved queues are the many idle channel wait queues of a huge
+  // machine; queues that expect traffic reserve up front.
+  static constexpr std::size_t kMinCapacity = 2;
+
   static std::size_t ceil_pow2(std::size_t n) {
-    std::size_t p = 8;
+    std::size_t p = kMinCapacity;
     while (p < n) p *= 2;
     return p;
   }

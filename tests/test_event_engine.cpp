@@ -195,6 +195,32 @@ TEST(MessagePool, SlotsAreRecycled) {
   EXPECT_EQ(pool.in_flight(), 0u);
 }
 
+TEST(MessagePool, SharedSlotLivesUntilLastRelease) {
+  // A broadcast parks one payload for n deliveries: put() holds one
+  // reference, each delivery retains one, and the broadcaster drops its
+  // own once every delivery is issued.
+  machine::MessagePool pool;
+  const std::uint32_t shared = pool.put(machine::Message::control(1, 7));
+  constexpr int kDeliveries = 3;
+  for (int i = 0; i < kDeliveries; ++i) pool.retain(shared);
+  pool.release(shared);  // the broadcaster's reference
+  EXPECT_EQ(pool.in_flight(), 1u);  // one slot, however many holders
+
+  for (int i = 0; i < kDeliveries; ++i) {
+    // Until the n-th release the slot is live: new payloads land elsewhere
+    // and the shared payload is intact.
+    const std::uint32_t other = pool.put(machine::Message::control(2, 9));
+    EXPECT_NE(other, shared) << "delivery " << i;
+    EXPECT_EQ(pool.at(shared).ctrl_value, 7) << "delivery " << i;
+    EXPECT_EQ(pool.in_flight(), 2u);
+    pool.release(other);
+    pool.release(shared);
+  }
+  EXPECT_EQ(pool.in_flight(), 0u);
+  // Freed slots are reused LIFO; the shared slot went last, so it is next.
+  EXPECT_EQ(pool.put(machine::Message::control(3, 11)), shared);
+}
+
 // ------------------------------------------- scheduler: stress vs model --
 
 /// Reference model: the (time, seq) total order the scheduler promises.

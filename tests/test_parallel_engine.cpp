@@ -358,21 +358,82 @@ TEST(ParallelEngine, MetricsIdenticalAcrossThreadCounts) {
   // The core reproducibility contract: for a fixed partition count the
   // trajectory is a function of the model alone — any worker count (even
   // more workers than shards) must produce the same metrics.
+  // The DLM's column buses span two shards with several members in each,
+  // so bus broadcasts and unicasts cross shard edges.
   const char* strategies[] = {"cwn:radius=3,horizon=2",
                               "gm:hwm=2,lwm=1,interval=20"};
-  for (const char* strategy : strategies) {
-    for (std::uint64_t seed : {1ull, 42ull}) {
-      core::ExperimentConfig cfg = parallel_cfg(strategy, "fib:11", seed);
-      cfg.machine.sim_threads = 2;
-      const stats::RunResult ref = core::run_experiment(cfg);
-      for (std::uint32_t threads : {4u, 8u}) {
-        cfg.machine.sim_threads = threads;
-        const stats::RunResult got = core::run_experiment(cfg);
-        SCOPED_TRACE(std::string(strategy) + " seed " + std::to_string(seed) +
-                     " threads " + std::to_string(threads));
-        expect_same_run(ref, got);
+  for (const char* topology : {"grid:8x8", "dlm:4:8x8"}) {
+    for (const char* strategy : strategies) {
+      for (std::uint64_t seed : {1ull, 42ull}) {
+        core::ExperimentConfig cfg = parallel_cfg(strategy, "fib:11", seed);
+        cfg.topology = topology;
+        cfg.machine.sim_threads = 2;
+        const stats::RunResult ref = core::run_experiment(cfg);
+        for (std::uint32_t threads : {4u, 8u}) {
+          cfg.machine.sim_threads = threads;
+          const stats::RunResult got = core::run_experiment(cfg);
+          SCOPED_TRACE(std::string(topology) + " " + strategy + " seed " +
+                       std::to_string(seed) + " threads " +
+                       std::to_string(threads));
+          expect_same_run(ref, got);
+        }
       }
     }
+  }
+}
+
+/// FNV-1a over a run's per-PE goal counts: a compact fingerprint of where
+/// every goal executed.
+std::uint64_t pe_goals_digest(const stats::RunResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t g : r.pe_goals) {
+    h ^= g;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinnedRun {
+  const char* topology;
+  std::uint32_t partitions;
+  std::int64_t completion;
+  std::uint64_t events;
+  std::uint64_t goal_tx, response_tx, control_tx;
+  std::uint64_t goals;
+  std::uint64_t pe_goals_digest;
+};
+
+TEST(ParallelEngine, BroadcastTrajectoryIsPinned) {
+  // Recorded trajectories of parallel CWN runs with periodic load
+  // broadcasts. Any change to event order, channel contention, or the
+  // split of a cross-shard bus between local and remote members moves
+  // these numbers. The DLM run puts buses across shard boundaries, with
+  // several members of one bus inside the same shard.
+  const PinnedRun pins[] = {
+      {"hypercube:12", 8, 7612, 1228479, 79998, 76770, 933888, 39999,
+       5679894822849712060ull},
+      {"dlm:5:16x16", 4, 28526, 421663, 79998, 68098, 72704, 39999,
+       7956312585685333598ull},
+  };
+  for (const PinnedRun& pin : pins) {
+    core::ExperimentConfig cfg;
+    cfg.topology = pin.topology;
+    cfg.strategy = "cwn:radius=2,horizon=2,interval=400";
+    cfg.workload = "dc:1:20000";
+    cfg.machine.hop_latency = 4;
+    cfg.machine.ctrl_latency = 2;
+    cfg.machine.seed = 1;
+    cfg.machine.sim_threads = 4;
+    cfg.machine.sim_partitions = pin.partitions;
+    const stats::RunResult r = core::run_experiment(cfg);
+    SCOPED_TRACE(pin.topology);
+    EXPECT_EQ(r.completion_time, pin.completion);
+    EXPECT_EQ(r.events_executed, pin.events);
+    EXPECT_EQ(r.goal_transmissions, pin.goal_tx);
+    EXPECT_EQ(r.response_transmissions, pin.response_tx);
+    EXPECT_EQ(r.control_transmissions, pin.control_tx);
+    EXPECT_EQ(r.goals_executed, pin.goals);
+    EXPECT_EQ(pe_goals_digest(r), pin.pe_goals_digest);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/resource.hpp"
@@ -12,7 +13,7 @@ namespace {
 
 TEST(Resource, ServesImmediatelyWhenFree) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   SimTime done = -1;
   r.acquire_for(5, [&] { done = s.now(); });
   s.run();
@@ -21,7 +22,7 @@ TEST(Resource, ServesImmediatelyWhenFree) {
 
 TEST(Resource, QueuesFifoUnderContention) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   // Completion callbacks are inline-capped (Resource::Callback); capture
   // one context pointer instead of three references.
   struct Ctx {
@@ -42,7 +43,7 @@ TEST(Resource, QueuesFifoUnderContention) {
 
 TEST(Resource, MultiServerParallelism) {
   Scheduler s;
-  Resource r(s, "bus", 2);
+  Resource r(s, 2);
   std::vector<SimTime> times;
   for (int i = 0; i < 4; ++i)
     r.acquire_for(10, [&] { times.push_back(s.now()); });
@@ -53,7 +54,7 @@ TEST(Resource, MultiServerParallelism) {
 
 TEST(Resource, BusyTimeAccumulates) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   r.acquire_for(3, nullptr);
   r.acquire_for(4, nullptr);
   s.run();
@@ -63,7 +64,7 @@ TEST(Resource, BusyTimeAccumulates) {
 
 TEST(Resource, UtilizationOverHorizon) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   r.acquire_for(5, nullptr);
   s.run();
   EXPECT_DOUBLE_EQ(r.utilization(10), 0.5);
@@ -72,7 +73,7 @@ TEST(Resource, UtilizationOverHorizon) {
 
 TEST(Resource, ZeroServiceTimeCompletesAtOnce) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   SimTime done = -1;
   r.acquire_for(0, [&] { done = s.now(); });
   s.run();
@@ -81,7 +82,7 @@ TEST(Resource, ZeroServiceTimeCompletesAtOnce) {
 
 TEST(Resource, QueueDelayStatistics) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   for (int i = 0; i < 3; ++i) r.acquire_for(10, nullptr);
   s.run();
   // Delays: 0, 10, 20.
@@ -92,7 +93,7 @@ TEST(Resource, QueueDelayStatistics) {
 
 TEST(Resource, InterleavedArrivals) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   std::vector<SimTime> done;
   s.schedule_at(0, [&] { r.acquire_for(10, [&] { done.push_back(s.now()); }); });
   s.schedule_at(5, [&] { r.acquire_for(10, [&] { done.push_back(s.now()); }); });
@@ -104,13 +105,30 @@ TEST(Resource, InterleavedArrivals) {
 
 TEST(Resource, QueueLengthVisible) {
   Scheduler s;
-  Resource r(s, "ch");
+  Resource r(s);
   for (int i = 0; i < 5; ++i) r.acquire_for(10, nullptr);
   EXPECT_EQ(r.in_service(), 1u);
   EXPECT_EQ(r.queue_length(), 4u);
   s.run();
   EXPECT_EQ(r.in_service(), 0u);
   EXPECT_EQ(r.queue_length(), 0u);
+}
+
+TEST(Resource, MovesOnlyWhileIdle) {
+  Scheduler s;
+  Resource idle(s);
+  Resource moved(std::move(idle));
+  SimTime done_at = -1;
+  moved.acquire_for(10, [&] { done_at = s.now(); });
+  s.run();
+  EXPECT_EQ(done_at, 10);
+  EXPECT_EQ(moved.completed(), 1u);
+
+  // An in-service event holds the resource's address: moving it then
+  // would leave that event pointing at the moved-from object.
+  Resource busy(s);
+  busy.acquire_for(10, nullptr);
+  EXPECT_DEATH({ Resource stolen(std::move(busy)); }, "moved while idle");
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST(Simulation, SamplerFiresWhileWorkPending) {
 
 TEST(Simulation, MakeResourceOwnsResources) {
   Simulation sim;
-  Resource& r = sim.make_resource("ch", 2);
+  Resource& r = sim.make_resource(2);
   EXPECT_EQ(r.capacity(), 2u);
   EXPECT_EQ(sim.resources().size(), 1u);
   r.acquire_for(5, nullptr);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "topo/dlm.hpp"
 #include "topo/factory.hpp"
 #include "topo/graph_algos.hpp"
@@ -143,9 +146,9 @@ TEST(Dlm, EveryNodeOnFourBusesInRegularCase) {
 
 TEST(Dlm, BusesHaveSpanMembers) {
   const DoubleLatticeMesh dlm(5, 10, 10);
-  for (const Link& link : dlm.links()) {
-    EXPECT_EQ(link.members.size(), 5u);
-    EXPECT_TRUE(link.is_bus());
+  for (LinkId lid = 0; lid < dlm.num_links(); ++lid) {
+    EXPECT_EQ(dlm.link_members(lid).size(), 5u);
+    EXPECT_TRUE(dlm.is_bus(lid));
   }
 }
 
@@ -193,6 +196,53 @@ TEST(Topology, LinkBetweenFindsSharedLink) {
   const Grid2D g(3, 3, false);
   EXPECT_NE(g.link_between(0, 1), kInvalidLink);
   EXPECT_EQ(g.link_between(0, 8), kInvalidLink);
+}
+
+TEST(Topology, LinkBetweenIsLowestSharedLink) {
+  // Against brute force over links_of x link_members, for every adjacent
+  // pair. The DLM joins some pairs by a local and a skip bus, others by
+  // one bus; the torus's 2-wide dimension has no wrap links, its 5-wide
+  // one has them.
+  const DoubleLatticeMesh dlm(3, 6, 6);
+  const Grid2D torus(2, 5, /*wrap=*/true);
+  for (const Topology* topo : {static_cast<const Topology*>(&dlm),
+                               static_cast<const Topology*>(&torus)}) {
+    for (NodeId a = 0; a < topo->num_nodes(); ++a) {
+      for (const NodeId b : topo->neighbors(a)) {
+        LinkId lowest = kInvalidLink;
+        for (const LinkId lid : topo->links_of(a)) {
+          const auto members = topo->link_members(lid);
+          if (std::find(members.begin(), members.end(), b) != members.end())
+            lowest = std::min(lowest, lid);
+        }
+        ASSERT_NE(lowest, kInvalidLink) << topo->name() << " " << a << "-" << b;
+        EXPECT_EQ(topo->link_between(a, b), lowest)
+            << topo->name() << " " << a << "-" << b;
+      }
+      EXPECT_EQ(topo->link_between(a, a), kInvalidLink);
+    }
+  }
+}
+
+TEST(Topology, CsrRowsAgreeWithLinkMembers) {
+  // neighbors(n) is exactly the union of n's links' members minus n, and
+  // neighbor_offset() lays the rows end to end.
+  const DoubleLatticeMesh dlm(4, 8, 8);
+  std::size_t offset = 0;
+  for (NodeId n = 0; n < dlm.num_nodes(); ++n) {
+    std::vector<NodeId> expected;
+    for (const LinkId lid : dlm.links_of(n))
+      for (const NodeId m : dlm.link_members(lid))
+        if (m != n) expected.push_back(m);
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    const auto row = dlm.neighbors(n);
+    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), expected);
+    EXPECT_EQ(dlm.neighbor_offset(n), offset);
+    offset += row.size();
+  }
+  EXPECT_EQ(dlm.num_neighbor_entries(), offset);
 }
 
 TEST(Topology, AreNeighborsConsistentWithLinks) {
