@@ -1,6 +1,6 @@
 // Microbenchmarks of the discrete-event substrate (google-benchmark):
 // event scheduling throughput, cascade latency, cancellation churn,
-// resource contention, topology/routing construction, and a small
+// link-channel contention, topology/routing construction, and a small
 // end-to-end simulation. These quantify the cost of the ORACLE
 // substitution (DESIGN.md §2).
 //
@@ -21,9 +21,9 @@
 
 #include "core/simulator.hpp"
 #include "legacy_event_engine.hpp"
+#include "machine/channel.hpp"
 #include "machine/machine.hpp"
 #include "machine/message.hpp"
-#include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "topo/dlm.hpp"
 #include "topo/factory.hpp"
@@ -191,19 +191,28 @@ void BM_LegacySchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_LegacySchedulerCancelChurn)->Arg(4096);
 
-void BM_ResourceContention(benchmark::State& state) {
+/// Counts finished link transactions (the LinkChannels sink).
+struct CountingSink {
+  int done = 0;
+  void deliver_hop(const machine::Hop&) { ++done; }
+};
+
+void BM_ChannelContention(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler sched;
-    sim::Resource res(sched, 1);
+    machine::Channel link;
+    CountingSink sink;
+    machine::LinkChannels<CountingSink> channels(sched, &link, sink);
     const int n = static_cast<int>(state.range(0));
-    int done = 0;
-    for (int i = 0; i < n; ++i) res.acquire_for(3, [&done] { ++done; });
+    for (int i = 0; i < n; ++i)
+      channels.occupy(0, 3, machine::Hop{static_cast<std::uint32_t>(i), 0,
+                                         machine::HopKind::Unicast});
     sched.run();
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(sink.done);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ResourceContention)->Arg(4096);
+BENCHMARK(BM_ChannelContention)->Arg(4096);
 
 void BM_TopologyBuildGrid(benchmark::State& state) {
   for (auto _ : state) {

@@ -42,6 +42,10 @@ stats::RunResult run_experiment(const ExperimentConfig& config) {
                  static_cast<std::int64_t>(es.sched.base_slides));
     obs::counter("engine", "engine.msg_pool_reused", "value",
                  static_cast<std::int64_t>(es.msg_pool_reused));
+    // Link contention: transmissions that queued, and the waiter peak.
+    obs::counter("engine", "engine.channel_waits", "waits",
+                 static_cast<std::int64_t>(es.channel_waits), "peak",
+                 static_cast<std::int64_t>(es.peak_waiters));
     if (es.shards > 1) {
       // Parallel-engine health: shard count + barrier windows, per-window
       // starvation, and the cross-partition traffic volume.

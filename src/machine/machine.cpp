@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "stats/accumulator.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
@@ -149,20 +150,6 @@ void Machine::init() {
         f = config_.slow_factor;
   }
 
-  // Small machines pre-size the wait queues so steady-state contention
-  // never allocates. Huge ones grow them on demand from two slots: in the
-  // hypercube:17 CWN run every channel queues a waiter, but fewer than one
-  // in 2,000 ever holds more than two.
-  channels_.reserve(links);
-  for (topo::LinkId lid = 0; lid < links; ++lid) {
-    sim::Scheduler& owner =
-        par_ ? par_->shards[shard_of(topo_.link_members(lid)[0])]
-                   ->sim.scheduler()
-             : sim_.scheduler();
-    channels_.emplace_back(owner);
-    if (!huge) channels_.back().reserve(32);
-  }
-
   strategy_.attach(*this);
 }
 
@@ -243,8 +230,7 @@ void Machine::transmit_pooled(topo::NodeId from, topo::NodeId to,
     transmit_over_cross_link(from, to, cross, slot);
     return;
   }
-  channels_[lid].acquire_for(latency,
-                             [this, slot, to] { deliver_pooled(slot, to); });
+  channels_for(from).occupy(lid, latency, Hop{slot, to, HopKind::Unicast});
 }
 
 void Machine::send_goal(topo::NodeId from, topo::NodeId to, Message msg) {
@@ -270,6 +256,7 @@ void Machine::broadcast_control(topo::NodeId from, std::uint32_t tag,
   msg.src = from;
   const sim::Duration occupancy = occupancy_of(msg);
   const std::uint32_t slot = pool.put(std::move(msg));
+  LinkChannels<Machine>& channels = channels_for(from);
   for (const topo::LinkId lid : topo_.links_of(from)) {
     count_tx(from, MsgKind::Control);
     trace_.record(now(), TraceEvent::ControlSent, from, topo::kInvalidNode,
@@ -280,19 +267,24 @@ void Machine::broadcast_control(topo::NodeId from, std::uint32_t tag,
       continue;
     }
     pool.retain(slot);
-    // [this, slot, lid] is exactly the 16-byte inline budget of
-    // Resource::Callback; the sender rides in msg.src. The link is
-    // internal, so its members share the sender's pool.
-    channels_[lid].acquire_for(occupancy, [this, slot, lid] {
-      const auto members = topo_.link_members(lid);
-      MessagePool& owner = pool_for(members[0]);
-      const Message& delivered = owner.at(slot);
-      for (const topo::NodeId member : members)
-        if (member != delivered.src) deliver(delivered, member);
-      owner.release(slot);
-    });
+    channels.occupy(lid, occupancy, Hop{slot, lid, HopKind::Broadcast});
   }
   pool.release(slot);
+}
+
+void Machine::deliver_hop(const Hop& hop) {
+  if (hop.kind == HopKind::Unicast) {
+    deliver_pooled(hop.slot, hop.target);
+    return;
+  }
+  // A broadcast transaction: the sender rides in msg.src, and the link is
+  // internal, so its members share the sender's pool.
+  const auto members = topo_.link_members(hop.target);
+  MessagePool& owner = pool_for(members[0]);
+  const Message& delivered = owner.at(hop.slot);
+  for (const topo::NodeId member : members)
+    if (member != delivered.src) deliver(delivered, member);
+  owner.release(hop.slot);
 }
 
 void Machine::send_response(topo::NodeId from, topo::NodeId to,
@@ -419,6 +411,8 @@ Machine::EngineStats Machine::engine_stats() const {
   if (!par_) {
     s.sched = sim_.scheduler().counters();
     s.msg_pool_reused = msg_pool_.reused();
+    s.channel_waits = channels_.waits();
+    s.peak_waiters = channels_.peak_waiters();
     return s;
   }
   s.shards = par_->plan.num_shards;
@@ -434,6 +428,8 @@ Machine::EngineStats Machine::engine_stats() const {
     s.window_stalls += shard->window_stalls;
     s.cross_messages += shard->cross_sent;
     s.msg_pool_reused += shard->pool.reused();
+    s.channel_waits += shard->channels.waits();
+    s.peak_waiters += shard->channels.peak_waiters();
   }
   return s;
 }
@@ -539,17 +535,17 @@ stats::RunResult Machine::run() {
   r.control_transmissions = metrics_.counter_value(control_tx_);
 
   double channel_util_sum = 0.0;
-  for (topo::LinkId lid = 0; lid < channels_.size(); ++lid) {
+  for (topo::LinkId lid = 0; lid < links_.size(); ++lid) {
     const std::uint32_t cross = cross_index_of(lid);
     const double u = cross == ParallelState::kInternalLink
-                         ? channels_[lid].utilization(completion_time_)
+                         ? links_[lid].utilization(completion_time_)
                          : cross_channel_utilization(cross, completion_time_);
     channel_util_sum += u;
     r.max_channel_utilization = std::max(r.max_channel_utilization, u);
   }
   r.avg_channel_utilization =
-      channels_.empty() ? 0.0
-                        : channel_util_sum / static_cast<double>(channels_.size());
+      links_.empty() ? 0.0
+                     : channel_util_sum / static_cast<double>(links_.size());
 
   // Hand the whole recorder to the result (trimmed to what was recorded):
   // series and frame views stay valid for as long as the RunResult lives.

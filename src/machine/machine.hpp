@@ -9,7 +9,7 @@
 //     its dispatch order is pinned byte-identical by the regression suite.
 //   - Conservative parallel (sim_threads > 1): PEs are partitioned into K
 //     contiguous shards (machine/partition.hpp), each with its own
-//     scheduler, channel resources, message pool, and RNG stream. Shards
+//     scheduler, channel domain, message pool, and RNG stream. Shards
 //     advance in lock-stepped windows bounded by the topology lookahead
 //     (min cross-shard link latency); cross-shard messages are exchanged
 //     at the window barriers. The trajectory is a deterministic function
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "lb/strategy.hpp"
+#include "machine/channel.hpp"
 #include "machine/machine_config.hpp"
 #include "machine/message.hpp"
 #include "machine/partition.hpp"
@@ -199,12 +200,13 @@ struct CrossMsg {
   Message payload;
 };
 
-/// Analytic stand-in for a sim::Resource on a link whose members span
-/// shards: a capacity-1 FIFO server's k-th departure is
+/// Analytic stand-in for a Channel on a link whose members span shards: a
+/// capacity-1 FIFO server's k-th departure is
 /// max(arrival_k, prev_departure) + service_k, which this tracks in two
 /// words. Each *sender* shard keeps its own occupancy per cross link (a
-/// shared Resource would race); the one modeling deviation — opposite
-/// directions of a cross link don't contend — is documented in README.
+/// shared Channel record would race); the one modeling deviation —
+/// opposite directions of a cross link don't contend — is documented in
+/// README.
 struct CrossChannel {
   sim::SimTime busy_until = 0;
   sim::Duration busy_sum = 0;
@@ -217,14 +219,18 @@ struct CrossChannel {
   }
 };
 
+class Machine;
+
 /// Everything one scheduler shard owns. No member is ever touched by two
 /// threads: a shard is executed by exactly one worker per window, and the
 /// main thread touches it only between windows (the barrier's mutex orders
 /// the handoff).
 struct ShardState {
-  explicit ShardState(std::uint32_t ring_ticks) : sim(ring_ticks) {}
+  ShardState(std::uint32_t ring_ticks, Channel* links, Machine& machine)
+      : sim(ring_ticks), channels(sim.scheduler(), links, machine) {}
 
-  sim::Simulation sim;  // own scheduler + channel resources
+  sim::Simulation sim;  // own scheduler
+  LinkChannels<Machine> channels;  // own waiter pool, for internal links
   MessagePool pool;     // own in-flight slots (indices are shard-local)
   Rng rng{1};           // per-shard stream; deterministic given K
   bool stopped = false; // root finished here; skip further windows
@@ -260,8 +266,8 @@ struct ParallelState {
   std::uint32_t num_workers = 1;
 
   /// Per topology link: its slot in every shard's cross_channels, or
-  /// kInternalLink when all members sit in one shard (the link is then a
-  /// sim::Resource of that shard).
+  /// kInternalLink when all members sit in one shard (that shard's
+  /// LinkChannels then serves the link's Channel record).
   static constexpr std::uint32_t kInternalLink = UINT32_MAX;
   std::vector<std::uint32_t> cross_index;
   std::uint32_t num_cross = 0;
@@ -425,11 +431,14 @@ class Machine {
     std::uint64_t window_stalls = 0;      // (shard, window) pairs with 0 events
     std::uint64_t cross_messages = 0;     // messages crossing shard edges
     std::uint64_t msg_pool_reused = 0;    // summed over shard pools
+    std::uint64_t channel_waits = 0;      // transmissions that queued
+    std::uint64_t peak_waiters = 0;       // summed over shard waiter pools
   };
   EngineStats engine_stats() const;
 
  private:
   friend class PE;
+  friend class LinkChannels<Machine>;
 
   static std::uint32_t tuned_ring_ticks(const MachineConfig& config,
                                         const workload::Workload& workload);
@@ -448,6 +457,10 @@ class Machine {
   MessagePool& pool_for(topo::NodeId pe) noexcept {
     return par_ ? par_->shards[shard_of(pe)]->pool : msg_pool_;
   }
+  /// The channel domain serving the internal links at `pe`.
+  LinkChannels<Machine>& channels_for(topo::NodeId pe) noexcept {
+    return par_ ? par_->shards[shard_of(pe)]->channels : channels_;
+  }
   /// True when delivery at `pe` should be dropped because its shard's run
   /// is over (root completion). Reads only shard-local state in parallel.
   bool stopped_at(topo::NodeId pe) const noexcept {
@@ -456,6 +469,7 @@ class Machine {
 
   void deliver(const Message& msg, topo::NodeId to);
   void deliver_pooled(std::uint32_t slot, topo::NodeId to);
+  void deliver_hop(const Hop& hop);  // a link transaction finished
   void transmit(topo::NodeId from, topo::NodeId to, Message msg);
   void transmit_pooled(topo::NodeId from, topo::NodeId to, std::uint32_t slot);
   void count_tx(topo::NodeId from, MsgKind kind);
@@ -498,11 +512,12 @@ class Machine {
 
   std::vector<std::unique_ptr<PE>> pes_;
   HotState hot_;
-  // One per topology link, contiguous, built before the run; scheduled on
-  // sim_ (serial) or the owning shard's scheduler (parallel). A link whose
-  // members span shards leaves its entry idle and routes through
-  // ShardState::cross_channels instead.
-  std::vector<sim::Resource> channels_;
+  // One record per topology link, contiguous. A serial run serves them
+  // all through channels_; a parallel run through the owning shard's
+  // domain, and a link whose members span shards leaves its record idle
+  // and routes through ShardState::cross_channels instead.
+  std::vector<Channel> links_ = std::vector<Channel>(topo_.num_links());
+  LinkChannels<Machine> channels_{sim_.scheduler(), links_.data(), *this};
   std::vector<std::uint32_t> speed_factor_;  // empty when homogeneous
 
   workload::GoalId next_goal_id_ = 1;

@@ -62,7 +62,7 @@ void Machine::setup_parallel() {
   const bool huge = topo_.num_nodes() > kHugeMachinePEs;
   par_->shards.reserve(K);
   for (std::uint32_t s = 0; s < K; ++s) {
-    auto shard = std::make_unique<ShardState>(ring);
+    auto shard = std::make_unique<ShardState>(ring, links_.data(), *this);
     const std::size_t size = par_->plan.end(s) - par_->plan.begin(s);
     shard->sim.scheduler().reserve(huge ? 2 * size + 64 : 8 * size + 64);
     shard->pool.reserve(huge ? 16384 : 1024);
@@ -83,7 +83,7 @@ void Machine::transmit_over_cross_link(topo::NodeId from, topo::NodeId to,
   const sim::Duration service = occupancy_of(payload);
   // Analytic capacity-1 FIFO per (sender shard, link): the k-th message
   // departs at max(arrival, previous departure) + service, which is when
-  // the serial Resource would complete it.
+  // a serial Channel would complete it.
   const sim::SimTime depart =
       src.cross_channels[cross].occupy(src.sim.now(), service);
   const std::uint32_t dst_shard = shard_of(to);

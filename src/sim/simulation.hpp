@@ -1,11 +1,9 @@
 #pragma once
-// Simulation: a Scheduler plus run-scoped services (named resources and
-// periodic samplers). One Simulation == one ORACLE run.
+// Simulation: a Scheduler plus run-scoped periodic samplers. One
+// Simulation == one ORACLE run (or one shard of a parallel run).
 
-#include <memory>
 #include <vector>
 
-#include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 #include "util/inline_function.hpp"
@@ -24,16 +22,6 @@ class Simulation {
   Scheduler& scheduler() noexcept { return sched_; }
   const Scheduler& scheduler() const noexcept { return sched_; }
   SimTime now() const noexcept { return sched_.now(); }
-
-  /// Create a resource owned by this simulation.
-  Resource& make_resource(std::uint32_t capacity = 1) {
-    resources_.push_back(std::make_unique<Resource>(sched_, capacity));
-    return *resources_.back();
-  }
-
-  const std::vector<std::unique_ptr<Resource>>& resources() const noexcept {
-    return resources_;
-  }
 
   /// Sampler hooks ride the same no-heap-fallback callable as scheduler
   /// events: sampling is part of the engine's steady state (one firing per
@@ -61,7 +49,6 @@ class Simulation {
   void arm_sampler(std::size_t idx, SimTime when);
 
   Scheduler sched_;
-  std::vector<std::unique_ptr<Resource>> resources_;
   std::vector<Sampler> samplers_;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 // InlineFunction: a move-only callable with fixed small-buffer storage and
-// *no heap fallback*. The discrete-event hot path (sim/scheduler.hpp,
-// sim/resource.hpp) stores millions of short-lived callbacks per run;
+// *no heap fallback*. The discrete-event hot path (sim/scheduler.hpp)
+// stores millions of short-lived callbacks per run;
 // std::function would heap-allocate every capture larger than its tiny SBO
 // and pay a double indirection on call. InlineFunction trades generality
 // for a hard guarantee: constructing, moving and destroying one never
@@ -17,8 +17,8 @@
 //     (static_asserted; shrink the capture — e.g. pass a pool index instead
 //     of a by-value payload — or raise Capacity at the use site)
 //   - F is nothrow-move-constructible (stored callables relocate when
-//     their containers grow — e.g. a Resource's RingQueue of waiting
-//     requests — and a throwing move could lose events)
+//     their containers grow — e.g. Simulation's sampler list — and a
+//     throwing move could lose events)
 
 #include <cstddef>
 #include <cstdint>

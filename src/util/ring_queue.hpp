@@ -1,10 +1,10 @@
 #pragma once
 // RingQueue: a growable circular-buffer FIFO with up-front capacity
 // reservation. std::deque allocates a fresh block every few dozen elements
-// and never gives one back mid-run; the simulator's per-PE ready queues and
-// per-channel wait queues instead reserve once at machine setup and then
-// push/pop millions of times with zero allocation (capacity only grows on
-// overflow, by doubling).
+// and never gives one back mid-run; the simulator's per-PE ready queues
+// instead reserve once at machine setup and then push/pop millions of
+// times with zero allocation (capacity only grows on overflow, by
+// doubling).
 //
 // Supports random access and middle erasure (both index-based) because load
 // balancing occasionally extracts a transferable goal from the middle of a
@@ -105,9 +105,9 @@ class RingQueue {
   }
 
  private:
-  // First allocation of a queue that was never reserved. Small because
-  // unreserved queues are the many idle channel wait queues of a huge
-  // machine; queues that expect traffic reserve up front.
+  // First allocation of a queue that was never reserved. The simulator
+  // reserves every queue it builds, so this only sizes ad-hoc queues;
+  // small keeps an idle one cheap.
   static constexpr std::size_t kMinCapacity = 2;
 
   static std::size_t ceil_pow2(std::size_t n) {

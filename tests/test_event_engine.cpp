@@ -18,12 +18,15 @@
 #include "core/presets.hpp"
 #include "core/sweep.hpp"
 #include "exp/result_sink.hpp"
+#include "lb/strategy.hpp"
 #include "machine/machine.hpp"
 #include "sim/scheduler.hpp"
+#include "topo/factory.hpp"
 #include "util/inline_function.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "workload/workload.hpp"
 
 namespace oracle {
 namespace {
@@ -408,6 +411,58 @@ TEST(GoldenBatchOutput, ByteIdenticalToPreRefactorEngine) {
     }
     return sum;
   }());
+}
+
+/// A serial sweep whose channels really queue: every word costs 2 ticks,
+/// so a goal hop holds its link for ~20 ticks while load broadcasts and
+/// steal probes pile up behind it. {dlm:5:5x5, grid:6x6} x {acwn, gm,
+/// steal:backoff=10} x fib:11 x seeds {1, 2}.
+core::SweepBuilder deep_queue_sweep() {
+  core::ExperimentConfig base = core::paper::base_config();
+  base.machine.word_time = 2;
+  core::SweepBuilder sweep(base);
+  sweep.topologies({"dlm:5:5x5", "grid:6x6"})
+      .strategies({"acwn", "gm", "steal:backoff=10"})
+      .workloads({"fib:11"})
+      .seeds({1, 2});
+  return sweep;
+}
+
+exp::BatchOutcome run_deep_queue_sweep(std::ostream& os) {
+  exp::BatchOptions opt;
+  opt.collect = false;
+  opt.jsonl_stream = &os;
+  return deep_queue_sweep().run_batch(opt);
+}
+
+TEST(GoldenBatchOutput, DeepQueueTrajectoriesPinned) {
+  // Captured from the sim::Resource channel model (one RingQueue of
+  // type-erased requests per link): 12 JSONL records. The compact link
+  // channels must reproduce them byte for byte — same FIFO order, same
+  // completion events, same channel utilizations.
+  std::ostringstream os;
+  const auto outcome = run_deep_queue_sweep(os);
+  EXPECT_TRUE(outcome.report.ok());
+  const std::string bytes = os.str();
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 12);
+  EXPECT_EQ(bytes.size(), 7146u);
+  EXPECT_EQ(fnv1a64(bytes), 0x80042b3990ac3310ULL);
+}
+
+TEST(GoldenBatchOutput, DeepQueueSweepParksWaitersOnEveryRun) {
+  // What makes the golden above deep: every run of it queues transmissions
+  // behind busy links, and recycles waiter slots (fewer slots than waits).
+  for (const core::ExperimentConfig& cfg : deep_queue_sweep().build()) {
+    const topo::SharedTopology topology =
+        topo::make_topology_shared(cfg.topology);
+    const auto workload = workload::make_workload(cfg.workload, cfg.costs);
+    const auto strategy = lb::make_strategy(cfg.strategy);
+    machine::Machine m(topology, *workload, *strategy, cfg.machine);
+    m.run();
+    const machine::Machine::EngineStats stats = m.engine_stats();
+    EXPECT_GT(stats.peak_waiters, 0u) << cfg.label();
+    EXPECT_LT(stats.peak_waiters, stats.channel_waits) << cfg.label();
+  }
 }
 
 }  // namespace

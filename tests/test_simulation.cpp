@@ -1,4 +1,4 @@
-// Tests for the Simulation wrapper: periodic samplers and owned resources.
+// Tests for the Simulation wrapper: periodic samplers.
 
 #include <gtest/gtest.h>
 
@@ -24,16 +24,6 @@ TEST(Simulation, SamplerFiresWhileWorkPending) {
   EXPECT_EQ(samples.front(), 0);
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_EQ(samples[i] - samples[i - 1], 10);
-}
-
-TEST(Simulation, MakeResourceOwnsResources) {
-  Simulation sim;
-  Resource& r = sim.make_resource(2);
-  EXPECT_EQ(r.capacity(), 2u);
-  EXPECT_EQ(sim.resources().size(), 1u);
-  r.acquire_for(5, nullptr);
-  sim.run();
-  EXPECT_EQ(r.busy_time(), 5);
 }
 
 }  // namespace
