@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/presets.hpp"
-#include "core/runner.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
 #include "exp/batch.hpp"

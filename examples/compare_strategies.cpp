@@ -34,7 +34,11 @@ int main(int argc, char** argv) {
     cfg.workload = workload;
     configs.push_back(cfg);
   }
-  const auto results = core::run_all(configs);
+  const auto outcome = exp::run_batch(configs);
+  for (const auto& err : outcome.report.errors)
+    std::fprintf(stderr, "compare_strategies: %s\n", err.c_str());
+  if (!outcome.report.ok()) return 1;
+  const auto& results = outcome.results;
 
   std::printf("Strategy comparison: %s, %s (%u PEs)\n\n", topology.c_str(),
               workload.c_str(), results[0].num_pes);

@@ -49,11 +49,12 @@ void print_usage() {
       "                    [--max-restarts N] [--retry-quarantined]\n"
       "                    [--lease-server HOST:PORT] [--lease-timeout-ms N]\n"
       "                    [--lease-retries N]  (supervised worker processes;\n"
-      "                    --steal is accepted and ignored)\n"
+      "                    a worker silent past the lease service's expiry,\n"
+      "                    adaptive or --heartbeat-ms, is killed and\n"
+      "                    respawned; --steal is accepted and ignored)\n"
       "       oracle_batch serve-leases ... --workers W --journal PATH\n"
       "                    [--listen H:P] [--status-file PATH] [--linger-ms N]\n"
       "                                                  (cross-host lease server)\n"
-      "       oracle_batch run ... --shard i/N                   (one shard only)\n"
       "       oracle_batch aggregate <store.jsonl> [<store2.jsonl> ...]\n"
       "                    [--metric NAME|all|list] [--csv PATH|-]\n"
       "       oracle_batch trace <base> [--out PATH]     (stitch --trace files)\n"
@@ -66,6 +67,16 @@ void print_usage() {
       "                    [--metric NAME|all|list] [--csv PATH|-]\n"
       "                    [--target METRIC:HALFWIDTH] [--timeout-ms N]\n"
       "                                                  (ask a serve daemon)\n");
+}
+
+/// An integer flag value, rejected below `min` before any caller casts it
+/// to an unsigned type (-1 must not wrap to 2^64-1).
+std::int64_t int_flag(const std::string& text, const std::string& flag,
+                      std::int64_t min) {
+  const auto n = parse_int(text, flag);
+  if (n < min)
+    usage_error(flag + " must be >= " + std::to_string(min));
+  return n;
 }
 
 std::vector<std::string> parse_list(const std::string& value,
@@ -103,9 +114,7 @@ bool parse_sweep_flag(core::SweepSpec& sweep, const std::string& arg,
   } else if (arg == "--master-seed") {
     // 0 is the engine's "disabled" sentinel — reject rather than
     // silently falling back to the raw seeds axis.
-    const auto m = parse_int(value(), arg);
-    if (m < 1) usage_error("--master-seed must be >= 1");
-    sweep.master_seed = static_cast<std::uint64_t>(m);
+    sweep.master_seed = static_cast<std::uint64_t>(int_flag(value(), arg, 1));
   } else if (arg == "--preset") {
     value();  // already applied by the pre-scan
   } else if (arg == "--sample") {
@@ -113,9 +122,7 @@ bool parse_sweep_flag(core::SweepSpec& sweep, const std::string& arg,
   } else if (arg == "--hop-latency") {
     sweep.hop_latency = parse_int(value(), arg);
   } else if (arg == "--sim-threads") {
-    const auto n = parse_int(value(), arg);
-    if (n < 1) usage_error("--sim-threads must be >= 1");
-    sweep.sim_threads = n;
+    sweep.sim_threads = int_flag(value(), arg, 1);
   } else if (arg == "--sim-partitions") {
     sweep.sim_partitions = parse_int(value(), arg);
   } else {
@@ -194,9 +201,7 @@ int serve_leases_cli(int argc, char** argv) {
       return 0;
     } else if (parse_sweep_flag(cmd.sweep, arg, value)) {
     } else if (arg == "--workers") {
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--workers must be >= 1");
-      cmd.workers = static_cast<std::size_t>(n);
+      cmd.workers = static_cast<std::size_t>(int_flag(value(), arg, 1));
     } else if (arg == "--listen") {
       listen = value();
     } else if (arg == "--journal") {
@@ -204,7 +209,8 @@ int serve_leases_cli(int argc, char** argv) {
     } else if (arg == "--status-file") {
       cmd.options.status_path = value();
     } else if (arg == "--linger-ms") {
-      cmd.options.linger_ms = static_cast<std::uint32_t>(parse_int(value(), arg));
+      cmd.options.linger_ms =
+          static_cast<std::uint32_t>(int_flag(value(), arg, 0));
     } else if (arg == "--log-level") {
       const auto lvl = log::parse_level(value());
       if (!lvl) usage_error("--log-level needs trace|debug|info|warn|error|off");
@@ -242,23 +248,21 @@ int serve_cli(int argc, char** argv) {
     } else if (arg == "--listen") {
       listen = value();
     } else if (arg == "--jobs") {
-      cmd.options.exec_threads = static_cast<std::size_t>(parse_int(value(), arg));
+      cmd.options.exec_threads =
+          static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--status-file") {
       cmd.options.status_path = value();
     } else if (arg == "--status-interval-ms") {
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--status-interval-ms must be >= 1");
-      cmd.options.status_interval_ms = static_cast<std::uint32_t>(n);
+      cmd.options.status_interval_ms =
+          static_cast<std::uint32_t>(int_flag(value(), arg, 1));
     } else if (arg == "--query-threads") {
       cmd.options.query_threads =
-          static_cast<std::size_t>(parse_int(value(), arg));
+          static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--job-budget") {
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--job-budget must be >= 1");
-      cmd.options.job_budget = static_cast<std::size_t>(n);
+      cmd.options.job_budget =
+          static_cast<std::size_t>(int_flag(value(), arg, 1));
     } else if (arg == "--client-timeout-ms") {
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--client-timeout-ms must be >= 1");
+      const auto n = int_flag(value(), arg, 1);
       cmd.options.write_timeout_ms = static_cast<std::uint32_t>(n);
       cmd.options.read_timeout_ms = static_cast<std::uint32_t>(n);
     } else if (arg == "--trace") {
@@ -302,9 +306,7 @@ int query_cli(int argc, char** argv) {
     } else if (arg == "--target") {
       target = value();
     } else if (arg == "--timeout-ms") {
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--timeout-ms must be >= 1");
-      cmd.timeout_ms = static_cast<std::uint32_t>(n);
+      cmd.timeout_ms = static_cast<std::uint32_t>(int_flag(value(), arg, 1));
     } else {
       usage_error("unknown query option '" + arg + "'");
     }
@@ -342,26 +344,19 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
     if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;
-    } else if (arg == "--shard" && run_mode) {
-      // Worker identity: run shard i of N.
-      cmd.shard = exp::ShardSpec::parse(value());
-      if (!cmd.shard) usage_error("--shard needs i/N with i < N");
     } else if (parse_sweep_flag(cmd.sweep, arg, value)) {
     } else if (arg == "--jobs") {
-      cmd.jobs = static_cast<std::size_t>(parse_int(value(), arg));
+      cmd.jobs = static_cast<std::size_t>(int_flag(value(), arg, 0));
       cmd.jobs_given = true;
     } else if (arg == "--workers" && run_mode) {
-      // Validate before the size_t cast: -2 must not wrap to 2^64-2.
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--workers must be >= 1");
-      cmd.workers = static_cast<std::size_t>(n);
+      cmd.workers = static_cast<std::size_t>(int_flag(value(), arg, 1));
     } else if (arg == "--steal" && run_mode) {
       // Accepted and ignored: every supervised run steals.
     } else if (arg == "--heartbeat-ms" && run_mode) {
-      cmd.heartbeat_ms = static_cast<std::uint32_t>(parse_int(value(), arg));
-      cmd.heartbeat_given = true;  // explicit (even 0) disables adaptive mode
+      // 0 keeps the lease service's adaptive expiry.
+      cmd.heartbeat_ms = static_cast<std::uint32_t>(int_flag(value(), arg, 0));
     } else if (arg == "--max-restarts" && run_mode) {
-      cmd.max_restarts = static_cast<std::size_t>(parse_int(value(), arg));
+      cmd.max_restarts = static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--retry-quarantined" && run_mode) {
       cmd.retry_quarantined = true;
     } else if (arg == "--lease-server" && run_mode) {
@@ -369,11 +364,10 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
       if (!util::HostPort::parse(cmd.lease_server))
         usage_error("--lease-server needs HOST:PORT");
     } else if (arg == "--lease-timeout-ms" && run_mode) {
-      const auto n = parse_int(value(), arg);
-      if (n < 1) usage_error("--lease-timeout-ms must be >= 1");
-      cmd.lease_timeout_ms = static_cast<std::uint32_t>(n);
+      cmd.lease_timeout_ms =
+          static_cast<std::uint32_t>(int_flag(value(), arg, 1));
     } else if (arg == "--lease-retries" && run_mode) {
-      cmd.lease_retries = static_cast<std::size_t>(parse_int(value(), arg));
+      cmd.lease_retries = static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--worker-slot" && run_mode) {
       cmd.worker_slot = exp::ShardSpec::parse(value());
       if (!cmd.worker_slot) usage_error("--worker-slot needs k/W with k < W");
@@ -396,7 +390,7 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
     } else if (arg == "--trace") {
       cmd.trace_path = value();
     } else if (arg == "--status-file") {
-      // Parent-owned: workers report through leases/heartbeats, not
+      // Parent-owned: workers report through their lease traffic, not
       // their own status files, so this is deliberately not forwarded.
       cmd.status_path = value();
     } else {

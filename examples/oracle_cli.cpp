@@ -140,7 +140,10 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto results = core::run_all(configs);
+    const auto outcome = exp::run_batch(configs);
+    if (!outcome.report.ok())
+      throw SimulationError(outcome.report.errors.at(0));
+    const auto& results = outcome.results;
 
     TextTable t({"seed", "completion", "util %", "speedup", "goals",
                  "goal msgs", "avg dist"});

@@ -83,11 +83,6 @@ exp::BatchOutcome SweepBuilder::run_batch(
   return exp::run_batch(build(), options);
 }
 
-exp::ShardRunReport SweepBuilder::run_sharded(
-    const exp::ShardRunOptions& options) const {
-  return exp::run_sharded_processes(build(), options);
-}
-
 void SweepSpec::apply_preset(const std::string& name) {
   ORACLE_REQUIRE(name == "million-pe" || name == "million_pe",
                  "unknown preset '" + name + "' (available: million-pe)");

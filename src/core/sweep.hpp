@@ -9,7 +9,6 @@
 
 #include "core/config.hpp"
 #include "exp/batch.hpp"
-#include "exp/shard.hpp"
 
 namespace oracle::core {
 
@@ -44,11 +43,6 @@ class SweepBuilder {
   /// Materialize and execute the sweep on the batch experiment engine
   /// (parallel execution, JSONL/CSV stores, resume from the store).
   exp::BatchOutcome run_batch(const exp::BatchOptions& options = {}) const;
-
-  /// Materialize and execute the sweep as a multi-process run: supervised
-  /// self-exec lease workers over private stores, merged into the
-  /// canonical store in job order (exp::run_sharded_processes).
-  exp::ShardRunReport run_sharded(const exp::ShardRunOptions& options) const;
 
  private:
   ExperimentConfig base_;

@@ -13,9 +13,6 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
                        const BatchOptions& options) {
   JobQueue queue(configs);
   if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
-  if (options.shard_count > 1)
-    queue.retain_shard(options.shard_index, options.shard_count);
-  // From here on "the sweep" means this shard's slice of it.
   const std::size_t planned = queue.size();
 
   std::size_t skipped = 0;
@@ -25,8 +22,6 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
       done.merge(load_completed_hashes(options.jsonl_path));
     if (!options.csv_path.empty())
       done.merge(load_completed_hashes_csv(options.csv_path));
-    for (const auto& store : options.extra_resume_stores)
-      done.merge(load_completed_hashes(store));
     skipped = queue.skip_completed(done);
   }
 

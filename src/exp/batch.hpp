@@ -31,19 +31,6 @@ struct BatchOptions {
   /// stores are truncated.
   bool resume = false;
 
-  /// Additional JSONL stores whose completed hashes also count during
-  /// resume (read-only; never written). The multi-process shard runner
-  /// points workers at the canonical merged store so jobs already folded
-  /// into it are not re-run after the per-shard stores were cleaned up.
-  std::vector<std::string> extra_resume_stores;
-
-  /// Distributed shard slice: run only the jobs whose content hash
-  /// satisfies hash % shard_count == shard_index (see
-  /// JobQueue::retain_shard). shard_count <= 1 runs the whole sweep.
-  /// The report's total_jobs/skipped then refer to this shard's slice.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-
   /// When nonzero, re-seed each job with Rng::derive_seed(master_seed, i)
   /// — independent reproducible streams without enumerating seeds by hand.
   std::uint64_t master_seed = 0;
@@ -62,8 +49,8 @@ struct BatchOutcome {
 };
 
 /// Execute every config as one batch: build the JobQueue, apply
-/// master_seed, the shard slice and (with resume) the store scan that
-/// skips completed jobs, then run the queue overload below.
+/// master_seed and (with resume) the store scan that skips completed
+/// jobs, then run the queue overload below.
 /// Throws SimulationError on store I/O failure; individual simulation
 /// failures land in outcome.report instead.
 BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
@@ -73,9 +60,9 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
 /// sliced and filtered (the service keeps a job-index window with
 /// JobQueue::retain_range and drops the jobs its StoreIndex holds). Uses
 /// the sink, executor and collect options; `resume` only opens the stores
-/// in append mode — nothing is scanned. master_seed, the shard slice and
-/// extra_resume_stores are the caller's business here. The report's
-/// total_jobs is the queue size and skipped is 0.
+/// in append mode — nothing is scanned. master_seed is the caller's
+/// business here. The report's total_jobs is the queue size and skipped
+/// is 0.
 BatchOutcome run_batch(JobQueue& queue, const BatchOptions& options);
 
 }  // namespace oracle::exp

@@ -381,8 +381,7 @@ std::vector<std::string> worker_command_line(const SweepCommand& cmd) {
 }  // namespace
 
 int run_sweep_command(const SweepCommand& cmd) {
-  const bool distributed = cmd.workers > 0 || cmd.shard.has_value() ||
-                           cmd.worker_slot.has_value();
+  const bool distributed = cmd.workers > 0 || cmd.worker_slot.has_value();
   if (distributed) {
     ORACLE_REQUIRE(!cmd.out.empty() && cmd.out != "-",
                    "distributed runs need a canonical --out store file");
@@ -390,13 +389,9 @@ int run_sweep_command(const SweepCommand& cmd) {
         cmd.csv_path.empty(),
         "--csv is not supported for distributed runs; derive a CSV from "
         "the merged store via `oracle_batch aggregate --csv`");
-    ORACLE_REQUIRE(
-        !(cmd.workers > 0 &&
-          (cmd.shard.has_value() || cmd.worker_slot.has_value())),
-        "--workers (parent) and --shard i/N / --worker-slot k/W (worker) "
-        "are exclusive");
-    ORACLE_REQUIRE(!(cmd.shard.has_value() && cmd.worker_slot.has_value()),
-                   "--shard i/N and --worker-slot k/W are exclusive");
+    ORACLE_REQUIRE(!(cmd.workers > 0 && cmd.worker_slot.has_value()),
+                   "--workers (parent) and --worker-slot k/W (worker) are "
+                   "exclusive");
   }
   ORACLE_REQUIRE(!(!cmd.lease_server.empty() && cmd.workers == 0 &&
                    !cmd.worker_slot.has_value()),
@@ -404,8 +399,6 @@ int run_sweep_command(const SweepCommand& cmd) {
                  "--worker-slot k/W (one worker)");
   ORACLE_REQUIRE(!(cmd.worker_slot.has_value() && cmd.lease_server.empty()),
                  "--worker-slot k/W needs --lease-server HOST:PORT");
-  ORACLE_REQUIRE(!(!cmd.lease_server.empty() && cmd.shard.has_value()),
-                 "--lease-server and --shard i/N are exclusive");
   ORACLE_REQUIRE(!(cmd.retry_quarantined && !cmd.resume),
                  "--retry-quarantined needs --resume");
   ORACLE_REQUIRE(!(cmd.resume && cmd.out == "-"),
@@ -445,9 +438,6 @@ int run_sweep_command(const SweepCommand& cmd) {
       sopt.keep_shard_stores = cmd.keep_shards;
       sopt.master_seed = opt.master_seed;
       sopt.heartbeat_ms = cmd.heartbeat_ms;
-      // No explicit --heartbeat-ms: stall detection defaults to the
-      // adaptive, pace-tracking timeout instead of a fixed guess.
-      sopt.adaptive_heartbeat = !cmd.heartbeat_given;
       sopt.max_restarts = cmd.max_restarts;
       sopt.retry_quarantined = cmd.retry_quarantined;
       sopt.lease_server = cmd.lease_server;
@@ -456,7 +446,7 @@ int run_sweep_command(const SweepCommand& cmd) {
       sopt.exec_path = self_exec_path(cmd.self);
       sopt.worker_args = worker_command_line(cmd);
 
-      const auto report = sweep.run_sharded(sopt);
+      const auto report = run_sharded_processes(sweep.build(), sopt);
       std::printf("%s\n", report.summary().c_str());
       for (const auto& w : report.workers) {
         if (w.ok()) continue;
@@ -517,7 +507,7 @@ int run_sweep_command(const SweepCommand& cmd) {
       wopt.retry_budget = cmd.lease_retries;
       // CI fault injection: ORACLE_SHARD_FAULT="die|kill|stall:<slot>:<n>"
       // arms a one-shot fault in the matching slot ("kill" raises SIGKILL,
-      // "die" _exit(1)s, "stall" sleeps through the heartbeat timeout).
+      // "die" _exit(1)s, "stall" sleeps through the service's expiry).
       // The one-shot marker lives beside the canonical store, so the
       // supervisor's respawn of the same slot runs clean.
       if (const char* fault = std::getenv("ORACLE_SHARD_FAULT")) {
@@ -576,35 +566,6 @@ int run_sweep_command(const SweepCommand& cmd) {
       write_worker_trace();
       if (report.orphaned) return kOrphanedExitCode;
       return report.batch.ok() ? 0 : 1;
-    }
-
-    if (cmd.shard.has_value()) {
-      // Worker: run only this shard's slice into its private store.
-      const ShardSpec& shard = *cmd.shard;
-      log::set_tag(strfmt("shard %zu/%zu", shard.index, shard.count));
-      if (!cmd.trace_path.empty())
-        obs::Tracer::enable(static_cast<std::uint32_t>(shard.index + 1),
-                            strfmt("shard %zu", shard.index));
-      opt.shard_index = shard.index;
-      opt.shard_count = shard.count;
-      const std::string canonical = opt.jsonl_path;
-      opt.jsonl_path = shard_store_path(canonical, shard.index, shard.count);
-      if (opt.resume) opt.extra_resume_stores.push_back(canonical);
-      opt.exec.progress = false;  // parents interleave many workers
-
-      const auto outcome = sweep.run_batch(opt);
-      ORACLE_LOG_INFO(outcome.report.summary());
-      ORACLE_LOG_DEBUG(outcome.report.job_wall.summary());
-      for (const auto& err : outcome.report.errors)
-        ORACLE_LOG_ERROR("failed: " + err);
-      if (!cmd.trace_path.empty()) {
-        // A standalone shard runs once, so truncate rather than append —
-        // a re-run replaces the shard's trace.
-        obs::Tracer::write_event_lines(
-            obs::worker_trace_path(cmd.trace_path, shard.index, shard.count),
-            /*append=*/false);
-      }
-      return outcome.report.ok() ? 0 : 1;
     }
 
     // Plain (threaded) run: the tracer records on logical pid 0 and the

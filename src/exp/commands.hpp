@@ -72,8 +72,7 @@ int run_query_command(const QueryCommand& cmd);
 
 /// `oracle_batch [run] ...` — the sweep/run mode in all its shapes: plain
 /// threaded run, the multi-process supervisor (in-process or remote lease
-/// service), a standalone `--shard i/N` slice, and the internal worker
-/// role.
+/// service), and the internal worker role.
 struct SweepCommand {
   core::SweepSpec sweep;
 
@@ -86,11 +85,9 @@ struct SweepCommand {
 
   // Distributed mode.
   std::size_t workers = 0;                   ///< parent: fork this many
-  std::optional<ShardSpec> shard;            ///< standalone shard i/N
   std::optional<ShardSpec> worker_slot;      ///< lease worker: slot k/W
   bool keep_shards = false;
-  std::uint32_t heartbeat_ms = 0;
-  bool heartbeat_given = false;  ///< absent => adaptive stall detection
+  std::uint32_t heartbeat_ms = 0;  ///< in-process expiry; 0 = adaptive
   std::size_t max_restarts = 2;
   bool retry_quarantined = false;
   std::string lease_server;  ///< "" = in-process lease service

@@ -45,16 +45,6 @@ std::size_t JobQueue::skip_completed(
   return before - jobs_.size();
 }
 
-std::size_t JobQueue::retain_shard(std::size_t index, std::size_t count) {
-  if (count <= 1) return 0;
-  const std::size_t before = jobs_.size();
-  std::erase_if(jobs_, [&](const ExperimentJob& job) {
-    return job.content_hash % count != index;
-  });
-  reset_cursor();
-  return before - jobs_.size();
-}
-
 std::size_t JobQueue::retain_range(std::size_t begin, std::size_t end) {
   const std::size_t before = jobs_.size();
   std::erase_if(jobs_, [&](const ExperimentJob& job) {

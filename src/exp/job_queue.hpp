@@ -39,17 +39,9 @@ class JobQueue {
   /// of jobs removed. Resets the claim cursor.
   std::size_t skip_completed(const std::unordered_set<std::uint64_t>& completed);
 
-  /// Keep only the jobs of shard `index` out of `count` (content hash
-  /// modulo count — the distributed sharding rule). The slice is a pure
-  /// function of job identity, so it is stable across invocations,
-  /// resumes, and hosts: the same job always lands in the same shard.
-  /// Surviving jobs keep their sweep indices. Returns the number of jobs
-  /// removed; count <= 1 keeps everything. Resets the claim cursor.
-  std::size_t retain_shard(std::size_t index, std::size_t count);
-
   /// Keep only the jobs whose *sweep index* lies in [begin, end) — the
-  /// work-stealing lease rule. Unlike retain_shard's hash modulus, a lease
-  /// is a contiguous slice of the job order, so the lease service can
+  /// work-stealing lease rule. A lease is a contiguous slice of the job
+  /// order, so the lease service can
   /// shrink it (steal its tail) while a worker runs: jobs already
   /// committed keep their identity and the stolen tail re-slices cleanly
   /// elsewhere.

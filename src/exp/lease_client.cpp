@@ -164,21 +164,6 @@ LeaseClient::CommitResult LeaseClient::commit(std::uint64_t epoch,
   return CommitResult::kOk;
 }
 
-LeaseClient::CommitResult LeaseClient::heartbeat(std::uint64_t epoch,
-                                                 std::size_t* current_end) {
-  LeaseRequest req;
-  req.op = LeaseOp::kHeartbeat;
-  req.slot = options_.slot;
-  req.epoch = epoch;
-  const LeaseResponse rsp = call(req);
-  if (rsp.kind == LeaseResponseKind::kFenced) return CommitResult::kFenced;
-  if (rsp.kind == LeaseResponseKind::kDone) return CommitResult::kDone;
-  if (rsp.kind != LeaseResponseKind::kOk)
-    throw SimulationError("lease server rejected heartbeat: " + rsp.text);
-  if (current_end) *current_end = rsp.end;
-  return CommitResult::kOk;
-}
-
 std::optional<std::string> LeaseClient::status() {
   LeaseRequest req;
   req.op = LeaseOp::kStatus;

@@ -62,14 +62,12 @@ class LeaseClient {
 
   enum class CommitResult { kOk, kFenced, kDone };
 
-  /// Commit the durable frontier (doubles as the progress heartbeat).
+  /// Commit the durable frontier; every request doubles as the slot's
+  /// sign of life for the service's expiry clock.
   /// `wall_us` is the wall time of the job just finished (0 = none);
   /// kOk updates *current_end to the possibly steal-shrunk lease end.
   CommitResult commit(std::uint64_t epoch, std::size_t frontier,
                       std::uint64_t wall_us, std::size_t* current_end);
-
-  /// Liveness probe between jobs/leases; same fencing semantics.
-  CommitResult heartbeat(std::uint64_t epoch, std::size_t* current_end);
 
   /// Server state snapshot (the raw status JSON); nullopt on error
   /// (status is best-effort: it never throws LeaseOrphanedError).

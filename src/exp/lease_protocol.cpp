@@ -30,10 +30,6 @@ std::string LeaseRequest::encode() const {
       return strfmt("%s %llu acquire %zu %zu %zu", kLeaseProtoVersion,
                     static_cast<unsigned long long>(seq), slot, slot_count,
                     jobs);
-    case LeaseOp::kHeartbeat:
-      return strfmt("%s %llu heartbeat %zu %llu", kLeaseProtoVersion,
-                    static_cast<unsigned long long>(seq), slot,
-                    static_cast<unsigned long long>(epoch));
     case LeaseOp::kCommit:
       return strfmt("%s %llu commit %zu %llu %zu %llu %llu",
                     kLeaseProtoVersion, static_cast<unsigned long long>(seq),
@@ -68,8 +64,8 @@ std::optional<LeaseRequest> LeaseRequest::parse(const std::string& payload) {
     req.jobs = static_cast<std::size_t>(*c);
     return req;
   }
-  if (op == "heartbeat" || op == "steal") {
-    req.op = op == "heartbeat" ? LeaseOp::kHeartbeat : LeaseOp::kSteal;
+  if (op == "steal") {
+    req.op = LeaseOp::kSteal;
     const auto a = u64_at(3), b = u64_at(4);
     if (!a || !b || tok.size() != 5) return std::nullopt;
     req.slot = static_cast<std::size_t>(*a);

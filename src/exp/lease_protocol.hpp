@@ -13,7 +13,6 @@
 //
 // Ops:
 //   acquire  <slot> <slot_count> <jobs>            -> lease|empty|done|error
-//   heartbeat <slot> <epoch>                       -> ok|fenced|done
 //   commit   <slot> <epoch> <frontier> <wall_us> <retries>
 //                                                  -> ok|fenced|done
 //   steal    <slot> <epoch>                        -> lease|empty|done|fenced
@@ -37,7 +36,7 @@ namespace oracle::exp {
 
 inline constexpr const char* kLeaseProtoVersion = "v1";
 
-enum class LeaseOp { kAcquire, kHeartbeat, kCommit, kSteal, kStatus };
+enum class LeaseOp { kAcquire, kCommit, kSteal, kStatus };
 
 struct LeaseRequest {
   std::uint64_t seq = 0;

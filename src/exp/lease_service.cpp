@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -24,6 +26,124 @@ namespace oracle::exp {
 
 namespace {
 constexpr const char* kJournalTag = "J1";
+}
+
+// ------------------------------------------------------------- LeaseTable --
+
+LeaseTable::LeaseTable(std::size_t jobs, std::size_t slots) : jobs_(jobs) {
+  slots_.resize(std::max<std::size_t>(slots, 1));
+  const std::size_t w = slots_.size();
+  for (std::size_t i = 0; i < w; ++i) {
+    slots_[i].current.begin = jobs * i / w;
+    slots_[i].current.end = jobs * (i + 1) / w;
+    // A zero-size lease (more slots than jobs) is born drained: its worker
+    // has nothing to do and any steal immediately re-arms it.
+    slots_[i].drained = slots_[i].current.empty();
+  }
+}
+
+void LeaseTable::mark_drained(std::size_t slot) {
+  slots_[slot].drained = true;
+}
+
+bool LeaseTable::all_drained() const {
+  return std::all_of(slots_.begin(), slots_.end(),
+                     [](const Slot& s) { return s.drained; });
+}
+
+std::optional<Lease> LeaseTable::steal(std::size_t victim, std::size_t thief,
+                                       std::size_t split) {
+  if (victim >= slots_.size() || thief >= slots_.size() || victim == thief)
+    return std::nullopt;
+  Slot& v = slots_[victim];
+  Slot& t = slots_[thief];
+  // Only a live victim has an unclaimed tail, and only a drained thief may
+  // abandon its old lease; `split` must leave the victim a non-empty head
+  // and the thief a non-empty tail.
+  if (v.drained || !t.drained) return std::nullopt;
+  if (split <= v.current.begin || split >= v.current.end) return std::nullopt;
+
+  if (!t.current.empty())
+    retired_.emplace_back(t.current.begin, t.current.end);
+  t.current.generation += 1;
+  t.current.begin = split;
+  t.current.end = v.current.end;
+  t.drained = false;
+  v.current.generation += 1;
+  v.current.end = split;
+  return t.current;
+}
+
+std::optional<Lease> LeaseTable::reassign(std::size_t victim,
+                                          std::size_t thief,
+                                          std::size_t frontier) {
+  if (victim >= slots_.size() || thief >= slots_.size() || victim == thief)
+    return std::nullopt;
+  Slot& v = slots_[victim];
+  Slot& t = slots_[thief];
+  if (v.drained || !t.drained) return std::nullopt;
+  if (frontier < v.current.begin || frontier > v.current.end)
+    return std::nullopt;
+
+  // The committed head retires; the victim's lease collapses to empty at
+  // the split point so the partition invariant keeps holding.
+  if (frontier > v.current.begin)
+    retired_.emplace_back(v.current.begin, frontier);
+  const std::size_t end = v.current.end;
+  v.current.generation += 1;
+  v.current.begin = frontier;
+  v.current.end = frontier;
+  v.drained = true;
+
+  if (frontier == end) return std::nullopt;  // fully committed: no tail
+
+  if (!t.current.empty())
+    retired_.emplace_back(t.current.begin, t.current.end);
+  t.current.generation += 1;
+  t.current.begin = frontier;
+  t.current.end = end;
+  t.drained = false;
+  return t.current;
+}
+
+bool LeaseTable::partitions_queue() const {
+  std::vector<std::pair<std::size_t, std::size_t>> ranges = retired_;
+  for (const auto& s : slots_)
+    if (!s.current.empty())
+      ranges.emplace_back(s.current.begin, s.current.end);
+  std::sort(ranges.begin(), ranges.end());
+  std::size_t next = 0;
+  for (const auto& [b, e] : ranges) {
+    if (b != next || e <= b) return false;
+    next = e;
+  }
+  return next == jobs_;
+}
+
+// -------------------------------------------------------- AdaptiveTimeout --
+
+void AdaptiveTimeout::record(double seconds) {
+  if (!(seconds > 0.0)) return;
+  const std::size_t window = std::max<std::size_t>(config_.window, 1);
+  if (window_.size() < window) {
+    window_.push_back(seconds);
+  } else {
+    window_[next_] = seconds;
+    next_ = (next_ + 1) % window;
+  }
+  ++count_;
+  max_sample_ = std::max(max_sample_, seconds);
+}
+
+double AdaptiveTimeout::timeout_seconds() const {
+  if (window_.empty()) return std::numeric_limits<double>::infinity();
+  std::vector<double> sorted(window_);
+  std::sort(sorted.begin(), sorted.end());
+  const auto idx = static_cast<std::size_t>(
+      0.99 * static_cast<double>(sorted.size() - 1) + 0.5);
+  const double p99 = sorted[std::min(idx, sorted.size() - 1)];
+  const double raw = std::max(p99 * config_.multiplier, max_sample_ * 2.0);
+  return std::clamp(raw, config_.floor_s, config_.cap_s);
 }
 
 struct LeaseService::Impl {
@@ -272,9 +392,16 @@ LeaseServiceStats LeaseService::run() {
     return std::min(remaining, n);
   };
 
+  // The expiry threshold in seconds: the fixed expiry_ms, else the
+  // adaptive timeout (+infinity until the first job-wall sample).
+  auto expiry_seconds = [&] {
+    return options_.expiry_ms > 0
+               ? static_cast<double>(options_.expiry_ms) / 1e3
+               : im.timeout.timeout_seconds();
+  };
+
   const auto run_start = Clock::now();
-  auto snapshot = [&] {
-    const auto now = Clock::now();
+  auto snapshot = [&](Clock::time_point now) {
     obs::StatusSnapshot st;
     st.phase = im.completed ? "done" : "serving";
     st.jobs_total = n;
@@ -303,12 +430,13 @@ LeaseServiceStats LeaseService::run() {
                                         : std::min(s.frontier,
                                                    im.table.lease(k).end);
       ws.restarts = s.grants > 0 ? s.grants - 1 : 0;
+      // Since the slot's last message — for a never-granted slot, since
+      // the service started listening.
       ws.heartbeat_age_s =
-          s.epoch > 0
-              ? std::chrono::duration<double>(now - s.last_life).count()
-              : -1.0;
+          std::chrono::duration<double>(now - s.last_life).count();
       st.workers.push_back(ws);
     }
+    if (const double t = expiry_seconds(); std::isfinite(t)) st.expiry_s = t;
     return st;
   };
 
@@ -412,7 +540,7 @@ LeaseServiceStats LeaseService::run() {
       ORACLE_LOG_INFO(strfmt("slot %zu stole [%zu,%zu) from slot %zu", thief,
                              lease->begin, lease->end, best_victim));
       // The victim keeps committing into its shrunk head; it learns the
-      // new end from its next commit/heartbeat response.
+      // new end from its next commit response.
       rsp.kind = LeaseResponseKind::kLease;
       rsp.epoch = epoch;
       rsp.begin = lease->begin;
@@ -426,6 +554,43 @@ LeaseServiceStats LeaseService::run() {
     return rsp;
   };
 
+  // Expiry: an undrained slot silent for longer than the expiry
+  // threshold is presumed wedged/dead. Its epoch bumps — the journal
+  // record *is* the fencing event — and the next idle worker takes the
+  // uncommitted tail over. Returns when the next live slot falls due
+  // (re-checked at least once a minute).
+  auto expire_silent_slots = [&](Clock::time_point now) {
+    auto next = Clock::time_point::max();
+    const double timeout_s = expiry_seconds();
+    for (std::size_t k = 0; k < w; ++k) {
+      auto& slot = im.slots[k];
+      if (im.table.drained(k) || slot.expired) continue;
+      const double age =
+          std::chrono::duration<double>(now - slot.last_life).count();
+      if (age <= timeout_s) {
+        next = std::min(
+            next, now + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(
+                                std::min(timeout_s - age, 60.0))));
+        continue;
+      }
+      const std::uint64_t epoch = slot.epoch + 1;
+      journal(strfmt("expire %zu %llu", k,
+                     static_cast<unsigned long long>(epoch)));
+      slot.epoch = epoch;
+      slot.expired = true;
+      ++stats_.expirations;
+      obs::instant("lease", "expire", "slot", static_cast<std::int64_t>(k),
+                   "age_ms", static_cast<std::int64_t>(age * 1e3));
+      ORACLE_LOG_WARN(strfmt(
+          "slot %zu expired after %.1fs silence (timeout %.1fs); lease "
+          "[%zu,%zu) f=%zu up for takeover",
+          k, age, timeout_s, im.table.lease(k).begin, im.table.lease(k).end,
+          slot.frontier));
+    }
+    return next;
+  };
+
   auto handle = [&](const LeaseRequest& req) {
     LeaseResponse rsp;
     rsp.seq = req.seq;
@@ -435,8 +600,13 @@ LeaseServiceStats LeaseService::run() {
                    static_cast<std::int64_t>(req.slot));
 
     if (req.op == LeaseOp::kStatus) {
+      // Expire before answering, on the same clock reading: a reply that
+      // shows a slot past the threshold always follows that slot's
+      // `expire`, so a supervisor's SIGKILL never precedes it.
+      const auto now = Clock::now();
+      expire_silent_slots(now);
       rsp.kind = LeaseResponseKind::kStatus;
-      rsp.text = snapshot().to_json();
+      rsp.text = snapshot(now).to_json();
       return rsp;
     }
     if (req.slot >= w) {
@@ -482,8 +652,7 @@ LeaseServiceStats LeaseService::run() {
         rsp.end = im.table.lease(req.slot).end;
         return rsp;
       }
-      case LeaseOp::kCommit:
-      case LeaseOp::kHeartbeat: {
+      case LeaseOp::kCommit: {
         if (im.completed) {
           rsp.kind = LeaseResponseKind::kDone;
           return rsp;
@@ -502,19 +671,16 @@ LeaseServiceStats LeaseService::run() {
           rsp.kind = LeaseResponseKind::kFenced;
           return rsp;
         }
-        if (req.op == LeaseOp::kCommit) {
-          const Lease& lease = im.table.lease(req.slot);
-          const std::size_t f =
-              std::min(req.frontier, lease.end);
-          if (f > slot.frontier) {
-            journal(strfmt("frontier %zu %zu", req.slot, f));
-            slot.frontier = f;
-          }
-          if (req.wall_us > 0)
-            im.timeout.record(static_cast<double>(req.wall_us) / 1e6);
-          slot.last_retries = req.retries;
-          sum_client_retries();
+        const std::size_t f =
+            std::min(req.frontier, im.table.lease(req.slot).end);
+        if (f > slot.frontier) {
+          journal(strfmt("frontier %zu %zu", req.slot, f));
+          slot.frontier = f;
         }
+        if (req.wall_us > 0)
+          im.timeout.record(static_cast<double>(req.wall_us) / 1e6);
+        slot.last_retries = req.retries;
+        sum_client_retries();
         rsp.kind = LeaseResponseKind::kOk;
         rsp.begin = im.table.lease(req.slot).begin;
         rsp.end = im.table.lease(req.slot).end;
@@ -559,44 +725,6 @@ LeaseServiceStats LeaseService::run() {
     }
   };
 
-  // Adaptive expiry: a granted, undrained slot silent for longer than
-  // the observed-pace timeout is presumed wedged/dead. Its epoch bumps
-  // — the journal record *is* the fencing event — and the next idle
-  // worker takes the uncommitted tail over. Returns when the next live
-  // slot falls due (re-checked at least once a minute).
-  auto expire_silent_slots = [&](Clock::time_point now) {
-    auto next = Clock::time_point::max();
-    const double timeout_s = im.timeout.timeout_seconds();
-    for (std::size_t k = 0; k < w; ++k) {
-      auto& slot = im.slots[k];
-      if (im.table.drained(k) || slot.expired) continue;
-      if (slot.epoch == 0 && im.timeout.samples() == 0) continue;
-      const double age =
-          std::chrono::duration<double>(now - slot.last_life).count();
-      if (age <= timeout_s) {
-        next = std::min(
-            next, now + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                std::min(timeout_s - age, 60.0))));
-        continue;
-      }
-      const std::uint64_t epoch = slot.epoch + 1;
-      journal(strfmt("expire %zu %llu", k,
-                     static_cast<unsigned long long>(epoch)));
-      slot.epoch = epoch;
-      slot.expired = true;
-      ++stats_.expirations;
-      obs::instant("lease", "expire", "slot", static_cast<std::int64_t>(k),
-                   "age_ms", static_cast<std::int64_t>(age * 1e3));
-      ORACLE_LOG_WARN(strfmt(
-          "slot %zu expired after %.1fs silence (timeout %.1fs); lease "
-          "[%zu,%zu) f=%zu up for takeover",
-          k, age, timeout_s, im.table.lease(k).begin, im.table.lease(k).end,
-          slot.frontier));
-    }
-    return next;
-  };
-
   const auto status_every = std::chrono::milliseconds(
       std::max<std::uint32_t>(options_.status_interval_ms, 1));
   auto next_status = Clock::now() + status_every;
@@ -604,7 +732,7 @@ LeaseServiceStats LeaseService::run() {
 
   auto write_status = [&] {
     if (options_.status_path.empty()) return;
-    obs::write_status_file(options_.status_path, snapshot());
+    obs::write_status_file(options_.status_path, snapshot(Clock::now()));
   };
   write_status();
 

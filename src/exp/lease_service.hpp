@@ -11,10 +11,12 @@
 //     worker re-acquires, gets a fresh fencing epoch, and resumes. A
 //     reaped-then-resurrected worker still holding the old epoch gets
 //     `fenced` on every commit — it can never clobber a stolen range.
-//   - Worker wedges: the adaptive timeout (seeded/updated online from
-//     committed job walls) expires the slot, bumps its epoch (fencing the
-//     wedged process), and the next idle worker takes over the
-//     uncommitted tail of its lease.
+//   - Worker wedges: the expiry threshold (adaptive from committed job
+//     walls, or fixed) expires the silent slot, bumps its epoch (fencing
+//     the wedged process), and the next idle worker takes over the
+//     uncommitted tail of its lease. The supervisor reads the same
+//     last-contact age and threshold from `status` and SIGKILLs the
+//     wedged process.
 //   - Server crashes: with a journal, every state transition was
 //     journaled (fsynced, write-ahead) before it was applied or
 //     acknowledged; restarting the server replays the journal — a torn
@@ -37,12 +39,117 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "exp/shard.hpp"
 #include "util/net.hpp"
 
 namespace oracle::exp {
+
+/// One contiguous job-range lease [begin, end) over sweep indices. The
+/// generation increments on every steal or reassignment that moves it.
+struct Lease {
+  std::uint64_t generation = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+
+  bool empty() const noexcept { return begin >= end; }
+  std::size_t size() const noexcept { return empty() ? 0 : end - begin; }
+};
+
+/// The lease service's bookkeeping: every job position in [0, jobs) belongs
+/// to exactly one lease — live (a worker owns it) or retired (drained).
+/// Steals move the tail of a live lease onto a drained slot; the class
+/// never creates overlap, so the property test can assert the partition
+/// invariant after any steal sequence.
+class LeaseTable {
+ public:
+  /// Balanced contiguous partition of [0, jobs) over `slots` leases (slot
+  /// i gets [i*jobs/slots, (i+1)*jobs/slots)). slots >= 1.
+  LeaseTable(std::size_t jobs, std::size_t slots);
+
+  std::size_t jobs() const noexcept { return jobs_; }
+  std::size_t slots() const noexcept { return slots_.size(); }
+  const Lease& lease(std::size_t slot) const { return slots_[slot].current; }
+  bool drained(std::size_t slot) const { return slots_[slot].drained; }
+
+  /// The slot's worker drained its lease: it is fully executed.
+  void mark_drained(std::size_t slot);
+  bool all_drained() const;
+
+  /// Move [split, victim.end) from the live `victim` lease to the drained
+  /// `thief` slot; both generations bump. Returns the thief's new lease,
+  /// or nullopt when the steal is invalid (victim drained or empty split
+  /// range, thief still live, split outside (victim.begin, victim.end)).
+  std::optional<Lease> steal(std::size_t victim, std::size_t thief,
+                             std::size_t split);
+
+  /// Take over a dead/expired victim's lease: [begin, frontier) is
+  /// durably committed and retires; the drained `thief` slot gets
+  /// [frontier, end); the victim is left with an empty, drained lease
+  /// (its fencing epoch was bumped by the caller, so a resurrected victim
+  /// can no longer commit into the moved range). frontier == end retires
+  /// the whole lease (everything was committed) and returns nullopt with
+  /// the victim drained; other invalid inputs (victim drained, thief
+  /// live, frontier outside [begin, end]) return nullopt with no change.
+  std::optional<Lease> reassign(std::size_t victim, std::size_t thief,
+                                std::size_t frontier);
+
+  /// Partition invariant: every job position [0, jobs) is covered by
+  /// exactly one live or retired lease. Always true by construction; the
+  /// property tests drive random steal sequences against it.
+  bool partitions_queue() const;
+
+ private:
+  struct Slot {
+    Lease current;
+    bool drained = false;
+  };
+  std::vector<Slot> slots_;
+  /// Drained ranges a thief abandoned when it took a new lease.
+  std::vector<std::pair<std::size_t, std::size_t>> retired_;
+  std::size_t jobs_ = 0;
+};
+
+struct AdaptiveTimeoutConfig {
+  double multiplier = 8.0;    ///< timeout >= p99 * multiplier
+  double floor_s = 3.0;       ///< never reap faster than this
+  double cap_s = 600.0;       ///< never wait longer than this
+  std::size_t window = 512;   ///< sliding sample window for the p99
+};
+
+/// The adaptive expiry threshold of the lease service: a staleness
+/// timeout derived online from the commit-group walls workers report, so
+/// it tracks the sweep's actual pace:
+///
+///   timeout = clamp(max(p99 * multiplier, max_sample * 2), floor, cap)
+///
+/// The max_sample * 2 term is the whale guard — a healthy job twice as
+/// slow as the slowest ever seen is still given time — and with *no*
+/// samples the timeout is infinite (never expire on pure guesswork).
+class AdaptiveTimeout {
+ public:
+  explicit AdaptiveTimeout(AdaptiveTimeoutConfig config = {})
+      : config_(config) {}
+
+  /// Feed one observed job wall / progress interval (<= 0 is ignored).
+  void record(double seconds);
+
+  std::size_t samples() const noexcept { return count_; }
+
+  /// Current staleness threshold in seconds; +infinity until the first
+  /// sample arrives.
+  double timeout_seconds() const;
+
+ private:
+  AdaptiveTimeoutConfig config_;
+  std::vector<double> window_;   ///< ring buffer of recent samples
+  std::size_t next_ = 0;         ///< ring write position
+  std::size_t count_ = 0;        ///< total samples ever recorded
+  double max_sample_ = 0.0;      ///< all-time max (whale guard)
+};
 
 struct LeaseServiceOptions {
   util::HostPort listen{"127.0.0.1", 0};  ///< port 0 = ephemeral (see port())
@@ -64,10 +171,15 @@ struct LeaseServiceOptions {
   std::string status_path;
   std::uint32_t status_interval_ms = 500;
 
-  /// Adaptive per-slot expiry: a granted, undrained slot with no message
-  /// for longer than the adaptive timeout is expired (epoch bumped — the
-  /// fencing event). Disabled until enough job-wall samples arrive.
+  /// Per-slot expiry: an undrained slot with no message for longer than
+  /// the expiry threshold is expired (epoch bumped — the fencing event).
+  /// The threshold is `expiry_ms` when nonzero (a local run's
+  /// --heartbeat-ms), else the adaptive timeout, which stays disabled
+  /// until the first job-wall sample arrives. The status reply carries it
+  /// as `expiry_s`, and a supervisor SIGKILLs any worker whose slot's
+  /// contact age exceeds it: this is the only liveness clock of a run.
   AdaptiveTimeoutConfig timeout;
+  std::uint32_t expiry_ms = 0;
 
   /// Don't shave tails smaller than this off live leases.
   std::size_t min_steal_jobs = 1;
@@ -82,7 +194,7 @@ struct LeaseServiceStats {
   std::size_t grants = 0;        ///< acquire grants (fresh epochs issued)
   std::size_t steals = 0;        ///< live-lease tails re-leased
   std::size_t reassigns = 0;     ///< expired leases taken over
-  std::size_t expirations = 0;   ///< slots expired by the adaptive timeout
+  std::size_t expirations = 0;   ///< slots expired by the expiry threshold
   std::size_t fenced = 0;        ///< stale-epoch requests rejected
   std::size_t bad_requests = 0;  ///< unparseable/invalid frames
   std::size_t evicted = 0;  ///< connections dropped for stalling a frame

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -60,188 +59,9 @@ std::string ShardSpec::to_string() const {
   return strfmt("%zu/%zu", index, count);
 }
 
-std::string shard_store_path(const std::string& canonical_store,
-                             std::size_t index, std::size_t count) {
-  return canonical_store + strfmt(".shard%zuof%zu", index, count);
-}
-
 std::string worker_store_path(const std::string& canonical_store,
                               std::size_t slot, std::size_t count) {
   return canonical_store + strfmt(".worker%zuof%zu", slot, count);
-}
-
-std::string worker_heartbeat_path(const std::string& canonical_store,
-                                  std::size_t slot, std::size_t count) {
-  return canonical_store + strfmt(".hb%zuof%zu", slot, count);
-}
-
-// ------------------------------------------------------------- LeaseTable --
-
-LeaseTable::LeaseTable(std::size_t jobs, std::size_t slots) : jobs_(jobs) {
-  slots_.resize(std::max<std::size_t>(slots, 1));
-  const std::size_t w = slots_.size();
-  for (std::size_t i = 0; i < w; ++i) {
-    slots_[i].current.begin = jobs * i / w;
-    slots_[i].current.end = jobs * (i + 1) / w;
-    // A zero-size lease (more slots than jobs) is born drained: its worker
-    // has nothing to do and any steal immediately re-arms it.
-    slots_[i].drained = slots_[i].current.empty();
-  }
-}
-
-void LeaseTable::mark_drained(std::size_t slot) {
-  slots_[slot].drained = true;
-}
-
-bool LeaseTable::all_drained() const {
-  return std::all_of(slots_.begin(), slots_.end(),
-                     [](const Slot& s) { return s.drained; });
-}
-
-std::optional<Lease> LeaseTable::steal(std::size_t victim, std::size_t thief,
-                                       std::size_t split) {
-  if (victim >= slots_.size() || thief >= slots_.size() || victim == thief)
-    return std::nullopt;
-  Slot& v = slots_[victim];
-  Slot& t = slots_[thief];
-  // Only a live victim has an unclaimed tail, and only a drained thief may
-  // abandon its old lease; `split` must leave the victim a non-empty head
-  // and the thief a non-empty tail.
-  if (v.drained || !t.drained) return std::nullopt;
-  if (split <= v.current.begin || split >= v.current.end) return std::nullopt;
-
-  if (!t.current.empty())
-    retired_.emplace_back(t.current.begin, t.current.end);
-  t.current.generation += 1;
-  t.current.begin = split;
-  t.current.end = v.current.end;
-  t.drained = false;
-  v.current.generation += 1;
-  v.current.end = split;
-  return t.current;
-}
-
-std::optional<Lease> LeaseTable::reassign(std::size_t victim,
-                                          std::size_t thief,
-                                          std::size_t frontier) {
-  if (victim >= slots_.size() || thief >= slots_.size() || victim == thief)
-    return std::nullopt;
-  Slot& v = slots_[victim];
-  Slot& t = slots_[thief];
-  if (v.drained || !t.drained) return std::nullopt;
-  if (frontier < v.current.begin || frontier > v.current.end)
-    return std::nullopt;
-
-  // The committed head retires; the victim's lease collapses to empty at
-  // the split point so the partition invariant keeps holding.
-  if (frontier > v.current.begin)
-    retired_.emplace_back(v.current.begin, frontier);
-  const std::size_t end = v.current.end;
-  v.current.generation += 1;
-  v.current.begin = frontier;
-  v.current.end = frontier;
-  v.drained = true;
-
-  if (frontier == end) return std::nullopt;  // fully committed: no tail
-
-  if (!t.current.empty())
-    retired_.emplace_back(t.current.begin, t.current.end);
-  t.current.generation += 1;
-  t.current.begin = frontier;
-  t.current.end = end;
-  t.drained = false;
-  return t.current;
-}
-
-bool LeaseTable::partitions_queue() const {
-  std::vector<std::pair<std::size_t, std::size_t>> ranges = retired_;
-  for (const auto& s : slots_)
-    if (!s.current.empty())
-      ranges.emplace_back(s.current.begin, s.current.end);
-  std::sort(ranges.begin(), ranges.end());
-  std::size_t next = 0;
-  for (const auto& [b, e] : ranges) {
-    if (b != next || e <= b) return false;
-    next = e;
-  }
-  return next == jobs_;
-}
-
-// ------------------------------------------------------- HeartbeatMonitor --
-
-void HeartbeatMonitor::start(std::size_t slot, TimePoint now) {
-  State& s = slots_[slot];
-  s.value = -1;
-  s.last_change = now;
-  s.armed = true;
-}
-
-std::optional<double> HeartbeatMonitor::observe(std::size_t slot,
-                                                std::int64_t value,
-                                                TimePoint now) {
-  const auto it = slots_.find(slot);
-  if (it == slots_.end() || !it->second.armed) return std::nullopt;
-  if (value == it->second.value) return std::nullopt;
-  const bool first = it->second.value < 0;
-  const double interval =
-      std::chrono::duration<double>(now - it->second.last_change).count();
-  it->second.value = value;
-  it->second.last_change = now;
-  // The first change after (re)arming measures spawn latency, not job
-  // pace; it is not an interval worth feeding the adaptive timeout.
-  if (first) return std::nullopt;
-  return interval;
-}
-
-bool HeartbeatMonitor::stale(std::size_t slot, TimePoint now) const {
-  const auto it = slots_.find(slot);
-  if (it == slots_.end() || !it->second.armed) return false;
-  return now - it->second.last_change > timeout_;
-}
-
-double HeartbeatMonitor::age_seconds(std::size_t slot, TimePoint now) const {
-  const auto it = slots_.find(slot);
-  if (it == slots_.end() || !it->second.armed) return -1.0;
-  return std::chrono::duration<double>(now - it->second.last_change).count();
-}
-
-void HeartbeatMonitor::stop(std::size_t slot) {
-  const auto it = slots_.find(slot);
-  if (it != slots_.end()) it->second.armed = false;
-}
-
-// -------------------------------------------------------- AdaptiveTimeout --
-
-void AdaptiveTimeout::seed(const DurationStats& stats) {
-  if (stats.count == 0) return;
-  // The p99 stands in for the whole prior distribution; the max keeps the
-  // whale guard honest even when the seed run had one extreme outlier.
-  record(stats.p99_s);
-  record(stats.max_s);
-}
-
-void AdaptiveTimeout::record(double seconds) {
-  if (!(seconds > 0.0)) return;
-  const std::size_t window = std::max<std::size_t>(config_.window, 1);
-  if (window_.size() < window) {
-    window_.push_back(seconds);
-  } else {
-    window_[next_] = seconds;
-    next_ = (next_ + 1) % window;
-  }
-  ++count_;
-  max_sample_ = std::max(max_sample_, seconds);
-}
-
-double AdaptiveTimeout::timeout_seconds() const {
-  if (window_.empty()) return std::numeric_limits<double>::infinity();
-  std::vector<double> sorted(window_);
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      0.99 * static_cast<double>(sorted.size() - 1) + 0.5);
-  const double p99 = sorted[std::min(idx, sorted.size() - 1)];
-  const double raw = std::max(p99 * config_.multiplier, max_sample_ * 2.0);
-  return std::clamp(raw, config_.floor_s, config_.cap_s);
 }
 
 // ------------------------------------------------------------- quarantine --
@@ -369,20 +189,19 @@ void accumulate_batch(BatchReport* into, const BatchReport& one) {
 }
 
 /// The last sink of a lease run. Once the store's group fsync returned, it
-/// touches the heartbeat file and commits the new durable frontier — the
-/// first queue job not yet written, or the lease end — to the lease
-/// server. The reply's lease end (shrunk by steals) and fencing verdict
-/// feed stop(), which the executor consults before every job.
+/// commits the new durable frontier — the first queue job not yet
+/// written, or the lease end — to the lease server. The reply's lease end
+/// (shrunk by steals) and fencing verdict feed stop(), which the executor
+/// consults before every job.
 class LeaseCommitSink : public ResultSink {
  public:
   using Clock = std::chrono::steady_clock;
 
   LeaseCommitSink(LeaseClient& client, const LeaseGrant& grant,
-                  const JobQueue& queue, std::string heartbeat_path)
+                  const JobQueue& queue)
       : client_(client),
         grant_(grant),
         queue_(queue),
-        heartbeat_path_(std::move(heartbeat_path)),
         committed_(grant.begin),
         end_(grant.end) {}
 
@@ -393,7 +212,6 @@ class LeaseCommitSink : public ResultSink {
   /// Also called once before the run, so the jobs skipped as already
   /// complete count as committed before the first job starts.
   void flush() override {
-    util::touch_file(heartbeat_path_);
     while (next_ < queue_.size() && queue_.job(next_).index < written_)
       ++next_;
     const std::size_t frontier =
@@ -438,7 +256,6 @@ class LeaseCommitSink : public ResultSink {
   LeaseClient& client_;
   const LeaseGrant grant_;
   const JobQueue& queue_;
-  const std::string heartbeat_path_;
   std::size_t written_ = 0;    ///< one past the last job written
   std::size_t next_ = 0;       ///< queue position of the first unwritten job
   std::size_t committed_;      ///< frontier the server acknowledged
@@ -466,9 +283,6 @@ LeaseWorkerReport run_lease_client_worker(
   const std::string store =
       worker_store_path(options.canonical_out, options.slot,
                         options.slot_count);
-  const std::string hb_path =
-      worker_heartbeat_path(options.canonical_out, options.slot,
-                            options.slot_count);
 
   LeaseClientOptions copt;
   copt.server = *server;
@@ -539,7 +353,7 @@ LeaseWorkerReport run_lease_client_worker(
       // Append + skip-completed: a respawned or re-leased worker continues
       // its own durable prefix.
       JsonlSink store_sink(store, /*append=*/true);
-      LeaseCommitSink commit(client, *grant, queue, hb_path);
+      LeaseCommitSink commit(client, *grant, queue);
       TeeSink tee;
       tee.add(store_sink);
       tee.add(commit);  // last: commits only what the store has fsynced
@@ -677,16 +491,10 @@ pid_t spawn_one(const std::vector<std::string>& args) {
 /// Per-slot process state the supervisor tracks between polls.
 struct SlotProc {
   pid_t pid = -1;
+  std::chrono::steady_clock::time_point spawned{};
   std::size_t restarts = 0;
-  bool kill_sent = false;  ///< SIGKILL dispatched by the heartbeat monitor
+  bool kill_sent = false;  ///< SIGKILL dispatched for an expired slot
 };
-
-/// A slot that drained its lease and now only polls the service for more
-/// work (never-granted slots report a negative age; expired ones keep an
-/// uncommitted tail).
-bool waiting_for_work(const obs::WorkerStatus& ws) {
-  return !ws.live && ws.heartbeat_age_s >= 0 && ws.frontier >= ws.lease_end;
-}
 
 /// A LeaseService serving on its own thread until scope exit.
 struct ServiceThread {
@@ -712,6 +520,9 @@ ShardRunReport run_sharded_processes(
   ORACLE_REQUIRE(!options.exec_path.empty(),
                  "sharded runs need the worker executable path");
   ORACLE_REQUIRE(!configs.empty(), "sharded run over an empty sweep");
+  ORACLE_REQUIRE(options.lease_server.empty() || options.heartbeat_ms == 0,
+                 "--heartbeat-ms sets the in-process lease service's expiry; "
+                 "a remote --lease-server owns its own");
 
   JobQueue queue(configs);
   if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
@@ -737,17 +548,12 @@ ShardRunReport run_sharded_processes(
   // Deaths per suspect job (the job at the dead slot's committed frontier).
   std::unordered_map<std::uint64_t, std::size_t> suspect_deaths;
 
-  auto slot_files = [&](std::size_t k) {
-    return std::vector<std::string>{
-        worker_store_path(options.out, k, slots),
-        worker_heartbeat_path(options.out, k, slots)};
-  };
   if (!options.resume) {
     // A fresh run must not inherit stale slot state from an older run of
     // the same layout (workers append to their stores by design — and so
     // do their trace files, which survive SIGKILL the same way).
     for (std::size_t k = 0; k < slots; ++k) {
-      for (const auto& f : slot_files(k)) util::remove_file(f);
+      util::remove_file(worker_store_path(options.out, k, slots));
       if (!options.trace_path.empty())
         util::remove_file(obs::worker_trace_path(options.trace_path, k, slots));
     }
@@ -765,6 +571,7 @@ ShardRunReport run_sharded_processes(
     lopt.slots = slots;
     lopt.master_seed = options.master_seed;
     lopt.min_steal_jobs = options.min_steal_jobs;
+    lopt.expiry_ms = options.heartbeat_ms;
     // Keep answering `done` until stop(): every worker must hear it.
     lopt.linger_ms = std::numeric_limits<std::uint32_t>::max();
     local.service = std::make_unique<LeaseService>(lopt);
@@ -811,22 +618,11 @@ ShardRunReport run_sharded_processes(
   };
 
   std::vector<SlotProc> procs(slots);
-  // Adaptive mode starts effectively disarmed (one-year timeout stands in
-  // for AdaptiveTimeout's "infinite until the first sample") and re-tunes
-  // the monitor online from observed inter-heartbeat intervals.
-  AdaptiveTimeout adaptive(options.adaptive_config);
-  const bool stall_detection =
-      options.adaptive_heartbeat || options.heartbeat_ms > 0;
-  HeartbeatMonitor monitor(
-      options.adaptive_heartbeat
-          ? std::chrono::nanoseconds(std::chrono::hours(24 * 365))
-          : std::chrono::nanoseconds(
-                std::chrono::milliseconds(options.heartbeat_ms)));
 
   auto spawn_slot = [&](std::size_t k) {
     procs[k].pid = spawn_one(make_argv(k));
+    procs[k].spawned = Clock::now();
     procs[k].kill_sent = false;
-    monitor.start(k, Clock::now());
     obs::instant("shard", "worker.spawn", "slot",
                  static_cast<std::int64_t>(k), "restarts",
                  static_cast<std::int64_t>(procs[k].restarts));
@@ -878,9 +674,9 @@ ShardRunReport run_sharded_processes(
   auto last_status = run_start;
 
   // One consistent snapshot, atomically rewritten so a dashboard polling
-  // the file never sees a torn read: job progress and per-slot leases come
-  // from the service, process custody (liveness, restarts, heartbeat age)
-  // from this supervisor.
+  // the file never sees a torn read: job progress, per-slot leases,
+  // contact ages and the expiry threshold come from the service, process
+  // custody (liveness, restarts) from this supervisor.
   auto write_status = [&](const std::string& phase) {
     if (options.status_path.empty()) return;
     const auto now = Clock::now();
@@ -905,14 +701,15 @@ ShardRunReport run_sharded_processes(
       st.steals = served->steals;
       st.fenced = served->fenced;
       st.retries = served->retries;
+      st.expiry_s = served->expiry_s;
     }
     for (std::size_t k = 0; k < slots; ++k) {
       obs::WorkerStatus w;
       w.slot = k;
       w.live = procs[k].pid >= 0;
       w.restarts = procs[k].restarts;
-      w.heartbeat_age_s = monitor.age_seconds(k, now);
       if (served && k < served->workers.size()) {
+        w.heartbeat_age_s = served->workers[k].heartbeat_age_s;
         w.lease_begin = served->workers[k].lease_begin;
         w.lease_end = served->workers[k].lease_end;
         w.frontier = served->workers[k].frontier;
@@ -936,7 +733,6 @@ ShardRunReport run_sharded_processes(
         const pid_t r = ::waitpid(proc.pid, &status, WNOHANG);
         if (r == 0) continue;  // still running
 
-        monitor.stop(k);
         proc.pid = -1;
         WorkerExit we;
         we.shard = k;
@@ -977,7 +773,7 @@ ShardRunReport run_sharded_processes(
           ++report.restarts;
           spawn_slot(k);
         } else if (proc.restarts < options.max_restarts) {
-          // Crash (or heartbeat SIGKILL): respawn; the re-acquired lease
+          // Crash (or expiry SIGKILL): respawn; the re-acquired lease
           // runs under a fresh epoch and skips the slot's durable prefix.
           ORACLE_LOG_WARN(strfmt(
               "worker slot %zu died (%s %d); respawning (%zu/%zu)", k,
@@ -1002,47 +798,27 @@ ShardRunReport run_sharded_processes(
           [](const SlotProc& p) { return p.pid >= 0; });
       if (!any_live) break;
 
-      // Stall detection needs the service's view: a slot that drained its
-      // lease touches no heartbeat file while it polls for more work. Its
-      // last request is its sign of life instead, and its poll gaps are no
-      // job pace, so they never feed the adaptive timeout.
-      const auto served = stall_detection ? server_status() : std::nullopt;
-      if (served) {
+      // Stall detection is the service's expiry: a worker whose slot has
+      // been silent past the threshold is wedged, and the service expired
+      // its slot before this reply. Silence is counted from the spawn at
+      // the earliest, so a respawn is not blamed for its predecessor.
+      // SIGKILL it and let the reap path above respawn it.
+      const auto served = server_status();
+      if (served && served->expiry_s) {
         const auto now = Clock::now();
-        for (std::size_t k = 0; k < slots; ++k) {
+        for (std::size_t k = 0; k < slots && k < served->workers.size(); ++k) {
           if (procs[k].pid < 0 || procs[k].kill_sent) continue;
-          const obs::WorkerStatus* ws =
-              k < served->workers.size() ? &served->workers[k] : nullptr;
-          if (ws && waiting_for_work(*ws)) {
-            // Re-arming also keeps the idle gap out of the next interval;
-            // the min protects a respawn from its predecessor's silence.
-            const double age =
-                std::min(ws->heartbeat_age_s, monitor.age_seconds(k, now));
-            monitor.start(k, now - std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(age)));
-          } else {
-            const auto mtime = util::file_mtime_ns(
-                worker_heartbeat_path(options.out, k, slots));
-            const auto interval = monitor.observe(k, mtime.value_or(-1), now);
-            if (options.adaptive_heartbeat) {
-              if (interval) adaptive.record(*interval);
-              const double t = adaptive.timeout_seconds();
-              if (std::isfinite(t))
-                monitor.set_timeout(std::chrono::nanoseconds(
-                    static_cast<std::int64_t>(t * 1e9)));
-            }
-          }
-          if (monitor.stale(k, now)) {
-            // Wedged worker: no commit progress for a full timeout.
-            // SIGKILL and let the reap path above restart it.
-            ORACLE_LOG_WARN(strfmt(
-                "worker slot %zu heartbeat stale (%.1fs); sending SIGKILL",
-                k, monitor.age_seconds(k, now)));
-            obs::instant("shard", "worker.stale_kill", "slot",
-                         static_cast<std::int64_t>(k));
-            ::kill(procs[k].pid, SIGKILL);
-            procs[k].kill_sent = true;
-          }
+          const double silent = std::min(
+              served->workers[k].heartbeat_age_s,
+              std::chrono::duration<double>(now - procs[k].spawned).count());
+          if (silent <= *served->expiry_s) continue;
+          ORACLE_LOG_WARN(strfmt(
+              "worker slot %zu silent %.1fs (expiry %.1fs); sending SIGKILL",
+              k, silent, *served->expiry_s));
+          obs::instant("shard", "worker.stale_kill", "slot",
+                       static_cast<std::int64_t>(k));
+          ::kill(procs[k].pid, SIGKILL);
+          procs[k].kill_sent = true;
         }
       }
 
@@ -1114,7 +890,7 @@ ShardRunReport run_sharded_processes(
 
   if (!options.keep_shard_stores) {
     for (std::size_t k = 0; k < slots; ++k)
-      for (const auto& f : slot_files(k)) util::remove_file(f);
+      util::remove_file(worker_store_path(options.out, k, slots));
   }
   return report;
 }

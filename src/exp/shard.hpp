@@ -14,24 +14,23 @@
 //     when the lease drains — the service then steals the unclaimed tail
 //     of the most-loaded live lease for it.
 //   - The parent keeps process custody: it spawns one worker per slot,
-//     respawns crashed or heartbeat-stale ones, quarantines a job that
-//     keeps killing its worker, and — once every worker has exited and the
-//     slot stores cover the sweep — merges them into the canonical store
-//     *in job order* via ShardMerger: the merged bytes are identical to
-//     what a serial run would have produced.
+//     respawns crashed ones, quarantines a job that keeps killing its
+//     worker, and — once every worker has exited and the slot stores cover
+//     the sweep — merges them into the canonical store *in job order* via
+//     ShardMerger: the merged bytes are identical to what a serial run
+//     would have produced.
+//   - Stall detection is the lease service's expiry: every request a
+//     worker sends is its sign of life, and the service's `status` reply
+//     carries each slot's last-contact age and the expiry threshold. The
+//     supervisor SIGKILLs a worker whose age exceeds that threshold (the
+//     service has expired its slot by then) and respawns it.
 //   - A killed/failed run leaves the merge unperformed and every slot
 //     store in place; a later --resume skips what the stores already hold
 //     and converges to the same byte-identical store.
-//
-// The standalone `--shard i/N` worker (JobQueue::retain_shard over
-// shard_of_hash, into shard_store_path) stays available for custom
-// cross-host launchers that merge with `oracle_batch aggregate`.
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -39,7 +38,7 @@
 
 namespace oracle::exp {
 
-/// One worker's identity inside a sharded run: shard `index` of `count`.
+/// One worker's identity inside a supervised run: slot `index` of `count`.
 struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
@@ -50,185 +49,9 @@ struct ShardSpec {
   std::string to_string() const;  ///< "i/N"
 };
 
-/// The distributed sharding rule: which shard of `count` owns this job.
-inline std::size_t shard_of_hash(std::uint64_t content_hash,
-                                 std::size_t count) noexcept {
-  return count <= 1 ? 0 : static_cast<std::size_t>(content_hash % count);
-}
-
-/// Per-shard private store path: "<canonical>.shard<i>of<N>".
-std::string shard_store_path(const std::string& canonical_store,
-                             std::size_t index, std::size_t count);
-
-/// Worker-slot file paths, "<canonical>.{worker,hb}<k>of<W>": the slot's
-/// private JSONL store, and the heartbeat file the worker mtime-touches
-/// once per commit group (after the store fsync returns) and while it
-/// waits for work; the parent treats an unchanged mtime as "wedged" and
-/// reaps.
+/// The slot's private JSONL store, "<canonical>.worker<k>of<W>".
 std::string worker_store_path(const std::string& canonical_store,
                               std::size_t slot, std::size_t count);
-std::string worker_heartbeat_path(const std::string& canonical_store,
-                                  std::size_t slot, std::size_t count);
-
-/// One contiguous job-range lease [begin, end) over sweep indices. The
-/// generation increments on every steal or reassignment that moves it.
-struct Lease {
-  std::uint64_t generation = 0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-
-  bool empty() const noexcept { return begin >= end; }
-  std::size_t size() const noexcept { return empty() ? 0 : end - begin; }
-};
-
-/// The lease service's bookkeeping: every job position in [0, jobs) belongs
-/// to exactly one lease — live (a worker owns it) or retired (drained).
-/// Steals move the tail of a live lease onto a drained slot; the class
-/// never creates overlap, so the property test can assert the partition
-/// invariant after any steal sequence.
-class LeaseTable {
- public:
-  /// Balanced contiguous partition of [0, jobs) over `slots` leases (slot
-  /// i gets [i*jobs/slots, (i+1)*jobs/slots)). slots >= 1.
-  LeaseTable(std::size_t jobs, std::size_t slots);
-
-  std::size_t jobs() const noexcept { return jobs_; }
-  std::size_t slots() const noexcept { return slots_.size(); }
-  const Lease& lease(std::size_t slot) const { return slots_[slot].current; }
-  bool drained(std::size_t slot) const { return slots_[slot].drained; }
-
-  /// The slot's worker drained its lease: it is fully executed.
-  void mark_drained(std::size_t slot);
-  bool all_drained() const;
-
-  /// Move [split, victim.end) from the live `victim` lease to the drained
-  /// `thief` slot; both generations bump. Returns the thief's new lease,
-  /// or nullopt when the steal is invalid (victim drained or empty split
-  /// range, thief still live, split outside (victim.begin, victim.end)).
-  std::optional<Lease> steal(std::size_t victim, std::size_t thief,
-                             std::size_t split);
-
-  /// Take over a dead/expired victim's lease: [begin, frontier) is
-  /// durably committed and retires; the drained `thief` slot gets
-  /// [frontier, end); the victim is left with an empty, drained lease
-  /// (its fencing epoch was bumped by the caller, so a resurrected victim
-  /// can no longer commit into the moved range). frontier == end retires
-  /// the whole lease (everything was committed) and returns nullopt with
-  /// the victim drained; other invalid inputs (victim drained, thief
-  /// live, frontier outside [begin, end]) return nullopt with no change.
-  std::optional<Lease> reassign(std::size_t victim, std::size_t thief,
-                                std::size_t frontier);
-
-  /// Partition invariant: every job position [0, jobs) is covered by
-  /// exactly one live or retired lease. Always true by construction; the
-  /// property tests drive random steal sequences against it.
-  bool partitions_queue() const;
-
- private:
-  struct Slot {
-    Lease current;
-    bool drained = false;
-  };
-  std::vector<Slot> slots_;
-  /// Drained ranges a thief abandoned when it took a new lease.
-  std::vector<std::pair<std::size_t, std::size_t>> retired_;
-  std::size_t jobs_ = 0;
-};
-
-/// Decides when a supervised worker is dead from heartbeat observations.
-/// Deliberately free of clocks and filesystems: the caller feeds in the
-/// observed heartbeat value (an mtime, a counter — anything that changes
-/// on progress) plus a steady-clock timestamp, and staleness means "the
-/// value has not changed for longer than `timeout`". Comparing change
-/// intervals on the caller's steady clock makes the verdict immune to
-/// wall-clock skew between parent and filesystem, and makes the class
-/// deterministic to unit-test.
-class HeartbeatMonitor {
- public:
-  using TimePoint = std::chrono::steady_clock::time_point;
-
-  explicit HeartbeatMonitor(std::chrono::nanoseconds timeout)
-      : timeout_(timeout) {}
-
-  /// (Re)arm the slot at spawn time: the spawn instant counts as the last
-  /// sign of life, so a worker that never writes its first heartbeat still
-  /// times out `timeout` after launch.
-  void start(std::size_t slot, TimePoint now);
-
-  /// Feed one observation of the slot's heartbeat value (e.g. the
-  /// heartbeat file's mtime in ns, or any sentinel for "missing"). A
-  /// changed value resets the slot's staleness clock; when it does, the
-  /// seconds since the previous change are returned — the inter-progress
-  /// interval that feeds the adaptive timeout.
-  std::optional<double> observe(std::size_t slot, std::int64_t value,
-                                TimePoint now);
-
-  /// Replace the staleness threshold (adaptive mode re-tunes it online).
-  void set_timeout(std::chrono::nanoseconds timeout) { timeout_ = timeout; }
-
-  /// True when the slot is armed and its value last changed more than
-  /// `timeout` ago. Never true for unarmed slots.
-  bool stale(std::size_t slot, TimePoint now) const;
-
-  /// Seconds since the slot's heartbeat value last changed; -1 for slots
-  /// that are not armed. Feeds the live status file.
-  double age_seconds(std::size_t slot, TimePoint now) const;
-
-  /// Disarm a reaped slot (stale() returns false until the next start).
-  void stop(std::size_t slot);
-
- private:
-  struct State {
-    std::int64_t value = -1;
-    TimePoint last_change{};
-    bool armed = false;
-  };
-  std::unordered_map<std::size_t, State> slots_;
-  std::chrono::nanoseconds timeout_;
-};
-
-struct AdaptiveTimeoutConfig {
-  double multiplier = 8.0;    ///< timeout >= p99 * multiplier
-  double floor_s = 3.0;       ///< never reap faster than this
-  double cap_s = 600.0;       ///< never wait longer than this
-  std::size_t window = 512;   ///< sliding sample window for the p99
-};
-
-/// Replaces the fixed --heartbeat-ms guess: a staleness timeout derived
-/// from observed job wall times. Seeded from a prior run's
-/// BatchReport::job_wall p99 and updated online from per-job samples
-/// (commit-group walls in the lease service, inter-heartbeat intervals in
-/// the supervisor), it tracks the sweep's actual pace:
-///
-///   timeout = clamp(max(p99 * multiplier, max_sample * 2), floor, cap)
-///
-/// The max_sample * 2 term is the whale guard — a healthy job twice as
-/// slow as the slowest ever seen is still given time — and with *no*
-/// samples the timeout is infinite (never reap on pure guesswork).
-class AdaptiveTimeout {
- public:
-  explicit AdaptiveTimeout(AdaptiveTimeoutConfig config = {})
-      : config_(config) {}
-
-  /// Seed from a previous run's job-wall distribution (no-op when empty).
-  void seed(const DurationStats& stats);
-
-  /// Feed one observed job wall / progress interval (<= 0 is ignored).
-  void record(double seconds);
-
-  std::size_t samples() const noexcept { return count_; }
-
-  /// Current staleness threshold in seconds; +infinity until the first
-  /// sample arrives.
-  double timeout_seconds() const;
-
- private:
-  AdaptiveTimeoutConfig config_;
-  std::vector<double> window_;   ///< ring buffer of recent samples
-  std::size_t next_ = 0;         ///< ring write position
-  std::size_t count_ = 0;        ///< total samples ever recorded
-  double max_sample_ = 0.0;      ///< all-time max (whale guard)
-};
 
 /// Outcome of merging shard stores into the canonical store.
 struct MergeReport {
@@ -291,19 +114,12 @@ struct ShardRunOptions {
   std::string exec_path;
   std::vector<std::string> worker_args;
 
-  /// Heartbeat timeout: a worker whose heartbeat file mtime is unchanged
-  /// for this long is SIGKILLed and respawned (counts against
-  /// max_restarts). 0 disables stall detection (crashes are still caught
-  /// by the exit status). Must exceed the longest single job.
+  /// Fixed slot expiry of the in-process lease service (--heartbeat-ms):
+  /// a worker silent for this long is expired, SIGKILLed and respawned
+  /// (counts against max_restarts). 0 = the service's adaptive expiry,
+  /// derived online from observed job walls. Must be 0 with lease_server:
+  /// a remote service owns its own expiry.
   std::uint32_t heartbeat_ms = 0;
-
-  /// Adaptive stall detection (ignores heartbeat_ms): the timeout is
-  /// derived online from observed inter-heartbeat intervals via
-  /// AdaptiveTimeout, so no per-sweep tuning is needed and a healthy slow
-  /// whale job is never reaped. The CLI turns this on by default when
-  /// --heartbeat-ms is not given.
-  bool adaptive_heartbeat = false;
-  AdaptiveTimeoutConfig adaptive_config;
 
   /// Per-slot respawn budget for crashed/stalled workers. Exhausting it
   /// aborts the run (remaining workers are killed, stores kept, merge
@@ -323,7 +139,7 @@ struct ShardRunOptions {
   /// lifetime of the run.
   std::string lease_server;
 
-  /// Supervisor poll period (reap + heartbeat checks).
+  /// Supervisor poll period (reap + expiry checks).
   std::uint32_t poll_ms = 25;
 
   /// The in-process service does not steal tails smaller than this. The
@@ -333,7 +149,8 @@ struct ShardRunOptions {
 
   /// When non-empty, the supervisor atomically rewrites this file with a
   /// one-line JSON obs::StatusSnapshot (jobs done/total, rate, ETA,
-  /// per-worker lease frontier + heartbeat age, steals, restarts) every
+  /// per-worker lease frontier + last-contact age, the expiry threshold,
+  /// steals, restarts) every
   /// `status_interval_ms`, and a final "done"/"failed" snapshot at exit.
   /// Readers never see a torn file (tmp + rename).
   std::string status_path;
@@ -403,8 +220,8 @@ struct ShardTestHooks {
   std::size_t die_after_n_jobs = kOff;
   bool die_with_sigkill = false;  ///< raise(SIGKILL) instead of _exit(1)
 
-  /// Stall (sleep, no heartbeat) right before job number N — the wedged
-  /// worker the heartbeat monitor exists to reap.
+  /// Stall (sleep, no lease traffic) right before job number N — the
+  /// wedged worker the lease service's expiry exists to reap.
   std::size_t stall_after_n_jobs = kOff;
   std::uint32_t stall_ms = 60'000;
 
@@ -476,7 +293,7 @@ LeaseWorkerReport run_lease_client_worker(
 /// lease-client workers. It starts an in-process LeaseService unless
 /// options.lease_server names a remote one, spawns one self-exec worker
 /// per slot (clamped to one per job), and loops — reaping exits,
-/// respawning crashed or heartbeat-stale workers up to max_restarts, and
+/// respawning crashed or expired workers up to max_restarts, and
 /// quarantining a job that keeps killing its worker (the suspect is the
 /// dead slot's frontier as the service's status op reports it). Once every
 /// worker has exited and the slot stores cover the sweep, it merges them

@@ -56,11 +56,12 @@ std::string StatusSnapshot::to_json() const {
       "\"steals\":%zu,\"restarts\":%zu,\"quarantined\":%zu,\"fenced\":%zu,"
       "\"retries\":%zu,\"requests\":%zu,\"cache_hits\":%zu,"
       "\"connections\":%zu,\"queue_depth\":%zu,\"in_flight\":%zu,"
-      "\"evicted\":%zu,\"workers\":[",
+      "\"evicted\":%zu,\"expiry_s\":%s,\"workers\":[",
       kVersion, phase.c_str(), jobs_total, jobs_done, jobs_per_second,
       eta_seconds, elapsed_seconds, steals, restarts, quarantined, fenced,
       retries, requests, cache_hits, connections, queue_depth, in_flight,
-      evicted);
+      evicted,
+      expiry_s ? strfmt("%.3f", *expiry_s).c_str() : "\"none\"");
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerStatus& w = workers[i];
     if (i > 0) out += ',';
@@ -114,6 +115,7 @@ std::optional<StatusSnapshot> StatusSnapshot::parse(const std::string& json) {
       static_cast<std::size_t>(find_number(json, "in_flight").value_or(0.0));
   s.evicted =
       static_cast<std::size_t>(find_number(json, "evicted").value_or(0.0));
+  s.expiry_s = find_number(json, "expiry_s");  // "none" parses as nullopt
 
   const auto arr = json.find("\"workers\":[");
   if (arr == std::string::npos) return std::nullopt;

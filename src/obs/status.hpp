@@ -26,7 +26,8 @@ struct WorkerStatus {
   std::size_t lease_end = 0;
   std::size_t frontier = 0;       ///< first job not yet durably committed
   std::size_t restarts = 0;       ///< respawns consumed by this slot
-  double heartbeat_age_s = -1.0;  ///< since last observed progress; -1 n/a
+  /// Since the lease service last heard from the slot; -1 when unknown.
+  double heartbeat_age_s = -1.0;
 };
 
 struct StatusSnapshot {
@@ -49,6 +50,10 @@ struct StatusSnapshot {
   std::size_t queue_depth = 0;  ///< queries waiting for a worker slice
   std::size_t in_flight = 0;    ///< queries executing on workers right now
   std::size_t evicted = 0;      ///< stalled/dead connections dropped
+  /// The lease service's slot expiry threshold in seconds: fixed, or
+  /// adaptive (written as "none" before its first job-wall sample). A
+  /// worker whose heartbeat_age_s exceeds it is expired and reaped.
+  std::optional<double> expiry_s;
   std::vector<WorkerStatus> workers;  ///< empty for single-process runs
 
   /// One-line JSON document (always valid JSON; schema in README).

@@ -14,7 +14,6 @@
 
 #include "core/config.hpp"
 #include "core/presets.hpp"
-#include "core/runner.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
 #include "exp/exp.hpp"

@@ -43,10 +43,6 @@ bool touch_file(const std::string& path) noexcept {
   return false;
 }
 
-std::optional<std::int64_t> file_mtime_ns(const std::string&) noexcept {
-  return std::nullopt;
-}
-
 #else
 
 bool fsync_path(const std::string& path) noexcept {
@@ -83,18 +79,6 @@ bool touch_file(const std::string& path) noexcept {
   const bool ok = ::futimens(fd, nullptr) == 0;
   ::close(fd);
   return ok;
-}
-
-std::optional<std::int64_t> file_mtime_ns(const std::string& path) noexcept {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-#if defined(__APPLE__)
-  return static_cast<std::int64_t>(st.st_mtimespec.tv_sec) * 1'000'000'000 +
-         st.st_mtimespec.tv_nsec;
-#else
-  return static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
-         st.st_mtim.tv_nsec;
-#endif
 }
 
 #endif

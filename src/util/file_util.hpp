@@ -5,8 +5,6 @@
 // (the stores stay correct on clean exits, just without power-loss
 // guarantees).
 
-#include <cstdint>
-#include <optional>
 #include <string>
 
 namespace oracle::util {
@@ -36,17 +34,10 @@ bool remove_file(const std::string& path) noexcept;
 /// True when `path` exists (stat succeeds).
 bool file_exists(const std::string& path) noexcept;
 
-/// Create `path` if missing and bump its modification time to now — the
-/// heartbeat primitive of the shard supervisor (workers touch, the parent
-/// watches the mtime). Returns false when the file cannot be created.
+/// Create `path` if missing and bump its modification time to now (the
+/// one-shot marker of the fault-injection hooks). Returns false when the
+/// file cannot be created.
 bool touch_file(const std::string& path) noexcept;
-
-/// Modification time of `path` in nanoseconds since the epoch, or nullopt
-/// when it does not exist. Only *changes* of this value are meaningful to
-/// callers (the heartbeat monitor measures staleness against a steady
-/// clock, never against this wall-clock value), so second-granularity
-/// filesystems merely coarsen detection, not correctness.
-std::optional<std::int64_t> file_mtime_ns(const std::string& path) noexcept;
 
 /// Atomically publish a small control file: write `content` to a tmp file
 /// beside `path`, fsync, and rename over `path` — readers see the old or

@@ -901,20 +901,16 @@ TEST(BatchEngine, StopBeforeCancelsTheTailAndResumeFinishesIt) {
   for (const auto& p : {store, serial}) std::remove(p.c_str());
 }
 
-TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
-  // The tentpole guarantee, three ways: (1) one serial run, (2) the static
-  // hash-modulo shard layout, (3) a work-stealing schedule with
-  // *adversarial* leases — overlapping ranges plus a duplicated store
-  // standing in for a steal race that ran jobs twice. All three merged
-  // stores must be byte-identical.
+TEST(BatchEngine, GoldenSerialAndAdversarialStealRunsAreByteIdentical) {
+  // The tentpole guarantee, two ways: (1) one serial run, (2) a
+  // work-stealing schedule with *adversarial* leases — overlapping ranges
+  // plus a duplicated store standing in for a steal race that ran jobs
+  // twice. Both stores must be byte-identical.
   const auto configs = small_sweep();
   const auto serial = temp_path("golden_serial.jsonl");
-  const auto statik = temp_path("golden_static.jsonl");
   const auto steal = temp_path("golden_steal.jsonl");
   auto cleanup = [&] {
-    for (const auto& p : {serial, statik, steal}) std::remove(p.c_str());
-    for (std::size_t i = 0; i < 3; ++i)
-      std::remove(exp::shard_store_path(statik, i, 3).c_str());
+    for (const auto& p : {serial, steal}) std::remove(p.c_str());
     for (std::size_t k = 0; k < 4; ++k)
       std::remove(exp::worker_store_path(steal, k, 4).c_str());
   };
@@ -933,21 +929,7 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
   sopt.collect = false;
   ASSERT_TRUE(exp::run_batch(configs, sopt).report.ok());
 
-  // (2) static shards.
-  for (std::size_t i = 0; i < 3; ++i) {
-    exp::BatchOptions opt;
-    opt.jsonl_path = exp::shard_store_path(statik, i, 3);
-    opt.shard_index = i;
-    opt.shard_count = 3;
-    opt.collect = false;
-    ASSERT_TRUE(exp::run_batch(configs, opt).report.ok());
-  }
-  exp::ShardMerger static_merger;
-  for (std::size_t i = 0; i < 3; ++i)
-    static_merger.add_store(exp::shard_store_path(statik, i, 3));
-  ASSERT_EQ(static_merger.merge_to(statik).records, configs.size());
-
-  // (3) adversarial steal schedule: leases overlap (jobs 8..9 and 12..13
+  // (2) adversarial steal schedule: leases overlap (jobs 8..9 and 12..13
   // sit in two leases each) — exactly what a shrink race produces.
   const std::vector<std::pair<std::size_t, std::size_t>> leases = {
       {0, 10}, {8, 14}, {12, 18}};
@@ -975,7 +957,6 @@ TEST(BatchEngine, GoldenSerialStaticAndAdversarialStealRunsAreByteIdentical) {
 
   const auto golden = slurp(serial);
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(golden, slurp(statik));
   EXPECT_EQ(golden, slurp(steal));
   cleanup();
 }

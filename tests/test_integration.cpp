@@ -1,5 +1,5 @@
 // End-to-end integration tests: the full config -> simulator -> result
-// pipeline, the parallel runner, paper presets, and the headline result of
+// pipeline, parallel batch runs, paper presets, and the headline result of
 // the paper reproduced at test scale (CWN beats GM on grids).
 
 #include <gtest/gtest.h>
@@ -7,8 +7,8 @@
 #include <set>
 
 #include "core/presets.hpp"
-#include "core/runner.hpp"
 #include "core/simulator.hpp"
+#include "exp/batch.hpp"
 #include "util/error.hpp"
 #include "workload/dc.hpp"
 #include "workload/fib.hpp"
@@ -46,6 +46,14 @@ TEST(Simulator, LabelIsReadable) {
   EXPECT_EQ(cfg.label(), "grid:10x10 / cwn / fib:15");
 }
 
+/// Run the configs on `threads` executor threads, results in config order.
+exp::BatchOutcome run_on(const std::vector<ExperimentConfig>& configs,
+                         std::size_t threads) {
+  exp::BatchOptions opt;
+  opt.exec.workers = threads;
+  return exp::run_batch(configs, opt);
+}
+
 TEST(Runner, ParallelMatchesSerial) {
   std::vector<ExperimentConfig> configs;
   for (int n : {9, 10, 11}) {
@@ -57,8 +65,8 @@ TEST(Runner, ParallelMatchesSerial) {
       configs.push_back(cfg);
     }
   }
-  const auto parallel = run_all(configs, 6);
-  const auto serial = run_all(configs, 1);
+  const auto parallel = run_on(configs, 6).results;
+  const auto serial = run_on(configs, 1).results;
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(parallel[i].completion_time, serial[i].completion_time) << i;
@@ -72,7 +80,8 @@ TEST(Runner, PreservesOrder) {
   configs[1].workload = "fib:9";
   configs[2].workload = "dc:1:21";
   configs[3].workload = "dc:1:55";
-  const auto results = run_all(configs, 4);
+  const auto results = run_on(configs, 4).results;
+  ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].workload, "fib-7");
   EXPECT_EQ(results[1].workload, "fib-9");
   EXPECT_EQ(results[2].workload, "dc-1-21");
@@ -82,7 +91,12 @@ TEST(Runner, PreservesOrder) {
 TEST(Runner, PropagatesErrors) {
   std::vector<ExperimentConfig> configs(2);
   configs[1].topology = "bogus:1";
-  EXPECT_THROW(run_all(configs, 2), ConfigError);
+  const auto outcome = run_on(configs, 2);
+  EXPECT_FALSE(outcome.report.ok());
+  EXPECT_EQ(outcome.report.failed, 1u);
+  ASSERT_EQ(outcome.report.errors.size(), 1u);
+  EXPECT_NE(outcome.report.errors[0].find("bogus"), std::string::npos)
+      << outcome.report.errors[0];
 }
 
 // --------------------------------------------------------------------------

@@ -260,8 +260,7 @@ TEST(LeaseProtocol, RequestRoundTrips) {
   EXPECT_EQ(back->wall_us, 123456u);
   EXPECT_EQ(back->retries, 17u);
 
-  for (const auto op : {exp::LeaseOp::kHeartbeat, exp::LeaseOp::kSteal,
-                        exp::LeaseOp::kStatus}) {
+  for (const auto op : {exp::LeaseOp::kSteal, exp::LeaseOp::kStatus}) {
     exp::LeaseRequest r;
     r.seq = 9;
     r.op = op;
@@ -391,7 +390,7 @@ TEST(LeaseService, FencingRejectsStaleEpochsAndPreservesTheFrontier) {
             exp::LeaseClient::CommitResult::kFenced);
   EXPECT_EQ(b.commit(grant_b->epoch, 4, 1000, &end),
             exp::LeaseClient::CommitResult::kOk);
-  EXPECT_EQ(a.heartbeat(grant_a->epoch, &end),
+  EXPECT_EQ(a.commit(grant_a->epoch, 6, 1000, &end),
             exp::LeaseClient::CommitResult::kFenced);
   EXPECT_EQ(a.fenced(), 2u);
 
@@ -542,6 +541,49 @@ exp::LeaseResponseKind steal_once(std::uint16_t port, std::size_t slot,
 constexpr auto kEmpty = exp::LeaseResponseKind::kEmpty;
 
 constexpr auto kOk = exp::LeaseClient::CommitResult::kOk;
+
+TEST(LeaseService, StatusCarriesTheExpiryAndEverySlotsContactAge) {
+  auto status = [](exp::LeaseClient& client) {
+    const auto json = client.status();
+    EXPECT_TRUE(json.has_value());
+    auto snapshot = obs::StatusSnapshot::parse(json.value_or(""));
+    EXPECT_TRUE(snapshot.has_value()) << json.value_or("");
+    return snapshot.value_or(obs::StatusSnapshot{});
+  };
+
+  // Adaptive: no threshold before the first job-wall sample ("none"),
+  // then the timeout's floor for fast jobs.
+  ServerThread adaptive(service_options("", 2));
+  exp::LeaseClient a(client_options(adaptive.port(), 0, 2));
+  auto st = status(a);
+  EXPECT_FALSE(st.expiry_s.has_value());
+  EXPECT_NE(a.status().value_or("").find("\"expiry_s\":\"none\""),
+            std::string::npos);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto grant = a.acquire();
+  ASSERT_TRUE(grant.has_value());
+  std::size_t end = 0;
+  ASSERT_EQ(a.commit(grant->epoch, 1, 60'000, &end), kOk);
+  st = status(a);
+  ASSERT_TRUE(st.expiry_s.has_value());
+  EXPECT_DOUBLE_EQ(*st.expiry_s, 3.0);
+  ASSERT_EQ(st.workers.size(), 2u);
+  // Slot 1 was never granted: its age counts from the service's start,
+  // at least 50ms before slot 0's commit.
+  EXPECT_GE(st.workers[1].heartbeat_age_s, 0.05);
+  EXPECT_LT(st.workers[0].heartbeat_age_s, st.workers[1].heartbeat_age_s);
+
+  // Fixed (a local run's --heartbeat-ms): reported from the start.
+  auto opt = service_options("", 2);
+  opt.expiry_ms = 250;
+  ServerThread fixed(opt);
+  exp::LeaseClient b(client_options(fixed.port(), 0, 2));
+  st = status(b);
+  ASSERT_TRUE(st.expiry_s.has_value());
+  EXPECT_DOUBLE_EQ(*st.expiry_s, 0.25);
+  ASSERT_EQ(st.workers.size(), 2u);
+  EXPECT_GE(st.workers[1].heartbeat_age_s, 0.0);
+}
 
 TEST(LeaseService, RunsWithoutAJournalUntilEveryLeaseDrains) {
   // The in-process service of a local `run --workers N` keeps no journal:
@@ -695,7 +737,8 @@ TEST(LeaseService, StatusReportsEachSlotsLeaseAndFrontier) {
   EXPECT_FALSE(snapshot->workers[1].live) << "slot 1 was never granted";
   EXPECT_EQ(snapshot->workers[1].lease_begin, 9u);
   EXPECT_EQ(snapshot->workers[1].frontier, 9u);
-  EXPECT_DOUBLE_EQ(snapshot->workers[1].heartbeat_age_s, -1.0);
+  EXPECT_GE(snapshot->workers[1].heartbeat_age_s, 0.0)
+      << "a never-granted slot reports its contact age too";
 
   // A steal moves both slots' bounds.
   exp::LeaseClient b(client_options(srv.port(), 1, 2));

@@ -7,8 +7,8 @@
 #include <algorithm>
 #include <tuple>
 
-#include "core/runner.hpp"
 #include "core/simulator.hpp"
+#include "exp/batch.hpp"
 #include "workload/workload.hpp"
 
 namespace oracle {
@@ -83,7 +83,10 @@ TEST_P(SeedSweep, ResultsVaryButConserve) {
     cfg.machine.seed = seed;
     configs.push_back(cfg);
   }
-  const auto results = core::run_all(configs, 6);
+  exp::BatchOptions opt;
+  opt.exec.workers = 6;
+  const auto results = exp::run_batch(configs, opt).results;
+  ASSERT_EQ(results.size(), configs.size());
   for (const auto& r : results)
     EXPECT_EQ(r.goals_executed, results[0].goals_executed);
   // Completion varies across seeds for randomized strategies (tie-breaks),

@@ -1,16 +1,14 @@
-// Crash-safe distributed sharding (src/exp/shard.*): shard assignment and
-// slicing, the merge protocol's byte-identical guarantee vs a serial run,
-// resume convergence after a simulated SIGKILL, self-exec path
+// Crash-safe distributed sweeps (src/exp/shard.*): the merge protocol's
+// byte-identical guarantee vs a serial run over contiguous job-range
+// slices, resume convergence after a simulated SIGKILL, self-exec path
 // resolution, the quarantine file, the supervisor's setup checks and run
 // summary, in-process lease-client workers (empty leases, several
 // executor threads, an unreachable server), and property tests for the
 // lease bookkeeping (partition invariants under random steal sequences,
-// retain_range/retain_shard vs a reference model, heartbeat staleness,
-// adaptive timeouts).
+// retain_range vs a reference model, adaptive timeouts).
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -18,7 +16,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -70,36 +67,39 @@ void keep_lines(const std::string& path, std::size_t n) {
   out << kept;
 }
 
-void remove_run_files(const std::string& canonical, std::size_t shards) {
+void remove_run_files(const std::string& canonical, std::size_t slices) {
   std::remove(canonical.c_str());
-  for (std::size_t i = 0; i < shards; ++i) {
-    const auto store = exp::shard_store_path(canonical, i, shards);
+  for (std::size_t i = 0; i < slices; ++i) {
+    const auto store = exp::worker_store_path(canonical, i, slices);
     std::remove(store.c_str());
   }
 }
 
-/// Jobs in shard `index` of `count`.
-std::size_t shard_size(const std::vector<core::ExperimentConfig>& configs,
-                       std::size_t index, std::size_t count) {
-  exp::JobQueue q(configs);
-  q.retain_shard(index, count);
-  return q.size();
+/// Slice `index` of `count`: the lease table's initial contiguous range.
+exp::Lease slice(const std::vector<core::ExperimentConfig>& configs,
+                 std::size_t index, std::size_t count) {
+  return exp::LeaseTable(configs.size(), count).lease(index);
 }
 
-/// Run one shard's slice in-process, exactly as an `oracle_batch run
-/// --shard i/N` worker would.
-exp::BatchOutcome run_shard_worker(
-    const std::vector<core::ExperimentConfig>& configs,
-    const std::string& canonical, std::size_t index, std::size_t count,
-    bool resume = false) {
+/// Run slice `index` of `count` in-process into its slot store, as a lease
+/// worker whose lease was never stolen from would (resume skips what the
+/// slot store already holds).
+exp::BatchOutcome run_slice(const std::vector<core::ExperimentConfig>& configs,
+                            const std::string& canonical, std::size_t index,
+                            std::size_t count, bool resume = false) {
   exp::BatchOptions opt;
-  opt.jsonl_path = exp::shard_store_path(canonical, index, count);
-  opt.shard_index = index;
-  opt.shard_count = count;
+  opt.jsonl_path = exp::worker_store_path(canonical, index, count);
   opt.resume = resume;
-  if (resume) opt.extra_resume_stores.push_back(canonical);
   opt.collect = false;
-  return exp::run_batch(configs, opt);
+  const exp::Lease lease = slice(configs, index, count);
+  exp::JobQueue queue(configs);
+  queue.retain_range(lease.begin, lease.end);
+  const std::size_t skipped =
+      resume ? queue.skip_completed(exp::load_completed_hashes(opt.jsonl_path))
+             : 0;
+  auto outcome = exp::run_batch(queue, opt);
+  outcome.report.skipped = skipped;
+  return outcome;
 }
 
 // -------------------------------------------------------------- ShardSpec --
@@ -117,41 +117,6 @@ TEST(ShardSpec, ParsesValidAndRejectsMalformed) {
     EXPECT_FALSE(exp::ShardSpec::parse(bad).has_value()) << bad;
 }
 
-TEST(ShardSpec, HashRuleIsStableAndStorePathsAreDistinct) {
-  EXPECT_EQ(exp::shard_of_hash(17, 1), 0u);
-  EXPECT_EQ(exp::shard_of_hash(17, 4), 17u % 4u);
-  EXPECT_EQ(exp::shard_of_hash(17, 0), 0u);  // degenerate count
-
-  std::unordered_set<std::string> paths;
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_TRUE(paths.insert(exp::shard_store_path("sweep.jsonl", i, 4)).second);
-  EXPECT_EQ(exp::shard_store_path("s.jsonl", 1, 4), "s.jsonl.shard1of4");
-}
-
-// --------------------------------------------------------- queue slicing --
-
-TEST(ShardPlan, RetainShardPartitionsTheQueueDisjointly) {
-  const auto configs = small_sweep();
-  std::unordered_set<std::uint64_t> seen;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    exp::JobQueue q(configs);
-    q.retain_shard(i, 3);
-    total += q.size();
-    for (const auto& job : q.jobs()) {
-      EXPECT_EQ(job.content_hash % 3, i);
-      EXPECT_TRUE(seen.insert(job.content_hash).second)
-          << "job in two shards";
-    }
-  }
-  EXPECT_EQ(total, configs.size());
-
-  // count <= 1 keeps everything.
-  exp::JobQueue q(configs);
-  EXPECT_EQ(q.retain_shard(0, 1), 0u);
-  EXPECT_EQ(q.size(), configs.size());
-}
-
 // ------------------------------------------------ merge = serial, bytewise --
 
 TEST(ShardMerger, MergedStoreIsByteIdenticalToSerialRun) {
@@ -167,15 +132,16 @@ TEST(ShardMerger, MergedStoreIsByteIdenticalToSerialRun) {
 
   std::size_t worker_total = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto outcome = run_shard_worker(configs, canonical, i, 3);
+    const auto outcome = run_slice(configs, canonical, i, 3);
     ASSERT_TRUE(outcome.report.ok());
     worker_total += outcome.report.executed;
   }
   EXPECT_EQ(worker_total, configs.size());
 
+  // Stores added last slice first: the merge itself restores job order.
   exp::ShardMerger merger;
-  for (std::size_t i = 0; i < 3; ++i)
-    merger.add_store(exp::shard_store_path(canonical, i, 3));
+  for (std::size_t i = 3; i-- > 0;)
+    merger.add_store(exp::worker_store_path(canonical, i, 3));
   const auto report = merger.merge_to(canonical);
   EXPECT_EQ(report.stores_read, 3u);
   EXPECT_EQ(report.records, configs.size());
@@ -197,10 +163,10 @@ TEST(ShardMerger, DropsDuplicatesAndIgnoresCorruptTails) {
   const auto canonical = temp_path("dupes.jsonl");
   remove_run_files(canonical, 2);
   for (std::size_t i = 0; i < 2; ++i)
-    ASSERT_TRUE(run_shard_worker(configs, canonical, i, 2).report.ok());
+    ASSERT_TRUE(run_slice(configs, canonical, i, 2).report.ok());
 
   // Corrupt one store's tail (mid-write kill) and duplicate a record.
-  const auto store0 = exp::shard_store_path(canonical, 0, 2);
+  const auto store0 = exp::worker_store_path(canonical, 0, 2);
   std::string first_line;
   {
     std::ifstream in(store0);
@@ -213,7 +179,7 @@ TEST(ShardMerger, DropsDuplicatesAndIgnoresCorruptTails) {
 
   exp::ShardMerger merger;
   merger.add_store(store0);
-  merger.add_store(exp::shard_store_path(canonical, 1, 2));
+  merger.add_store(exp::worker_store_path(canonical, 1, 2));
   merger.add_store(temp_path("does_not_exist.jsonl"));
   const auto report = merger.merge_to(canonical);
   EXPECT_EQ(report.stores_read, 2u);
@@ -241,18 +207,18 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   // All three workers run; then the busiest one is "SIGKILLed" after 2
   // jobs — its store keeps a clean 2-record prefix.
   for (std::size_t i = 0; i < 3; ++i)
-    ASSERT_TRUE(run_shard_worker(configs, canonical, i, 3).report.ok());
+    ASSERT_TRUE(run_slice(configs, canonical, i, 3).report.ok());
   std::size_t victim = 0;
   for (std::size_t i = 1; i < 3; ++i)
-    if (shard_size(configs, i, 3) > shard_size(configs, victim, 3))
+    if (slice(configs, i, 3).size() > slice(configs, victim, 3).size())
       victim = i;
-  const std::size_t victim_jobs = shard_size(configs, victim, 3);
+  const std::size_t victim_jobs = slice(configs, victim, 3).size();
   ASSERT_GT(victim_jobs, 2u);  // pigeonhole: max >= 6
-  const auto victim_store = exp::shard_store_path(canonical, victim, 3);
+  const auto victim_store = exp::worker_store_path(canonical, victim, 3);
   keep_lines(victim_store, 2);
 
-  // Resume re-runs only the dead shard's missing jobs...
-  const auto resumed = run_shard_worker(configs, canonical, victim, 3, true);
+  // Resume re-runs only the dead slice's missing jobs...
+  const auto resumed = run_slice(configs, canonical, victim, 3, true);
   ASSERT_TRUE(resumed.report.ok());
   EXPECT_EQ(resumed.report.skipped, 2u);
   EXPECT_EQ(resumed.report.executed, victim_jobs - 2u);
@@ -260,7 +226,7 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   // ...and the merge converges to the serial bytes: no loss, no dupes.
   exp::ShardMerger merger;
   for (std::size_t i = 0; i < 3; ++i)
-    merger.add_store(exp::shard_store_path(canonical, i, 3));
+    merger.add_store(exp::worker_store_path(canonical, i, 3));
   const auto report = merger.merge_to(canonical);
   EXPECT_EQ(report.records, configs.size());
   EXPECT_EQ(report.duplicates_dropped, 0u);
@@ -268,31 +234,6 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
 
   std::remove(serial.c_str());
   remove_run_files(canonical, 3);
-}
-
-TEST(ShardPlan, JobsMergedIntoCanonicalStoreAreNotReRun) {
-  const auto configs = small_sweep();
-  const auto canonical = temp_path("extra_resume.jsonl");
-  remove_run_files(canonical, 2);
-
-  // Round 1 completed and merged; the per-shard stores were cleaned up.
-  for (std::size_t i = 0; i < 2; ++i)
-    ASSERT_TRUE(run_shard_worker(configs, canonical, i, 2).report.ok());
-  exp::ShardMerger merger;
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto store = exp::shard_store_path(canonical, i, 2);
-    merger.add_store(store);
-    std::remove(store.c_str());
-  }
-  ASSERT_EQ(merger.merge_to(canonical).records, configs.size());
-
-  // A resumed worker skips everything via extra_resume_stores.
-  const auto resumed = run_shard_worker(configs, canonical, 0, 2, true);
-  EXPECT_TRUE(resumed.report.ok());
-  EXPECT_EQ(resumed.report.executed, 0u);
-  EXPECT_EQ(resumed.report.skipped, shard_size(configs, 0, 2));
-
-  remove_run_files(canonical, 2);
 }
 
 // -------------------------------------------------------- lease partition --
@@ -401,8 +342,7 @@ TEST(JobQueue, RetainRangeMatchesReferenceModelAndTilesTheQueue) {
   }
 
   // A LeaseTable partition applied through retain_range covers the queue
-  // exactly once — the lease analogue of the retain_shard disjointness
-  // test above, for random slot counts.
+  // exactly once, for several slot counts.
   for (const std::size_t slots : {1u, 2u, 3u, 5u, 18u, 30u}) {
     const exp::LeaseTable table(configs.size(), slots);
     std::vector<int> owners(configs.size(), 0);
@@ -416,66 +356,6 @@ TEST(JobQueue, RetainRangeMatchesReferenceModelAndTilesTheQueue) {
     for (std::size_t i = 0; i < owners.size(); ++i)
       EXPECT_EQ(owners[i], 1) << "job " << i << " with " << slots << " slots";
   }
-}
-
-TEST(JobQueue, RetainShardAgreesWithHashModuloReferenceModel) {
-  const auto configs = small_sweep();
-  const exp::JobQueue full(configs);
-  std::mt19937 rng(55);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t count = 1 + rng() % 9;
-    for (std::size_t i = 0; i < count; ++i) {
-      exp::JobQueue q(configs);
-      q.retain_shard(i, count);
-      // Reference model: filter the enumerated sweep through
-      // shard_of_hash directly — same jobs, same order.
-      std::vector<std::uint64_t> expected;
-      for (const auto& job : full.jobs())
-        if (exp::shard_of_hash(job.content_hash, count) == i)
-          expected.push_back(job.content_hash);
-      ASSERT_EQ(q.size(), expected.size());
-      for (std::size_t pos = 0; pos < q.size(); ++pos)
-        EXPECT_EQ(q.job(pos).content_hash, expected[pos]);
-    }
-  }
-}
-
-// ------------------------------------------------------ heartbeat monitor --
-
-TEST(HeartbeatMonitor, DetectsStallsOnlyAfterTheTimeout) {
-  using namespace std::chrono_literals;
-  const auto t0 = std::chrono::steady_clock::time_point{};
-  exp::HeartbeatMonitor hb(100ms);
-
-  // Unarmed slots are never stale.
-  EXPECT_FALSE(hb.stale(0, t0 + 1h));
-
-  hb.start(0, t0);
-  EXPECT_FALSE(hb.stale(0, t0 + 99ms));
-  EXPECT_TRUE(hb.stale(0, t0 + 101ms));  // no heartbeat since spawn
-
-  // A changing value keeps the slot fresh; an unchanged one goes stale.
-  hb.start(0, t0);
-  hb.observe(0, 1000, t0 + 50ms);
-  EXPECT_FALSE(hb.stale(0, t0 + 140ms));
-  hb.observe(0, 2000, t0 + 150ms);
-  hb.observe(0, 2000, t0 + 240ms);  // same mtime: no progress
-  EXPECT_FALSE(hb.stale(0, t0 + 240ms));
-  EXPECT_TRUE(hb.stale(0, t0 + 260ms));
-
-  // A missing heartbeat file (sentinel -1) is itself a value: it only
-  // counts as life once, not every poll.
-  hb.start(1, t0);
-  hb.observe(1, -1, t0 + 10ms);
-  hb.observe(1, -1, t0 + 90ms);
-  EXPECT_TRUE(hb.stale(1, t0 + 120ms));
-
-  // stop() disarms; a later start() re-arms from the new baseline.
-  hb.stop(0);
-  EXPECT_FALSE(hb.stale(0, t0 + 10h));
-  hb.start(0, t0 + 10h);
-  EXPECT_FALSE(hb.stale(0, t0 + 10h + 99ms));
-  EXPECT_TRUE(hb.stale(0, t0 + 10h + 101ms));
 }
 
 TEST(LeaseTable, ReassignMovesTheUncommittedTailToTheThief) {
@@ -519,41 +399,6 @@ TEST(LeaseTable, ReassignMovesTheUncommittedTailToTheThief) {
   EXPECT_TRUE(done.all_drained());
 }
 
-TEST(HeartbeatMonitor, ObserveYieldsInterProgressIntervals) {
-  using namespace std::chrono_literals;
-  const auto t0 = std::chrono::steady_clock::time_point{};
-  exp::HeartbeatMonitor hb(1s);
-
-  // Unarmed slots never yield intervals.
-  EXPECT_FALSE(hb.observe(0, 100, t0).has_value());
-
-  hb.start(0, t0);
-  // The first change after arming is spawn latency, not job pace.
-  EXPECT_FALSE(hb.observe(0, 100, t0 + 250ms).has_value());
-  // An unchanged value is not progress.
-  EXPECT_FALSE(hb.observe(0, 100, t0 + 400ms).has_value());
-  // From the second change on, the inter-progress interval comes back.
-  const auto a = hb.observe(0, 200, t0 + 750ms);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_NEAR(*a, 0.5, 1e-9);
-  const auto b = hb.observe(0, 300, t0 + 850ms);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_NEAR(*b, 0.1, 1e-9);
-
-  // set_timeout re-tunes staleness online (the adaptive path).
-  EXPECT_FALSE(hb.stale(0, t0 + 850ms + 999ms));
-  EXPECT_TRUE(hb.stale(0, t0 + 850ms + 1001ms));
-  hb.set_timeout(100ms);
-  EXPECT_TRUE(hb.stale(0, t0 + 850ms + 101ms));
-  hb.set_timeout(10s);
-  EXPECT_FALSE(hb.stale(0, t0 + 850ms + 5s));
-
-  // Re-arming resets the spawn-latency skip.
-  hb.start(0, t0 + 10s);
-  EXPECT_FALSE(hb.observe(0, 400, t0 + 10s + 50ms).has_value());
-  EXPECT_TRUE(hb.observe(0, 500, t0 + 10s + 150ms).has_value());
-}
-
 // ----------------------------------------------------- adaptive timeout --
 
 TEST(AdaptiveTimeout, IsInfiniteUntilTheFirstSampleArrives) {
@@ -566,11 +411,6 @@ TEST(AdaptiveTimeout, IsInfiniteUntilTheFirstSampleArrives) {
   at.record(-1.5);
   EXPECT_TRUE(std::isinf(at.timeout_seconds()));
   EXPECT_EQ(at.samples(), 0u);
-
-  // Seeding from an empty distribution is a no-op too.
-  exp::DurationStats empty;
-  at.seed(empty);
-  EXPECT_TRUE(std::isinf(at.timeout_seconds()));
 }
 
 TEST(AdaptiveTimeout, ClampsToTheFloorAndTheCap) {
@@ -604,17 +444,6 @@ TEST(AdaptiveTimeout, TracksTheP99AndKeepsAWhaleGuard) {
   evicted.record(0.1);
   evicted.record(0.1);  // window now holds {0.1, 0.1}
   EXPECT_DOUBLE_EQ(evicted.timeout_seconds(), 10.0);  // 5.0 * 2
-}
-
-TEST(AdaptiveTimeout, SeedsFromAPriorRunsDistribution) {
-  exp::DurationStats stats;
-  stats.count = 18;
-  stats.p99_s = 2.0;
-  stats.max_s = 2.5;
-  exp::AdaptiveTimeout at;
-  at.seed(stats);
-  EXPECT_EQ(at.samples(), 2u);  // p99 + max stand in for the prior run
-  EXPECT_DOUBLE_EQ(at.timeout_seconds(), 20.0);  // max(2.5 * 8, 5.0)
 }
 
 // ------------------------------------------------------------- quarantine --
@@ -685,26 +514,24 @@ TEST(ShardRunReport, SummaryNamesEveryEventAndTheMergeVerdict) {
 
 // ------------------------------------------------------------ empty shards --
 
-TEST(ShardWorkers, EmptyStaticShardExitsCleanlyWithValidEmptyStore) {
-  // More shards than jobs: some '--shard i/N' workers own zero jobs (the
-  // cross-host launcher does not know the hash distribution up front).
-  // They must succeed and leave a valid, empty store.
+TEST(ShardWorkers, EmptyRangeSliceLeavesAValidEmptyStore) {
+  // More slices than jobs: some slices own zero jobs. Running one must
+  // succeed and leave a valid, empty store.
   const auto configs = small_sweep();
-  const std::size_t count = configs.size() + 7;  // pigeonhole: empty shards
-  const auto canonical = temp_path("empty_shard.jsonl");
+  const std::size_t count = configs.size() + 7;  // pigeonhole: empty slices
+  const auto canonical = temp_path("empty_slice.jsonl");
   remove_run_files(canonical, count);
 
-  std::size_t empty_shard = count;
+  std::size_t empty_slice = count;
   for (std::size_t i = 0; i < count; ++i)
-    if (shard_size(configs, i, count) == 0) empty_shard = i;
-  ASSERT_LT(empty_shard, count);
+    if (slice(configs, i, count).empty()) empty_slice = i;
+  ASSERT_LT(empty_slice, count);
 
-  const auto outcome =
-      run_shard_worker(configs, canonical, empty_shard, count);
+  const auto outcome = run_slice(configs, canonical, empty_slice, count);
   EXPECT_TRUE(outcome.report.ok());
   EXPECT_EQ(outcome.report.total_jobs, 0u);
   EXPECT_EQ(outcome.report.executed, 0u);
-  const auto store = exp::shard_store_path(canonical, empty_shard, count);
+  const auto store = exp::worker_store_path(canonical, empty_slice, count);
   EXPECT_TRUE(oracle::util::file_exists(store));
   EXPECT_TRUE(read_file(store).empty());
   EXPECT_TRUE(exp::load_completed_hashes(store).empty());
@@ -744,6 +571,11 @@ TEST(ShardProcesses, SupervisorRejectsBadSetupBeforeSpawningAnything) {
   EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
   opt = good;
   opt.lease_server = "nohost";
+  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  // A remote lease service owns its expiry; a local one cannot be set.
+  opt = good;
+  opt.lease_server = "127.0.0.1:1";
+  opt.heartbeat_ms = 250;
   EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
   EXPECT_THROW(exp::run_sharded_processes({}, good), ConfigError);
   EXPECT_FALSE(util::file_exists(good.out));
@@ -807,7 +639,6 @@ void write_serial_store(const std::vector<core::ExperimentConfig>& configs,
 void remove_lease_run_files(const std::string& canonical) {
   std::remove(canonical.c_str());
   std::remove(exp::worker_store_path(canonical, 0, 1).c_str());
-  std::remove(exp::worker_heartbeat_path(canonical, 0, 1).c_str());
 }
 
 TEST(ShardWorkers, EmptyLeaseWorkerExitsCleanlyWithValidEmptyStore) {

@@ -1,7 +1,7 @@
 // Deterministic fault-injection tests for the sweep supervisor
 // (exp::run_sharded_processes over its in-process lease service): worker
-// death by SIGKILL and _exit(1), stall detection via the heartbeat
-// monitor, auto-restart, steals by idle workers, restart-budget
+// death by SIGKILL and _exit(1), stall detection via the lease service's
+// expiry, auto-restart, steals by idle workers, restart-budget
 // exhaustion, poison-job quarantine, and --resume convergence — all
 // in-process under ctest instead of only in the CI kill+resume smoke
 // script.
@@ -31,6 +31,7 @@
 #include "core/sweep.hpp"
 #include "exp/exp.hpp"
 #include "obs/status.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/file_util.hpp"
 
@@ -62,11 +63,8 @@ std::vector<core::ExperimentConfig> fault_sweep() {
       .build();
 }
 
-/// A slower sweep for the adaptive-heartbeat tests: 6 jobs of ~100ms+
-/// each, so every job boundary spans several supervisor poll windows and
-/// the heartbeat monitor is guaranteed to observe real inter-job
-/// intervals (the fast sweep's jobs can start and finish inside one poll
-/// tick, leaving the adaptive timeout unseeded).
+/// A slower sweep for the adaptive-expiry tests: 6 jobs of ~100ms+ each,
+/// so the lease service's adaptive timeout learns a real job pace.
 std::vector<core::ExperimentConfig> slow_sweep() {
   auto cfg = small_config();
   cfg.workload = "fib:24";
@@ -127,7 +125,7 @@ const std::string& serial_store() {
   return path;
 }
 
-/// Serial golden for the slow sweep (adaptive-heartbeat tests only).
+/// Serial golden for the slow sweep (adaptive-expiry tests only).
 const std::string& slow_serial_store() {
   static std::string path;
   static std::once_flag once;
@@ -147,11 +145,8 @@ const std::string& slow_serial_store() {
 void remove_steal_files(const std::string& canonical, std::size_t slots) {
   std::remove(canonical.c_str());
   std::remove((canonical + ".marker").c_str());
-  for (std::size_t k = 0; k < slots; ++k) {
-    for (const auto& f : {exp::worker_store_path(canonical, k, slots),
-                          exp::worker_heartbeat_path(canonical, k, slots)})
-      std::remove(f.c_str());
-  }
+  for (std::size_t k = 0; k < slots; ++k)
+    std::remove(exp::worker_store_path(canonical, k, slots).c_str());
 }
 
 /// Launch a supervised run over fault_sweep(), with optional fault flags
@@ -165,14 +160,12 @@ exp::ShardRunReport run_steal(const std::string& canonical,
                               bool resume = false,
                               std::size_t min_steal_jobs = 1,
                               const std::string& status_path = {},
-                              bool adaptive_heartbeat = false,
                               bool retry_quarantined = false,
                               const std::string& sweep = {}) {
   exp::ShardRunOptions sopt;
   sopt.workers = workers;
   sopt.out = canonical;
   sopt.heartbeat_ms = heartbeat_ms;
-  sopt.adaptive_heartbeat = adaptive_heartbeat;
   sopt.max_restarts = max_restarts;
   sopt.resume = resume;
   sopt.retry_quarantined = retry_quarantined;
@@ -248,8 +241,8 @@ TEST(StealSupervisor, ExitFaultIsAutoRestartedAndConverges) {
 TEST(StealSupervisor, StalledWorkerIsReapedByHeartbeatAndConverges) {
   const auto canonical = temp_path("stall.jsonl");
   remove_steal_files(canonical, 3);
-  // Slot 2 wedges for 60s after its first job; the 250ms heartbeat must
-  // SIGKILL it long before that and the respawn finishes the lease.
+  // Slot 2 wedges for 60s after its first job; the 250ms expiry must get
+  // it SIGKILLed long before that and the respawn finishes the lease.
   const auto report = run_steal(
       canonical, 3,
       {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
@@ -265,12 +258,49 @@ TEST(StealSupervisor, StalledWorkerIsReapedByHeartbeatAndConverges) {
   remove_steal_files(canonical, 3);
 }
 
+TEST(StealSupervisor, ServiceExpiresAStalledSlotBeforeItIsKilled) {
+  const auto canonical = temp_path("one_clock.jsonl");
+  const auto trace = canonical + ".trace";
+  remove_steal_files(canonical, 3);
+  // The supervisor and its in-process lease service both record into this
+  // process's tracer. With a 250ms expiry the service must expire the
+  // wedged slot 2 first; the supervisor only reads that verdict.
+  obs::Tracer::enable(0, "supervisor");
+  const auto report = run_steal(
+      canonical, 3,
+      {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
+       "--marker", canonical + ".marker"},
+      /*heartbeat_ms=*/250);
+  obs::Tracer::disable();
+  obs::Tracer::write_event_lines(trace, /*append=*/false);
+  EXPECT_TRUE(report.ok()) << report.summary();
+
+  std::optional<double> expired, killed;
+  std::ifstream in(trace);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto ev = obs::parse_event_line(line);
+    if (!ev || line.find("\"slot\":2") == std::string::npos) continue;
+    std::optional<double>* first =
+        ev->name == "expire"              ? &expired
+        : ev->name == "worker.stale_kill" ? &killed
+                                          : nullptr;
+    if (first && (!*first || ev->ts_us < **first)) *first = ev->ts_us;
+  }
+  ASSERT_TRUE(killed.has_value()) << "the wedged worker was never reaped";
+  ASSERT_TRUE(expired.has_value()) << "killed before the service expired it";
+  EXPECT_LT(*expired, *killed);
+  std::remove(trace.c_str());
+  remove_steal_files(canonical, 3);
+}
+
 TEST(StealSupervisor, SlowWorkersTailIsStolenByIdleWorkers) {
   const auto canonical = temp_path("steal.jsonl");
   remove_steal_files(canonical, 3);
-  // Slot 0 stalls 1.5s before its very first job (no heartbeat timeout, so
-  // it is never killed). The other two workers drain their own leases in
-  // milliseconds and must steal slot 0's unclaimed tail instead of idling.
+  // Slot 0 stalls 1.5s before its very first job (inside the 3s adaptive
+  // expiry floor, so it is never killed). The other two workers drain
+  // their own leases in milliseconds and must steal slot 0's unclaimed
+  // tail instead of idling.
   const auto report = run_steal(
       canonical, 3,
       {"--fault-slot", "0", "--stall-after", "0", "--stall-ms", "1500",
@@ -383,7 +413,7 @@ TEST(StealSupervisor, PoisonJobIsQuarantinedThenRetryQuarantinedConverges) {
   const auto resumed =
       run_steal(canonical, 3, {}, /*heartbeat_ms=*/0, /*max_restarts=*/2,
                 /*resume=*/true, /*min_steal_jobs=*/1, /*status_path=*/{},
-                /*adaptive_heartbeat=*/false, /*retry_quarantined=*/true);
+                /*retry_quarantined=*/true);
   EXPECT_TRUE(resumed.ok()) << resumed.summary();
   EXPECT_EQ(resumed.quarantined, 0u);
   EXPECT_EQ(resumed.merge.records, 18u);
@@ -396,15 +426,15 @@ TEST(StealSupervisor, PoisonJobIsQuarantinedThenRetryQuarantinedConverges) {
 TEST(StealSupervisor, AdaptiveHeartbeatReapsWedgedWorkerWithoutTuning) {
   const auto canonical = temp_path("adaptive.jsonl");
   remove_steal_files(canonical, 3);
-  // No --heartbeat-ms anywhere: the monitor seeds its timeout from the
-  // observed per-job heartbeat pace (~100ms jobs → the adaptive floor, a
-  // few seconds) and must reap the 60s wedge long before it resolves.
+  // No --heartbeat-ms anywhere: the lease service learns its expiry from
+  // the observed job pace (~100ms jobs → the adaptive floor, a few
+  // seconds) and the 60s wedge must be reaped long before it resolves.
   const auto report = run_steal(
       canonical, 3,
       {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
        "--marker", canonical + ".marker"},
       /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
-      /*min_steal_jobs=*/1, /*status_path=*/{}, /*adaptive_heartbeat=*/true,
+      /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"slow");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GE(report.restarts, 1u);
@@ -427,7 +457,7 @@ TEST(StealSupervisor, AdaptiveHeartbeatNeverReapsAHealthySlowWhale) {
       {"--fault-slot", "1", "--stall-after", "1", "--stall-ms", "1200",
        "--marker", canonical + ".marker"},
       /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
-      /*min_steal_jobs=*/1, /*status_path=*/{}, /*adaptive_heartbeat=*/true,
+      /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"slow");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.restarts, 0u);
@@ -443,12 +473,12 @@ TEST(StealSupervisor, AdaptiveHeartbeatSparesATailWhaleWhileTheOthersIdle) {
   // every time it runs (no marker), so it finishes alone while the other
   // five poll the lease service for work. Its ~4s of silence is past the
   // 3s floor and twice every other job: only the p99 term (8 x ~1.2s)
-  // spares it, and only while idle polls never count as job intervals.
+  // spares it, and only while idle polls never count as job walls.
   const auto report = run_steal(
       canonical, 6,
       {"--fault-slot", "5", "--stall-after", "0", "--stall-ms", "3300"},
       /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
-      /*min_steal_jobs=*/1, /*status_path=*/{}, /*adaptive_heartbeat=*/true,
+      /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"paced");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.restarts, 0u);

@@ -334,6 +334,7 @@ TEST(StatusFile, SnapshotRoundTrips) {
   st.queue_depth = 2;
   st.in_flight = 1;
   st.evicted = 1;
+  st.expiry_s = 4.5;
   st.workers.push_back({0, true, 0, 60, 37, 1, 0.25});
   st.workers.push_back({1, false, 60, 120, 120, 0, -1.0});
 
@@ -355,6 +356,8 @@ TEST(StatusFile, SnapshotRoundTrips) {
   EXPECT_EQ(parsed->queue_depth, 2u);
   EXPECT_EQ(parsed->in_flight, 1u);
   EXPECT_EQ(parsed->evicted, 1u);
+  ASSERT_TRUE(parsed->expiry_s.has_value());
+  EXPECT_NEAR(*parsed->expiry_s, 4.5, 1e-3);
   ASSERT_EQ(parsed->workers.size(), 2u);
   EXPECT_EQ(parsed->workers[0].slot, 0u);
   EXPECT_TRUE(parsed->workers[0].live);
@@ -375,6 +378,8 @@ TEST(StatusFile, WriteAndReadBack) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->phase, "done");
   EXPECT_EQ(back->jobs_done, 4u);
+  EXPECT_FALSE(back->expiry_s.has_value()) << "no threshold reads \"none\"";
+  EXPECT_NE(slurp(path).find("\"expiry_s\":\"none\""), std::string::npos);
   EXPECT_TRUE(obs::json_valid(slurp(path)));
   std::remove(path.c_str());
 }
