@@ -21,14 +21,14 @@ std::uint64_t xorshift64(std::uint64_t& s) {
 
 LeaseClient::LeaseClient(LeaseClientOptions options)
     : options_(std::move(options)),
-      jitter_state_(options_.jitter_seed ? options_.jitter_seed : 1) {}
+      jitter_state_(fnv1a64(strfmt("lease-jitter %zu", options_.slot))) {}
 
 LeaseClient::~LeaseClient() = default;
 
 void LeaseClient::backoff_sleep(std::size_t attempt) {
   // Exponential with full jitter: sleep a uniformly random fraction of
-  // min(base * 2^attempt, cap). Deterministic per client (seeded xorshift)
-  // so the fault-injection tests replay the same schedule.
+  // min(base * 2^attempt, cap). Deterministic per slot (xorshift seeded
+  // from the slot) so the fault-injection tests replay the same schedule.
   const std::uint64_t base = options_.backoff_base_ms;
   const std::uint64_t cap = std::max<std::uint64_t>(options_.backoff_cap_ms, 1);
   std::uint64_t ceiling = base;
@@ -118,11 +118,9 @@ std::optional<LeaseGrant> LeaseClient::work_request(LeaseRequest req) {
         req.jobs = options_.jobs;
         break;
       default:
-        throw SimulationError("lease server rejected " +
-                              std::string(req.op == LeaseOp::kAcquire
-                                              ? "acquire"
-                                              : "steal") +
-                              ": " + rsp.text);
+        throw SimulationError(strfmt("lease server rejected slot %zu's "
+                                     "lease request: %s",
+                                     options_.slot, rsp.text.c_str()));
     }
   }
 }

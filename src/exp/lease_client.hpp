@@ -32,7 +32,6 @@ struct LeaseClientOptions {
   std::size_t retry_budget = 10;        ///< consecutive failures → orphaned
   std::uint32_t backoff_base_ms = 50;
   std::uint32_t backoff_cap_ms = 2'000;
-  std::uint64_t jitter_seed = 1;  ///< deterministic backoff jitter (tests)
 };
 
 /// A fenced lease as granted by the server.

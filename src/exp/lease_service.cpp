@@ -17,16 +17,57 @@
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/file_util.hpp"
 #include "util/log.hpp"
 #include "util/posix_io.hpp"
 #include "util/string_util.hpp"
+#include "util/verb_codec.hpp"
 
 namespace oracle::exp {
 
 namespace {
-constexpr const char* kJournalTag = "J1";
-}
+
+/// One lease-state transition, and one line of the journal. Reassign and
+/// steal move work from `slot` to `thief`; `at` is a frontier or a split
+/// point. `init` names the sweep: start() checks it, apply() never sees it.
+struct LeaseRecord {
+  enum class Op {
+    kInit,
+    kGrant,
+    kFrontier,
+    kDrained,
+    kExpire,
+    kReassign,
+    kSteal,
+    kDone
+  };
+  Op op = Op::kDone;
+  std::uint64_t slot = 0;
+  std::uint64_t thief = 0;
+  std::uint64_t at = 0;
+  std::uint64_t epoch = 0;
+  std::uint64_t jobs = 0;
+  std::uint64_t slots = 0;
+  std::uint64_t seed = 0;
+};
+
+using Op = LeaseRecord::Op;
+using J = LeaseRecord;
+
+constexpr util::Verb<J> kJournalVerbs[] = {
+    {"init", {&J::jobs, &J::slots, &J::seed}},
+    {"grant", {&J::slot, &J::epoch}},
+    {"frontier", {&J::slot, &J::at}},
+    {"drained", {&J::slot}},
+    {"expire", {&J::slot, &J::epoch}},
+    {"reassign", {&J::slot, &J::thief, &J::at, &J::epoch}},
+    {"steal", {&J::slot, &J::thief, &J::at, &J::epoch}},
+    {"done"},
+};
+
+constexpr util::Dialect<J, Op> kJournal{"J1", nullptr, &J::op,
+                                        kJournalVerbs};
+
+}  // namespace
 
 // ------------------------------------------------------------- LeaseTable --
 
@@ -171,6 +212,49 @@ struct LeaseService::Impl {
     Clock::time_point last_life{};   ///< last message seen from this slot
   };
 
+  /// Applies one transition to the table and the per-slot state. Live
+  /// requests journal the record first; replay feeds each journaled record
+  /// back through here, so both reach the same state. False when the
+  /// record names a slot outside the table (a damaged journal line).
+  bool apply(const LeaseRecord& r) {
+    const bool moves = r.op == Op::kReassign || r.op == Op::kSteal;
+    if (r.op == Op::kInit || r.slot >= slots.size() ||
+        (moves && r.thief >= slots.size()))
+      return false;
+    SlotState& s = slots[r.slot];
+    std::optional<Lease> moved;
+    switch (r.op) {
+      case Op::kGrant:
+        s.epoch = r.epoch;
+        s.expired = false;
+        ++s.grants;
+        break;
+      case Op::kExpire:
+        s.epoch = r.epoch;
+        s.expired = true;
+        break;
+      case Op::kFrontier:
+        s.frontier = std::max<std::size_t>(s.frontier, r.at);
+        break;
+      case Op::kDrained: table.mark_drained(r.slot); break;
+      case Op::kReassign:
+        moved = table.reassign(r.slot, r.thief, r.at);
+        s.expired = false;
+        break;
+      case Op::kSteal: moved = table.steal(r.slot, r.thief, r.at); break;
+      case Op::kDone: completed = true; break;
+      case Op::kInit: break;
+    }
+    if (moved) {  // the thief runs the moved range under a fresh epoch
+      SlotState& t = slots[r.thief];
+      t.epoch = r.epoch;
+      t.expired = false;
+      t.frontier = moved->begin;
+      ++t.grants;
+    }
+    return true;
+  }
+
   LeaseTable table;
   std::vector<SlotState> slots;
   AdaptiveTimeout timeout;
@@ -211,26 +295,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct JournalRecord {
-  std::string op;
-  std::vector<std::uint64_t> args;
-};
-
-std::optional<JournalRecord> parse_journal_line(const std::string& line) {
-  const auto tok = split(trim(line), ' ');
-  if (tok.size() < 2 || tok[0] != kJournalTag) return std::nullopt;
-  JournalRecord rec;
-  rec.op = tok[1];
-  for (std::size_t i = 2; i < tok.size(); ++i) {
-    try {
-      const std::int64_t v = parse_int(tok[i], "journal field");
-      if (v < 0) return std::nullopt;
-      rec.args.push_back(static_cast<std::uint64_t>(v));
-    } catch (const ConfigError&) {
-      return std::nullopt;
-    }
-  }
-  return rec;
+/// Appends one record to the journal and fsyncs it.
+void append_record(int fd, const LeaseRecord& rec) {
+  const std::string line = kJournal.encode(rec) + '\n';
+  if (!util::write_full(fd, line.data(), line.size()) ||
+      !util::fsync_retry(fd))
+    throw SimulationError("lease journal write failed");
 }
 
 }  // namespace
@@ -252,72 +322,24 @@ void LeaseService::start() {
     bool saw_init = false;
     while (in && std::getline(in, line)) {
       if (line.empty()) continue;
-      const auto rec = parse_journal_line(line);
-      if (!rec) {
-        ++stats_.torn_journal_records;
-        continue;
-      }
-      auto& a = rec->args;
-      if (rec->op == "init") {
-        if (a.size() != 3)
-          throw SimulationError("corrupt journal init record in '" +
-                                options_.journal_path + "'");
-        if (a[0] != options_.jobs || a[1] != impl_->slots.size() ||
-            a[2] != options_.master_seed)
+      const auto rec = kJournal.parse(line);
+      if (rec && rec->op == Op::kInit) {
+        if (rec->jobs != options_.jobs || rec->slots != im.slots.size() ||
+            rec->seed != options_.master_seed)
           throw SimulationError(strfmt(
               "journal '%s' belongs to a different run (%llu jobs / %llu "
               "slots / seed %llu vs %zu/%zu/%llu); remove it to start over",
               options_.journal_path.c_str(),
-              static_cast<unsigned long long>(a[0]),
-              static_cast<unsigned long long>(a[1]),
-              static_cast<unsigned long long>(a[2]), options_.jobs,
-              impl_->slots.size(),
+              static_cast<unsigned long long>(rec->jobs),
+              static_cast<unsigned long long>(rec->slots),
+              static_cast<unsigned long long>(rec->seed), options_.jobs,
+              im.slots.size(),
               static_cast<unsigned long long>(options_.master_seed)));
         saw_init = true;
-        continue;
-      }
-      if (!saw_init) {
-        ++stats_.torn_journal_records;
-        continue;
-      }
-      ++stats_.replayed_records;
-      if (rec->op == "grant" && a.size() == 2 && a[0] < im.slots.size()) {
-        im.slots[a[0]].epoch = a[1];
-        im.slots[a[0]].expired = false;
-        ++im.slots[a[0]].grants;
-      } else if (rec->op == "frontier" && a.size() == 2 &&
-                 a[0] < im.slots.size()) {
-        im.slots[a[0]].frontier =
-            std::max(im.slots[a[0]].frontier, static_cast<std::size_t>(a[1]));
-      } else if (rec->op == "drained" && a.size() == 1 &&
-                 a[0] < im.slots.size()) {
-        im.table.mark_drained(a[0]);
-      } else if (rec->op == "expire" && a.size() == 2 &&
-                 a[0] < im.slots.size()) {
-        im.slots[a[0]].epoch = a[1];
-        im.slots[a[0]].expired = true;
-      } else if (rec->op == "reassign" && a.size() == 4 &&
-                 a[0] < im.slots.size() && a[1] < im.slots.size()) {
-        im.table.reassign(a[0], a[1], static_cast<std::size_t>(a[2]));
-        im.slots[a[0]].expired = false;
-        auto& thief = im.slots[a[1]];
-        thief.epoch = a[3];
-        thief.expired = false;
-        thief.frontier = static_cast<std::size_t>(a[2]);
-        ++thief.grants;
-      } else if (rec->op == "steal" && a.size() == 4 &&
-                 a[0] < im.slots.size() && a[1] < im.slots.size()) {
-        im.table.steal(a[0], a[1], static_cast<std::size_t>(a[2]));
-        auto& thief = im.slots[a[1]];
-        thief.epoch = a[3];
-        thief.expired = false;
-        thief.frontier = static_cast<std::size_t>(a[2]);
-        ++thief.grants;
-      } else if (rec->op == "done" && a.empty()) {
-        im.completed = true;
+      } else if (rec && saw_init && im.apply(*rec)) {
+        ++stats_.replayed_records;
       } else {
-        ++stats_.torn_journal_records;  // unknown/short record: skip
-        --stats_.replayed_records;
+        ++stats_.torn_journal_records;  // torn, unknown or before init
       }
     }
     if (stats_.replayed_records > 0 || saw_init)
@@ -326,7 +348,6 @@ void LeaseService::start() {
           stats_.replayed_records, stats_.torn_journal_records));
 
     const bool partial_tail = has_partial_last_line(options_.journal_path);
-    const bool fresh = !util::file_exists(options_.journal_path);
     im.journal_fd = ::open(options_.journal_path.c_str(),
                            O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (im.journal_fd < 0)
@@ -336,15 +357,11 @@ void LeaseService::start() {
       const char nl = '\n';
       util::write_full(im.journal_fd, &nl, 1);
     }
-    if (fresh) {
-      const std::string init = strfmt(
-          "%s init %zu %zu %llu\n", kJournalTag, options_.jobs,
-          im.slots.size(),
-          static_cast<unsigned long long>(options_.master_seed));
-      if (!util::write_full(im.journal_fd, init.data(), init.size()) ||
-          !util::fsync_retry(im.journal_fd))
-        throw SimulationError("lease journal write failed");
-    }
+    if (!saw_init)
+      append_record(im.journal_fd, {.op = Op::kInit,
+                                    .jobs = options_.jobs,
+                                    .slots = im.slots.size(),
+                                    .seed = options_.master_seed});
   }
 
   if (!im.server.listen(options_.listen))
@@ -372,15 +389,15 @@ LeaseServiceStats LeaseService::run() {
   const std::size_t min_steal =
       std::max<std::size_t>(options_.min_steal_jobs, 1);
 
-  // Append one record durably; write-ahead of the state change it names.
-  auto journal = [&](const std::string& body) {
-    if (im.journal_fd < 0) return;  // no journal: the stores are the record
-    const std::string line = std::string(kJournalTag) + " " + body + "\n";
-    obs::Span span("lease", "journal.fsync");
-    if (!util::write_full(im.journal_fd, line.data(), line.size()) ||
-        !util::fsync_retry(im.journal_fd))
-      throw SimulationError("lease journal write failed");
-    ++stats_.journal_records;
+  // Every state change: journal the record durably (write-ahead; without
+  // a journal the stores are the record), then apply it.
+  auto transition = [&](const LeaseRecord& rec) {
+    if (im.journal_fd >= 0) {
+      obs::Span span("lease", "journal.fsync");
+      append_record(im.journal_fd, rec);
+      ++stats_.journal_records;
+    }
+    im.apply(rec);
   };
 
   auto remaining_jobs = [&] {
@@ -448,53 +465,51 @@ LeaseServiceStats LeaseService::run() {
 
   auto mark_done_if_drained = [&] {
     if (!im.completed && im.table.all_drained()) {
-      journal("done");
-      im.completed = true;
+      transition({.op = Op::kDone});
       ORACLE_LOG_INFO("lease service: sweep complete (all leases drained)");
       obs::instant("lease", "sweep.done");
     }
   };
 
+  auto granted = [](std::uint64_t epoch, std::size_t begin, std::size_t end) {
+    LeaseResponse rsp;
+    rsp.kind = LeaseResponseKind::kLease;
+    rsp.epoch = epoch;
+    rsp.begin = begin;
+    rsp.end = end;
+    return rsp;
+  };
+
   // Hand work to a drained slot: expired leases first (takeover), then the
   // biggest live unclaimed tail (steal), else empty/done.
   auto find_work = [&](std::size_t thief) {
-    LeaseResponse rsp;
     // 1. Take over an expired lease: its committed head retires, its tail
     //    moves to the thief under a fresh epoch; the expired holder is
     //    permanently fenced.
     for (std::size_t v = 0; v < w; ++v) {
       if (v == thief || !im.slots[v].expired || im.table.drained(v)) continue;
-      const std::size_t f =
-          std::min(im.slots[v].frontier, im.table.lease(v).end);
       const std::uint64_t epoch = im.slots[thief].epoch + 1;
-      journal(strfmt("reassign %zu %zu %zu %llu", v, thief, f,
-                     static_cast<unsigned long long>(epoch)));
-      const auto lease = im.table.reassign(v, thief, f);
-      im.slots[v].expired = false;
-      if (!lease) {
+      transition({.op = Op::kReassign,
+                  .slot = v,
+                  .thief = thief,
+                  .at = std::min(im.slots[v].frontier, im.table.lease(v).end),
+                  .epoch = epoch});
+      if (im.table.drained(thief)) {
         // Everything in the expired lease was already committed: it just
         // retired. Keep looking.
         mark_done_if_drained();
         continue;
       }
-      auto& t = im.slots[thief];
-      t.epoch = epoch;
-      t.expired = false;
-      t.frontier = lease->begin;
-      ++t.grants;
+      const Lease& lease = im.table.lease(thief);
       ++stats_.reassigns;
       obs::instant("lease", "reassign", "victim", static_cast<std::int64_t>(v),
                    "thief", static_cast<std::int64_t>(thief));
       ORACLE_LOG_INFO(strfmt(
           "slot %zu took over expired lease [%zu,%zu) from slot %zu (epoch "
           "%llu)",
-          thief, lease->begin, lease->end, v,
+          thief, lease.begin, lease.end, v,
           static_cast<unsigned long long>(epoch)));
-      rsp.kind = LeaseResponseKind::kLease;
-      rsp.epoch = epoch;
-      rsp.begin = lease->begin;
-      rsp.end = lease->end;
-      return rsp;
+      return granted(epoch, lease.begin, lease.end);
     }
     // 2. Steal the biggest unclaimed tail among live leases. A slot never
     //    granted has no worker yet: splitting its lease would only race
@@ -520,15 +535,13 @@ LeaseServiceStats LeaseService::run() {
     }
     if (best_victim < w) {
       const std::uint64_t epoch = im.slots[thief].epoch + 1;
-      journal(strfmt("steal %zu %zu %zu %llu", best_victim, thief, best_split,
-                     static_cast<unsigned long long>(epoch)));
-      const auto lease = im.table.steal(best_victim, thief, best_split);
-      ORACLE_ASSERT(lease.has_value());
-      auto& t = im.slots[thief];
-      t.epoch = epoch;
-      t.expired = false;
-      t.frontier = lease->begin;
-      ++t.grants;
+      transition({.op = Op::kSteal,
+                  .slot = best_victim,
+                  .thief = thief,
+                  .at = best_split,
+                  .epoch = epoch});
+      ORACLE_ASSERT(!im.table.drained(thief));
+      const Lease& lease = im.table.lease(thief);
       ++stats_.steals;
       const std::uint64_t flow_id = obs::Tracer::next_flow_id();
       obs::flow('s', flow_id, "lease", "steal", "victim",
@@ -538,17 +551,14 @@ LeaseServiceStats LeaseService::run() {
                 static_cast<std::int64_t>(thief), "take",
                 static_cast<std::int64_t>(best_take));
       ORACLE_LOG_INFO(strfmt("slot %zu stole [%zu,%zu) from slot %zu", thief,
-                             lease->begin, lease->end, best_victim));
+                             lease.begin, lease.end, best_victim));
       // The victim keeps committing into its shrunk head; it learns the
       // new end from its next commit response.
-      rsp.kind = LeaseResponseKind::kLease;
-      rsp.epoch = epoch;
-      rsp.begin = lease->begin;
-      rsp.end = lease->end;
-      return rsp;
+      return granted(epoch, lease.begin, lease.end);
     }
     // 3. Nothing to hand out: done if everything drained, else "not yet".
     mark_done_if_drained();
+    LeaseResponse rsp;
     rsp.kind =
         im.completed ? LeaseResponseKind::kDone : LeaseResponseKind::kEmpty;
     return rsp;
@@ -574,11 +584,7 @@ LeaseServiceStats LeaseService::run() {
                                 std::min(timeout_s - age, 60.0))));
         continue;
       }
-      const std::uint64_t epoch = slot.epoch + 1;
-      journal(strfmt("expire %zu %llu", k,
-                     static_cast<unsigned long long>(epoch)));
-      slot.epoch = epoch;
-      slot.expired = true;
+      transition({.op = Op::kExpire, .slot = k, .epoch = slot.epoch + 1});
       ++stats_.expirations;
       obs::instant("lease", "expire", "slot", static_cast<std::int64_t>(k),
                    "age_ms", static_cast<std::int64_t>(age * 1e3));
@@ -636,21 +642,14 @@ LeaseServiceStats LeaseService::run() {
         if (im.table.drained(req.slot)) return find_work(req.slot);
         // Grant (or re-grant after a crash/expiry) under a fresh epoch:
         // whatever process held this slot before is fenced from here on.
-        const std::uint64_t epoch = slot.epoch + 1;
-        journal(strfmt("grant %zu %llu", req.slot,
-                       static_cast<unsigned long long>(epoch)));
-        slot.epoch = epoch;
-        slot.expired = false;
-        ++slot.grants;
+        transition(
+            {.op = Op::kGrant, .slot = req.slot, .epoch = slot.epoch + 1});
         ++stats_.grants;
         obs::instant("lease", "grant", "slot",
                      static_cast<std::int64_t>(req.slot), "epoch",
-                     static_cast<std::int64_t>(epoch));
-        rsp.kind = LeaseResponseKind::kLease;
-        rsp.epoch = epoch;
-        rsp.begin = im.table.lease(req.slot).begin;
-        rsp.end = im.table.lease(req.slot).end;
-        return rsp;
+                     static_cast<std::int64_t>(slot.epoch));
+        return granted(slot.epoch, im.table.lease(req.slot).begin,
+                       im.table.lease(req.slot).end);
       }
       case LeaseOp::kCommit: {
         if (im.completed) {
@@ -673,10 +672,8 @@ LeaseServiceStats LeaseService::run() {
         }
         const std::size_t f =
             std::min(req.frontier, im.table.lease(req.slot).end);
-        if (f > slot.frontier) {
-          journal(strfmt("frontier %zu %zu", req.slot, f));
-          slot.frontier = f;
-        }
+        if (f > slot.frontier)
+          transition({.op = Op::kFrontier, .slot = req.slot, .at = f});
         if (req.wall_us > 0)
           im.timeout.record(static_cast<double>(req.wall_us) / 1e6);
         slot.last_retries = req.retries;
@@ -698,19 +695,14 @@ LeaseServiceStats LeaseService::run() {
             // The worker believes it drained but the server still sees a
             // tail — a lost/reordered final commit. Re-grant the remainder
             // under the same epoch; resume-skip makes the re-run cheap.
-            rsp.kind = LeaseResponseKind::kLease;
-            rsp.epoch = slot.epoch;
-            rsp.begin = f;
-            rsp.end = lease.end;
-            return rsp;
+            return granted(slot.epoch, f, lease.end);
           }
           if (req.epoch != slot.epoch || slot.expired) {
             ++stats_.fenced;
             rsp.kind = LeaseResponseKind::kFenced;
             return rsp;
           }
-          journal(strfmt("drained %zu", req.slot));
-          im.table.mark_drained(req.slot);
+          transition({.op = Op::kDrained, .slot = req.slot});
           obs::instant("lease", "drained", "slot",
                        static_cast<std::int64_t>(req.slot));
         }

@@ -1,8 +1,8 @@
 #include "exp/service_protocol.hpp"
 
 #include "util/error.hpp"
-#include "util/net.hpp"
 #include "util/string_util.hpp"
+#include "util/verb_codec.hpp"
 
 namespace oracle::exp {
 
@@ -29,35 +29,47 @@ std::string seeds_csv(const std::vector<std::uint64_t>& seeds) {
   return join(strs, ",") + (seeds.size() == 1 ? "," : "");
 }
 
-const char* kind_name(ServiceResponseKind k) {
-  switch (k) {
-    case ServiceResponseKind::kOk: return "ok";
-    case ServiceResponseKind::kError: return "error";
-    case ServiceResponseKind::kStatus: return "status";
-    case ServiceResponseKind::kProgress: return "progress";
-    case ServiceResponseKind::kStats: return "stats";
-    case ServiceResponseKind::kTable: return "table";
-    case ServiceResponseKind::kCsv: return "csv";
-    case ServiceResponseKind::kDone: return "done";
-  }
-  return "?";
-}
+/// A request as framed: the query travels as free text, parsed by
+/// parse_query below.
+struct RequestFrame {
+  std::uint64_t seq = 0;
+  ServiceOp op = ServiceOp::kPing;
+  std::string body;
+};
 
-}  // namespace
+using F = RequestFrame;
+using R = ServiceResponse;
 
-std::string ServiceRequest::encode() const {
-  const auto head = strfmt("%s %llu", kServiceProtoVersion,
-                           static_cast<unsigned long long>(seq));
-  switch (op) {
-    case ServiceOp::kPing: return head + " ping";
-    case ServiceOp::kStatus: return head + " status";
-    case ServiceOp::kShutdown: return head + " shutdown";
-    case ServiceOp::kQuery: break;
-  }
+constexpr util::Verb<F> kRequestVerbs[] = {
+    {"ping"},
+    {"status"},
+    {"query", {}, nullptr, &F::body},
+    {"shutdown"},
+};
+
+constexpr util::Verb<R> kResponseVerbs[] = {
+    {"ok"},
+    {"error", {}, nullptr, &R::text},
+    {"status", {}, nullptr, &R::text},
+    {"progress", {&R::total, &R::cached, &R::scheduled, &R::completed}},
+    {"stats",
+     {&R::total, &R::cached, &R::scheduled, &R::failed, &R::rounds,
+      &R::wall_us}},
+    {"table", {}, &R::metric, &R::text},
+    {"csv", {}, nullptr, &R::text},
+    {"done"},
+};
+
+constexpr util::Dialect<F, ServiceOp> kRequests{kServiceProtoVersion, &F::seq,
+                                                &F::op, kRequestVerbs};
+constexpr util::Dialect<R, ServiceResponseKind> kResponses{
+    kServiceProtoVersion, &R::seq, &R::kind, kResponseVerbs};
+
+std::string query_body(const ServiceQuery& query) {
   const core::SweepSpec& s = query.sweep;
-  std::string out = head + " query";
+  std::string out;
   const auto kv = [&](const char* key, const std::string& value) {
-    out += ' ';
+    if (!out.empty()) out += ' ';
     out += key;
     out += '=';
     out += value;
@@ -81,23 +93,9 @@ std::string ServiceRequest::encode() const {
   return out;
 }
 
-std::optional<ServiceRequest> ServiceRequest::parse(
-    const std::string& payload) {
-  const auto frame = util::TextFrame::parse(payload, kServiceProtoVersion);
-  if (!frame) return std::nullopt;
-  ServiceRequest req;
-  req.seq = frame->seq;
-  const std::string& op = frame->tok(2);
-  if (op == "ping" || op == "status" || op == "shutdown") {
-    if (frame->size() != 3) return std::nullopt;
-    req.op = op == "ping" ? ServiceOp::kPing
-             : op == "status" ? ServiceOp::kStatus
-                              : ServiceOp::kShutdown;
-    return req;
-  }
-  if (op != "query") return std::nullopt;
-  req.op = ServiceOp::kQuery;
-
+/// The `query` body: space-separated k=v pairs (header comment).
+std::optional<ServiceQuery> parse_query(std::string_view body) {
+  ServiceQuery query;
   // Collect first, apply in fixed order: preset resets the axis defaults,
   // explicit axes/knobs then win regardless of their token order.
   std::string preset;
@@ -119,8 +117,8 @@ std::optional<ServiceRequest> ServiceRequest::parse(
     }
   };
 
-  for (std::size_t i = 3; i < frame->size(); ++i) {
-    const std::string& tok = frame->tok(i);
+  for (const std::string& tok : split(body, ' ')) {
+    if (tok.empty()) continue;  // a run of spaces
     const auto eq = tok.find('=');
     if (eq == std::string::npos || eq == 0) return std::nullopt;
     const std::string key = tok.substr(0, eq);
@@ -172,7 +170,7 @@ std::optional<ServiceRequest> ServiceRequest::parse(
     }
   }
 
-  core::SweepSpec& s = req.query.sweep;
+  core::SweepSpec& s = query.sweep;
   if (!preset.empty()) {
     try {
       s.apply_preset(preset);
@@ -200,106 +198,43 @@ std::optional<ServiceRequest> ServiceRequest::parse(
   if (simparts) s.sim_partitions = *simparts;
   if (metrics) {
     if (metrics->empty()) return std::nullopt;
-    req.query.metrics = *metrics;
+    query.metrics = *metrics;
   }
-  req.query.want_csv = want_csv;
-  req.query.target_metric = target_metric;
-  req.query.target_ci95 = target_ci95;
+  query.want_csv = want_csv;
+  query.target_metric = target_metric;
+  query.target_ci95 = target_ci95;
+  return query;
+}
+
+}  // namespace
+
+std::string ServiceRequest::encode() const {
+  return kRequests.encode(
+      {seq, op, op == ServiceOp::kQuery ? query_body(query) : std::string()});
+}
+
+std::optional<ServiceRequest> ServiceRequest::parse(
+    const std::string& payload) {
+  const auto frame = kRequests.parse(payload);
+  if (!frame) return std::nullopt;
+  ServiceRequest req;
+  req.seq = frame->seq;
+  req.op = frame->op;
+  if (req.op == ServiceOp::kQuery) {
+    auto query = parse_query(frame->body);
+    if (!query) return std::nullopt;
+    req.query = std::move(*query);
+  }
   return req;
 }
 
 std::string ServiceResponse::encode() const {
-  const auto head = strfmt("%s %llu %s", kServiceProtoVersion,
-                           static_cast<unsigned long long>(seq),
-                           kind_name(kind));
-  switch (kind) {
-    case ServiceResponseKind::kOk:
-    case ServiceResponseKind::kDone:
-      return head;
-    case ServiceResponseKind::kError:
-    case ServiceResponseKind::kStatus:
-    case ServiceResponseKind::kCsv:
-      return head + " " + text;
-    case ServiceResponseKind::kProgress:
-      return head + strfmt(" %llu %llu %llu %llu",
-                           static_cast<unsigned long long>(total),
-                           static_cast<unsigned long long>(cached),
-                           static_cast<unsigned long long>(scheduled),
-                           static_cast<unsigned long long>(completed));
-    case ServiceResponseKind::kStats:
-      return head + strfmt(" %llu %llu %llu %llu %llu %llu",
-                           static_cast<unsigned long long>(total),
-                           static_cast<unsigned long long>(cached),
-                           static_cast<unsigned long long>(scheduled),
-                           static_cast<unsigned long long>(failed),
-                           static_cast<unsigned long long>(rounds),
-                           static_cast<unsigned long long>(wall_us));
-    case ServiceResponseKind::kTable:
-      return head + " " + metric + " " + text;
-  }
-  return {};
+  return kResponses.encode(*this);
 }
 
 std::optional<ServiceResponse> ServiceResponse::parse(
     const std::string& payload) {
-  // Table/CSV bodies are free text: stop tokenising before them so a
-  // megabyte of table is never shredded into tokens.
-  const auto frame =
-      util::TextFrame::parse(payload, kServiceProtoVersion, /*max_tokens=*/4);
-  if (!frame) return std::nullopt;
-  ServiceResponse rsp;
-  rsp.seq = frame->seq;
-  const std::string& kind = frame->tok(2);
-  if (kind == "ok" || kind == "done") {
-    if (frame->size() != 3) return std::nullopt;
-    rsp.kind =
-        kind == "ok" ? ServiceResponseKind::kOk : ServiceResponseKind::kDone;
-    return rsp;
-  }
-  if (kind == "error" || kind == "status" || kind == "csv") {
-    rsp.kind = kind == "error"    ? ServiceResponseKind::kError
-               : kind == "status" ? ServiceResponseKind::kStatus
-                                  : ServiceResponseKind::kCsv;
-    rsp.text = frame->text_after(2);
-    return rsp;
-  }
-  if (kind == "table") {
-    if (frame->size() < 4) return std::nullopt;
-    rsp.kind = ServiceResponseKind::kTable;
-    rsp.metric = frame->tok(3);
-    rsp.text = frame->text_after(3);
-    return rsp;
-  }
-  if (kind == "progress" || kind == "stats") {
-    // Counter frames have no free text: re-tokenise fully and be strict.
-    const auto full = util::TextFrame::parse(payload, kServiceProtoVersion);
-    if (!full) return std::nullopt;
-    const auto u64_at = [&](std::size_t i) { return full->u64(i); };
-    if (kind == "progress") {
-      if (full->size() != 7) return std::nullopt;
-      const auto a = u64_at(3), b = u64_at(4), c = u64_at(5), d = u64_at(6);
-      if (!a || !b || !c || !d) return std::nullopt;
-      rsp.kind = ServiceResponseKind::kProgress;
-      rsp.total = *a;
-      rsp.cached = *b;
-      rsp.scheduled = *c;
-      rsp.completed = *d;
-      return rsp;
-    }
-    if (full->size() != 9) return std::nullopt;
-    const auto a = u64_at(3), b = u64_at(4), c = u64_at(5), d = u64_at(6),
-               e = u64_at(7), f = u64_at(8);
-    if (!a || !b || !c || !d || !e || !f) return std::nullopt;
-    rsp.kind = ServiceResponseKind::kStats;
-    rsp.total = *a;
-    rsp.cached = *b;
-    rsp.scheduled = *c;
-    rsp.failed = *d;
-    rsp.rounds = *e;
-    rsp.wall_us = *f;
-    return rsp;
-  }
-  return std::nullopt;
+  return kResponses.parse(payload);
 }
 
 }  // namespace oracle::exp

@@ -2,36 +2,34 @@
 // Wire protocol for the resident oracle service (oracle_batch serve /
 // query). Same dialect family as exp/lease_protocol.hpp — length-prefixed
 // frames (util::send_frame) carrying versioned space-separated text — and
-// the same shared util::TextFrame tokenizer underneath, so the two
-// protocols are one framing implementation with different vocabularies.
+// the same codec underneath: one verb table per message in
+// service_protocol.cpp drives util::Dialect (util/verb_codec.hpp). A row
+// names the verb, the fields its u64 arguments fill in order, an optional
+// one-word field (a table's metric) and an optional trailing free text.
 //
-//   request  := "s1 <seq> <op> ..."
-//   response := "s1 <seq> <kind> ..."
+//   request  := "s1 <seq> <op> [<body>]"
+//   response := "s1 <seq> <kind> <u64>... [<word>] [<text>]"
 //
 // `seq` is chosen by the client and echoed in every response frame of the
 // exchange, so a stale or replayed frame is recognised and dropped.
 //
-// Ops:
-//   ping                         -> ok
-//   status                       -> status <json>
-//   shutdown                     -> ok (server drains and exits)
-//   query <k=v>...               -> progress* stats table* [csv] done
-//                                   (or error <text>)
-//
-// Query keys (values are comma lists / scalars; none may contain spaces):
+// Ops: ping -> ok; status -> status; shutdown -> ok (the server drains
+// and exits); query <k=v>... -> progress* stats table* [csv] done (or
+// error). The query body is the one part with its own grammar, space-
+// separated keys whose values are comma lists or scalars without spaces:
 //   preset=NAME     topos=A,B    strats=A,B    works=A,B    seeds=CSV
 //   master=M        sample=N     hoplat=N      simthreads=N simparts=K
 //   metrics=A,B     csv=0|1      target=METRIC:HALFWIDTH
 //
 // Response kinds:
-//   ok                                            request accepted
-//   error <text>                                  rejected (text explains)
-//   status <json>                                 obs::StatusSnapshot JSON
-//   progress <total> <cached> <scheduled> <done>  one per executed round
-//   stats <total> <cached> <scheduled> <failed> <rounds> <wall_us>
-//   table <metric> <text>                         rendered summary table
-//   csv <text>                                    long-format summary CSV
-//   done                                          end of the query stream
+//   ok        request accepted
+//   error     rejected (the text explains)
+//   status    obs::StatusSnapshot JSON
+//   progress  total/cached/scheduled/done counts, one per executed round
+//   stats     total/cached/scheduled/failed counts, rounds and wall_us
+//   table     one rendered summary table, after its metric name
+//   csv       long-format summary CSV
+//   done      end of the query stream
 //
 // Tables and CSV bodies are free text (spaces, newlines) transported
 // byte-exactly — the client's output must match `oracle_batch aggregate`

@@ -293,7 +293,6 @@ LeaseWorkerReport run_lease_client_worker(
   copt.retry_budget = options.retry_budget;
   copt.backoff_base_ms = options.backoff_base_ms;
   copt.backoff_cap_ms = options.backoff_cap_ms;
-  copt.jitter_seed = fnv1a64(strfmt("lease-jitter %zu", options.slot));
   LeaseClient client(copt);
 
   // Jobs another record already covers: sibling slots may have run part
@@ -467,6 +466,10 @@ std::string self_exec_path(const std::string& argv0) {
 }
 
 namespace {
+
+/// Supervisor poll period: each pass reaps exited workers and asks the
+/// lease service for every slot's contact age.
+constexpr auto kSupervisorPoll = std::chrono::milliseconds(25);
 
 /// Fork+exec one worker; returns its pid, or throws when fork fails (the
 /// caller owns cleanup of any siblings). The child reports exec failure
@@ -832,8 +835,7 @@ ShardRunReport run_sharded_processes(
         }
       }
 
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max<std::uint32_t>(options.poll_ms, 1)));
+      std::this_thread::sleep_for(kSupervisorPoll);
     }
   } catch (...) {
     kill_all_live();

@@ -139,9 +139,6 @@ struct ShardRunOptions {
   /// lifetime of the run.
   std::string lease_server;
 
-  /// Supervisor poll period (reap + expiry checks).
-  std::uint32_t poll_ms = 25;
-
   /// The in-process service does not steal tails smaller than this. The
   /// default of 1 is right for heavy-tailed sweeps (one whale job is worth
   /// a steal round-trip); raise it to turn stealing off.

@@ -53,35 +53,6 @@ std::string HostPort::str() const {
   return strfmt("%s:%u", host.c_str(), static_cast<unsigned>(port));
 }
 
-std::optional<std::uint64_t> parse_u64_token(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
-    v = v * 10 + d;
-  }
-  return v;
-}
-
-const std::string& TextFrame::tok(std::size_t i) const {
-  static const std::string kEmpty;
-  return i < tokens.size() ? tokens[i] : kEmpty;
-}
-
-std::optional<std::uint64_t> TextFrame::u64(std::size_t i) const {
-  if (i >= tokens.size()) return std::nullopt;
-  return parse_u64_token(tokens[i]);
-}
-
-std::string TextFrame::text_after(std::size_t i) const {
-  if (i >= tokens.size()) return {};
-  std::size_t pos = token_end_[i];
-  if (pos < raw_.size() && raw_[pos] == ' ') ++pos;
-  return raw_.substr(pos);
-}
-
 std::optional<std::string> FrameSplitter::next() {
   if (corrupt_) return std::nullopt;
   if (buf_.size() - off_ < 4) return std::nullopt;
@@ -119,29 +90,6 @@ std::string frame_bytes(const std::string& payload, std::size_t max_bytes) {
   buf.append(reinterpret_cast<const char*>(hdr), 4);
   buf.append(payload);
   return buf;
-}
-
-std::optional<TextFrame> TextFrame::parse(const std::string& payload,
-                                          const std::string& version,
-                                          std::size_t max_tokens) {
-  TextFrame f;
-  f.raw_ = payload;
-  std::size_t pos = 0;
-  while (pos < payload.size() && f.tokens.size() < max_tokens) {
-    while (pos < payload.size() && payload[pos] == ' ') ++pos;
-    std::size_t end = pos;
-    while (end < payload.size() && payload[end] != ' ') ++end;
-    if (end > pos) {
-      f.tokens.emplace_back(payload, pos, end - pos);
-      f.token_end_.push_back(end);
-    }
-    pos = end;
-  }
-  if (f.tokens.size() < 3 || f.tokens[0] != version) return std::nullopt;
-  const auto seq = parse_u64_token(f.tokens[1]);
-  if (!seq) return std::nullopt;
-  f.seq = *seq;
-  return f;
 }
 
 Socket& Socket::operator=(Socket&& o) noexcept {

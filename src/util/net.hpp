@@ -230,33 +230,4 @@ class FrameServer {
   std::size_t evicted_ = 0;
 };
 
-/// Strict decimal u64: digits only, overflow-checked. nullopt otherwise.
-std::optional<std::uint64_t> parse_u64_token(const std::string& s);
-
-/// Tokenised view of a versioned text frame: "<version> <seq> <op> ...".
-/// Shared by the lease and service protocols so both speak one dialect.
-/// Tokens split on runs of spaces; `tokens[0]` is the version, `tokens[1]`
-/// the (already validated) seq. `text_after(i)` recovers the raw payload
-/// bytes after token i — byte-exact, no trimming — for trailing free text
-/// (error messages, JSON, rendered tables) that may itself contain spaces
-/// or newlines. `max_tokens` stops tokenisation early so a large trailing
-/// text body is not shredded into thousands of tokens.
-struct TextFrame {
-  std::uint64_t seq = 0;
-  std::vector<std::string> tokens;
-
-  std::size_t size() const { return tokens.size(); }
-  const std::string& tok(std::size_t i) const;
-  std::optional<std::uint64_t> u64(std::size_t i) const;
-  std::string text_after(std::size_t i) const;
-
-  static std::optional<TextFrame> parse(
-      const std::string& payload, const std::string& version,
-      std::size_t max_tokens = static_cast<std::size_t>(-1));
-
- private:
-  std::string raw_;
-  std::vector<std::size_t> token_end_;  // end offset of tokens[i] in raw_
-};
-
 }  // namespace oracle::util

@@ -213,7 +213,6 @@ exp::ShardRunReport run_supervised(const std::string& canonical, int port,
   sopt.out = canonical;
   sopt.resume = resume;
   sopt.lease_server = "127.0.0.1:" + std::to_string(port);
-  sopt.poll_ms = 10;
   sopt.max_restarts = 2;
   sopt.exec_path = exp::self_exec_path(g_self);
   sopt.worker_args = {"--lease-worker", "--out", canonical};
@@ -306,6 +305,12 @@ TEST(LeaseProtocol, ResponseRoundTripsIncludingFreeText) {
   EXPECT_EQ(back->kind, exp::LeaseResponseKind::kError);
   EXPECT_EQ(back->text, err.text);
 
+  // Free text is byte-exact, as in the service dialect: no trimming.
+  err.text = " padded error ";
+  back = exp::LeaseResponse::parse(err.encode());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->text, err.text);
+
   for (const auto kind :
        {exp::LeaseResponseKind::kOk, exp::LeaseResponseKind::kFenced,
         exp::LeaseResponseKind::kEmpty, exp::LeaseResponseKind::kDone}) {
@@ -318,6 +323,62 @@ TEST(LeaseProtocol, ResponseRoundTripsIncludingFreeText) {
     ASSERT_TRUE(rb.has_value());
     EXPECT_EQ(rb->kind, kind);
   }
+}
+
+/// `msg` encodes to exactly `bytes`, and `bytes` parse back to a message
+/// that encodes to them again.
+template <class Msg>
+void expect_golden(const Msg& msg, const std::string& bytes) {
+  EXPECT_EQ(msg.encode(), bytes);
+  const auto back = Msg::parse(bytes);
+  ASSERT_TRUE(back.has_value()) << bytes;
+  EXPECT_EQ(back->encode(), bytes);
+}
+
+TEST(LeaseProtocol, EncodesGoldenBytes) {
+  // Round trips alone would pass a codec that changed the bytes on both
+  // sides; these literals pin the wire format itself.
+  exp::LeaseRequest req;
+  req.seq = 42;
+  req.op = exp::LeaseOp::kAcquire;
+  req.slot = 3;
+  req.slot_count = 8;
+  req.jobs = 1234;
+  expect_golden(req, "v1 42 acquire 3 8 1234");
+  req.seq = 7;
+  req.op = exp::LeaseOp::kCommit;
+  req.slot = 1;
+  req.epoch = 5;
+  req.frontier = 99;
+  req.wall_us = 123456;
+  req.retries = 17;
+  expect_golden(req, "v1 7 commit 1 5 99 123456 17");
+  req.op = exp::LeaseOp::kSteal;
+  expect_golden(req, "v1 7 steal 1 5");
+  req.op = exp::LeaseOp::kStatus;
+  expect_golden(req, "v1 7 status");
+
+  exp::LeaseResponse rsp;
+  rsp.seq = 11;
+  rsp.kind = exp::LeaseResponseKind::kLease;
+  rsp.epoch = 6;
+  rsp.begin = 10;
+  rsp.end = 20;
+  expect_golden(rsp, "v1 11 lease 6 10 20");
+  rsp.kind = exp::LeaseResponseKind::kOk;
+  expect_golden(rsp, "v1 11 ok 10 20");
+  rsp.kind = exp::LeaseResponseKind::kFenced;
+  expect_golden(rsp, "v1 11 fenced");
+  rsp.kind = exp::LeaseResponseKind::kEmpty;
+  expect_golden(rsp, "v1 11 empty");
+  rsp.kind = exp::LeaseResponseKind::kDone;
+  expect_golden(rsp, "v1 11 done");
+  rsp.kind = exp::LeaseResponseKind::kStatus;
+  rsp.text = R"({"phase": "serving", "jobs_done": 3})";
+  expect_golden(rsp, R"(v1 11 status {"phase": "serving", "jobs_done": 3})");
+  rsp.kind = exp::LeaseResponseKind::kError;
+  rsp.text = "sweep shape mismatch: expected 18 jobs";
+  expect_golden(rsp, "v1 11 error sweep shape mismatch: expected 18 jobs");
 }
 
 TEST(LeaseProtocol, RejectsMalformedFrames) {
@@ -468,6 +529,109 @@ TEST(LeaseService, JournalReplayRestoresStateToleratingATornTail) {
     exp::LeaseService svc(mismatched);
     EXPECT_THROW(svc.start(), SimulationError);
   }
+  std::remove(journal.c_str());
+}
+
+/// The journal of ReplayReproducesLiveState's sweep: slot 0 commits its
+/// whole lease and falls silent, slot 1 drains its own, slot 0 expires,
+/// and slot 1's takeover of the fully committed lease ends the sweep.
+constexpr const char* kTakeoverJournal =
+    "J1 init 18 2 0\n"
+    "J1 grant 0 1\n"
+    "J1 frontier 0 9\n"
+    "J1 grant 1 1\n"
+    "J1 frontier 1 18\n"
+    "J1 expire 0 2\n"
+    "J1 drained 1\n"
+    "J1 reassign 0 1 9 2\n"
+    "J1 done\n";
+
+obs::StatusSnapshot service_status(std::uint16_t port) {
+  exp::LeaseClient client(client_options(port, 0, 2));
+  const auto json = client.status();
+  EXPECT_TRUE(json.has_value());
+  auto snapshot = obs::StatusSnapshot::parse(json.value_or(""));
+  EXPECT_TRUE(snapshot.has_value()) << json.value_or("");
+  return snapshot.value_or(obs::StatusSnapshot{});
+}
+
+TEST(LeaseService, ReplayReproducesLiveState) {
+  const auto journal = temp_path("takeover.journal");
+  std::remove(journal.c_str());
+  auto opt = service_options(journal, 2);
+  opt.expiry_ms = 300;
+  constexpr auto kOk = exp::LeaseClient::CommitResult::kOk;
+
+  obs::StatusSnapshot live;
+  {
+    ServerThread srv(opt);
+    exp::LeaseClient a(client_options(srv.port(), 0, 2));
+    exp::LeaseClient b(client_options(srv.port(), 1, 2));
+    const auto grant_a = a.acquire();
+    ASSERT_TRUE(grant_a.has_value());
+    std::size_t end = 0;
+    ASSERT_EQ(a.commit(grant_a->epoch, grant_a->end, 1000, &end), kOk);
+
+    // Slot 1 stays in contact past slot 0's expiry.
+    const auto grant_b = b.acquire();
+    ASSERT_TRUE(grant_b.has_value());
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (std::chrono::steady_clock::now() < until) {
+      ASSERT_EQ(b.commit(grant_b->epoch, grant_b->end, 1000, &end), kOk);
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    ASSERT_TRUE(b.status().has_value());
+    EXPECT_FALSE(b.next_lease(grant_b->epoch).has_value())
+        << "taking over a fully committed lease ends the sweep";
+    live = service_status(srv.port());
+    srv.stop();
+  }
+  EXPECT_EQ(live.phase, "done");
+  EXPECT_EQ(read_file(journal), kTakeoverJournal);
+
+  ServerThread replayed(opt);
+  EXPECT_EQ(replayed.svc.stats().torn_journal_records, 0u);
+  const auto back = service_status(replayed.port());
+  EXPECT_EQ(back.phase, live.phase);
+  EXPECT_EQ(back.jobs_done, live.jobs_done);
+  ASSERT_EQ(back.workers.size(), live.workers.size());
+  for (std::size_t k = 0; k < live.workers.size(); ++k) {
+    SCOPED_TRACE("slot " + std::to_string(k));
+    EXPECT_EQ(back.workers[k].lease_begin, live.workers[k].lease_begin);
+    EXPECT_EQ(back.workers[k].lease_end, live.workers[k].lease_end);
+    EXPECT_EQ(back.workers[k].frontier, live.workers[k].frontier);
+    EXPECT_EQ(back.workers[k].restarts, live.workers[k].restarts);
+    EXPECT_EQ(back.workers[k].live, live.workers[k].live);
+  }
+  replayed.stop();
+  std::remove(journal.c_str());
+}
+
+TEST(LeaseService, ReplaysAGoldenJournal) {
+  // A journal written by an earlier build keeps replaying: the J1 bytes
+  // are pinned here, and in ReplayReproducesLiveState on the write side.
+  const auto journal = temp_path("golden.journal");
+  {
+    std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+    out << kTakeoverJournal;
+  }
+  ServerThread srv(service_options(journal, 2));
+  EXPECT_EQ(srv.svc.stats().replayed_records, 8u);
+  EXPECT_EQ(srv.svc.stats().torn_journal_records, 0u);
+  const auto st = service_status(srv.port());
+  EXPECT_EQ(st.phase, "done");
+  EXPECT_EQ(st.jobs_done, 18u);
+  ASSERT_EQ(st.workers.size(), 2u);
+  EXPECT_EQ(st.workers[0].lease_begin, 9u);
+  EXPECT_EQ(st.workers[0].lease_end, 9u);
+  EXPECT_EQ(st.workers[0].frontier, 9u);
+  EXPECT_EQ(st.workers[0].restarts, 0u);
+  EXPECT_EQ(st.workers[1].lease_begin, 9u);
+  EXPECT_EQ(st.workers[1].lease_end, 18u);
+  EXPECT_EQ(st.workers[1].frontier, 18u);
+  for (const auto& w : st.workers) EXPECT_FALSE(w.live);
+  srv.stop();
   std::remove(journal.c_str());
 }
 

@@ -270,6 +270,81 @@ TEST(ServiceProtocol, ResponsesRoundTripBytePerfectText) {
   }
 }
 
+/// `msg` encodes to exactly `bytes`, and `bytes` parse back to a message
+/// that encodes to them again.
+template <class Msg>
+void expect_golden(const Msg& msg, const std::string& bytes) {
+  EXPECT_EQ(msg.encode(), bytes);
+  const auto back = Msg::parse(bytes);
+  ASSERT_TRUE(back.has_value()) << bytes;
+  EXPECT_EQ(back->encode(), bytes);
+}
+
+TEST(ServiceProtocol, EncodesGoldenBytes) {
+  // Round trips alone would pass a codec that changed the bytes on both
+  // sides; these literals pin the wire format itself.
+  ServiceResponse rsp;
+  rsp.seq = 3;
+  rsp.kind = ServiceResponseKind::kOk;
+  expect_golden(rsp, "s1 3 ok");
+  rsp.kind = ServiceResponseKind::kDone;
+  expect_golden(rsp, "s1 3 done");
+  rsp.kind = ServiceResponseKind::kError;
+  rsp.text = "unknown metric 'bogus'";
+  expect_golden(rsp, "s1 3 error unknown metric 'bogus'");
+  rsp.kind = ServiceResponseKind::kStatus;
+  rsp.text = R"({"phase":"serving"})";
+  expect_golden(rsp, R"(s1 3 status {"phase":"serving"})");
+  rsp.kind = ServiceResponseKind::kCsv;
+  rsp.text = "metric,n\nspeedup,2\n";
+  expect_golden(rsp, "s1 3 csv metric,n\nspeedup,2\n");
+  rsp.kind = ServiceResponseKind::kTable;
+  rsp.metric = "speedup";
+  rsp.text = "a | b\n--+--\n1 |  2 \n";
+  expect_golden(rsp, "s1 3 table speedup a | b\n--+--\n1 |  2 \n");
+  rsp.kind = ServiceResponseKind::kProgress;
+  rsp.total = 10;
+  rsp.cached = 6;
+  rsp.scheduled = 4;
+  rsp.completed = 2;
+  expect_golden(rsp, "s1 3 progress 10 6 4 2");
+  rsp.kind = ServiceResponseKind::kStats;
+  rsp.failed = 1;
+  rsp.rounds = 2;
+  rsp.wall_us = 123456;
+  expect_golden(rsp, "s1 3 stats 10 6 4 1 2 123456");
+
+  ServiceRequest req;
+  req.seq = 7;
+  req.op = ServiceOp::kPing;
+  expect_golden(req, "s1 7 ping");
+  req.op = ServiceOp::kStatus;
+  expect_golden(req, "s1 7 status");
+  req.op = ServiceOp::kShutdown;
+  expect_golden(req, "s1 7 shutdown");
+
+  // The fully populated query of QueryRequestRoundTripsEveryField.
+  req.op = ServiceOp::kQuery;
+  req.query.sweep.topologies = {"grid:6x6", "dlm:5:10x10"};
+  req.query.sweep.strategies = {"cwn:radius=4", "gm"};
+  req.query.sweep.workloads = {"fib:11"};
+  req.query.sweep.seeds = {3, 9, 27};
+  req.query.sweep.sample_interval = 50;
+  req.query.sweep.hop_latency = 2;
+  req.query.sweep.sim_threads = 4;
+  req.query.sweep.sim_partitions = 8;
+  req.query.metrics = {"speedup", "avg_utilization"};
+  req.query.want_csv = true;
+  req.query.target_metric = "speedup";
+  req.query.target_ci95 = 0.125;
+  expect_golden(req,
+                "s1 7 query topos=grid:6x6,dlm:5:10x10 "
+                "strats=cwn:radius=4,gm works=fib:11 seeds=3,9,27 sample=50 "
+                "hoplat=2 simthreads=4 simparts=8 "
+                "metrics=speedup,avg_utilization csv=1 "
+                "target=speedup:0.125");
+}
+
 TEST(ServiceProtocol, MalformedResponsesAreRejected) {
   const char* bad[] = {
       "s1 1 nope",

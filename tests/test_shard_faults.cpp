@@ -170,7 +170,6 @@ exp::ShardRunReport run_steal(const std::string& canonical,
   sopt.resume = resume;
   sopt.retry_quarantined = retry_quarantined;
   sopt.min_steal_jobs = min_steal_jobs;
-  sopt.poll_ms = 10;
   sopt.status_path = status_path;
   sopt.status_interval_ms = 25;  // many rewrites for the atomicity poller
   sopt.exec_path = exp::self_exec_path(g_self);
