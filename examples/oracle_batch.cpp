@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "oracle.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -79,14 +80,12 @@ std::int64_t int_flag(const std::string& text, const std::string& flag,
   return n;
 }
 
-std::vector<std::string> parse_list(const std::string& value,
-                                    const std::string& what) {
-  std::vector<std::string> out;
-  for (const auto& item : split(value, ',')) {
-    const auto t = trim(item);
-    if (!t.empty()) out.emplace_back(t);
-  }
-  if (out.empty()) usage_error(what + " needs at least one entry");
+/// A comma list flag, split by the spec list rule
+/// ("cwn:radius=5,horizon=1,gm" is two strategies).
+std::vector<std::string> list_flag(const std::string& value,
+                                   const std::string& flag) {
+  auto out = util::split_spec_list(value);
+  if (out.empty()) usage_error(flag + " needs at least one entry");
   return out;
 }
 
@@ -104,11 +103,11 @@ template <typename ValueFn>
 bool parse_sweep_flag(core::SweepSpec& sweep, const std::string& arg,
                       ValueFn&& value) {
   if (arg == "--topologies") {
-    sweep.topologies = parse_list(value(), arg);
+    sweep.topologies = list_flag(value(), arg);
   } else if (arg == "--strategies") {
-    sweep.strategies = parse_list(value(), arg);
+    sweep.strategies = list_flag(value(), arg);
   } else if (arg == "--workloads") {
-    sweep.workloads = parse_list(value(), arg);
+    sweep.workloads = list_flag(value(), arg);
   } else if (arg == "--seeds") {
     sweep.seeds = core::SweepSpec::parse_seed_axis(value());
   } else if (arg == "--master-seed") {
@@ -152,7 +151,7 @@ int aggregate_cli(int argc, char** argv) {
       print_usage();
       return 0;
     } else if (arg == "--metric") {
-      for (const auto& m : parse_list(value(), arg)) cmd.metrics.push_back(m);
+      for (const auto& m : list_flag(value(), arg)) cmd.metrics.push_back(m);
     } else if (arg == "--csv") {
       cmd.csv_path = value();
     } else if (!arg.empty() && arg[0] == '-') {
@@ -299,7 +298,7 @@ int query_cli(int argc, char** argv) {
     } else if (arg == "--server") {
       cmd.server = value();
     } else if (arg == "--metric") {
-      for (const auto& m : parse_list(value(), arg)) metrics.push_back(m);
+      for (const auto& m : list_flag(value(), arg)) metrics.push_back(m);
     } else if (arg == "--csv") {
       cmd.csv_path = value();
       cmd.query.want_csv = true;

@@ -1,8 +1,10 @@
 #include "core/sweep.hpp"
 
 #include "core/presets.hpp"
+#include "lb/strategy.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
+#include "workload/workload.hpp"
 
 namespace oracle::core {
 
@@ -18,8 +20,10 @@ SweepBuilder& SweepBuilder::topologies(std::vector<std::string> specs) {
 SweepBuilder& SweepBuilder::strategies(std::vector<std::string> specs) {
   ORACLE_REQUIRE(!specs.empty(), "empty strategy axis");
   std::vector<Mutator> axis;
-  for (auto& s : specs)
+  for (auto& s : specs) {
+    lb::make_strategy(s);  // a bad spec fails the sweep, not each job
     axis.push_back([s](ExperimentConfig& cfg) { cfg.strategy = s; });
+  }
   axes_.push_back(std::move(axis));
   return *this;
 }
@@ -27,8 +31,10 @@ SweepBuilder& SweepBuilder::strategies(std::vector<std::string> specs) {
 SweepBuilder& SweepBuilder::workloads(std::vector<std::string> specs) {
   ORACLE_REQUIRE(!specs.empty(), "empty workload axis");
   std::vector<Mutator> axis;
-  for (auto& s : specs)
+  for (auto& s : specs) {
+    workload::check_workload_spec(s);
     axis.push_back([s](ExperimentConfig& cfg) { cfg.workload = s; });
+  }
   axes_.push_back(std::move(axis));
   return *this;
 }
@@ -133,10 +139,7 @@ std::vector<std::string> SweepSpec::to_args() const {
   flag("--topologies", join(topologies, ","));
   flag("--strategies", join(strategies, ","));
   flag("--workloads", join(workloads, ","));
-  std::vector<std::string> seed_strs;
-  seed_strs.reserve(seeds.size());
-  for (const auto s : seeds) seed_strs.push_back(std::to_string(s));
-  flag("--seeds", join(seed_strs, ",") + (seeds.size() == 1 ? "," : ""));
+  flag("--seeds", seed_list());
   if (master_seed != 0) flag("--master-seed", std::to_string(master_seed));
   if (sample_interval >= 0) flag("--sample", std::to_string(sample_interval));
   if (hop_latency >= 0) flag("--hop-latency", std::to_string(hop_latency));
@@ -144,6 +147,13 @@ std::vector<std::string> SweepSpec::to_args() const {
   if (sim_partitions >= 0)
     flag("--sim-partitions", std::to_string(sim_partitions));
   return args;
+}
+
+std::string SweepSpec::seed_list() const {
+  std::string out;
+  for (const auto s : seeds) (out += std::to_string(s)) += ',';
+  if (seeds.size() > 1) out.pop_back();
+  return out;
 }
 
 std::vector<std::uint64_t> SweepSpec::parse_seed_axis(

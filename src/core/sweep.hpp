@@ -19,10 +19,11 @@ class SweepBuilder {
   /// Axis over topology specs.
   SweepBuilder& topologies(std::vector<std::string> specs);
 
-  /// Axis over strategy specs.
+  /// Axis over strategy specs. Each spec is parsed here, once per sweep:
+  /// a bad one throws ConfigError before any job runs.
   SweepBuilder& strategies(std::vector<std::string> specs);
 
-  /// Axis over workload specs.
+  /// Axis over workload specs, parsed here like strategies().
   SweepBuilder& workloads(std::vector<std::string> specs);
 
   /// Axis over seeds (replications).
@@ -90,10 +91,13 @@ struct SweepSpec {
   std::size_t size() const { return builder().size(); }
 
   /// Canonical CLI flags reproducing this spec verbatim (worker self-exec,
-  /// launcher scripts). A single-seed axis is emitted with a trailing
-  /// comma ("--seeds 5," not "--seeds 5") so the round-trip through
-  /// parse_seed_axis never re-reads an explicit seed as a count.
+  /// launcher scripts).
   std::vector<std::string> to_args() const;
+
+  /// The seeds axis as "--seeds" and the service query carry it: a comma
+  /// list, with a trailing comma on a single seed ("5," not "5") so
+  /// parse_seed_axis never re-reads an explicit seed as a count.
+  std::string seed_list() const;
 
   /// The "--seeds" dialect: a bare integer N >= 1 means seeds 1..N; a
   /// comma list is taken verbatim. Throws ConfigError on malformed input.

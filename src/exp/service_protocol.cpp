@@ -1,33 +1,13 @@
 #include "exp/service_protocol.hpp"
 
 #include "util/error.hpp"
+#include "util/spec.hpp"
 #include "util/string_util.hpp"
 #include "util/verb_codec.hpp"
 
 namespace oracle::exp {
 
 namespace {
-
-std::string csv_of(const std::vector<std::string>& items) {
-  return join(items, ",");
-}
-
-std::vector<std::string> list_of(const std::string& value) {
-  std::vector<std::string> out;
-  for (const auto& item : split(value, ',')) {
-    const auto t = trim(item);
-    if (!t.empty()) out.emplace_back(t);
-  }
-  return out;
-}
-
-std::string seeds_csv(const std::vector<std::uint64_t>& seeds) {
-  std::vector<std::string> strs;
-  strs.reserve(seeds.size());
-  for (const auto s : seeds) strs.push_back(std::to_string(s));
-  // Trailing comma keeps a single seed parsing as an explicit list.
-  return join(strs, ",") + (seeds.size() == 1 ? "," : "");
-}
 
 /// A request as framed: the query travels as free text, parsed by
 /// parse_query below.
@@ -75,17 +55,17 @@ std::string query_body(const ServiceQuery& query) {
     out += value;
   };
   if (!s.preset.empty()) kv("preset", s.preset);
-  kv("topos", csv_of(s.topologies));
-  kv("strats", csv_of(s.strategies));
-  kv("works", csv_of(s.workloads));
-  kv("seeds", seeds_csv(s.seeds));
+  kv("topos", join(s.topologies, ","));
+  kv("strats", join(s.strategies, ","));
+  kv("works", join(s.workloads, ","));
+  kv("seeds", s.seed_list());
   if (s.master_seed != 0) kv("master", std::to_string(s.master_seed));
   if (s.sample_interval >= 0) kv("sample", std::to_string(s.sample_interval));
   if (s.hop_latency >= 0) kv("hoplat", std::to_string(s.hop_latency));
   if (s.sim_threads >= 0) kv("simthreads", std::to_string(s.sim_threads));
   if (s.sim_partitions >= 0)
     kv("simparts", std::to_string(s.sim_partitions));
-  kv("metrics", csv_of(query.metrics));
+  kv("metrics", join(query.metrics, ","));
   if (query.want_csv) kv("csv", "1");
   if (!query.target_metric.empty())
     kv("target", query.target_metric + ":" +
@@ -95,114 +75,74 @@ std::string query_body(const ServiceQuery& query) {
 
 /// The `query` body: space-separated k=v pairs (header comment).
 std::optional<ServiceQuery> parse_query(std::string_view body) {
-  ServiceQuery query;
-  // Collect first, apply in fixed order: preset resets the axis defaults,
-  // explicit axes/knobs then win regardless of their token order.
-  std::string preset;
-  std::optional<std::vector<std::string>> topos, strats, works, metrics;
-  std::optional<std::vector<std::uint64_t>> seeds;
-  std::optional<std::uint64_t> master;
-  std::optional<std::int64_t> sample, hoplat, simthreads, simparts;
-  bool want_csv = false;
-  std::string target_metric;
-  double target_ci95 = 0.0;
-
-  const auto parse_knob = [](const std::string& v,
-                             const char* what) -> std::optional<std::int64_t> {
-    try {
-      const auto n = parse_int(v, what);
-      return n >= 0 ? std::optional<std::int64_t>(n) : std::nullopt;
-    } catch (const ConfigError&) {
-      return std::nullopt;
-    }
-  };
-
+  std::vector<std::pair<std::string, std::string>> pairs;
   for (const std::string& tok : split(body, ' ')) {
     if (tok.empty()) continue;  // a run of spaces
     const auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    if (value.empty()) return std::nullopt;
-    if (key == "preset") {
-      preset = value;
-    } else if (key == "topos") {
-      topos = list_of(value);
-    } else if (key == "strats") {
-      strats = list_of(value);
-    } else if (key == "works") {
-      works = list_of(value);
-    } else if (key == "metrics") {
-      metrics = list_of(value);
-    } else if (key == "seeds") {
-      try {
-        seeds = core::SweepSpec::parse_seed_axis(value);
-      } catch (const ConfigError&) {
-        return std::nullopt;
-      }
-    } else if (key == "master") {
-      master = util::parse_u64_token(value);
-      if (!master || *master == 0) return std::nullopt;
-    } else if (key == "sample") {
-      if (!(sample = parse_knob(value, "sample"))) return std::nullopt;
-    } else if (key == "hoplat") {
-      if (!(hoplat = parse_knob(value, "hoplat"))) return std::nullopt;
-    } else if (key == "simthreads") {
-      if (!(simthreads = parse_knob(value, "simthreads"))) return std::nullopt;
-      if (*simthreads < 1) return std::nullopt;
-    } else if (key == "simparts") {
-      if (!(simparts = parse_knob(value, "simparts"))) return std::nullopt;
-    } else if (key == "csv") {
-      if (value != "0" && value != "1") return std::nullopt;
-      want_csv = value == "1";
-    } else if (key == "target") {
-      const auto colon = value.rfind(':');
-      if (colon == std::string::npos || colon == 0) return std::nullopt;
-      target_metric = value.substr(0, colon);
-      try {
-        target_ci95 = parse_double(value.substr(colon + 1), "target");
-      } catch (const ConfigError&) {
-        return std::nullopt;
-      }
-      if (!(target_ci95 > 0.0)) return std::nullopt;
-    } else {
-      return std::nullopt;  // unknown key: reject, don't guess
-    }
-  }
-
-  core::SweepSpec& s = query.sweep;
-  if (!preset.empty()) {
-    try {
-      s.apply_preset(preset);
-    } catch (const ConfigError&) {
+    if (eq == std::string::npos || eq == 0 || eq + 1 == tok.size())
       return std::nullopt;
+    pairs.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
+  }
+  ServiceQuery query;
+  core::SweepSpec& s = query.sweep;
+  const auto list = [](const std::string& value, std::vector<std::string>& out) {
+    out = util::split_spec_list(value);
+    return !out.empty();
+  };
+  const auto knob = [](const std::string& value, std::int64_t min,
+                       std::int64_t& out) {
+    out = parse_int(value, "query knob");
+    return out >= min;
+  };
+  try {
+    // The preset resets the axes, so it applies first; explicit axes and
+    // knobs then win whatever their token order.
+    for (const auto& [key, value] : pairs)
+      if (key == "preset") s.apply_preset(value);
+    for (const auto& [key, value] : pairs) {
+      if (key == "preset") continue;
+      bool ok = true;
+      if (key == "topos") {
+        ok = list(value, s.topologies);
+      } else if (key == "strats") {
+        ok = list(value, s.strategies);
+      } else if (key == "works") {
+        ok = list(value, s.workloads);
+      } else if (key == "metrics") {
+        ok = list(value, query.metrics);
+      } else if (key == "seeds") {
+        s.seeds = core::SweepSpec::parse_seed_axis(value);
+      } else if (key == "master") {
+        const auto master = util::parse_u64_token(value);
+        ok = master && *master != 0;
+        s.master_seed = master.value_or(0);
+      } else if (key == "sample") {
+        ok = knob(value, 0, s.sample_interval);
+      } else if (key == "hoplat") {
+        ok = knob(value, 0, s.hop_latency);
+      } else if (key == "simthreads") {
+        ok = knob(value, 1, s.sim_threads);
+      } else if (key == "simparts") {
+        ok = knob(value, 0, s.sim_partitions);
+      } else if (key == "csv") {
+        ok = value == "0" || value == "1";
+        query.want_csv = value == "1";
+      } else if (key == "target") {
+        const auto colon = value.rfind(':');
+        ok = colon != std::string::npos && colon != 0;
+        if (ok) {
+          query.target_metric = value.substr(0, colon);
+          query.target_ci95 = parse_double(value.substr(colon + 1), "target");
+          ok = query.target_ci95 > 0.0;  // false for NaN too
+        }
+      } else {
+        ok = false;  // unknown key: reject, don't guess
+      }
+      if (!ok) return std::nullopt;
     }
+  } catch (const ConfigError&) {
+    return std::nullopt;
   }
-  if (topos) {
-    if (topos->empty()) return std::nullopt;
-    s.topologies = *topos;
-  }
-  if (strats) {
-    if (strats->empty()) return std::nullopt;
-    s.strategies = *strats;
-  }
-  if (works) {
-    if (works->empty()) return std::nullopt;
-    s.workloads = *works;
-  }
-  if (seeds) s.seeds = *seeds;
-  if (master) s.master_seed = *master;
-  if (sample) s.sample_interval = *sample;
-  if (hoplat) s.hop_latency = *hoplat;
-  if (simthreads) s.sim_threads = *simthreads;
-  if (simparts) s.sim_partitions = *simparts;
-  if (metrics) {
-    if (metrics->empty()) return std::nullopt;
-    query.metrics = *metrics;
-  }
-  query.want_csv = want_csv;
-  query.target_metric = target_metric;
-  query.target_ci95 = target_ci95;
   return query;
 }
 

@@ -1,24 +1,14 @@
 #include "lb/acwn.hpp"
 
 #include "machine/machine.hpp"
-#include "util/string_util.hpp"
 
 namespace oracle::lb {
 
-Acwn::Acwn(const AcwnParams& params) : Cwn(params.cwn), params_(params) {
-  ORACLE_REQUIRE(params_.saturation >= 0, "ACWN saturation must be >= 0");
-  ORACLE_REQUIRE(params_.redistribute_delta >= 0,
-                 "ACWN redistribute_delta must be >= 0");
-  ORACLE_REQUIRE(params_.redistribute_cooldown >= 0,
-                 "ACWN cooldown must be >= 0");
+Acwn::Acwn(const AcwnParams& params) : Cwn(params), params_(params) {
+  kAcwnSpec.check(params_);
 }
 
-std::string Acwn::name() const {
-  return strfmt("acwn(r=%u,h=%u,sat=%lld,rd=%lld)", params_.cwn.radius,
-                params_.cwn.horizon,
-                static_cast<long long>(params_.saturation),
-                static_cast<long long>(params_.redistribute_delta));
-}
+std::string Acwn::name() const { return kAcwnSpec.name(params_); }
 
 void Acwn::attach(machine::Machine& m) {
   Cwn::attach(m);
@@ -65,7 +55,7 @@ void Acwn::maybe_redistribute(topo::NodeId pe, topo::NodeId toward,
   // still applies: a goal that exhausted its radius stays put for good.
   auto goal = machine().pe(pe).take_transferable_goal(/*newest=*/true);
   if (!goal) return;
-  if (goal->hops >= params_.cwn.radius) {
+  if (goal->hops >= params_.radius) {
     machine().keep_goal(pe, *goal);  // out of budget; put it back
     return;
   }

@@ -22,12 +22,27 @@
 
 namespace oracle::lb {
 
-struct AcwnParams {
-  CwnParams cwn;                      // base CWN parameters
+/// The base CWN parameters plus ACWN's own.
+struct AcwnParams : CwnParams {
   std::int64_t saturation = 3;        // 0 disables saturation control
   std::int64_t redistribute_delta = 4;  // 0 disables redistribution
   sim::Duration redistribute_cooldown = 10;  // min time between moves per PE
 };
+
+/// The "acwn:" keys; names read "acwn(r=9,h=2,sat=3,rd=4)" plus every
+/// other key that differs from its default.
+inline constexpr util::SpecKey<AcwnParams> kAcwnKeys[] = {
+    {.key = "radius", .field = &AcwnParams::radius, .min = 1, .label = "r"},
+    {.key = "horizon", .field = &AcwnParams::horizon, .label = "h"},
+    {.key = "interval", .field = &AcwnParams::broadcast_interval, .min = 0},
+    {.key = "tiekeep", .field = &AcwnParams::tie_keep},
+    {.key = "saturation", .field = &AcwnParams::saturation, .min = 0,
+     .label = "sat"},
+    {.key = "redistribute", .field = &AcwnParams::redistribute_delta, .min = 0,
+     .label = "rd"},
+    {.key = "cooldown", .field = &AcwnParams::redistribute_cooldown, .min = 0},
+};
+inline constexpr util::Spec<AcwnParams> kAcwnSpec{"acwn", kAcwnKeys};
 
 class Acwn : public Cwn {
  public:

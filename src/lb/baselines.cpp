@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "machine/machine.hpp"
-#include "util/string_util.hpp"
 
 namespace oracle::lb {
 
@@ -68,14 +67,10 @@ void RoundRobinPush::on_goal_arrived(topo::NodeId pe, machine::Message msg) {
 // --------------------------------------------------------------------------
 
 WorkStealing::WorkStealing(const Params& params) : params_(params) {
-  ORACLE_REQUIRE(params_.backoff > 0, "steal backoff must be positive");
-  ORACLE_REQUIRE(params_.min_victim_load >= 0,
-                 "min_victim_load must be >= 0");
+  kStealSpec.check(params_);
 }
 
-std::string WorkStealing::name() const {
-  return strfmt("steal(b=%lld)", static_cast<long long>(params_.backoff));
-}
+std::string WorkStealing::name() const { return kStealSpec.name(params_); }
 
 void WorkStealing::attach(machine::Machine& m) {
   Strategy::attach(m);

@@ -7,6 +7,7 @@
 
 #include "lb/strategy.hpp"
 #include "sim/time.hpp"
+#include "util/spec.hpp"
 
 #include <vector>
 
@@ -65,5 +66,16 @@ class WorkStealing : public Strategy {
   Params params_;
   std::vector<bool> stealing_;  // a request or backoff timer is outstanding
 };
+
+/// The "steal:" keys; names read "steal(b=10)" plus every other key that
+/// differs from its default.
+inline constexpr util::SpecKey<WorkStealing::Params> kStealKeys[] = {
+    {.key = "backoff", .field = &WorkStealing::Params::backoff, .min = 1,
+     .label = "b"},
+    {.key = "minvictim", .field = &WorkStealing::Params::min_victim_load,
+     .min = 0},
+};
+inline constexpr util::Spec<WorkStealing::Params> kStealSpec{"steal",
+                                                             kStealKeys};
 
 }  // namespace oracle::lb

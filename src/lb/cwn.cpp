@@ -1,21 +1,16 @@
 #include "lb/cwn.hpp"
 
 #include "machine/machine.hpp"
-#include "util/string_util.hpp"
 
 namespace oracle::lb {
 
 Cwn::Cwn(const CwnParams& params) : params_(params) {
-  ORACLE_REQUIRE(params_.radius >= 1, "CWN radius must be >= 1");
+  kCwnSpec.check(params_);
   ORACLE_REQUIRE(params_.horizon <= params_.radius,
                  "CWN horizon cannot exceed the radius");
-  ORACLE_REQUIRE(params_.broadcast_interval >= 0,
-                 "CWN broadcast interval must be >= 0");
 }
 
-std::string Cwn::name() const {
-  return strfmt("cwn(r=%u,h=%u)", params_.radius, params_.horizon);
-}
+std::string Cwn::name() const { return kCwnSpec.name(params_); }
 
 void Cwn::attach(machine::Machine& m) {
   Strategy::attach(m);

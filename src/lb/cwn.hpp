@@ -16,6 +16,7 @@
 #include "lb/load_info.hpp"
 #include "lb/strategy.hpp"
 #include "sim/time.hpp"
+#include "util/spec.hpp"
 
 namespace oracle::lb {
 
@@ -41,6 +42,17 @@ struct CwnParams {
   /// communication co-processor (MachineConfig::lb_coprocessor == false).
   sim::Duration broadcast_cpu_cost = 2;
 };
+
+/// The "cwn:" keys; names read "cwn(r=9,h=2)" plus every other key that
+/// differs from its default.
+inline constexpr util::SpecKey<CwnParams> kCwnKeys[] = {
+    {.key = "radius", .field = &CwnParams::radius, .min = 1, .label = "r"},
+    {.key = "horizon", .field = &CwnParams::horizon, .label = "h"},
+    {.key = "interval", .field = &CwnParams::broadcast_interval, .min = 0},
+    {.key = "tiekeep", .field = &CwnParams::tie_keep},
+    {.key = "bcost", .field = &CwnParams::broadcast_cpu_cost, .min = 0},
+};
+inline constexpr util::Spec<CwnParams> kCwnSpec{"cwn", kCwnKeys};
 
 class Cwn : public Strategy {
  public:

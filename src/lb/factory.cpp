@@ -1,4 +1,3 @@
-#include <map>
 #include <string>
 
 #include "lb/acwn.hpp"
@@ -11,87 +10,26 @@
 
 namespace oracle::lb {
 
-namespace {
-
-std::map<std::string, std::string> parse_kv(std::string_view s,
-                                            std::string_view what) {
-  std::map<std::string, std::string> kv;
-  if (trim(s).empty()) return kv;
-  for (const auto& item : split(s, ',')) {
-    const auto pair = split(item, '=');
-    ORACLE_REQUIRE(pair.size() == 2,
-                   std::string(what) + ": expected key=value, got '" + item + "'");
-    kv[to_lower(trim(pair[0]))] = std::string(trim(pair[1]));
-  }
-  return kv;
-}
-
-std::int64_t kv_int(const std::map<std::string, std::string>& kv,
-                    const std::string& key, std::int64_t fallback) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? fallback : parse_int(it->second, key);
-}
-
-bool kv_bool(const std::map<std::string, std::string>& kv,
-             const std::string& key, bool fallback) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return fallback;
-  if (iequals(it->second, "true") || it->second == "1") return true;
-  if (iequals(it->second, "false") || it->second == "0") return false;
-  throw ConfigError(key + ": expected boolean, got '" + it->second + "'");
-}
-
-}  // namespace
-
 std::unique_ptr<Strategy> make_strategy(std::string_view spec) {
   const auto parts = split(trim(spec), ':');
   ORACLE_REQUIRE(!parts.empty() && !parts[0].empty(), "empty strategy spec");
-  const std::string kind = to_lower(parts[0]);
-  const auto kv = parse_kv(parts.size() >= 2 ? parts[1] : "", kind);
   ORACLE_REQUIRE(parts.size() <= 2, "strategy spec has too many ':' sections");
+  const std::string kind = to_lower(parts[0]);
+  const std::string body = parts.size() == 2 ? parts[1] : "";
 
-  if (kind == "cwn") {
-    CwnParams p;
-    p.radius = static_cast<std::uint32_t>(kv_int(kv, "radius", p.radius));
-    p.horizon = static_cast<std::uint32_t>(kv_int(kv, "horizon", p.horizon));
-    p.broadcast_interval = kv_int(kv, "interval", p.broadcast_interval);
-    p.tie_keep = kv_bool(kv, "tiekeep", p.tie_keep);
-    p.broadcast_cpu_cost = kv_int(kv, "bcost", p.broadcast_cpu_cost);
-    return std::make_unique<Cwn>(p);
-  }
-  if (kind == "gm" || kind == "gradient") {
-    GmParams p;
-    p.high_water_mark = kv_int(kv, "hwm", p.high_water_mark);
-    p.low_water_mark = kv_int(kv, "lwm", p.low_water_mark);
-    p.interval = kv_int(kv, "interval", p.interval);
-    p.stagger = kv_bool(kv, "stagger", p.stagger);
-    p.require_gradient = kv_bool(kv, "requiregradient", p.require_gradient);
-    p.send_newest = kv_bool(kv, "sendnewest", p.send_newest);
-    p.cycle_cpu_cost = kv_int(kv, "ccost", p.cycle_cpu_cost);
-    return std::make_unique<GradientModel>(p);
-  }
-  if (kind == "acwn") {
-    AcwnParams p;
-    p.cwn.radius = static_cast<std::uint32_t>(kv_int(kv, "radius", p.cwn.radius));
-    p.cwn.horizon =
-        static_cast<std::uint32_t>(kv_int(kv, "horizon", p.cwn.horizon));
-    p.cwn.broadcast_interval = kv_int(kv, "interval", p.cwn.broadcast_interval);
-    p.cwn.tie_keep = kv_bool(kv, "tiekeep", p.cwn.tie_keep);
-    p.saturation = kv_int(kv, "saturation", p.saturation);
-    p.redistribute_delta = kv_int(kv, "redistribute", p.redistribute_delta);
-    p.redistribute_cooldown = kv_int(kv, "cooldown", p.redistribute_cooldown);
-    return std::make_unique<Acwn>(p);
-  }
+  if (kind == "cwn") return std::make_unique<Cwn>(kCwnSpec.parse(body));
+  if (kind == "gm" || kind == "gradient")
+    return std::make_unique<GradientModel>(kGmSpec.parse(body));
+  if (kind == "acwn") return std::make_unique<Acwn>(kAcwnSpec.parse(body));
+  if (kind == "steal" || kind == "ws")
+    return std::make_unique<WorkStealing>(kStealSpec.parse(body));
+  const bool keyless = kind == "local" || kind == "random" ||
+                       kind == "roundrobin" || kind == "rr";
+  ORACLE_REQUIRE(!keyless || trim(body).empty(), kind + ": takes no keys");
   if (kind == "local") return std::make_unique<LocalOnly>();
   if (kind == "random") return std::make_unique<RandomPush>();
   if (kind == "roundrobin" || kind == "rr")
     return std::make_unique<RoundRobinPush>();
-  if (kind == "steal" || kind == "ws") {
-    WorkStealing::Params p;
-    p.backoff = kv_int(kv, "backoff", p.backoff);
-    p.min_victim_load = kv_int(kv, "minvictim", p.min_victim_load);
-    return std::make_unique<WorkStealing>(p);
-  }
   throw ConfigError("unknown strategy '" + kind +
                     "' (expected cwn|gm|acwn|local|random|roundrobin|steal)");
 }

@@ -3,23 +3,16 @@
 #include <algorithm>
 
 #include "machine/machine.hpp"
-#include "util/string_util.hpp"
 
 namespace oracle::lb {
 
 GradientModel::GradientModel(const GmParams& params) : params_(params) {
-  ORACLE_REQUIRE(params_.interval > 0, "GM interval must be positive");
-  ORACLE_REQUIRE(params_.low_water_mark >= 0, "GM low-water-mark must be >= 0");
+  kGmSpec.check(params_);
   ORACLE_REQUIRE(params_.high_water_mark >= params_.low_water_mark,
                  "GM high-water-mark must be >= low-water-mark");
 }
 
-std::string GradientModel::name() const {
-  return strfmt("gm(h=%lld,l=%lld,i=%lld)",
-                static_cast<long long>(params_.high_water_mark),
-                static_cast<long long>(params_.low_water_mark),
-                static_cast<long long>(params_.interval));
-}
+std::string GradientModel::name() const { return kGmSpec.name(params_); }
 
 void GradientModel::attach(machine::Machine& m) {
   Strategy::attach(m);

@@ -20,6 +20,7 @@
 #include "lb/load_info.hpp"
 #include "lb/strategy.hpp"
 #include "sim/time.hpp"
+#include "util/spec.hpp"
 
 #include <vector>
 
@@ -50,6 +51,19 @@ struct GmParams {
   /// frequently" (paper §3.1).
   sim::Duration cycle_cpu_cost = 6;
 };
+
+/// The "gm:" keys; names read "gm(h=2,l=1,i=20)" plus every other key
+/// that differs from its default.
+inline constexpr util::SpecKey<GmParams> kGmKeys[] = {
+    {.key = "hwm", .field = &GmParams::high_water_mark, .label = "h"},
+    {.key = "lwm", .field = &GmParams::low_water_mark, .min = 0, .label = "l"},
+    {.key = "interval", .field = &GmParams::interval, .min = 1, .label = "i"},
+    {.key = "stagger", .field = &GmParams::stagger},
+    {.key = "requiregradient", .field = &GmParams::require_gradient},
+    {.key = "sendnewest", .field = &GmParams::send_newest},
+    {.key = "ccost", .field = &GmParams::cycle_cpu_cost, .min = 0},
+};
+inline constexpr util::Spec<GmParams> kGmSpec{"gm", kGmKeys};
 
 class GradientModel : public Strategy {
  public:

@@ -63,10 +63,14 @@ class Strategy {
 };
 
 /// Build a strategy from a spec string:
-///   "cwn:radius=9,horizon=2,interval=10"
-///   "gm:hwm=2,lwm=1,interval=20"
-///   "acwn:radius=9,horizon=2,saturation=3,redistribute=1"
-///   "local" | "random" | "roundrobin" | "steal:backoff=10"
+///   "cwn:radius=9,horizon=2,interval=10"                    (kCwnKeys)
+///   "gm:hwm=2,lwm=1,interval=20"                            (kGmKeys)
+///   "acwn:radius=9,horizon=2,saturation=3,redistribute=1"   (kAcwnKeys)
+///   "steal:backoff=10"                                      (kStealKeys)
+///   "local" | "random" | "roundrobin"
+/// The key=value body follows util::Spec: every key is optional, keys are
+/// case-insensitive, and an unknown, repeated or out-of-range key is a
+/// ConfigError.
 std::unique_ptr<Strategy> make_strategy(std::string_view spec);
 
 }  // namespace oracle::lb

@@ -1,6 +1,5 @@
-#include <map>
-
 #include "util/error.hpp"
+#include "util/spec.hpp"
 #include "util/string_util.hpp"
 #include "workload/dc.hpp"
 #include "workload/fib.hpp"
@@ -11,48 +10,22 @@ namespace oracle::workload {
 
 namespace {
 
-/// Parse "k1=v1,k2=v2" into a map; throws on malformed pairs.
-std::map<std::string, std::string> parse_kv(std::string_view s,
-                                            std::string_view what) {
-  std::map<std::string, std::string> kv;
-  if (trim(s).empty()) return kv;
-  for (const auto& item : split(s, ',')) {
-    const auto pair = split(item, '=');
-    ORACLE_REQUIRE(pair.size() == 2,
-                   std::string(what) + ": expected key=value, got '" + item + "'");
-    kv[std::string(trim(pair[0]))] = std::string(trim(pair[1]));
-  }
-  return kv;
-}
+constexpr util::SpecKey<CostModel> kCostKeys[] = {
+    {.key = "leaf", .field = &CostModel::leaf_cost, .min = 0},
+    {.key = "split", .field = &CostModel::split_cost, .min = 0},
+    {.key = "combine", .field = &CostModel::combine_cost, .min = 0},
+};
+constexpr util::Spec<CostModel> kCostSpec{"workload costs", kCostKeys};
 
-std::int64_t kv_int(const std::map<std::string, std::string>& kv,
-                    const std::string& key, std::int64_t fallback) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? fallback : parse_int(it->second, key);
-}
-
-double kv_double(const std::map<std::string, std::string>& kv,
-                 const std::string& key, double fallback) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? fallback : parse_double(it->second, key);
-}
-
-}  // namespace
-
-std::unique_ptr<Workload> make_workload(std::string_view spec,
-                                        const CostModel& costs) {
+/// Parse `spec`, then build the workload unless `build` is false.
+std::unique_ptr<Workload> parse(std::string_view spec, const CostModel& costs,
+                                bool build) {
   // Optional ";leaf=..,split=..,combine=.." cost suffix.
   CostModel cm = costs;
   const auto top = split(trim(spec), ';');
   ORACLE_REQUIRE(!top.empty() && !top[0].empty(), "empty workload spec");
-  if (top.size() >= 2) {
-    const auto kv = parse_kv(top[1], "workload costs");
-    cm.leaf_cost = kv_int(kv, "leaf", cm.leaf_cost);
-    cm.split_cost = kv_int(kv, "split", cm.split_cost);
-    cm.combine_cost = kv_int(kv, "combine", cm.combine_cost);
-    ORACLE_REQUIRE(cm.leaf_cost >= 0 && cm.split_cost >= 0 && cm.combine_cost >= 0,
-                   "workload costs must be non-negative");
-  }
+  ORACLE_REQUIRE(top.size() <= 2, "workload spec has more than one ';'");
+  if (top.size() == 2) kCostSpec.parse(top[1], cm);
 
   const auto parts = split(top[0], ':');
   const std::string kind = to_lower(parts[0]);
@@ -61,41 +34,41 @@ std::unique_ptr<Workload> make_workload(std::string_view spec,
     ORACLE_REQUIRE(parts.size() == 2, "usage: fib:N");
     const auto n = parse_int(parts[1], "fib argument");
     ORACLE_REQUIRE(n >= 0, "fib argument must be >= 0");
+    if (!build) return nullptr;
     return std::make_unique<FibWorkload>(static_cast<std::uint32_t>(n), cm);
   }
   if (kind == "dc") {
     ORACLE_REQUIRE(parts.size() == 3, "usage: dc:M:N");
     const auto m = parse_int(parts[1], "dc M");
     const auto n = parse_int(parts[2], "dc N");
+    if (!build) return nullptr;
     return std::make_unique<DcWorkload>(m, n, cm);
   }
   if (kind == "synthetic") {
     ORACLE_REQUIRE(parts.size() <= 2, "usage: synthetic:k=v,...");
-    const auto kv = parse_kv(parts.size() == 2 ? parts[1] : "", "synthetic");
-    SyntheticParams p;
-    p.seed = static_cast<std::uint64_t>(kv_int(kv, "seed", 1));
-    p.max_depth = static_cast<std::uint32_t>(kv_int(kv, "depth", 10));
-    p.branch_min = static_cast<std::uint32_t>(kv_int(kv, "branchmin", 2));
-    p.branch_max = static_cast<std::uint32_t>(
-        kv_int(kv, "branchmax", kv_int(kv, "branch", p.branch_min)));
-    if (p.branch_max < p.branch_min) p.branch_max = p.branch_min;
-    p.leaf_bias = kv_double(kv, "leafbias", 0.15);
-    p.leaf_cost_min = kv_int(kv, "leafmin", 5);
-    p.leaf_cost_max = kv_int(kv, "leafmax", 20);
+    const auto p = kSyntheticSpec.parse(parts.size() == 2 ? parts[1] : "");
+    if (!build) return nullptr;
     return std::make_unique<SyntheticTree>(p, cm);
   }
   if (kind == "burst") {
     ORACLE_REQUIRE(parts.size() <= 2, "usage: burst:k=v,...");
-    const auto kv = parse_kv(parts.size() == 2 ? parts[1] : "", "burst");
-    const auto phases = kv_int(kv, "phases", 4);
-    const auto width = kv_int(kv, "width", 6);
-    const auto seed = kv_int(kv, "seed", 1);
-    return std::make_unique<BurstWorkload>(static_cast<std::uint32_t>(phases),
-                                           static_cast<std::uint32_t>(width),
-                                           static_cast<std::uint64_t>(seed), cm);
+    const auto p = kBurstSpec.parse(parts.size() == 2 ? parts[1] : "");
+    if (!build) return nullptr;
+    return std::make_unique<BurstWorkload>(p.phases, p.width, p.seed, cm);
   }
   throw ConfigError("unknown workload kind '" + kind +
                     "' (expected fib|dc|synthetic|burst)");
+}
+
+}  // namespace
+
+std::unique_ptr<Workload> make_workload(std::string_view spec,
+                                        const CostModel& costs) {
+  return parse(spec, costs, true);
+}
+
+void check_workload_spec(std::string_view spec) {
+  parse(spec, CostModel{}, false);
 }
 
 std::unique_ptr<Workload> make_workload(std::string_view spec) {

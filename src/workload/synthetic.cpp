@@ -24,16 +24,10 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t salt) {
 
 SyntheticTree::SyntheticTree(const SyntheticParams& params, const CostModel& costs)
     : params_(params), costs_(costs) {
-  ORACLE_REQUIRE(params.branch_min >= 1, "branch_min must be >= 1");
+  kSyntheticSpec.check(params);
   ORACLE_REQUIRE(params.branch_max >= params.branch_min,
                  "branch_max must be >= branch_min");
-  ORACLE_REQUIRE(params.branch_max <= 16, "branch_max too large");
-  ORACLE_REQUIRE(params.max_depth >= 1 && params.max_depth <= 40,
-                 "max_depth must be in [1, 40]");
-  ORACLE_REQUIRE(params.leaf_bias >= 0.0 && params.leaf_bias <= 1.0,
-                 "leaf_bias must be in [0, 1]");
-  ORACLE_REQUIRE(params.leaf_cost_min >= 1 &&
-                     params.leaf_cost_max >= params.leaf_cost_min,
+  ORACLE_REQUIRE(params.leaf_cost_max >= params.leaf_cost_min,
                  "bad leaf cost range");
   // Guard against explosive expected sizes: E[children] * (1 - bias) < 2^40
   // is not checkable in general, so cap breadth * depth instead.
@@ -44,7 +38,8 @@ SyntheticTree::SyntheticTree(const SyntheticParams& params, const CostModel& cos
 std::string SyntheticTree::name() const {
   return strfmt("synthetic-s%llu-d%u-b%u..%u",
                 static_cast<unsigned long long>(params_.seed),
-                params_.max_depth, params_.branch_min, params_.branch_max);
+                params_.max_depth, params_.branch_min, params_.branch_max) +
+         kSyntheticSpec.extras(params_);
 }
 
 GoalSpec SyntheticTree::root() const {
@@ -113,13 +108,13 @@ std::uint32_t y_of(std::int64_t a) {
 
 BurstWorkload::BurstWorkload(std::uint32_t phases, std::uint32_t width,
                              std::uint64_t seed, const CostModel& costs)
-    : phases_(phases), width_(width), seed_(seed), costs_(costs) {
-  ORACLE_REQUIRE(phases >= 1 && phases <= 64, "phases must be in [1, 64]");
-  ORACLE_REQUIRE(width >= 1 && width <= 16, "width must be in [1, 16]");
+    : params_{phases, width, seed}, costs_(costs) {
+  kBurstSpec.check(params_);
 }
 
 std::string BurstWorkload::name() const {
-  return strfmt("burst-p%u-w%u", phases_, width_);
+  return strfmt("burst-p%u-w%u", params_.phases, params_.width) +
+         kBurstSpec.extras(params_);
 }
 
 GoalSpec BurstWorkload::root() const { return GoalSpec{pack(kSpine, 0, 0), 0, 0}; }
@@ -129,13 +124,13 @@ Expansion BurstWorkload::expand(const GoalSpec& spec) const {
   e.is_leaf = false;
   e.exec_cost = costs_.split_cost;
   e.combine_cost = costs_.combine_cost;
-  const std::uint32_t stagger = (1u << width_) / 2 + 1;
+  const std::uint32_t stagger = (1u << params_.width) / 2 + 1;
 
   switch (role_of(spec.a)) {
     case kSpine: {
       const std::uint32_t k = x_of(spec.a);
       e.children.push_back(GoalSpec{pack(kChain, k * stagger, k), 0, spec.depth + 1});
-      if (k + 1 < phases_)
+      if (k + 1 < params_.phases)
         e.children.push_back(GoalSpec{pack(kSpine, k + 1, 0), 0, spec.depth + 1});
       return e;
     }
@@ -143,7 +138,7 @@ Expansion BurstWorkload::expand(const GoalSpec& spec) const {
       const std::uint32_t j = x_of(spec.a);
       const std::uint32_t k = y_of(spec.a);
       if (j == 0) {
-        e.children.push_back(GoalSpec{pack(kBurst, width_, k), 0, spec.depth + 1});
+        e.children.push_back(GoalSpec{pack(kBurst, params_.width, k), 0, spec.depth + 1});
       } else {
         e.children.push_back(GoalSpec{pack(kChain, j - 1, k), 0, spec.depth + 1});
       }
@@ -158,7 +153,7 @@ Expansion BurstWorkload::expand(const GoalSpec& spec) const {
         e.combine_cost = 0;
         // Mild per-leaf cost jitter keyed off (seed, k, depth) keeps bursts
         // from being perfectly synchronous.
-        SplitMix64 sm(seed_ ^ (static_cast<std::uint64_t>(k) << 32) ^ spec.depth);
+        SplitMix64 sm(params_.seed ^ (static_cast<std::uint64_t>(k) << 32) ^ spec.depth);
         e.exec_cost = costs_.leaf_cost + static_cast<sim::Duration>(sm.next() % 5);
         return e;
       }

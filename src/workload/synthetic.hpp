@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "util/spec.hpp"
 #include "workload/workload.hpp"
 
 namespace oracle::workload {
@@ -27,6 +28,25 @@ struct SyntheticParams {
   sim::Duration leaf_cost_min = 5;  // leaf costs drawn uniformly
   sim::Duration leaf_cost_max = 20;
 };
+
+/// The "synthetic:" keys. The labelled rows are the ones the name format
+/// "synthetic-s1-d10-b2..2" shows; the others follow it when they differ
+/// from their defaults.
+inline constexpr util::SpecKey<SyntheticParams> kSyntheticKeys[] = {
+    {.key = "seed", .field = &SyntheticParams::seed, .label = "s"},
+    {.key = "depth", .field = &SyntheticParams::max_depth, .min = 1, .max = 40,
+     .label = "d"},
+    {.key = "branchmin", .field = &SyntheticParams::branch_min, .min = 1,
+     .max = 16, .label = "b"},
+    {.key = "branchmax", .field = &SyntheticParams::branch_max, .min = 1,
+     .max = 16, .label = "b"},
+    {.key = "leafbias", .field = &SyntheticParams::leaf_bias, .min = 0,
+     .max = 1},
+    {.key = "leafmin", .field = &SyntheticParams::leaf_cost_min, .min = 1},
+    {.key = "leafmax", .field = &SyntheticParams::leaf_cost_max, .min = 1},
+};
+inline constexpr util::Spec<SyntheticParams> kSyntheticSpec{"synthetic",
+                                                            kSyntheticKeys};
 
 class SyntheticTree : public Workload {
  public:
@@ -44,6 +64,24 @@ class SyntheticTree : public Workload {
   CostModel costs_;
 };
 
+/// BurstWorkload's shape and leaf-cost jitter seed.
+struct BurstParams {
+  std::uint32_t phases = 4;
+  std::uint32_t width = 6;  // leaves per burst = 2^width
+  std::uint64_t seed = 1;
+};
+
+/// The "burst:" keys. The labelled rows are the ones the name format
+/// "burst-p4-w6" shows; the seed follows it when it is not 1.
+inline constexpr util::SpecKey<BurstParams> kBurstKeys[] = {
+    {.key = "phases", .field = &BurstParams::phases, .min = 1, .max = 64,
+     .label = "p"},
+    {.key = "width", .field = &BurstParams::width, .min = 1, .max = 16,
+     .label = "w"},
+    {.key = "seed", .field = &BurstParams::seed},
+};
+inline constexpr util::Spec<BurstParams> kBurstSpec{"burst", kBurstKeys};
+
 /// K sequential "phases", each a balanced binary tree of the given width:
 /// the root spawns phase trees one after another (child i+1 only runs after
 /// child i completes is *not* expressible in a pure tree, so instead the
@@ -58,13 +96,11 @@ class BurstWorkload : public Workload {
   GoalSpec root() const override;
   Expansion expand(const GoalSpec& spec) const override;
 
-  std::uint32_t phases() const noexcept { return phases_; }
-  std::uint32_t width() const noexcept { return width_; }
+  std::uint32_t phases() const noexcept { return params_.phases; }
+  std::uint32_t width() const noexcept { return params_.width; }
 
  private:
-  std::uint32_t phases_;
-  std::uint32_t width_;   // leaves per burst = 2^width
-  std::uint64_t seed_;
+  BurstParams params_;
   CostModel costs_;
 };
 

@@ -33,11 +33,20 @@ class Workload {
 /// Build a workload from a spec string:
 ///   "fib:N"                      naive doubly-recursive Fibonacci
 ///   "dc:M:N"                     divide-and-conquer over [M, N]
-///   "synthetic:seed=S,depth=D,branch=B,leafbias=P"   random tree
-///   "burst:seed=S,phases=K,width=W"                  rise-and-fall cycles
-/// An optional trailing ";leaf=L,split=S,combine=C" overrides costs.
+///   "synthetic:seed=S,depth=D,branchmin=A,branchmax=B,leafbias=P,
+///    leafmin=L,leafmax=H"        random tree (kSyntheticKeys)
+///   "burst:phases=K,width=W,seed=S"   rise-and-fall cycles (kBurstKeys)
+/// An optional trailing ";leaf=L,split=S,combine=C" overrides costs. The
+/// key=value parts follow util::Spec: every key is optional, keys are
+/// case-insensitive, and an unknown or repeated key is a ConfigError.
 std::unique_ptr<Workload> make_workload(std::string_view spec);
 std::unique_ptr<Workload> make_workload(std::string_view spec,
                                         const CostModel& costs);
+
+/// Check `spec` against that grammar and the key tables without building
+/// the workload. The workloads' own limits (fib:N's size cap, dc's
+/// M <= N) are left to make_workload: a store may already hold results
+/// for a spec too large to run again.
+void check_workload_spec(std::string_view spec);
 
 }  // namespace oracle::workload

@@ -207,6 +207,26 @@ TEST(Aggregate, MultiSeedRoundTripThroughStore) {
   std::remove(path.c_str());
 }
 
+TEST(Aggregate, DistinctSettingsAreDistinctGridPoints) {
+  // cwn and cwn:tiekeep=0 differ only in a key that has no label; their
+  // runs must not pool into one grid point.
+  core::ExperimentConfig base;
+  base.topology = "grid:5x5";
+  base.workload = "fib:9";
+  core::SweepBuilder sweep(base);
+  sweep.strategies({"cwn", "cwn:tiekeep=0"}).seeds({1});
+  const auto outcome = sweep.run_batch();
+  ASSERT_TRUE(outcome.report.ok());
+
+  Aggregator agg;
+  for (const auto& r : outcome.results) agg.add(r);
+  const auto groups = agg.summarize();
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].runs, 1u);
+  EXPECT_EQ(groups[1].runs, 1u);
+  EXPECT_NE(groups[0].strategy, groups[1].strategy);
+}
+
 TEST(Aggregate, MissingStoreThrows) {
   EXPECT_THROW(Aggregator::from_jsonl_file("definitely_missing_store.jsonl"),
                SimulationError);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "core/sweep.hpp"
 #include "stats/csv.hpp"
 #include "util/error.hpp"
+#include "util/spec.hpp"
 
 namespace oracle {
 namespace {
@@ -152,6 +154,30 @@ TEST(SweepBuilder, RejectsEmptyAxes) {
   EXPECT_THROW(b.workloads({}), ConfigError);
   EXPECT_THROW(b.seeds({}), ConfigError);
   EXPECT_THROW(b.axis({}), ConfigError);
+}
+
+TEST(SweepBuilder, BadSpecsFailTheSweepNotItsJobs) {
+  core::SweepBuilder b;
+  EXPECT_THROW(b.strategies({"cwn", "cwn:horizn=5"}), ConfigError);
+  EXPECT_THROW(b.workloads({"fib:9", "synthetic:leafbais=0.1"}), ConfigError);
+  EXPECT_THROW(b.workloads({"fib:9;leaff=2"}), ConfigError);
+}
+
+TEST(SweepSpec, ArgsCarryMultiKeySpecsToWorkers) {
+  // The million-pe preset's strategy has three keys; a worker reading
+  // to_args() back must see one strategy, not three.
+  core::SweepSpec spec;
+  spec.apply_preset("million-pe");
+  spec.workloads = {"synthetic:seed=1,leafbias=0.5", "fib:9;leaf=2,split=1"};
+  const auto args = spec.to_args();
+  const auto value_of = [&](const char* flag) {
+    const auto it = std::find(args.begin(), args.end(), flag);
+    return it + 1 < args.end() ? *(it + 1) : std::string();
+  };
+  EXPECT_EQ(util::split_spec_list(value_of("--strategies")), spec.strategies);
+  EXPECT_EQ(util::split_spec_list(value_of("--workloads")), spec.workloads);
+  EXPECT_EQ(spec.strategies,
+            std::vector<std::string>{"cwn:radius=3,horizon=2,interval=20000"});
 }
 
 TEST(SweepBuilder, PaperGridReproducesItsRunCount) {

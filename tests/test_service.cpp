@@ -50,9 +50,6 @@ std::string temp_path(const std::string& name) {
 }
 
 /// The fixed fast sweep the service tests query: 1 x 2 x 1 x 2 = 4 jobs.
-/// Strategy specs stay comma-free: the wire encoding (like the CLI's
-/// --strategies flag) splits list values on commas, so a multi-param spec
-/// such as "cwn:radius=3,horizon=1" is not expressible in a query.
 core::SweepSpec small_sweep() {
   core::SweepSpec s;
   s.topologies = {"grid:4x4"};
@@ -194,6 +191,18 @@ TEST(ServiceProtocol, QueryRequestRoundTripsEveryField) {
   const auto p3 = ServiceRequest::parse(m.encode());
   ASSERT_TRUE(p3.has_value());
   EXPECT_EQ(p3->query.sweep.master_seed, 99u);
+}
+
+TEST(ServiceProtocol, QueryRequestCarriesMultiKeySpecs) {
+  ServiceRequest req;
+  req.op = ServiceOp::kQuery;
+  req.query.sweep.strategies = {"cwn:radius=3,horizon=1", "gm"};
+  req.query.sweep.workloads = {"synthetic:seed=1,leafbias=0.5",
+                               "fib:9;leaf=2,split=1"};
+  const auto parsed = ServiceRequest::parse(req.encode());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->query.sweep.strategies, req.query.sweep.strategies);
+  EXPECT_EQ(parsed->query.sweep.workloads, req.query.sweep.workloads);
 }
 
 TEST(ServiceProtocol, MalformedRequestsAreRejected) {
@@ -697,6 +706,30 @@ TEST(ServiceDaemon, MalformedFramesDropTheConnectionOnly) {
   daemon.svc.stop();
   daemon.join();
   EXPECT_EQ(daemon.stats.bad_requests, 1u);
+}
+
+TEST(ServiceDaemon, UnknownSpecKeyGetsAnErrorFrame) {
+  const auto store = temp_path("badkey.jsonl");
+  prebuild_store(small_sweep(), store);
+  exp::ServiceOptions opt;
+  opt.store = store;
+  ServiceThread daemon(opt);
+
+  auto conn = connect_to(daemon.svc.port());
+  ServiceRequest q;
+  q.seq = 3;
+  q.op = ServiceOp::kQuery;
+  q.query.sweep = small_sweep();
+  q.query.sweep.strategies = {"cwn:radius=3,horizn=1"};
+  const auto rsp = exchange(conn.fd(), q);
+  ASSERT_TRUE(rsp.has_value());
+  EXPECT_EQ(rsp->kind, ServiceResponseKind::kError);
+  EXPECT_NE(rsp->text.find("horizon"), std::string::npos) << rsp->text;
+
+  daemon.svc.stop();
+  daemon.join();
+  EXPECT_EQ(daemon.stats.bad_requests, 1u);
+  EXPECT_EQ(daemon.stats.jobs_scheduled, 0u);
 }
 
 // --------------------------------------------- precision-target diagnostics --

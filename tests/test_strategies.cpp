@@ -38,7 +38,7 @@ TEST(Acwn, DegeneratesToCwnWhenDisabled) {
   p.saturation = 0;
   p.redistribute_delta = 0;
   Acwn acwn(p);
-  Cwn cwn(p.cwn);
+  Cwn cwn(p);
   const auto ra = run_with(acwn, grid, wl, 9);
   const auto rc = run_with(cwn, grid, wl, 9);
   EXPECT_EQ(ra.completion_time, rc.completion_time);
@@ -54,7 +54,7 @@ TEST(Acwn, SaturationControlCutsCommunication) {
   sat.saturation = 2;
   sat.redistribute_delta = 0;
   Acwn acwn(sat);
-  Cwn cwn(sat.cwn);
+  Cwn cwn(sat);
   const auto ra = run_with(acwn, grid, wl);
   const auto rc = run_with(cwn, grid, wl);
   EXPECT_LT(ra.goal_transmissions, rc.goal_transmissions);
@@ -65,12 +65,12 @@ TEST(Acwn, RedistributionRespectsRadiusBudget) {
   const topo::Grid2D grid(6, 6, false);
   const workload::FibWorkload wl(12, costs());
   AcwnParams p;
-  p.cwn.radius = 4;
-  p.cwn.horizon = 1;
+  p.radius = 4;
+  p.horizon = 1;
   p.redistribute_delta = 2;
   Acwn acwn(p);
   const auto r = run_with(acwn, grid, wl);
-  for (std::size_t h = p.cwn.radius + 1; h < r.goal_hops.buckets(); ++h)
+  for (std::size_t h = p.radius + 1; h < r.goal_hops.buckets(); ++h)
     EXPECT_EQ(r.goal_hops.count(h), 0u);
 }
 
@@ -158,6 +158,51 @@ TEST(StrategyFactory, RejectsMalformed) {
   EXPECT_THROW(make_strategy("cwn:radius"), ConfigError);
   EXPECT_THROW(make_strategy("cwn:radius=0"), ConfigError);
   EXPECT_THROW(make_strategy("gm:stagger=maybe"), ConfigError);
+}
+
+TEST(StrategyFactory, RejectsUnknownAndDuplicateKeys) {
+  for (const char* spec :
+       {"cwn:horizn=5", "cwn:tie_keep=0", "gm:hmw=3", "acwn:sat=2",
+        "acwn:bcost=3", "steal:back=5", "local:radius=3",
+        "cwn:radius=9,radius=3", "gm:HWM=3,hwm=4"})
+    EXPECT_THROW(make_strategy(spec), ConfigError) << spec;
+  try {
+    make_strategy("cwn:horizn=5");
+    FAIL() << "unknown key accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cwn"), std::string::npos) << what;
+    EXPECT_NE(what.find("'horizn'"), std::string::npos) << what;
+    EXPECT_NE(what.find("horizon"), std::string::npos) << what;
+  }
+}
+
+TEST(StrategyFactory, RejectsMalformedAndOutOfRangeValues) {
+  for (const char* spec :
+       {"cwn:tiekeep=maybe", "cwn:radius=x", "cwn:radius=+", "cwn:radius=",
+        "cwn:radius=1=2", "cwn:radius=-1", "cwn:radius=4294967296",
+        "cwn:horizon=-1", "cwn:interval=-1", "cwn:bcost=-1", "gm:lwm=-1",
+        "gm:interval=0", "gm:ccost=-1", "acwn:radius=0", "acwn:interval=-1",
+        "acwn:saturation=-1", "acwn:redistribute=-1", "acwn:cooldown=-1",
+        "steal:backoff=0", "steal:minvictim=-1", "cwn:radius=5,"})
+    EXPECT_THROW(make_strategy(spec), ConfigError) << spec;
+}
+
+TEST(StrategyFactory, NamesShowEveryNonDefaultKey) {
+  // Two settings never share a name; one setting has one name however
+  // it is spelled.
+  EXPECT_NE(make_strategy("cwn:tiekeep=0")->name(), make_strategy("cwn")->name());
+  EXPECT_EQ(make_strategy("cwn:radius=9")->name(), make_strategy("cwn")->name());
+  EXPECT_EQ(make_strategy("cwn:tiekeep=0")->name(), "cwn(r=9,h=2,tiekeep=0)");
+  EXPECT_EQ(make_strategy("cwn:interval=20000,radius=3")->name(),
+            "cwn(r=3,h=2,interval=20000)");
+  EXPECT_EQ(make_strategy("gm:ccost=7,stagger=false")->name(),
+            "gm(h=2,l=1,i=20,stagger=0,ccost=7)");
+  EXPECT_EQ(make_strategy("acwn")->name(), "acwn(r=9,h=2,sat=3,rd=4)");
+  EXPECT_EQ(make_strategy("acwn:cooldown=5")->name(),
+            "acwn(r=9,h=2,sat=3,rd=4,cooldown=5)");
+  EXPECT_EQ(make_strategy("steal:minvictim=2")->name(),
+            "steal(b=10,minvictim=2)");
 }
 
 // --------------------------------------------------------------------------

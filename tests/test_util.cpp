@@ -14,6 +14,7 @@
 #include "util/error.hpp"
 #include "util/net.hpp"
 #include "util/posix_io.hpp"
+#include "util/spec.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -79,6 +80,73 @@ TEST(StringUtil, StartsWith) {
 TEST(StringUtil, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
+}
+
+// --------------------------------------------------------------------------
+// Spec grammar
+// --------------------------------------------------------------------------
+
+TEST(SpecList, SplitsJoinedMultiKeySpecsBack) {
+  const std::vector<std::vector<std::string>> lists = {
+      {"cwn:radius=5,horizon=1", "gm:hwm=2,lwm=1,interval=30", "random"},
+      {"cwn:radius=3,horizon=2,interval=20000"},
+      {"synthetic:seed=1,leafbias=0.5", "burst:phases=2,width=3", "fib:9"},
+      {"fib:9;leaf=2,split=1,combine=3", "dc:1:21;leaf=5", "fib:7"},
+      {"grid:4x4", "dlm:5:10x10", "hypercube:4"},
+  };
+  for (const auto& specs : lists)
+    EXPECT_EQ(util::split_spec_list(join(specs, ",")), specs);
+}
+
+TEST(SpecList, TrimsAndDropsEmptyItems) {
+  EXPECT_EQ(util::split_spec_list(" cwn:radius=4 , gm ,, horizon=1"),
+            (std::vector<std::string>{"cwn:radius=4", "gm,horizon=1"}));
+  EXPECT_TRUE(util::split_spec_list(" , ").empty());
+  // A leading key=value has no spec to join and stays an item (which the
+  // factory then rejects as an unknown kind).
+  EXPECT_EQ(util::split_spec_list("radius=4,cwn"),
+            (std::vector<std::string>{"radius=4", "cwn"}));
+}
+
+struct ToySpec {
+  std::uint32_t count = 3;
+  double ratio = 0.25;
+  bool flag = true;
+};
+constexpr util::SpecKey<ToySpec> kToyKeys[] = {
+    {.key = "count", .field = &ToySpec::count, .max = 10, .label = "n"},
+    {.key = "ratio", .field = &ToySpec::ratio, .min = 0, .max = 1},
+    {.key = "flag", .field = &ToySpec::flag},
+};
+constexpr util::Spec<ToySpec> kToySpec{"toy", kToyKeys};
+
+TEST(Spec, ParsesIntoTheFieldsAndRendersChangesOnly) {
+  const ToySpec p = kToySpec.parse(" Count = 7 ,RATIO=0.1");
+  EXPECT_EQ(p.count, 7u);
+  EXPECT_DOUBLE_EQ(p.ratio, 0.1);
+  EXPECT_TRUE(p.flag);
+  EXPECT_EQ(kToySpec.name(p), "toy(n=7,ratio=0.1)");
+  EXPECT_EQ(kToySpec.name(ToySpec{}), "toy(n=3)");
+  EXPECT_EQ(kToySpec.extras(ToySpec{}), "");
+  EXPECT_EQ(kToySpec.extras(kToySpec.parse("flag=FALSE")), "(flag=0)");
+  // Doubles render in the shortest form that reads back exactly.
+  EXPECT_EQ(kToySpec.extras(kToySpec.parse("ratio=0.30000000000000004")),
+            "(ratio=0.30000000000000004)");
+}
+
+TEST(Spec, ErrorsNameTheKindAndListItsKeys) {
+  for (const char* body : {"cnt=1", "count=1,count=2", "count=11", "count=-1",
+                           "count=1.5", "ratio=2", "flag=2", "count"}) {
+    try {
+      kToySpec.parse(body);
+      ADD_FAILURE() << body << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("toy: ", 0), 0u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("(keys: count, ratio, flag)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

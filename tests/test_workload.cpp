@@ -297,5 +297,57 @@ TEST(WorkloadFactory, RejectsMalformed) {
   EXPECT_THROW(make_workload("fib:5;leaf=-3"), ConfigError);
 }
 
+TEST(WorkloadFactory, RejectsUnknownDuplicateAndOutOfRangeKeys) {
+  for (const char* spec :
+       {"synthetic:leafbais=0.1", "fib:9;leaff=2", "synthetic:branch=3",
+        "burst:phase=2", "synthetic:seed=1,seed=2", "fib:9;leaf=1,LEAF=2",
+        "synthetic:leafbias=high", "synthetic:depth=0", "synthetic:depth=41",
+        "synthetic:branchmin=0", "synthetic:branchmin=17",
+        "synthetic:branchmax=0", "synthetic:branchmax=17",
+        "synthetic:leafbias=-0.1", "synthetic:leafbias=1.5",
+        "synthetic:leafbias=nan", "synthetic:leafmin=0", "synthetic:leafmax=0",
+        "synthetic:seed=-1", "burst:phases=0", "burst:phases=65",
+        "burst:width=0", "burst:width=17", "burst:seed=-1", "fib:9;split=-1",
+        "fib:9;combine=-1", "fib:9;leaf=1;split=2"}) {
+    EXPECT_THROW(make_workload(spec), ConfigError) << spec;
+    EXPECT_THROW(check_workload_spec(spec), ConfigError) << spec;
+  }
+  try {
+    make_workload("synthetic:leafbais=0.1");
+    FAIL() << "unknown key accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("leafbias"), std::string::npos);
+  }
+}
+
+TEST(WorkloadFactory, KeysAreCaseInsensitive) {
+  const auto w = make_workload("synthetic:Seed=4,LEAFBIAS=0.25");
+  const auto* s = dynamic_cast<const SyntheticTree*>(w.get());
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->params().seed, 4u);
+  EXPECT_DOUBLE_EQ(s->params().leaf_bias, 0.25);
+}
+
+TEST(WorkloadFactory, NamesShowNonDefaultKeys) {
+  EXPECT_EQ(make_workload("synthetic")->name(), "synthetic-s1-d10-b2..2");
+  EXPECT_EQ(make_workload("synthetic:seed=3,branchmax=4")->name(),
+            "synthetic-s3-d10-b2..4");
+  EXPECT_EQ(make_workload("synthetic:seed=1,leafbias=0.5")->name(),
+            "synthetic-s1-d10-b2..2(leafbias=0.5)");
+  EXPECT_EQ(make_workload("synthetic:leafmax=30,leafmin=6")->name(),
+            "synthetic-s1-d10-b2..2(leafmin=6,leafmax=30)");
+  EXPECT_EQ(make_workload("burst")->name(), "burst-p4-w6");
+  EXPECT_EQ(make_workload("burst:seed=2,phases=3")->name(),
+            "burst-p3-w6(seed=2)");
+}
+
+TEST(WorkloadFactory, CheckLeavesWorkloadLimitsToTheBuild) {
+  // fib:80 is well formed; only FibWorkload's size cap refuses it.
+  EXPECT_NO_THROW(check_workload_spec("fib:80"));
+  EXPECT_THROW(make_workload("fib:80"), ConfigError);
+  EXPECT_THROW(check_workload_spec("fib:x"), ConfigError);
+  EXPECT_THROW(check_workload_spec("quicksort:10"), ConfigError);
+}
+
 }  // namespace
 }  // namespace oracle::workload
