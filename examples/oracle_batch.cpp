@@ -117,13 +117,13 @@ bool parse_sweep_flag(core::SweepSpec& sweep, const std::string& arg,
   } else if (arg == "--preset") {
     value();  // already applied by the pre-scan
   } else if (arg == "--sample") {
-    sweep.sample_interval = parse_int(value(), arg);
+    sweep.sample_interval = int_flag(value(), arg, 0);
   } else if (arg == "--hop-latency") {
-    sweep.hop_latency = parse_int(value(), arg);
+    sweep.hop_latency = int_flag(value(), arg, 0);
   } else if (arg == "--sim-threads") {
     sweep.sim_threads = int_flag(value(), arg, 1);
   } else if (arg == "--sim-partitions") {
-    sweep.sim_partitions = parse_int(value(), arg);
+    sweep.sim_partitions = int_flag(value(), arg, 0);
   } else {
     return false;
   }

@@ -9,6 +9,7 @@
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "util/text_out.hpp"
 
 namespace oracle::exp {
 
@@ -117,8 +118,10 @@ const std::vector<std::string>& Aggregator::metric_names() {
 }
 
 std::uint64_t Aggregator::grid_key(const stats::RunResult& r) {
-  return fnv1a64(strfmt("topo=%s|strat=%s|wl=%s|pes=%u", r.topology.c_str(),
-                        r.strategy.c_str(), r.workload.c_str(), r.num_pes));
+  util::Fnv1aOut key;
+  key << "topo=" << r.topology << "|strat=" << r.strategy
+      << "|wl=" << r.workload << "|pes=" << r.num_pes;
+  return key.hash();
 }
 
 Aggregator::Group& Aggregator::group_for(const stats::RunResult& r) {

@@ -57,8 +57,8 @@ BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
                        const BatchOptions& options = {});
 
 /// Execute exactly the jobs left in `queue`, which the caller has already
-/// sliced and filtered (the service keeps a job-index window with
-/// JobQueue::retain_range and drops the jobs its StoreIndex holds). Uses
+/// sliced and filtered (the service copies a job-index window with
+/// JobQueue::slice and drops the jobs its StoreIndex holds). Uses
 /// the sink, executor and collect options; `resume` only opens the stores
 /// in append mode — nothing is scanned. master_seed is the caller's
 /// business here. The report's total_jobs is the queue size and skipped

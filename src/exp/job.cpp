@@ -1,46 +1,56 @@
 #include "exp/job.hpp"
 
-#include <cctype>
-
-#include "util/string_util.hpp"
+#include "util/text_out.hpp"
 
 namespace oracle::exp {
 
-std::string job_canonical_string(const core::ExperimentConfig& config) {
+namespace {
+
+/// The canonical bytes, in their one fixed order. Both job identity
+/// outputs are this list: job_canonical_string writes it into a string,
+/// job_content_hash folds the same pieces into FNV-1a. Integers print as
+/// printf's %lld / %u / %llu do, so stores written by any build agree.
+template <typename Out>
+void write_canonical(const core::ExperimentConfig& config, Out& out) {
   const auto& c = config.costs;
   const auto& m = config.machine;
   // v1: bump the version tag if the serialization ever changes meaning, so
   // old stores cannot silently satisfy new jobs.
-  return strfmt(
-      "v1|topo=%s|strat=%s|wl=%s|leaf=%lld|split=%lld|combine=%lld|"
-      "hop=%lld|ctrl=%lld|word=%lld|gsz=%u|rsz=%u|csz=%u|lm=%u|coproc=%d|"
-      "piggy=%d|start=%u|seed=%llu|sample=%lld|perpe=%d|maxev=%llu|"
-      "slowpct=%u|slowf=%u",
-      config.topology.c_str(), config.strategy.c_str(),
-      config.workload.c_str(), static_cast<long long>(c.leaf_cost),
-      static_cast<long long>(c.split_cost),
-      static_cast<long long>(c.combine_cost),
-      static_cast<long long>(m.hop_latency),
-      static_cast<long long>(m.ctrl_latency),
-      static_cast<long long>(m.word_time), m.goal_msg_size,
-      m.response_msg_size, m.ctrl_msg_size,
-      static_cast<unsigned>(m.load_measure), m.lb_coprocessor ? 1 : 0,
-      m.piggyback_load ? 1 : 0, m.start_pe,
-      static_cast<unsigned long long>(m.seed),
-      static_cast<long long>(m.sample_interval), m.monitor_per_pe ? 1 : 0,
-      static_cast<unsigned long long>(m.max_events), m.slow_pe_percent,
-      m.slow_factor);
+  out << "v1|topo=" << config.topology << "|strat=" << config.strategy
+      << "|wl=" << config.workload << "|leaf=" << c.leaf_cost
+      << "|split=" << c.split_cost << "|combine=" << c.combine_cost
+      << "|hop=" << m.hop_latency << "|ctrl=" << m.ctrl_latency
+      << "|word=" << m.word_time << "|gsz=" << m.goal_msg_size
+      << "|rsz=" << m.response_msg_size << "|csz=" << m.ctrl_msg_size
+      << "|lm=" << static_cast<unsigned>(m.load_measure)
+      << "|coproc=" << (m.lb_coprocessor ? 1 : 0)
+      << "|piggy=" << (m.piggyback_load ? 1 : 0) << "|start=" << m.start_pe
+      << "|seed=" << m.seed << "|sample=" << m.sample_interval
+      << "|perpe=" << (m.monitor_per_pe ? 1 : 0)
+      << "|maxev=" << m.max_events << "|slowpct=" << m.slow_pe_percent
+      << "|slowf=" << m.slow_factor;
+}
+
+}  // namespace
+
+std::string job_canonical_string(const core::ExperimentConfig& config) {
+  std::string s;
+  util::StringOut out(s);
+  write_canonical(config, out);
+  return s;
 }
 
 std::uint64_t job_content_hash(const core::ExperimentConfig& config) {
-  return fnv1a64(job_canonical_string(config));
+  util::Fnv1aOut out;
+  write_canonical(config, out);
+  return out.hash();
 }
 
 std::string hash_hex(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return std::string(buf, 16);
+  std::string s;
+  util::StringOut out(s);
+  out << util::Hex16{hash};
+  return s;
 }
 
 bool parse_hash_hex(std::string_view hex, std::uint64_t& out) {

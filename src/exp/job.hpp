@@ -31,9 +31,12 @@ struct ExperimentJob {
 /// Canonical serialization of every outcome-relevant config field, in a
 /// fixed order. This string — not the struct layout — defines job identity,
 /// so it must change whenever a new knob is added to ExperimentConfig.
+/// One field list (write_canonical in job.cpp) produces it, tagged "v1".
 std::string job_canonical_string(const core::ExperimentConfig& config);
 
-/// FNV-1a (64-bit) over job_canonical_string().
+/// FNV-1a (64-bit) over the bytes of job_canonical_string(). The hash
+/// streams those bytes from the same field list straight into the hash
+/// state; the string itself is never built.
 std::uint64_t job_content_hash(const core::ExperimentConfig& config);
 
 /// Fixed-width lower-case hex rendering used in JSONL and CSV records.

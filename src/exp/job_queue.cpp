@@ -1,5 +1,6 @@
 #include "exp/job_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -45,13 +46,19 @@ std::size_t JobQueue::skip_completed(
   return before - jobs_.size();
 }
 
-std::size_t JobQueue::retain_range(std::size_t begin, std::size_t end) {
-  const std::size_t before = jobs_.size();
-  std::erase_if(jobs_, [&](const ExperimentJob& job) {
-    return job.index < begin || job.index >= end;
-  });
-  reset_cursor();
-  return before - jobs_.size();
+JobQueue JobQueue::slice(std::size_t begin, std::size_t end) const {
+  // Jobs stay in ascending sweep-index order (construction numbers them
+  // in order; skip_completed and slice only drop jobs), so the window is
+  // one contiguous run.
+  const auto by_index = [](const ExperimentJob& job, std::size_t index) {
+    return job.index < index;
+  };
+  const auto first =
+      std::lower_bound(jobs_.begin(), jobs_.end(), begin, by_index);
+  const auto last = std::lower_bound(first, jobs_.end(), end, by_index);
+  JobQueue out;
+  out.jobs_.assign(first, last);
+  return out;
 }
 
 std::optional<std::size_t> JobQueue::claim() noexcept {

@@ -39,15 +39,14 @@ class JobQueue {
   /// of jobs removed. Resets the claim cursor.
   std::size_t skip_completed(const std::unordered_set<std::uint64_t>& completed);
 
-  /// Keep only the jobs whose *sweep index* lies in [begin, end) — the
-  /// work-stealing lease rule. A lease is a contiguous slice of the job
-  /// order, so the lease service can
-  /// shrink it (steal its tail) while a worker runs: jobs already
-  /// committed keep their identity and the stolen tail re-slices cleanly
-  /// elsewhere.
-  /// Surviving jobs keep their sweep indices. Returns the number of jobs
-  /// removed. Resets the claim cursor.
-  std::size_t retain_range(std::size_t begin, std::size_t end);
+  /// A new queue holding copies of the jobs whose *sweep index* lies in
+  /// [begin, end), with the seeds and content hashes this queue already
+  /// computed — the work-stealing lease rule and the service's chunk
+  /// window. A lease is a contiguous slice of the job order, so the lease
+  /// service can shrink it (steal its tail) while a worker runs: jobs
+  /// already committed keep their identity and the stolen tail re-slices
+  /// cleanly elsewhere. Copied jobs keep their sweep indices.
+  JobQueue slice(std::size_t begin, std::size_t end) const;
 
   std::size_t size() const noexcept { return jobs_.size(); }
   bool empty() const noexcept { return jobs_.empty(); }

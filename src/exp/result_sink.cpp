@@ -5,37 +5,48 @@
 #include <charconv>
 #include <cstring>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 
 #include "stats/csv.hpp"
 #include "util/error.hpp"
 #include "util/file_util.hpp"
 #include "util/string_util.hpp"
+#include "util/text_out.hpp"
 
 namespace oracle::exp {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+/// A JSON string literal: runs of plain bytes are copied whole, and only
+/// a quote, a backslash or a control byte is escaped (\n, \t, \r, else
+/// \u00XX in lower-case hex).
+struct JsonString {
+  std::string_view text;
+};
+
+util::StringOut& operator<<(util::StringOut& out, JsonString s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const std::string_view t = s.text;
+  out << '"';
+  std::size_t run = 0;  ///< first byte not yet written
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const auto c = static_cast<unsigned char>(t[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out << t.substr(run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\t': out << "\\t"; break;
+      case '\r': out << "\\r"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out << std::string_view(esc, sizeof esc);
+      }
     }
   }
-  return out;
+  return out << t.substr(run) << '"';
 }
 
 /// fsync a file store after its stream was flushed to the OS.
@@ -44,10 +55,6 @@ void sync_store(const std::string& path) {
   throw SimulationError("fsync of '" + path + "' failed: " +
                         std::strerror(errno));
 }
-
-/// %.17g prints doubles losslessly and, crucially for byte-identical
-/// output, identically for identical values.
-std::string json_double(double v) { return strfmt("%.17g", v); }
 
 }  // namespace
 
@@ -93,6 +100,10 @@ bool to_number(std::string_view v, T& out) {
 bool to_string(std::string_view v, std::string& out) {
   if (v.size() < 2 || v.front() != '"' || v.back() != '"') return false;
   v = v.substr(1, v.size() - 2);
+  if (v.find('\\') == std::string_view::npos) {  // nothing to undo
+    out.assign(v);
+    return true;
+  }
   out.clear();
   out.reserve(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -191,36 +202,52 @@ std::size_t field_index(std::string_view key, std::size_t hint) {
   return kNumFields;
 }
 
+/// One past the closing quote of the key string that opens at s[open].
+/// The writer's next key (`hint`) is tried first with one comparison:
+/// record keys hold no quote or backslash, so a match ends exactly where
+/// string_end's byte scan would.
+std::size_t key_end(std::string_view s, std::size_t open, std::size_t hint) {
+  if (hint < kNumFields) {
+    const std::string_view k = kFields[hint].key;
+    const std::size_t close = open + 1 + k.size();
+    if (close < s.size() && s[close] == '"' &&
+        s.substr(open + 1, k.size()) == k)
+      return close + 1;
+  }
+  return string_end(s, open);
+}
+
 }  // namespace
 
 std::string jsonl_record(const ExperimentJob& job, const stats::RunResult& r) {
-  std::ostringstream os;
-  os << "{\"job\":" << job.index                                     //
-     << ",\"hash\":\"" << hash_hex(job.content_hash) << '"'          //
-     << ",\"topology\":\"" << json_escape(r.topology) << '"'         //
-     << ",\"strategy\":\"" << json_escape(r.strategy) << '"'         //
-     << ",\"workload\":\"" << json_escape(r.workload) << '"'         //
-     << ",\"num_pes\":" << r.num_pes                                 //
-     << ",\"seed\":" << r.seed                                       //
-     << ",\"completion_time\":" << r.completion_time                 //
-     << ",\"goals_executed\":" << r.goals_executed                   //
-     << ",\"total_work\":" << r.total_work                           //
-     << ",\"critical_path\":" << r.critical_path                     //
-     << ",\"avg_utilization\":" << json_double(r.avg_utilization)    //
-     << ",\"speedup\":" << json_double(r.speedup)                    //
-     << ",\"utilization_cv\":" << json_double(r.utilization_cv)      //
-     << ",\"max_min_utilization_gap\":"
-     << json_double(r.max_min_utilization_gap)                       //
-     << ",\"avg_goal_distance\":" << json_double(r.avg_goal_distance)//
-     << ",\"goal_transmissions\":" << r.goal_transmissions           //
-     << ",\"response_transmissions\":" << r.response_transmissions   //
-     << ",\"control_transmissions\":" << r.control_transmissions     //
-     << ",\"avg_channel_utilization\":"
-     << json_double(r.avg_channel_utilization)                       //
-     << ",\"max_channel_utilization\":"
-     << json_double(r.max_channel_utilization)                       //
-     << ",\"events_executed\":" << r.events_executed << '}';
-  return os.str();
+  // Doubles print as %.17g: losslessly and, crucially for byte-identical
+  // output, identically for identical values (util::TextOut).
+  std::string line;
+  line.reserve(640);  // a typical record is ~590 bytes
+  util::StringOut out(line);
+  out << "{\"job\":" << job.index                                    //
+      << ",\"hash\":\"" << util::Hex16{job.content_hash} << '"'     //
+      << ",\"topology\":" << JsonString{r.topology}                  //
+      << ",\"strategy\":" << JsonString{r.strategy}                  //
+      << ",\"workload\":" << JsonString{r.workload}                  //
+      << ",\"num_pes\":" << r.num_pes                                //
+      << ",\"seed\":" << r.seed                                      //
+      << ",\"completion_time\":" << r.completion_time                //
+      << ",\"goals_executed\":" << r.goals_executed                  //
+      << ",\"total_work\":" << r.total_work                          //
+      << ",\"critical_path\":" << r.critical_path                    //
+      << ",\"avg_utilization\":" << r.avg_utilization                //
+      << ",\"speedup\":" << r.speedup                                //
+      << ",\"utilization_cv\":" << r.utilization_cv                  //
+      << ",\"max_min_utilization_gap\":" << r.max_min_utilization_gap
+      << ",\"avg_goal_distance\":" << r.avg_goal_distance            //
+      << ",\"goal_transmissions\":" << r.goal_transmissions          //
+      << ",\"response_transmissions\":" << r.response_transmissions  //
+      << ",\"control_transmissions\":" << r.control_transmissions    //
+      << ",\"avg_channel_utilization\":" << r.avg_channel_utilization
+      << ",\"max_channel_utilization\":" << r.max_channel_utilization
+      << ",\"events_executed\":" << r.events_executed << '}';
+  return line;
 }
 
 std::optional<JsonlRecord> parse_jsonl_record(std::string_view line) {
@@ -235,11 +262,11 @@ std::optional<JsonlRecord> parse_jsonl_record(std::string_view line) {
   std::size_t pos = 0;
   while (true) {
     if (pos >= body.size() || body[pos] != '"') return std::nullopt;
-    const std::size_t key_end = string_end(body, pos);
-    if (key_end >= body.size() || body[key_end] != ':') return std::nullopt;
-    const std::string_view key = body.substr(pos + 1, key_end - pos - 2);
+    const std::size_t colon = key_end(body, pos, next);
+    if (colon >= body.size() || body[colon] != ':') return std::nullopt;
+    const std::string_view key = body.substr(pos + 1, colon - pos - 2);
 
-    const std::size_t value_begin = key_end + 1;
+    const std::size_t value_begin = colon + 1;
     std::size_t value_end = body.size();
     if (value_begin < body.size() && body[value_begin] == '"') {
       value_end = string_end(body, value_begin);

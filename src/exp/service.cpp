@@ -171,16 +171,14 @@ bool QueryRun::run_chunk(ServiceSink& sink, std::size_t budget) {
     return false;
   }
 
-  // Schedule only the missing jobs: the slice keeps the job-index window
-  // [first_missing, end) of the full sweep (so job numbering, master-seed
-  // derivation and store append order match an unchunked run) and drops
-  // every hash the index holds. The store lock spans that skip, the run
-  // and the refresh, so the next slice — this query's or a concurrent
+  // Schedule only the missing jobs: the slice copies the planned queue's
+  // job-index window [first_missing, end) — numbering, derived seeds and
+  // hashes included, so store append order matches an unchunked run —
+  // and drops every hash the index holds. The store lock spans that skip,
+  // the run and the refresh, so the next slice — this query's or a concurrent
   // one's — decides what is missing from an index that already holds
   // these records: no hash is appended twice, and no store is rescanned.
-  JobQueue slice(spec_.build());
-  if (spec_.master_seed != 0) slice.derive_seeds(spec_.master_seed);
-  slice.retain_range(first_missing, end);
+  JobQueue slice = queue_->slice(first_missing, end);
   BatchOptions opt;
   opt.exec.workers = options_.exec_threads;
   opt.exec.progress = false;

@@ -334,9 +334,14 @@ LeaseWorkerReport run_lease_client_worker(
           static_cast<unsigned long long>(grant->epoch),
           options.lease_server.c_str()));
 
-      JobQueue queue(configs);
-      if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
-      queue.retain_range(grant->begin, grant->end);
+      // Numbered and seeded over the whole sweep, then cut to the lease;
+      // the full queue lives only this long, so a worker's footprint is
+      // its lease.
+      JobQueue queue = [&] {
+        JobQueue sweep(configs);
+        if (options.master_seed != 0) sweep.derive_seeds(options.master_seed);
+        return sweep.slice(grant->begin, grant->end);
+      }();
       const std::size_t planned = queue.size();
       const std::size_t skipped = queue.skip_completed(completed_elsewhere());
       {

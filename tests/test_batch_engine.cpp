@@ -937,8 +937,8 @@ TEST(BatchEngine, GoldenSerialAndAdversarialStealRunsAreByteIdentical) {
     exp::BatchOptions opt;
     opt.jsonl_path = exp::worker_store_path(steal, k, 4);
     opt.collect = false;
-    exp::JobQueue lease(configs);
-    lease.retain_range(leases[k].first, leases[k].second);
+    exp::JobQueue lease =
+        exp::JobQueue(configs).slice(leases[k].first, leases[k].second);
     ASSERT_TRUE(exp::run_batch(lease, opt).report.ok());
   }
   // Slot 3's store is a byte copy of slot 0's: a steal race that re-ran an

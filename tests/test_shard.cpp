@@ -5,7 +5,7 @@
 // summary, in-process lease-client workers (empty leases, several
 // executor threads, an unreachable server), and property tests for the
 // lease bookkeeping (partition invariants under random steal sequences,
-// retain_range vs a reference model, adaptive timeouts).
+// JobQueue::slice vs a reference model, adaptive timeouts).
 
 #include <gtest/gtest.h>
 
@@ -92,8 +92,7 @@ exp::BatchOutcome run_slice(const std::vector<core::ExperimentConfig>& configs,
   opt.resume = resume;
   opt.collect = false;
   const exp::Lease lease = slice(configs, index, count);
-  exp::JobQueue queue(configs);
-  queue.retain_range(lease.begin, lease.end);
+  exp::JobQueue queue = exp::JobQueue(configs).slice(lease.begin, lease.end);
   const std::size_t skipped =
       resume ? queue.skip_completed(exp::load_completed_hashes(opt.jsonl_path))
              : 0;
@@ -324,31 +323,46 @@ TEST(LeaseTable, RandomStealSequencesPreserveThePartitionInvariant) {
   }
 }
 
-TEST(JobQueue, RetainRangeMatchesReferenceModelAndTilesTheQueue) {
+TEST(JobQueue, SliceMatchesReferenceModelAndTilesTheQueue) {
   const auto configs = small_sweep();
+  exp::JobQueue sweep(configs);
+  sweep.derive_seeds(77);
   std::mt19937 rng(987);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t begin = rng() % (configs.size() + 2);
     const std::size_t end = rng() % (configs.size() + 2);
-    exp::JobQueue q(configs);
-    q.retain_range(begin, end);
+    const exp::JobQueue q = sweep.slice(begin, end);
     // Reference model: filter the enumerated sweep by index directly.
     std::vector<std::size_t> expected;
     for (std::size_t i = 0; i < configs.size(); ++i)
       if (i >= begin && i < end) expected.push_back(i);
     ASSERT_EQ(q.size(), expected.size()) << begin << ".." << end;
-    for (std::size_t pos = 0; pos < q.size(); ++pos)
-      EXPECT_EQ(q.job(pos).index, expected[pos]);
+    for (std::size_t pos = 0; pos < q.size(); ++pos) {
+      const exp::ExperimentJob& job = q.job(pos);
+      EXPECT_EQ(job.index, expected[pos]);
+      // The slice carries the derived seed and hash, not a rebuilt job.
+      EXPECT_EQ(job.config.machine.seed,
+                sweep.job(job.index).config.machine.seed);
+      EXPECT_EQ(job.content_hash, exp::job_content_hash(job.config));
+      EXPECT_EQ(job.content_hash, sweep.job(job.index).content_hash);
+    }
   }
 
-  // A LeaseTable partition applied through retain_range covers the queue
+  // A slice of a slice keeps the sweep indices (the window is by index,
+  // not by position).
+  const exp::JobQueue inner = sweep.slice(3, 9).slice(5, 20);
+  ASSERT_EQ(inner.size(), 4u);
+  EXPECT_EQ(inner.job(0).index, 5u);
+  EXPECT_EQ(inner.job(3).index, 8u);
+
+  // A LeaseTable partition applied through slice covers the queue
   // exactly once, for several slot counts.
   for (const std::size_t slots : {1u, 2u, 3u, 5u, 18u, 30u}) {
     const exp::LeaseTable table(configs.size(), slots);
     std::vector<int> owners(configs.size(), 0);
     for (std::size_t k = 0; k < table.slots(); ++k) {
-      exp::JobQueue q(configs);
-      q.retain_range(table.lease(k).begin, table.lease(k).end);
+      const exp::JobQueue q =
+          sweep.slice(table.lease(k).begin, table.lease(k).end);
       EXPECT_EQ(q.size(), table.lease(k).size());
       for (std::size_t pos = 0; pos < q.size(); ++pos)
         ++owners[q.job(pos).index];
