@@ -1025,6 +1025,54 @@ TEST(DistributedLease, CleanSweepConvergesToSerialBytes) {
   std::remove(statsfile.c_str());
 }
 
+TEST(DistributedLease, JobsCommittedOnAnotherHostKeepTheRunUnmerged) {
+  // Another host has run slot 1 of a shared lease server: it committed its
+  // whole lease and drained it, but its records are on its own disks. The
+  // server then says `done` to this host's workers once slot 0 drains, yet
+  // this host's stores miss slot 1's jobs: the completeness gate must
+  // skip the merge, keep every slot store and say why.
+  const auto canonical = temp_path("gate.jsonl");
+  remove_run_files(canonical, 2);
+  ServerThread srv(service_options("", 2));
+  {
+    exp::LeaseClient other(client_options(srv.port(), 1, 2));
+    const auto grant = other.acquire();
+    ASSERT_TRUE(grant.has_value());
+    std::size_t end = 0;
+    ASSERT_EQ(other.commit(grant->epoch, grant->end, 1000, &end), kOk);
+    ASSERT_EQ(steal_once(srv.port(), 1, grant->epoch), kEmpty)
+        << "slot 0 has no worker yet, so slot 1 drains without stealing";
+  }
+
+  testing::internal::CaptureStderr();
+  const auto report = run_supervised(canonical, srv.port(), 2,
+                                     /*resume=*/false);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(report.merged) << report.summary();
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(log.find("run incomplete: 9 job(s) missing"), std::string::npos)
+      << log;
+  EXPECT_FALSE(util::file_exists(canonical));
+
+  // Slot 0's lease (jobs 0-8) is all this host ran, and every record it
+  // wrote is still in the slot stores for a later --resume.
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::ifstream in(exp::worker_store_path(canonical, k, 2));
+    std::string line;
+    while (std::getline(in, line)) {
+      const auto rec = exp::parse_jsonl_record(line);
+      ASSERT_TRUE(rec.has_value()) << line;
+      EXPECT_LT(rec->job_index, 9u);
+      ++kept;
+    }
+  }
+  EXPECT_EQ(kept, 9u);
+
+  srv.stop();
+  remove_run_files(canonical, 2);
+}
+
 TEST(DistributedLease, SigkilledWorkerIsRespawnedUnderAFreshEpoch) {
   const auto canonical = temp_path("wkill.jsonl");
   const auto journal = temp_path("wkill.journal");
