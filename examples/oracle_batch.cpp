@@ -353,7 +353,7 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
       // Accepted and ignored: every supervised run steals.
     } else if (arg == "--heartbeat-ms" && run_mode) {
       // 0 keeps the lease service's adaptive expiry.
-      cmd.heartbeat_ms = static_cast<std::uint32_t>(int_flag(value(), arg, 0));
+      cmd.expiry_ms = static_cast<std::uint32_t>(int_flag(value(), arg, 0));
     } else if (arg == "--max-restarts" && run_mode) {
       cmd.max_restarts = static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--retry-quarantined" && run_mode) {
@@ -368,10 +368,10 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
     } else if (arg == "--lease-retries" && run_mode) {
       cmd.lease_retries = static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--worker-slot" && run_mode) {
-      cmd.worker_slot = exp::ShardSpec::parse(value());
+      cmd.worker_slot = exp::WorkerSlot::parse(value());
       if (!cmd.worker_slot) usage_error("--worker-slot needs k/W with k < W");
     } else if (arg == "--keep-shards" && run_mode) {
-      cmd.keep_shards = true;
+      cmd.keep_slot_stores = true;
     } else if (arg == "--out") {
       cmd.out = value();
     } else if (arg == "--csv") {

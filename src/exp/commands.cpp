@@ -431,13 +431,13 @@ int run_sweep_command(const SweepCommand& cmd) {
       // and the in-process lease service's steals) record on logical
       // pid 0; workers take pid k+1 for slot k.
       if (!cmd.trace_path.empty()) obs::Tracer::enable(0, "supervisor");
-      ShardRunOptions sopt;
+      SupervisorOptions sopt;
       sopt.workers = cmd.workers;
       sopt.out = opt.jsonl_path;
       sopt.resume = opt.resume;
-      sopt.keep_shard_stores = cmd.keep_shards;
+      sopt.keep_slot_stores = cmd.keep_slot_stores;
       sopt.master_seed = opt.master_seed;
-      sopt.heartbeat_ms = cmd.heartbeat_ms;
+      sopt.expiry_ms = cmd.expiry_ms;
       sopt.max_restarts = cmd.max_restarts;
       sopt.retry_quarantined = cmd.retry_quarantined;
       sopt.lease_server = cmd.lease_server;
@@ -446,7 +446,7 @@ int run_sweep_command(const SweepCommand& cmd) {
       sopt.exec_path = self_exec_path(cmd.self);
       sopt.worker_args = worker_command_line(cmd);
 
-      const auto report = run_sharded_processes(sweep.build(), sopt);
+      const auto report = run_supervisor(sweep.build(), sopt);
       std::printf("%s\n", report.summary().c_str());
       for (const auto& w : report.workers) {
         if (w.ok()) continue;
@@ -460,12 +460,12 @@ int run_sweep_command(const SweepCommand& cmd) {
         const auto lvl = report.merged ? log::Level::Warn : log::Level::Error;
         if (w.term_signal != 0)
           ORACLE_LOG(lvl,
-                     strfmt("shard %zu/%zu worker killed by signal %d (%s)",
-                            w.shard, cmd.workers, w.term_signal, hint));
+                     strfmt("worker slot %zu/%zu killed by signal %d (%s)",
+                            w.slot, cmd.workers, w.term_signal, hint));
         else
           ORACLE_LOG(lvl,
-                     strfmt("shard %zu/%zu worker exited with status %d (%s)",
-                            w.shard, cmd.workers, w.exit_code, hint));
+                     strfmt("worker slot %zu/%zu exited with status %d (%s)",
+                            w.slot, cmd.workers, w.exit_code, hint));
       }
       if (report.merged) std::printf("store: %s\n", sopt.out.c_str());
       if (!cmd.trace_path.empty()) {
@@ -490,7 +490,7 @@ int run_sweep_command(const SweepCommand& cmd) {
     if (cmd.worker_slot.has_value()) {
       // Supervised worker: run the leases the lease server grants this
       // slot into its private store.
-      const ShardSpec& slot = *cmd.worker_slot;
+      const WorkerSlot& slot = *cmd.worker_slot;
       log::set_tag(strfmt("worker %zu/%zu", slot.index, slot.count));
       if (!cmd.trace_path.empty())
         obs::Tracer::enable(static_cast<std::uint32_t>(slot.index + 1),

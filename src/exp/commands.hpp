@@ -20,7 +20,7 @@
 #include "exp/batch.hpp"
 #include "exp/lease_service.hpp"
 #include "exp/service.hpp"
-#include "exp/shard.hpp"
+#include "exp/supervisor.hpp"
 
 namespace oracle::exp {
 
@@ -85,9 +85,9 @@ struct SweepCommand {
 
   // Distributed mode.
   std::size_t workers = 0;                   ///< parent: fork this many
-  std::optional<ShardSpec> worker_slot;      ///< lease worker: slot k/W
-  bool keep_shards = false;
-  std::uint32_t heartbeat_ms = 0;  ///< in-process expiry; 0 = adaptive
+  std::optional<WorkerSlot> worker_slot;     ///< lease worker: slot k/W
+  bool keep_slot_stores = false;
+  std::uint32_t expiry_ms = 0;  ///< in-process expiry; 0 = adaptive
   std::size_t max_restarts = 2;
   bool retry_quarantined = false;
   std::string lease_server;  ///< "" = in-process lease service

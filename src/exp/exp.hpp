@@ -24,8 +24,9 @@
 #include "exp/lease_client.hpp"
 #include "exp/lease_protocol.hpp"
 #include "exp/lease_service.hpp"
+#include "exp/lease_worker.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/service.hpp"
 #include "exp/service_protocol.hpp"
-#include "exp/shard.hpp"
 #include "exp/store_index.hpp"
+#include "exp/supervisor.hpp"

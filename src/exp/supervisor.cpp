@@ -1,10 +1,8 @@
-#include "exp/shard.hpp"
+#include "exp/supervisor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -18,97 +16,25 @@
 #include "exp/result_sink.hpp"
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
-#include "topo/factory.hpp"
 #include "util/error.hpp"
 #include "util/file_util.hpp"
 #include "util/log.hpp"
 #include "util/net.hpp"
-#include "util/posix_io.hpp"
 #include "util/string_util.hpp"
 
 #if !defined(_WIN32)
 #include <csignal>
-#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
 
 namespace oracle::exp {
 
-// -------------------------------------------------------------- ShardSpec --
+// ------------------------------------------------------------ StoreMerger --
 
-std::optional<ShardSpec> ShardSpec::parse(const std::string& text) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size())
-    return std::nullopt;
-  std::int64_t index = 0, count = 0;
-  try {
-    index = parse_int(trim(text.substr(0, slash)), "shard index");
-    count = parse_int(trim(text.substr(slash + 1)), "shard count");
-  } catch (const ConfigError&) {
-    return std::nullopt;
-  }
-  // Validate on the signed values: a negative count must not wrap into a
-  // huge modulus that silently assigns (almost) no jobs to any worker.
-  if (index < 0 || count < 1 || index >= count) return std::nullopt;
-  return ShardSpec{static_cast<std::size_t>(index),
-                   static_cast<std::size_t>(count)};
-}
-
-std::string ShardSpec::to_string() const {
-  return strfmt("%zu/%zu", index, count);
-}
-
-std::string worker_store_path(const std::string& canonical_store,
-                              std::size_t slot, std::size_t count) {
-  return canonical_store + strfmt(".worker%zuof%zu", slot, count);
-}
-
-// ------------------------------------------------------------- quarantine --
-
-std::string quarantine_path(const std::string& canonical_store) {
-  return canonical_store + ".quarantine";
-}
-
-std::vector<QuarantineEntry> read_quarantine_file(const std::string& path) {
-  std::vector<QuarantineEntry> entries;
+void StoreMerger::add_store(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return entries;
-  std::string hash_str;
-  unsigned long long index = 0;
-  while (in >> hash_str >> index) {
-    QuarantineEntry e;
-    if (!parse_hash_hex(hash_str, e.content_hash)) continue;  // torn tail
-    e.job_index = static_cast<std::size_t>(index);
-    entries.push_back(e);
-  }
-  return entries;
-}
-
-void append_quarantine_entry(const std::string& path,
-                             const QuarantineEntry& entry) {
-#if defined(_WIN32)
-  std::ofstream out(path, std::ios::app);
-  out << hash_hex(entry.content_hash) << ' ' << entry.job_index << '\n';
-#else
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0)
-    throw SimulationError("cannot open quarantine file '" + path + "'");
-  const std::string line =
-      hash_hex(entry.content_hash) + strfmt(" %zu\n", entry.job_index);
-  const bool ok =
-      util::write_full(fd, line.data(), line.size()) && util::fsync_retry(fd);
-  ::close(fd);
-  if (!ok)
-    throw SimulationError("quarantine append to '" + path + "' failed");
-#endif
-}
-
-// ------------------------------------------------------------ ShardMerger --
-
-void ShardMerger::add_store(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;  // a shard with no work never creates its store
+  if (!in) return;  // a slot that never ran a job never creates its store
   ++report_.stores_read;
   std::string line;
   while (std::getline(in, line)) {
@@ -122,7 +48,7 @@ void ShardMerger::add_store(const std::string& path) {
   }
 }
 
-MergeReport ShardMerger::merge_to(const std::string& canonical_path) {
+MergeReport StoreMerger::merge_to(const std::string& canonical_path) {
   // Job order is the serial engine's commit order, so sorting by job index
   // reproduces a serial run byte-for-byte (records themselves are written
   // deterministically by the sinks). stable_sort keeps first-seen order
@@ -155,285 +81,20 @@ MergeReport ShardMerger::merge_to(const std::string& canonical_path) {
   return report_;
 }
 
-// ------------------------------------------------ run_lease_client_worker --
-
-namespace {
-
-[[noreturn]] void fire_death_fault(bool with_sigkill) {
-#if defined(_WIN32)
-  (void)with_sigkill;
-  std::_Exit(1);
-#else
-  if (with_sigkill) {
-    ::raise(SIGKILL);
-    // raise() cannot return for SIGKILL, but keep the compiler satisfied.
-  }
-  ::_exit(1);
-#endif
-}
-
-void accumulate_batch(BatchReport* into, const BatchReport& one) {
-  into->total_jobs += one.total_jobs;
-  into->skipped += one.skipped;
-  into->executed += one.executed;
-  into->failed += one.failed;
-  into->cancelled += one.cancelled;
-  into->total_events += one.total_events;
-  into->elapsed_seconds += one.elapsed_seconds;
-  for (const auto& e : one.errors)
-    if (into->errors.size() < 16) into->errors.push_back(e);
-  into->jobs_per_second =
-      into->elapsed_seconds > 0
-          ? static_cast<double>(into->executed) / into->elapsed_seconds
-          : 0.0;
-}
-
-/// The last sink of a lease run. Once the store's group fsync returned, it
-/// commits the new durable frontier — the first queue job not yet
-/// written, or the lease end — to the lease server. The reply's lease end
-/// (shrunk by steals) and fencing verdict feed stop(), which the executor
-/// consults before every job.
-class LeaseCommitSink : public ResultSink {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  LeaseCommitSink(LeaseClient& client, const LeaseGrant& grant,
-                  const JobQueue& queue)
-      : client_(client),
-        grant_(grant),
-        queue_(queue),
-        committed_(grant.begin),
-        end_(grant.end) {}
-
-  void write(const ExperimentJob& job, const stats::RunResult&) override {
-    written_ = job.index + 1;
-  }
-
-  /// Also called once before the run, so the jobs skipped as already
-  /// complete count as committed before the first job starts.
-  void flush() override {
-    while (next_ < queue_.size() && queue_.job(next_).index < written_)
-      ++next_;
-    const std::size_t frontier =
-        next_ < queue_.size() ? queue_.job(next_).index : grant_.end;
-    if (frontier <= committed_) return;
-    // The wall since the last commit is the pace sample behind the
-    // server's adaptive expiry; a commit before any job ran carries none.
-    const auto now = Clock::now();
-    const auto wall_us =
-        written_ == 0 ? 0
-                      : static_cast<std::uint64_t>(
-                            std::chrono::duration_cast<std::chrono::microseconds>(
-                                now - last_commit_)
-                                .count());
-    last_commit_ = now;
-    std::size_t end = end_.load(std::memory_order_relaxed);
-    switch (client_.commit(grant_.epoch, frontier, wall_us, &end)) {
-      case LeaseClient::CommitResult::kOk:
-        committed_ = frontier;
-        end_.store(end, std::memory_order_relaxed);
-        break;
-      case LeaseClient::CommitResult::kFenced:
-        fenced_.store(true, std::memory_order_relaxed);
-        break;
-      case LeaseClient::CommitResult::kDone:
-        done_.store(true, std::memory_order_relaxed);
-        break;
-    }
-  }
-
-  /// True once the job belongs to someone else: past the (possibly
-  /// stolen-from) lease end, or the lease was fenced or the sweep is done.
-  bool stop(const ExperimentJob& job) const {
-    return fenced() || done() ||
-           job.index >= end_.load(std::memory_order_relaxed);
-  }
-  bool fenced() const { return fenced_.load(std::memory_order_relaxed); }
-  bool done() const { return done_.load(std::memory_order_relaxed); }
-  std::size_t end() const { return end_.load(std::memory_order_relaxed); }
-
- private:
-  LeaseClient& client_;
-  const LeaseGrant grant_;
-  const JobQueue& queue_;
-  std::size_t written_ = 0;    ///< one past the last job written
-  std::size_t next_ = 0;       ///< queue position of the first unwritten job
-  std::size_t committed_;      ///< frontier the server acknowledged
-  Clock::time_point last_commit_ = Clock::now();
-  std::atomic<std::size_t> end_;
-  std::atomic<bool> fenced_{false};
-  std::atomic<bool> done_{false};
-};
-
-}  // namespace
-
-LeaseWorkerReport run_lease_client_worker(
-    const std::vector<core::ExperimentConfig>& configs,
-    const LeaseWorkerOptions& options) {
-  ORACLE_REQUIRE(!options.canonical_out.empty(),
-                 "lease workers need the canonical --out store path");
-  ORACLE_REQUIRE(!options.lease_server.empty(),
-                 "run_lease_client_worker needs --lease-server");
-  ORACLE_REQUIRE(options.slot < std::max<std::size_t>(options.slot_count, 1),
-                 "lease worker slot out of range");
-  const auto server = util::HostPort::parse(options.lease_server);
-  if (!server)
-    throw ConfigError("bad --lease-server address: " + options.lease_server);
-
-  const std::string store =
-      worker_store_path(options.canonical_out, options.slot,
-                        options.slot_count);
-
-  LeaseClientOptions copt;
-  copt.server = *server;
-  copt.slot = options.slot;
-  copt.slot_count = std::max<std::size_t>(options.slot_count, 1);
-  copt.jobs = configs.size();
-  copt.op_timeout_ms = options.op_timeout_ms;
-  copt.retry_budget = options.retry_budget;
-  copt.backoff_base_ms = options.backoff_base_ms;
-  copt.backoff_cap_ms = options.backoff_cap_ms;
-  LeaseClient client(copt);
-
-  // Jobs another record already covers: sibling slots may have run part
-  // of a stolen lease, the canonical store holds merged jobs on resume,
-  // and quarantined poison jobs must never run again. Re-read per lease.
-  auto completed_elsewhere = [&] {
-    auto done = load_completed_hashes(store);
-    for (std::size_t j = 0; j < options.slot_count; ++j)
-      if (j != options.slot)
-        done.merge(load_completed_hashes(
-            worker_store_path(options.canonical_out, j, options.slot_count)));
-    if (options.merge_resume)
-      done.merge(load_completed_hashes(options.canonical_out));
-    for (const auto& q :
-         read_quarantine_file(quarantine_path(options.canonical_out)))
-      done.insert(q.content_hash);
-    return done;
-  };
-
-  const ShardTestHooks& hooks = options.hooks;
-  auto fault_armed = [&hooks]() {
-    return hooks.once_marker.empty() || !util::file_exists(hooks.once_marker);
-  };
-  auto mark_fired = [&hooks]() {
-    if (!hooks.once_marker.empty()) util::touch_file(hooks.once_marker);
-  };
-  std::atomic<std::size_t> jobs_started{0};
-
-  LeaseWorkerReport report;
-  try {
-    std::optional<LeaseGrant> grant = client.acquire();
-    while (grant) {
-      obs::Span lease_span("lease", "worker.lease", "begin",
-                           static_cast<std::int64_t>(grant->begin), "end",
-                           static_cast<std::int64_t>(grant->end));
-      ORACLE_LOG_INFO(strfmt(
-          "slot %zu leased [%zu,%zu) epoch %llu from %s", options.slot,
-          grant->begin, grant->end,
-          static_cast<unsigned long long>(grant->epoch),
-          options.lease_server.c_str()));
-
-      // Numbered and seeded over the whole sweep, then cut to the lease;
-      // the full queue lives only this long, so a worker's footprint is
-      // its lease.
-      JobQueue queue = [&] {
-        JobQueue sweep(configs);
-        if (options.master_seed != 0) sweep.derive_seeds(options.master_seed);
-        return sweep.slice(grant->begin, grant->end);
-      }();
-      const std::size_t planned = queue.size();
-      const std::size_t skipped = queue.skip_completed(completed_elsewhere());
-      {
-        // As run_batch: each distinct topology builds once, not once per
-        // racing executor thread.
-        std::vector<std::string> specs;
-        specs.reserve(queue.size());
-        for (const auto& job : queue.jobs())
-          specs.push_back(job.config.topology);
-        topo::prewarm_topology_cache(specs);
-      }
-
-      // Append + skip-completed: a respawned or re-leased worker continues
-      // its own durable prefix.
-      JsonlSink store_sink(store, /*append=*/true);
-      LeaseCommitSink commit(client, *grant, queue);
-      TeeSink tee;
-      tee.add(store_sink);
-      tee.add(commit);  // last: commits only what the store has fsynced
-      commit.flush();
-
-      ExecutorOptions exec;
-      exec.workers = std::max<std::size_t>(1, options.threads);
-      exec.stop_before = [&](const ExperimentJob& job) {
-        const std::size_t n =
-            jobs_started.fetch_add(1, std::memory_order_relaxed);
-        if ((n == hooks.die_after_n_jobs ||
-             job.index == hooks.die_on_job_index) &&
-            fault_armed()) {
-          mark_fired();
-          fire_death_fault(hooks.die_with_sigkill);
-        }
-        if (n == hooks.stall_after_n_jobs && fault_armed()) {
-          mark_fired();
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(hooks.stall_ms));
-        }
-        return commit.stop(job);
-      };
-      BatchReport batch = Executor(exec).run(queue, tee);
-      batch.total_jobs = planned;
-      batch.skipped = skipped;
-      accumulate_batch(&report.batch, batch);
-      ++report.leases_run;
-
-      if (commit.fenced()) {
-        // The server revoked this epoch (we were presumed dead). Our
-        // durable records are harmless duplicates; ask for fresh work
-        // under a fresh epoch.
-        report.fenced = true;
-        ORACLE_LOG_WARN(strfmt(
-            "slot %zu fenced mid-lease (epoch %llu); re-acquiring",
-            options.slot, static_cast<unsigned long long>(grant->epoch)));
-        grant = client.acquire();
-        continue;
-      }
-      if (commit.done()) break;
-
-      // Lease drained: publish its end, then ask for more.
-      if (client.commit(grant->epoch, commit.end(), 0, nullptr) ==
-          LeaseClient::CommitResult::kDone)
-        break;
-      grant = client.next_lease(grant->epoch);
-    }
-  } catch (const LeaseOrphanedError& e) {
-    // Committed prefix is already fsynced; surface the distinct orphaned
-    // outcome so the launcher exits with its own code and a later
-    // --resume reshapes leases around this worker's store.
-    ORACLE_LOG_WARN(strfmt("slot %zu orphaned: %s", options.slot, e.what()));
-    obs::instant("lease", "worker.orphaned", "slot",
-                 static_cast<std::int64_t>(options.slot));
-    report.orphaned = true;
-  }
-  report.retries = client.retries();
-  report.reconnects = client.reconnects();
-  return report;
-}
-
 // -------------------------------------------------------------- supervisor --
 
-bool ShardRunReport::ok() const noexcept {
+bool SupervisorReport::ok() const noexcept {
   // The merge is the completion criterion: failed exits of workers the
   // supervisor restarted do not count against a run that converged.
   return merged;
 }
 
-std::string ShardRunReport::summary() const {
+std::string SupervisorReport::summary() const {
   std::size_t failed = 0;
   for (const auto& w : workers)
     if (!w.ok()) ++failed;
   std::string s = strfmt("%zu jobs over %zu worker(s)", planned_jobs,
-                         shards_launched);
+                         slots);
   if (steals > 0) s += strfmt(", %zu lease(s) stolen", steals);
   if (restarts > 0) s += strfmt(", %zu worker(s) auto-restarted", restarts);
   if (quarantined > 0)
@@ -453,8 +114,8 @@ std::string ShardRunReport::summary() const {
 
 std::string self_exec_path(const std::string& argv0) { return argv0; }
 
-ShardRunReport run_sharded_processes(
-    const std::vector<core::ExperimentConfig>&, const ShardRunOptions&) {
+SupervisorReport run_supervisor(
+    const std::vector<core::ExperimentConfig>&, const SupervisorOptions&) {
   throw SimulationError("multi-process runs require a POSIX host");
 }
 
@@ -487,7 +148,7 @@ pid_t spawn_one(const std::vector<std::string>& args) {
 
   const pid_t pid = ::fork();
   if (pid < 0)
-    throw SimulationError("fork failed for shard worker");
+    throw SimulationError("fork failed for a worker process");
   if (pid == 0) {
     ::execv(argv[0], argv.data());
     std::fprintf(stderr, "oracle_batch: cannot exec '%s'\n", argv[0]);
@@ -518,17 +179,17 @@ struct ServiceThread {
 
 }  // namespace
 
-ShardRunReport run_sharded_processes(
+SupervisorReport run_supervisor(
     const std::vector<core::ExperimentConfig>& configs,
-    const ShardRunOptions& options) {
+    const SupervisorOptions& options) {
   using Clock = std::chrono::steady_clock;
   ORACLE_REQUIRE(!options.out.empty(),
-                 "sharded runs need a canonical --out store");
+                 "multi-process runs need a canonical --out store");
   ORACLE_REQUIRE(options.workers >= 1, "--workers must be >= 1");
   ORACLE_REQUIRE(!options.exec_path.empty(),
-                 "sharded runs need the worker executable path");
-  ORACLE_REQUIRE(!configs.empty(), "sharded run over an empty sweep");
-  ORACLE_REQUIRE(options.lease_server.empty() || options.heartbeat_ms == 0,
+                 "multi-process runs need the worker executable path");
+  ORACLE_REQUIRE(!configs.empty(), "multi-process run over an empty sweep");
+  ORACLE_REQUIRE(options.lease_server.empty() || options.expiry_ms == 0,
                  "--heartbeat-ms sets the in-process lease service's expiry; "
                  "a remote --lease-server owns its own");
 
@@ -536,13 +197,13 @@ ShardRunReport run_sharded_processes(
   if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
   const std::size_t n = queue.size();
 
-  ShardRunReport report;
+  SupervisorReport report;
   report.planned_jobs = n;
   // One worker per job at most: a slot without a lease buys nothing but a
   // process spawn.
   const std::size_t slots =
       std::max<std::size_t>(1, std::min(options.workers, n));
-  report.shards_launched = slots;
+  report.slots = slots;
 
   // Quarantine lifecycle: a fresh run forgets old verdicts, --resume keeps
   // them (the poison jobs stay skipped), --resume --retry-quarantined
@@ -579,7 +240,7 @@ ShardRunReport run_sharded_processes(
     lopt.slots = slots;
     lopt.master_seed = options.master_seed;
     lopt.min_steal_jobs = options.min_steal_jobs;
-    lopt.expiry_ms = options.heartbeat_ms;
+    lopt.expiry_ms = options.expiry_ms;
     // Keep answering `done` until stop(): every worker must hear it.
     lopt.linger_ms = std::numeric_limits<std::uint32_t>::max();
     local.service = std::make_unique<LeaseService>(lopt);
@@ -743,7 +404,7 @@ ShardRunReport run_sharded_processes(
 
         proc.pid = -1;
         WorkerExit we;
-        we.shard = k;
+        we.slot = k;
         if (r < 0) {
           we.exit_code = 126;  // lost track of the child: treat as failed
         } else if (WIFEXITED(status)) {
@@ -882,7 +543,7 @@ ShardRunReport run_sharded_processes(
   write_status("merging");
   {
     obs::Span merge_span("shard", "merge");
-    ShardMerger merger;
+    StoreMerger merger;
     if (options.resume) merger.add_store(options.out);
     for (std::size_t k = 0; k < slots; ++k)
       merger.add_store(worker_store_path(options.out, k, slots));
@@ -895,7 +556,7 @@ ShardRunReport run_sharded_processes(
       report.merge.duplicates_dropped));
   write_status("done");
 
-  if (!options.keep_shard_stores) {
+  if (!options.keep_slot_stores) {
     for (std::size_t k = 0; k < slots; ++k)
       util::remove_file(worker_store_path(options.out, k, slots));
   }

@@ -41,7 +41,7 @@ struct StatusSnapshot {
   double elapsed_seconds = 0.0;
   std::size_t steals = 0;
   std::size_t restarts = 0;
-  std::size_t quarantined = 0;  ///< poison jobs skipped (see exp/shard.hpp)
+  std::size_t quarantined = 0;  ///< poison jobs skipped (see exp/lease_worker.hpp)
   std::size_t fenced = 0;       ///< stale-epoch commits rejected (lease server)
   std::size_t retries = 0;      ///< client request retries seen (lease server)
   std::size_t requests = 0;     ///< frames answered (resident oracle service)

@@ -948,7 +948,7 @@ TEST(BatchEngine, GoldenSerialAndAdversarialStealRunsAreByteIdentical) {
                       std::ios::binary | std::ios::trunc);
     dup << slurp(exp::worker_store_path(steal, 0, 4));
   }
-  exp::ShardMerger steal_merger;
+  exp::StoreMerger steal_merger;
   for (std::size_t k = 0; k < 4; ++k)
     steal_merger.add_store(exp::worker_store_path(steal, k, 4));
   const auto merge = steal_merger.merge_to(steal);

@@ -205,10 +205,10 @@ std::map<std::string, long long> read_stats_file(const std::string& path) {
 }
 
 /// Launch a lease-server-mode supervised run over fault_sweep().
-exp::ShardRunReport run_supervised(const std::string& canonical, int port,
+exp::SupervisorReport run_supervised(const std::string& canonical, int port,
                                    std::size_t workers, bool resume,
                                    const std::vector<std::string>& extra = {}) {
-  exp::ShardRunOptions sopt;
+  exp::SupervisorOptions sopt;
   sopt.workers = workers;
   sopt.out = canonical;
   sopt.resume = resume;
@@ -217,7 +217,7 @@ exp::ShardRunReport run_supervised(const std::string& canonical, int port,
   sopt.exec_path = exp::self_exec_path(g_self);
   sopt.worker_args = {"--lease-worker", "--out", canonical};
   sopt.worker_args.insert(sopt.worker_args.end(), extra.begin(), extra.end());
-  return exp::run_sharded_processes(fault_sweep(), sopt);
+  return exp::run_supervisor(fault_sweep(), sopt);
 }
 
 int wait_child(pid_t pid) {
@@ -1096,7 +1096,7 @@ TEST(DistributedLease, SigkilledWorkerIsRespawnedUnderAFreshEpoch) {
   EXPECT_EQ(report.orphaned, 0u);
   bool saw_sigkill = false;
   for (const auto& w : report.workers)
-    if (w.shard == 1 && w.term_signal == SIGKILL) saw_sigkill = true;
+    if (w.slot == 1 && w.term_signal == SIGKILL) saw_sigkill = true;
   EXPECT_TRUE(saw_sigkill);
   EXPECT_EQ(read_file(serial_store()), read_file(canonical));
 
@@ -1343,7 +1343,7 @@ TEST(DistributedLease, ThirtyPercentFrameDropStillCompletesTheSweep) {
 
   // The slot store holds every record exactly once; merged it is
   // byte-identical to the serial run.
-  exp::ShardMerger merger;
+  exp::StoreMerger merger;
   merger.add_store(exp::worker_store_path(canonical, 0, 1));
   const auto merge = merger.merge_to(canonical);
   EXPECT_EQ(merge.records, 18u);
@@ -1360,12 +1360,12 @@ TEST(DistributedLease, ThirtyPercentFrameDropStillCompletesTheSweep) {
 /// when the server is lost.
 int lease_worker_main(int argc, char** argv) {
   std::string out, marker, lease_server;
-  std::optional<exp::ShardSpec> slot;
+  std::optional<exp::WorkerSlot> slot;
   bool resume = false;
-  std::size_t fault_slot = exp::ShardTestHooks::kOff;
-  std::size_t stall_slot = exp::ShardTestHooks::kOff;
-  exp::ShardTestHooks die_hooks;
-  exp::ShardTestHooks stall_hooks;
+  std::size_t fault_slot = exp::WorkerTestHooks::kOff;
+  std::size_t stall_slot = exp::WorkerTestHooks::kOff;
+  exp::WorkerTestHooks die_hooks;
+  exp::WorkerTestHooks stall_hooks;
   exp::LeaseWorkerOptions wopt;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1373,7 +1373,7 @@ int lease_worker_main(int argc, char** argv) {
     if (arg == "--out") {
       out = value();
     } else if (arg == "--worker-slot") {
-      slot = exp::ShardSpec::parse(value());
+      slot = exp::WorkerSlot::parse(value());
     } else if (arg == "--lease-server") {
       lease_server = value();
     } else if (arg == "--resume") {

@@ -1,6 +1,6 @@
-// Crash-safe distributed sweeps (src/exp/shard.*): the merge protocol's
-// byte-identical guarantee vs a serial run over contiguous job-range
-// slices, resume convergence after a simulated SIGKILL, self-exec path
+// Crash-safe distributed sweeps (src/exp/supervisor.*, lease_worker.*):
+// the merge protocol's byte-identical guarantee vs a serial run over
+// contiguous job-range slices, resume convergence after a simulated SIGKILL, self-exec path
 // resolution, the quarantine file, the supervisor's setup checks and run
 // summary, in-process lease-client workers (empty leases, several
 // executor threads, an unreachable server), and property tests for the
@@ -101,24 +101,23 @@ exp::BatchOutcome run_slice(const std::vector<core::ExperimentConfig>& configs,
   return outcome;
 }
 
-// -------------------------------------------------------------- ShardSpec --
+// ------------------------------------------------------------- WorkerSlot --
 
-TEST(ShardSpec, ParsesValidAndRejectsMalformed) {
-  const auto s = exp::ShardSpec::parse("2/4");
+TEST(WorkerSlot, ParsesValidAndRejectsMalformed) {
+  const auto s = exp::WorkerSlot::parse("2/4");
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->index, 2u);
   EXPECT_EQ(s->count, 4u);
-  EXPECT_EQ(s->to_string(), "2/4");
-  EXPECT_TRUE(exp::ShardSpec::parse("0/1").has_value());
+  EXPECT_TRUE(exp::WorkerSlot::parse("0/1").has_value());
 
   for (const char* bad : {"", "3", "4/4", "5/4", "/4", "2/", "a/b", "-1/4",
                           "1/-3", "-1/-3", "1/0", "1/4/2"})
-    EXPECT_FALSE(exp::ShardSpec::parse(bad).has_value()) << bad;
+    EXPECT_FALSE(exp::WorkerSlot::parse(bad).has_value()) << bad;
 }
 
 // ------------------------------------------------ merge = serial, bytewise --
 
-TEST(ShardMerger, MergedStoreIsByteIdenticalToSerialRun) {
+TEST(StoreMerger, MergedStoreIsByteIdenticalToSerialRun) {
   const auto configs = small_sweep();
   const auto serial = temp_path("serial.jsonl");
   const auto canonical = temp_path("merged.jsonl");
@@ -138,7 +137,7 @@ TEST(ShardMerger, MergedStoreIsByteIdenticalToSerialRun) {
   EXPECT_EQ(worker_total, configs.size());
 
   // Stores added last slice first: the merge itself restores job order.
-  exp::ShardMerger merger;
+  exp::StoreMerger merger;
   for (std::size_t i = 3; i-- > 0;)
     merger.add_store(exp::worker_store_path(canonical, i, 3));
   const auto report = merger.merge_to(canonical);
@@ -157,7 +156,7 @@ TEST(ShardMerger, MergedStoreIsByteIdenticalToSerialRun) {
   remove_run_files(canonical, 3);
 }
 
-TEST(ShardMerger, DropsDuplicatesAndIgnoresCorruptTails) {
+TEST(StoreMerger, DropsDuplicatesAndIgnoresCorruptTails) {
   const auto configs = small_sweep();
   const auto canonical = temp_path("dupes.jsonl");
   remove_run_files(canonical, 2);
@@ -176,7 +175,7 @@ TEST(ShardMerger, DropsDuplicatesAndIgnoresCorruptTails) {
     out << first_line << "\n{\"job\":99,\"hash\":\"truncat";  // no newline
   }
 
-  exp::ShardMerger merger;
+  exp::StoreMerger merger;
   merger.add_store(store0);
   merger.add_store(exp::worker_store_path(canonical, 1, 2));
   merger.add_store(temp_path("does_not_exist.jsonl"));
@@ -223,7 +222,7 @@ TEST(ShardPlan, KilledWorkerIsDetectedAndResumeConvergesByteIdentically) {
   EXPECT_EQ(resumed.report.executed, victim_jobs - 2u);
 
   // ...and the merge converges to the serial bytes: no loss, no dupes.
-  exp::ShardMerger merger;
+  exp::StoreMerger merger;
   for (std::size_t i = 0; i < 3; ++i)
     merger.add_store(exp::worker_store_path(canonical, i, 3));
   const auto report = merger.merge_to(canonical);
@@ -491,10 +490,10 @@ TEST(Quarantine, EntriesRoundTripAndMalformedLinesAreSkipped) {
 
 // ---------------------------------------------------------- run reports --
 
-TEST(ShardRunReport, SummaryNamesEveryEventAndTheMergeVerdict) {
-  exp::ShardRunReport r;
+TEST(SupervisorReport, SummaryNamesEveryEventAndTheMergeVerdict) {
+  exp::SupervisorReport r;
   r.planned_jobs = 18;
-  r.shards_launched = 3;
+  r.slots = 3;
   EXPECT_FALSE(r.ok()) << "no merge, no success";
   EXPECT_EQ(r.summary(),
             "18 jobs over 3 worker(s); merge skipped (re-run with --resume "
@@ -550,7 +549,7 @@ TEST(ShardWorkers, EmptyRangeSliceLeavesAValidEmptyStore) {
   EXPECT_TRUE(read_file(store).empty());
   EXPECT_TRUE(exp::load_completed_hashes(store).empty());
   // And the merger treats the empty store as a valid no-op input.
-  exp::ShardMerger merger;
+  exp::StoreMerger merger;
   merger.add_store(store);
   EXPECT_EQ(merger.merge_to(canonical).records, 0u);
 
@@ -569,29 +568,29 @@ TEST(ShardProcesses, SelfExecPathResolvesToARealFile) {
 
 TEST(ShardProcesses, SupervisorRejectsBadSetupBeforeSpawningAnything) {
   const auto configs = small_sweep();
-  exp::ShardRunOptions good;
+  exp::SupervisorOptions good;
   good.workers = 2;
   good.out = temp_path("setup.jsonl");
   good.exec_path = exp::self_exec_path("fallback");
 
   auto opt = good;
   opt.out.clear();
-  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  EXPECT_THROW(exp::run_supervisor(configs, opt), ConfigError);
   opt = good;
   opt.workers = 0;
-  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  EXPECT_THROW(exp::run_supervisor(configs, opt), ConfigError);
   opt = good;
   opt.exec_path.clear();
-  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  EXPECT_THROW(exp::run_supervisor(configs, opt), ConfigError);
   opt = good;
   opt.lease_server = "nohost";
-  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
+  EXPECT_THROW(exp::run_supervisor(configs, opt), ConfigError);
   // A remote lease service owns its expiry; a local one cannot be set.
   opt = good;
   opt.lease_server = "127.0.0.1:1";
-  opt.heartbeat_ms = 250;
-  EXPECT_THROW(exp::run_sharded_processes(configs, opt), ConfigError);
-  EXPECT_THROW(exp::run_sharded_processes({}, good), ConfigError);
+  opt.expiry_ms = 250;
+  EXPECT_THROW(exp::run_supervisor(configs, opt), ConfigError);
+  EXPECT_THROW(exp::run_supervisor({}, good), ConfigError);
   EXPECT_FALSE(util::file_exists(good.out));
 }
 
@@ -690,7 +689,7 @@ TEST(ShardWorkers, EmptyLeaseWorkerExitsCleanlyWithValidEmptyStore) {
   EXPECT_TRUE(service.finish().completed);
 
   // And the merger treats the empty store as a valid no-op input.
-  exp::ShardMerger merger;
+  exp::StoreMerger merger;
   merger.add_store(store);
   EXPECT_EQ(merger.merge_to(merged).records, 0u);
 

@@ -1,5 +1,5 @@
 // Deterministic fault-injection tests for the sweep supervisor
-// (exp::run_sharded_processes over its in-process lease service): worker
+// (exp::run_supervisor over its in-process lease service): worker
 // death by SIGKILL and _exit(1), stall detection via the lease service's
 // expiry, auto-restart, steals by idle workers, restart-budget
 // exhaustion, poison-job quarantine, and --resume convergence — all
@@ -9,7 +9,7 @@
 // The binary is its own worker: a custom main() dispatches to
 // worker_main() when argv[1] == "--shard-worker", so the supervisor under
 // test self-execs *this* test executable. Faults are injected through
-// exp::ShardTestHooks, parsed from the worker argv and targeted at one
+// exp::WorkerTestHooks, parsed from the worker argv and targeted at one
 // slot (`--fault-slot`), with a one-shot marker file so a respawned worker
 // runs clean and the run converges.
 
@@ -152,20 +152,20 @@ void remove_steal_files(const std::string& canonical, std::size_t slots) {
 /// Launch a supervised run over fault_sweep(), with optional fault flags
 /// replayed onto every worker's command line (the worker applies them
 /// only to --fault-slot's slot).
-exp::ShardRunReport run_steal(const std::string& canonical,
+exp::SupervisorReport run_steal(const std::string& canonical,
                               std::size_t workers,
                               const std::vector<std::string>& fault_flags = {},
-                              std::uint32_t heartbeat_ms = 0,
+                              std::uint32_t expiry_ms = 0,
                               std::size_t max_restarts = 2,
                               bool resume = false,
                               std::size_t min_steal_jobs = 1,
                               const std::string& status_path = {},
                               bool retry_quarantined = false,
                               const std::string& sweep = {}) {
-  exp::ShardRunOptions sopt;
+  exp::SupervisorOptions sopt;
   sopt.workers = workers;
   sopt.out = canonical;
-  sopt.heartbeat_ms = heartbeat_ms;
+  sopt.expiry_ms = expiry_ms;
   sopt.max_restarts = max_restarts;
   sopt.resume = resume;
   sopt.retry_quarantined = retry_quarantined;
@@ -180,7 +180,7 @@ exp::ShardRunReport run_steal(const std::string& canonical,
   }
   sopt.worker_args.insert(sopt.worker_args.end(), fault_flags.begin(),
                           fault_flags.end());
-  return exp::run_sharded_processes(named_sweep(sweep), sopt);
+  return exp::run_supervisor(named_sweep(sweep), sopt);
 }
 
 // ------------------------------------------------------------ fault tests --
@@ -210,7 +210,7 @@ TEST(StealSupervisor, SigkilledWorkerIsAutoRestartedAndConverges) {
   EXPECT_EQ(report.restarts, 1u);
   bool saw_sigkill = false;
   for (const auto& w : report.workers)
-    if (w.shard == 1 && w.term_signal == SIGKILL) saw_sigkill = true;
+    if (w.slot == 1 && w.term_signal == SIGKILL) saw_sigkill = true;
   EXPECT_TRUE(saw_sigkill);
   EXPECT_EQ(read_file(serial_store()), read_file(canonical));
   remove_steal_files(canonical, 3);
@@ -224,13 +224,13 @@ TEST(StealSupervisor, ExitFaultIsAutoRestartedAndConverges) {
       canonical, 3,
       {"--fault-slot", "0", "--die-after", "3", "--marker",
        canonical + ".marker"},
-      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*expiry_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1000);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.restarts, 1u);
   bool saw_exit1 = false;
   for (const auto& w : report.workers)
-    if (w.shard == 0 && w.term_signal == 0 && w.exit_code == 1)
+    if (w.slot == 0 && w.term_signal == 0 && w.exit_code == 1)
       saw_exit1 = true;
   EXPECT_TRUE(saw_exit1);
   EXPECT_EQ(read_file(serial_store()), read_file(canonical));
@@ -246,12 +246,12 @@ TEST(StealSupervisor, StalledWorkerIsReapedByHeartbeatAndConverges) {
       canonical, 3,
       {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
        "--marker", canonical + ".marker"},
-      /*heartbeat_ms=*/250);
+      /*expiry_ms=*/250);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GE(report.restarts, 1u);
   bool saw_reap = false;
   for (const auto& w : report.workers)
-    if (w.shard == 2 && w.term_signal == SIGKILL) saw_reap = true;
+    if (w.slot == 2 && w.term_signal == SIGKILL) saw_reap = true;
   EXPECT_TRUE(saw_reap);
   EXPECT_EQ(read_file(serial_store()), read_file(canonical));
   remove_steal_files(canonical, 3);
@@ -269,7 +269,7 @@ TEST(StealSupervisor, ServiceExpiresAStalledSlotBeforeItIsKilled) {
       canonical, 3,
       {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
        "--marker", canonical + ".marker"},
-      /*heartbeat_ms=*/250);
+      /*expiry_ms=*/250);
   obs::Tracer::disable();
   obs::Tracer::write_event_lines(trace, /*append=*/false);
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -322,7 +322,7 @@ TEST(StealSupervisor, ExhaustedRestartBudgetAbortsThenResumeConverges) {
   // store preserved.
   const auto failed = run_steal(canonical, 3,
                                 {"--fault-slot", "1", "--die-after", "2"},
-                                /*heartbeat_ms=*/0, /*max_restarts=*/1,
+                                /*expiry_ms=*/0, /*max_restarts=*/1,
                                 /*resume=*/false, /*min_steal_jobs=*/1000);
   EXPECT_FALSE(failed.ok());
   EXPECT_FALSE(failed.merged);
@@ -366,7 +366,7 @@ TEST(StealSupervisor, StatusFileIsAlwaysACompleteSnapshot) {
       canonical, 3,
       {"--fault-slot", "1", "--die-after", "2", "--kill", "--marker",
        canonical + ".marker"},
-      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*expiry_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, status);
   done.store(true, std::memory_order_relaxed);
   poller.join();
@@ -410,7 +410,7 @@ TEST(StealSupervisor, PoisonJobIsQuarantinedThenRetryQuarantinedConverges) {
   // --resume --retry-quarantined forgets the verdict; the fault-free
   // re-run executes the poison job and converges to the serial bytes.
   const auto resumed =
-      run_steal(canonical, 3, {}, /*heartbeat_ms=*/0, /*max_restarts=*/2,
+      run_steal(canonical, 3, {}, /*expiry_ms=*/0, /*max_restarts=*/2,
                 /*resume=*/true, /*min_steal_jobs=*/1, /*status_path=*/{},
                 /*retry_quarantined=*/true);
   EXPECT_TRUE(resumed.ok()) << resumed.summary();
@@ -432,14 +432,14 @@ TEST(StealSupervisor, AdaptiveHeartbeatReapsWedgedWorkerWithoutTuning) {
       canonical, 3,
       {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
        "--marker", canonical + ".marker"},
-      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*expiry_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"slow");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GE(report.restarts, 1u);
   bool saw_reap = false;
   for (const auto& w : report.workers)
-    if (w.shard == 2 && w.term_signal == SIGKILL) saw_reap = true;
+    if (w.slot == 2 && w.term_signal == SIGKILL) saw_reap = true;
   EXPECT_TRUE(saw_reap);
   EXPECT_EQ(read_file(slow_serial_store()), read_file(canonical));
   remove_steal_files(canonical, 3);
@@ -455,7 +455,7 @@ TEST(StealSupervisor, AdaptiveHeartbeatNeverReapsAHealthySlowWhale) {
       canonical, 3,
       {"--fault-slot", "1", "--stall-after", "1", "--stall-ms", "1200",
        "--marker", canonical + ".marker"},
-      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*expiry_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"slow");
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -476,7 +476,7 @@ TEST(StealSupervisor, AdaptiveHeartbeatSparesATailWhaleWhileTheOthersIdle) {
   const auto report = run_steal(
       canonical, 6,
       {"--fault-slot", "5", "--stall-after", "0", "--stall-ms", "3300"},
-      /*heartbeat_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
+      /*expiry_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"paced");
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -515,19 +515,19 @@ TEST(StealSupervisor, MultiThreadedWorkersMatchSerialAndLeaveNoLeaseFiles) {
 /// and run the leases the supervisor's lease service grants this slot.
 int worker_main(int argc, char** argv) {
   std::string out, marker, sweep_name, lease_server;
-  std::optional<exp::ShardSpec> slot;
+  std::optional<exp::WorkerSlot> slot;
   bool resume = false;
   std::size_t threads = 1;
-  std::size_t fault_slot = exp::ShardTestHooks::kOff;
-  std::size_t poison_index = exp::ShardTestHooks::kOff;
-  exp::ShardTestHooks hooks;
+  std::size_t fault_slot = exp::WorkerTestHooks::kOff;
+  std::size_t poison_index = exp::WorkerTestHooks::kOff;
+  exp::WorkerTestHooks hooks;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&] { return std::string(i + 1 < argc ? argv[++i] : "0"); };
     if (arg == "--out") {
       out = value();
     } else if (arg == "--worker-slot") {
-      slot = exp::ShardSpec::parse(value());
+      slot = exp::WorkerSlot::parse(value());
     } else if (arg == "--lease-server") {
       lease_server = value();
     } else if (arg == "--resume") {
@@ -565,7 +565,7 @@ int worker_main(int argc, char** argv) {
     wopt.hooks = hooks;
     wopt.hooks.once_marker = marker;
   }
-  if (poison_index != exp::ShardTestHooks::kOff) {
+  if (poison_index != exp::WorkerTestHooks::kOff) {
     // A poison job kills *whichever* worker picks it up, every time — the
     // quarantine scenario — so it is applied to every slot, unguarded.
     wopt.hooks.die_on_job_index = poison_index;
