@@ -11,8 +11,7 @@ namespace oracle::exp {
 
 BatchOutcome run_batch(const std::vector<core::ExperimentConfig>& configs,
                        const BatchOptions& options) {
-  JobQueue queue(configs);
-  if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
+  JobQueue queue(configs, options.master_seed);
   const std::size_t planned = queue.size();
 
   std::size_t skipped = 0;

@@ -7,12 +7,18 @@
 
 namespace oracle::exp {
 
-JobQueue::JobQueue(const std::vector<core::ExperimentConfig>& configs) {
-  jobs_.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
+JobQueue::JobQueue(const std::vector<core::ExperimentConfig>& configs,
+                   std::uint64_t master_seed, std::size_t begin,
+                   std::size_t end) {
+  end = std::min(end, configs.size());
+  begin = std::min(begin, end);
+  jobs_.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
     ExperimentJob job;
     job.index = i;
     job.config = configs[i];
+    if (master_seed != 0)
+      job.config.machine.seed = Rng::derive_seed(master_seed, i);
     job.content_hash = job_content_hash(job.config);
     jobs_.push_back(std::move(job));
   }
@@ -27,23 +33,6 @@ JobQueue& JobQueue::operator=(JobQueue&& other) noexcept {
   cursor_.store(other.cursor_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
   return *this;
-}
-
-void JobQueue::derive_seeds(std::uint64_t master) {
-  for (auto& job : jobs_) {
-    job.config.machine.seed = Rng::derive_seed(master, job.index);
-    job.content_hash = job_content_hash(job.config);
-  }
-}
-
-std::size_t JobQueue::skip_completed(
-    const std::unordered_set<std::uint64_t>& completed) {
-  const std::size_t before = jobs_.size();
-  std::erase_if(jobs_, [&](const ExperimentJob& job) {
-    return completed.contains(job.content_hash);
-  });
-  reset_cursor();
-  return before - jobs_.size();
 }
 
 JobQueue JobQueue::slice(std::size_t begin, std::size_t end) const {

@@ -1,9 +1,10 @@
 #pragma once
 // JobQueue: the unit of work the batch engine executes. Built from a list
-// of ExperimentConfigs (typically core::SweepBuilder::build()), it assigns
-// stable indices, computes content hashes, optionally derives independent
-// per-job seeds from one master seed, and hands jobs to executor workers
-// one at a time through a thread-safe claim cursor.
+// of ExperimentConfigs (typically core::SweepBuilder::build()), or a
+// window of it, it assigns stable sweep indices, optionally derives
+// independent per-job seeds from one master seed, computes content hashes,
+// and hands jobs to executor workers one at a time through a thread-safe
+// claim cursor.
 
 #include <atomic>
 #include <cstddef>
@@ -20,24 +21,35 @@ class JobQueue {
  public:
   JobQueue() = default;
 
-  /// Index, hash and enqueue every config in order.
-  explicit JobQueue(const std::vector<core::ExperimentConfig>& configs);
+  /// Index, seed, hash and enqueue configs[begin, end) in order (the
+  /// window is clamped to the list), numbered from `begin`: a window holds
+  /// exactly the jobs the whole sweep's queue holds at those indices. A
+  /// nonzero `master_seed` overwrites each job's seed with an independent
+  /// stream derived from the master and the job's sweep index
+  /// (Rng::derive_seed), so the same sweep and master give the same
+  /// per-job seeds whatever the window, job count or execution order.
+  explicit JobQueue(const std::vector<core::ExperimentConfig>& configs,
+                    std::uint64_t master_seed = 0, std::size_t begin = 0,
+                    std::size_t end = SIZE_MAX);
 
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
   JobQueue(JobQueue&& other) noexcept;
   JobQueue& operator=(JobQueue&& other) noexcept;
 
-  /// Overwrite every job's seed with an independent stream derived from
-  /// `master` and the job's sweep index (Rng::derive_seed). Same sweep +
-  /// same master ⇒ the same per-job seeds, regardless of job count or
-  /// execution order. Content hashes are recomputed.
-  void derive_seeds(std::uint64_t master);
-
-  /// Drop jobs whose content hash is in `completed` (store resume).
-  /// Surviving jobs keep their original sweep indices. Returns the number
-  /// of jobs removed. Resets the claim cursor.
-  std::size_t skip_completed(const std::unordered_set<std::uint64_t>& completed);
+  /// Drop jobs whose content hash `completed` contains (a hash set, or an
+  /// exp::StoreIndex over the stores). Surviving jobs keep their original
+  /// sweep indices. Returns the number of jobs removed. Resets the claim
+  /// cursor.
+  template <class HashSet = std::unordered_set<std::uint64_t>>
+  std::size_t skip_completed(const HashSet& completed) {
+    const std::size_t before = jobs_.size();
+    std::erase_if(jobs_, [&](const ExperimentJob& job) {
+      return completed.contains(job.content_hash);
+    });
+    reset_cursor();
+    return before - jobs_.size();
+  }
 
   /// A new queue holding copies of the jobs whose *sweep index* lies in
   /// [begin, end), with the seeds and content hashes this queue already

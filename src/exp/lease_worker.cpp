@@ -6,10 +6,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <thread>
+#include <unordered_set>
 
 #include "exp/job_queue.hpp"
 #include "exp/lease_client.hpp"
 #include "exp/result_sink.hpp"
+#include "exp/store_index.hpp"
 #include "obs/trace.hpp"
 #include "topo/factory.hpp"
 #include "util/error.hpp"
@@ -232,22 +234,18 @@ LeaseWorkerReport run_lease_client_worker(
   copt.backoff_cap_ms = options.backoff_cap_ms;
   LeaseClient client(copt);
 
-  // Jobs another record already covers: sibling slots may have run part
-  // of a stolen lease, the canonical store holds merged jobs on resume,
-  // and quarantined poison jobs must never run again. Re-read per lease.
-  auto completed_elsewhere = [&] {
-    auto done = load_completed_hashes(store);
-    for (std::size_t j = 0; j < options.slot_count; ++j)
-      if (j != options.slot)
-        done.merge(load_completed_hashes(
-            worker_store_path(options.canonical_out, j, options.slot_count)));
-    if (options.merge_resume)
-      done.merge(load_completed_hashes(options.canonical_out));
-    for (const auto& q :
-         read_quarantine_file(quarantine_path(options.canonical_out)))
-      done.insert(q.content_hash);
-    return done;
-  };
+  // Jobs a store already covers: this slot's durable prefix, sibling
+  // slots that ran part of a stolen or expired lease, and on resume the
+  // canonical store. Each lease refreshes the index, which reads only what
+  // was appended since the last one: siblings keep writing after this
+  // worker starts.
+  StoreIndex covered;
+  covered.add_store(store);
+  for (std::size_t j = 0; j < options.slot_count; ++j)
+    if (j != options.slot)
+      covered.add_store(
+          worker_store_path(options.canonical_out, j, options.slot_count));
+  if (options.merge_resume) covered.add_store(options.canonical_out);
 
   const WorkerTestHooks& hooks = options.hooks;
   auto fault_armed = [&hooks]() {
@@ -271,16 +269,19 @@ LeaseWorkerReport run_lease_client_worker(
           static_cast<unsigned long long>(grant->epoch),
           options.lease_server.c_str()));
 
-      // Numbered and seeded over the whole sweep, then cut to the lease;
-      // the full queue lives only this long, so a worker's footprint is
-      // its lease.
-      JobQueue queue = [&] {
-        JobQueue sweep(configs);
-        if (options.master_seed != 0) sweep.derive_seeds(options.master_seed);
-        return sweep.slice(grant->begin, grant->end);
-      }();
+      // Only the lease's window is planned: numbered and seeded by sweep
+      // index, so its jobs match the whole sweep's.
+      JobQueue queue(configs, options.master_seed, grant->begin, grant->end);
       const std::size_t planned = queue.size();
-      const std::size_t skipped = queue.skip_completed(completed_elsewhere());
+      covered.refresh();
+      // Quarantined poison jobs never run again; the supervisor appends
+      // its verdicts mid-run, so the file is re-read per lease.
+      std::unordered_set<std::uint64_t> quarantined;
+      for (const auto& q :
+           read_quarantine_file(quarantine_path(options.canonical_out)))
+        quarantined.insert(q.content_hash);
+      const std::size_t skipped =
+          queue.skip_completed(covered) + queue.skip_completed(quarantined);
       {
         // As run_batch: each distinct topology builds once, not once per
         // racing executor thread.

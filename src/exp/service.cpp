@@ -12,7 +12,6 @@
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exp/aggregate.hpp"
@@ -123,8 +122,7 @@ void QueryRun::validate() const {
 void QueryRun::plan(ServiceSink& sink) {
   // The jobs (and hashes) exactly as the batch engine would number and
   // derive them — JobQueue is the single source of job identity.
-  queue_.emplace(spec_.build());
-  if (spec_.master_seed != 0) queue_->derive_seeds(spec_.master_seed);
+  queue_.emplace(spec_.build(), spec_.master_seed);
   ORACLE_REQUIRE(!queue_->jobs().empty(), "query names an empty sweep");
 
   std::size_t cached = 0;
@@ -189,11 +187,8 @@ bool QueryRun::run_chunk(ServiceSink& sink, std::size_t budget) {
   {
     std::lock_guard<std::mutex> lk(store_mu_);
     {
-      std::unordered_set<std::uint64_t> held;
       std::shared_lock<std::shared_mutex> ilk(index_mu_);
-      for (const auto& job : slice.jobs())
-        if (index_.contains(job.content_hash)) held.insert(job.content_hash);
-      slice.skip_completed(held);
+      slice.skip_completed(index_);
     }
     const auto refresh = [&] {
       std::unique_lock<std::shared_mutex> ilk(index_mu_);

@@ -45,6 +45,7 @@ void StoreMerger::add_store(const std::string& path) {
       continue;
     }
     records_.push_back({rec->job_index, rec->content_hash, line});
+    hashes_.insert(rec->content_hash);
   }
 }
 
@@ -52,7 +53,8 @@ MergeReport StoreMerger::merge_to(const std::string& canonical_path) {
   // Job order is the serial engine's commit order, so sorting by job index
   // reproduces a serial run byte-for-byte (records themselves are written
   // deterministically by the sinks). stable_sort keeps first-seen order
-  // for duplicate hashes, which the dedup below then collapses.
+  // for duplicate hashes, which the dedup below then collapses: the first
+  // record of a hash takes it out of hashes_, later ones find it gone.
   std::stable_sort(records_.begin(), records_.end(),
                    [](const Record& a, const Record& b) {
                      return a.job_index < b.job_index;
@@ -63,10 +65,8 @@ MergeReport StoreMerger::merge_to(const std::string& canonical_path) {
     std::ofstream store(tmp, std::ios::out | std::ios::trunc);
     if (!store)
       throw SimulationError("cannot open '" + tmp + "' for writing");
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(records_.size());
     for (const auto& rec : records_) {
-      if (!seen.insert(rec.content_hash).second) {
+      if (hashes_.erase(rec.content_hash) == 0) {
         ++report_.duplicates_dropped;
         continue;
       }
@@ -193,8 +193,7 @@ SupervisorReport run_supervisor(
                  "--heartbeat-ms sets the in-process lease service's expiry; "
                  "a remote --lease-server owns its own");
 
-  JobQueue queue(configs);
-  if (options.master_seed != 0) queue.derive_seeds(options.master_seed);
+  JobQueue queue(configs, options.master_seed);
   const std::size_t n = queue.size();
 
   SupervisorReport report;
@@ -518,18 +517,22 @@ SupervisorReport run_supervisor(
   }
   if (const auto st = server_status()) report.steals = st->steals;
 
-  // Completeness gate: the server's `done` plus orphan exits are not proof
-  // that every record landed on *this* host's disks. Merge only when the
-  // canonical + slot stores (and the quarantine) cover the whole sweep;
-  // anything short of that keeps the state for --resume.
   {
-    std::unordered_set<std::uint64_t> have = quarantined;
-    if (options.resume) have.merge(load_completed_hashes(options.out));
+    obs::Span merge_span("shard", "merge");
+    StoreMerger merger;
+    if (options.resume) merger.add_store(options.out);
     for (std::size_t k = 0; k < slots; ++k)
-      have.merge(load_completed_hashes(worker_store_path(options.out, k, slots)));
+      merger.add_store(worker_store_path(options.out, k, slots));
+
+    // Completeness gate: the server's `done` plus orphan exits are not
+    // proof that every record landed on *this* host's disks. Merge only
+    // when the records just read (and the quarantine) cover the whole
+    // sweep; anything short of that keeps the state for --resume.
     std::size_t missing = 0;
     for (const auto& job : queue.jobs())
-      if (!have.contains(job.content_hash)) ++missing;
+      if (!merger.holds(job.content_hash) &&
+          !quarantined.contains(job.content_hash))
+        ++missing;
     if (missing > 0) {
       ORACLE_LOG_ERROR(strfmt(
           "run incomplete: %zu job(s) missing from local stores (orphaned "
@@ -538,15 +541,8 @@ SupervisorReport run_supervisor(
       write_status("failed");
       return report;
     }
-  }
 
-  write_status("merging");
-  {
-    obs::Span merge_span("shard", "merge");
-    StoreMerger merger;
-    if (options.resume) merger.add_store(options.out);
-    for (std::size_t k = 0; k < slots; ++k)
-      merger.add_store(worker_store_path(options.out, k, slots));
+    write_status("merging");
     report.merge = merger.merge_to(options.out);
     report.merged = true;
   }

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
@@ -57,7 +58,10 @@ class StoreMerger {
   /// slot that never ran a job never creates its store).
   void add_store(const std::string& path);
 
-  /// Merge everything into `canonical_path`; a later single-process
+  /// True when a queued record carries `hash` (before merge_to).
+  bool holds(std::uint64_t hash) const { return hashes_.contains(hash); }
+
+  /// Merge everything into `canonical_path`, once; a later single-process
   /// --resume over the canonical store works unchanged. Throws
   /// SimulationError on I/O failure.
   MergeReport merge_to(const std::string& canonical_path);
@@ -69,6 +73,7 @@ class StoreMerger {
     std::string line;
   };
   std::vector<Record> records_;
+  std::unordered_set<std::uint64_t> hashes_;  ///< of records_
   MergeReport report_;
 };
 

@@ -135,9 +135,7 @@ TEST(JobQueue, AssignsStableIndicesAndHashes) {
 }
 
 TEST(JobQueue, DeriveSeedsIsReproduciblePerIndex) {
-  exp::JobQueue a(small_sweep()), b(small_sweep());
-  a.derive_seeds(99);
-  b.derive_seeds(99);
+  const exp::JobQueue a(small_sweep(), 99), b(small_sweep(), 99);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.job(i).config.machine.seed, Rng::derive_seed(99, i));
     EXPECT_EQ(a.job(i).content_hash, b.job(i).content_hash);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -324,26 +326,33 @@ TEST(LeaseTable, RandomStealSequencesPreserveThePartitionInvariant) {
 
 TEST(JobQueue, SliceMatchesReferenceModelAndTilesTheQueue) {
   const auto configs = small_sweep();
-  exp::JobQueue sweep(configs);
-  sweep.derive_seeds(77);
+  const exp::JobQueue sweep(configs, 77);
   std::mt19937 rng(987);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t begin = rng() % (configs.size() + 2);
-    const std::size_t end = rng() % (configs.size() + 2);
-    const exp::JobQueue q = sweep.slice(begin, end);
-    // Reference model: filter the enumerated sweep by index directly.
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < configs.size(); ++i)
-      if (i >= begin && i < end) expected.push_back(i);
-    ASSERT_EQ(q.size(), expected.size()) << begin << ".." << end;
-    for (std::size_t pos = 0; pos < q.size(); ++pos) {
-      const exp::ExperimentJob& job = q.job(pos);
-      EXPECT_EQ(job.index, expected[pos]);
-      // The slice carries the derived seed and hash, not a rebuilt job.
-      EXPECT_EQ(job.config.machine.seed,
-                sweep.job(job.index).config.machine.seed);
-      EXPECT_EQ(job.content_hash, exp::job_content_hash(job.config));
-      EXPECT_EQ(job.content_hash, sweep.job(job.index).content_hash);
+  for (const std::uint64_t master : {std::uint64_t{0}, std::uint64_t{77}}) {
+    const exp::JobQueue full(configs, master);
+    for (int trial = 0; trial < 50; ++trial) {
+      const std::size_t begin = rng() % (configs.size() + 2);
+      const std::size_t end = rng() % (configs.size() + 2);
+      // Reference model: filter the enumerated sweep by index directly.
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < configs.size(); ++i)
+        if (i >= begin && i < end) expected.push_back(i);
+      // Two ways to the window: cut from the whole queue, or build only
+      // configs[begin, end) (what a lease worker plans).
+      const exp::JobQueue cut = full.slice(begin, end);
+      const exp::JobQueue window(configs, master, begin, end);
+      for (const exp::JobQueue* q : {&cut, &window}) {
+        ASSERT_EQ(q->size(), expected.size()) << begin << ".." << end;
+        for (std::size_t pos = 0; pos < q->size(); ++pos) {
+          const exp::ExperimentJob& job = q->job(pos);
+          EXPECT_EQ(job.index, expected[pos]);
+          // The same derived seed and hash as the whole queue's job.
+          EXPECT_EQ(job.config.machine.seed,
+                    full.job(job.index).config.machine.seed);
+          EXPECT_EQ(job.content_hash, exp::job_content_hash(job.config));
+          EXPECT_EQ(job.content_hash, full.job(job.index).content_hash);
+        }
+      }
     }
   }
 
@@ -600,16 +609,19 @@ TEST(ShardProcesses, SupervisorRejectsBadSetupBeforeSpawningAnything) {
 /// N` starts), served on its own thread until finish() or destruction.
 struct LocalLeaseService {
   static exp::LeaseServiceOptions options(std::size_t jobs,
-                                          std::size_t slots) {
+                                          std::size_t slots,
+                                          std::uint32_t expiry_ms = 0) {
     exp::LeaseServiceOptions opt;
     opt.jobs = jobs;
     opt.slots = slots;
+    opt.expiry_ms = expiry_ms;
     opt.linger_ms = 60'000;  // answer `done` until finish()
     return opt;
   }
 
-  LocalLeaseService(std::size_t jobs, std::size_t slots)
-      : svc(options(jobs, slots)) {
+  LocalLeaseService(std::size_t jobs, std::size_t slots,
+                    std::uint32_t expiry_ms = 0)
+      : svc(options(jobs, slots, expiry_ms)) {
     svc.start();
     th = std::thread([this] { svc.run(); });
   }
@@ -722,6 +734,90 @@ TEST(ShardWorkers, LeaseWorkerWithSeveralThreadsMatchesSerialBytes) {
   EXPECT_EQ(stats.fenced, 0u);
 
   remove_lease_run_files(canonical);
+  std::remove(serial.c_str());
+}
+
+TEST(LeaseWorker, TakeoverSkipsSiblingRecordsWrittenAfterItStarted) {
+  // Slot 0 drains its own lease while slot 1 never checks in. Only then do
+  // records for part of slot 1's range land in slot 1's store (its worker
+  // wrote them and died before its first request). Once slot 1 expires,
+  // slot 0 takes its lease over and must skip exactly those jobs: the skip
+  // set is refreshed per lease, not loaded once when the worker starts.
+  const auto configs = small_sweep();  // slot 0: [0, 9), slot 1: [9, 18)
+  const auto canonical = temp_path("late_sibling.jsonl");
+  const auto serial = temp_path("late_sibling_serial.jsonl");
+  const auto own = exp::worker_store_path(canonical, 0, 2);
+  const auto sibling = exp::worker_store_path(canonical, 1, 2);
+  remove_run_files(canonical, 2);
+  write_serial_store(configs, serial);
+
+  // Slot 1's silence counts from the service's start: it cannot expire
+  // before `started` + 2 s.
+  const auto started = std::chrono::steady_clock::now();
+  LocalLeaseService service(configs.size(), 2, /*expiry_ms=*/2'000);
+  auto wopt = lease_worker_options(canonical, service.address());
+  wopt.slot_count = 2;
+  exp::LeaseWorkerReport report;
+  std::thread worker(
+      [&] { report = exp::run_lease_client_worker(configs, wopt); });
+  struct Joiner {  // a failed ASSERT below must not leave it joinable
+    std::thread& t;
+    ~Joiner() {
+      if (t.joinable()) t.join();
+    }
+  } joiner{worker};
+
+  auto lines = [](const std::string& path) {
+    const std::string text = read_file(path);
+    return static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+  };
+  const auto deadline = started + std::chrono::seconds(10);
+  while (lines(own) < 9 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(lines(own), 9u) << "slot 0 never drained its own lease";
+
+  // Jobs 10, 11 and 13 of slot 1's range, as its worker wrote them.
+  exp::JobQueue late(configs, 0, 10, 14);
+  late.skip_completed({late.job(2).content_hash});
+  std::vector<std::size_t> late_jobs;
+  for (const auto& job : late.jobs()) late_jobs.push_back(job.index);
+  ASSERT_EQ(late_jobs, (std::vector<std::size_t>{10, 11, 13}));
+  exp::BatchOptions opt;
+  opt.jsonl_path = sibling;
+  opt.collect = false;
+  ASSERT_TRUE(exp::run_batch(late, opt).report.ok());
+  ASSERT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(2))
+      << "slot 1 may have expired before its records were written";
+
+  worker.join();
+  EXPECT_FALSE(report.orphaned);
+  EXPECT_TRUE(report.batch.ok());
+  EXPECT_EQ(report.leases_run, 2u) << "its own lease, then slot 1's";
+  EXPECT_EQ(report.batch.skipped, late_jobs.size());
+  EXPECT_EQ(report.batch.executed, configs.size() - late_jobs.size());
+  std::ifstream in(own);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto rec = exp::parse_jsonl_record(line);
+    ASSERT_TRUE(rec.has_value()) << line;
+    EXPECT_EQ(std::count(late_jobs.begin(), late_jobs.end(), rec->job_index),
+              0)
+        << "job " << rec->job_index << " ran twice";
+  }
+  const auto& stats = service.finish();
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.reassigns, 1u);
+
+  // Together the two slot stores are the serial run.
+  exp::StoreMerger merger;
+  merger.add_store(own);
+  merger.add_store(sibling);
+  EXPECT_EQ(merger.merge_to(canonical).duplicates_dropped, 0u);
+  EXPECT_EQ(read_file(canonical), read_file(serial));
+
+  remove_run_files(canonical, 2);
   std::remove(serial.c_str());
 }
 
