@@ -7,10 +7,8 @@
 #include <limits>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "exp/lease_protocol.hpp"
 #include "exp/result_sink.hpp"
@@ -263,9 +261,7 @@ struct LeaseService::Impl {
   bool completed = false;
 
   ~Impl() {
-#if !defined(_WIN32)
     if (journal_fd >= 0) ::close(journal_fd);
-#endif
   }
 };
 
@@ -280,16 +276,6 @@ void LeaseService::stop() {
   stop_.store(true, std::memory_order_relaxed);
   impl_->server.wake();
 }
-
-#if defined(_WIN32)
-
-void LeaseService::start() {
-  throw SimulationError("the lease service requires a POSIX host");
-}
-
-LeaseServiceStats LeaseService::run() { return stats_; }
-
-#else
 
 namespace {
 
@@ -769,7 +755,5 @@ LeaseServiceStats LeaseService::run() {
   write_status();
   return stats_;
 }
-
-#endif
 
 }  // namespace oracle::exp

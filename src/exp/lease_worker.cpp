@@ -21,11 +21,9 @@
 #include "util/posix_io.hpp"
 #include "util/string_util.hpp"
 
-#if !defined(_WIN32)
 #include <csignal>
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace oracle::exp {
 
@@ -77,10 +75,6 @@ std::vector<QuarantineEntry> read_quarantine_file(const std::string& path) {
 
 void append_quarantine_entry(const std::string& path,
                              const QuarantineEntry& entry) {
-#if defined(_WIN32)
-  std::ofstream out(path, std::ios::app);
-  out << hash_hex(entry.content_hash) << ' ' << entry.job_index << '\n';
-#else
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0)
     throw SimulationError("cannot open quarantine file '" + path + "'");
@@ -91,7 +85,6 @@ void append_quarantine_entry(const std::string& path,
   ::close(fd);
   if (!ok)
     throw SimulationError("quarantine append to '" + path + "' failed");
-#endif
 }
 
 // ------------------------------------------------ run_lease_client_worker --
@@ -99,16 +92,11 @@ void append_quarantine_entry(const std::string& path,
 namespace {
 
 [[noreturn]] void fire_death_fault(bool with_sigkill) {
-#if defined(_WIN32)
-  (void)with_sigkill;
-  std::_Exit(1);
-#else
   if (with_sigkill) {
     ::raise(SIGKILL);
     // raise() cannot return for SIGKILL, but keep the compiler satisfied.
   }
   ::_exit(1);
-#endif
 }
 
 void accumulate_batch(BatchReport* into, const BatchReport& one) {

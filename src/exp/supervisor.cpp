@@ -22,11 +22,9 @@
 #include "util/net.hpp"
 #include "util/string_util.hpp"
 
-#if !defined(_WIN32)
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace oracle::exp {
 
@@ -109,17 +107,6 @@ std::string SupervisorReport::summary() const {
     s += "; merge skipped (re-run with --resume to finish)";
   return s;
 }
-
-#if defined(_WIN32)
-
-std::string self_exec_path(const std::string& argv0) { return argv0; }
-
-SupervisorReport run_supervisor(
-    const std::vector<core::ExperimentConfig>&, const SupervisorOptions&) {
-  throw SimulationError("multi-process runs require a POSIX host");
-}
-
-#else
 
 std::string self_exec_path(const std::string& argv0) {
   char buf[4096];
@@ -558,7 +545,5 @@ SupervisorReport run_supervisor(
   }
   return report;
 }
-
-#endif
 
 }  // namespace oracle::exp

@@ -15,9 +15,7 @@
 #include "util/file_util.hpp"
 #include "util/string_util.hpp"
 
-#if !defined(_WIN32)
 #include <dirent.h>
-#endif
 
 namespace oracle::obs {
 
@@ -309,7 +307,6 @@ std::vector<std::string> discover_trace_files(const std::string& trace_base) {
   std::vector<std::string> out;
   if (util::file_exists(parent_trace_path(trace_base)))
     out.push_back(parent_trace_path(trace_base));
-#if !defined(_WIN32)
   const auto slash = trace_base.find_last_of('/');
   const std::string dir =
       slash == std::string::npos ? "." : trace_base.substr(0, slash);
@@ -346,7 +343,6 @@ std::vector<std::string> discover_trace_files(const std::string& trace_base) {
   }
   std::sort(slots.begin(), slots.end());
   for (auto& [slot, path] : slots) out.push_back(std::move(path));
-#endif
   return out;
 }
 

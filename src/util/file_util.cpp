@@ -7,43 +7,11 @@
 #include "util/error.hpp"
 #include "util/posix_io.hpp"
 
-#if defined(_WIN32)
-#include <io.h>
-#else
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace oracle::util {
-
-#if defined(_WIN32)
-
-bool fsync_path(const std::string&) noexcept {
-  errno = EINVAL;  // no fsync here: report it like an unsyncable target
-  return false;
-}
-bool fsync_parent_dir(const std::string&) noexcept { return false; }
-
-bool file_exists(const std::string& path) noexcept {
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fclose(f);
-    return true;
-  }
-  return false;
-}
-
-bool touch_file(const std::string& path) noexcept {
-  // No utime on the portable fallback: an append-mode open+close creates
-  // the file when missing and must never truncate existing content.
-  if (std::FILE* f = std::fopen(path.c_str(), "ab")) {
-    std::fclose(f);
-    return true;
-  }
-  return false;
-}
-
-#else
 
 bool fsync_path(const std::string& path) noexcept {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
@@ -80,8 +48,6 @@ bool touch_file(const std::string& path) noexcept {
   ::close(fd);
   return ok;
 }
-
-#endif
 
 void atomic_replace(const std::string& tmp, const std::string& target) {
   fsync_path(tmp);

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
@@ -13,7 +12,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -126,28 +124,6 @@ void FrameServer::reap(std::vector<Event>& events) {
     return c.dead;
   });
 }
-
-#if defined(_WIN32)
-
-void Socket::close() { fd_ = -1; }
-Socket listen_tcp(const HostPort&, int) { return Socket(); }
-std::uint16_t local_port(int) { return 0; }
-Socket connect_tcp(const HostPort&, NetDeadline) { return Socket(); }
-Socket accept_tcp(int) { return Socket(); }
-bool send_frame(int, const std::string&, NetDeadline, std::size_t) {
-  return false;
-}
-std::optional<std::string> recv_frame(int, NetDeadline, std::size_t) {
-  return std::nullopt;
-}
-WakePipe::WakePipe() = default;
-WakePipe::~WakePipe() = default;
-void WakePipe::notify() {}
-void WakePipe::drain() {}
-std::vector<FrameServer::Event> FrameServer::poll(NetDeadline) { return {}; }
-bool FrameServer::send(std::uint64_t, const std::string&) { return false; }
-
-#else
 
 void Socket::close() {
   if (fd_ >= 0) {
@@ -494,7 +470,5 @@ std::optional<std::string> recv_frame(int fd, NetDeadline deadline,
     return std::nullopt;
   return payload;
 }
-
-#endif
 
 }  // namespace oracle::util

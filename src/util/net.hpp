@@ -116,8 +116,8 @@ class FrameSplitter {
 
 /// Self-pipe that wakes a poll loop from another thread: poll the read
 /// end for POLLIN, notify() from anywhere (async-signal-safe, coalescing,
-/// never blocks), drain() before re-polling. POSIX only; invalid (fds
-/// < 0) on Windows or pipe() failure.
+/// never blocks), drain() before re-polling. Invalid (fds < 0) when
+/// pipe() fails.
 class WakePipe {
  public:
   WakePipe();

@@ -2,25 +2,12 @@
 
 #include <cerrno>
 
-#if !defined(_WIN32)
 #include <poll.h>
 #include <unistd.h>
-#endif
 
 #include <chrono>
 
 namespace oracle::util {
-
-#if defined(_WIN32)
-
-std::ptrdiff_t read_full(int, void*, std::size_t) noexcept { return -1; }
-std::ptrdiff_t pread_full(int, void*, std::size_t, std::uint64_t) noexcept {
-  return -1;
-}
-bool write_full(int, const void*, std::size_t) noexcept { return false; }
-bool fsync_retry(int) noexcept { return false; }
-
-#else
 
 std::ptrdiff_t read_full(int fd, void* buf, std::size_t n) noexcept {
   auto* p = static_cast<char*>(buf);
@@ -92,7 +79,5 @@ int poll_retry(struct pollfd* fds, std::size_t nfds, int timeout_ms) noexcept {
     if (r >= 0 || errno != EINTR) return r;
   }
 }
-
-#endif
 
 }  // namespace oracle::util

@@ -1,17 +1,13 @@
 #pragma once
 // EINTR-safe POSIX I/O wrappers. Every blocking syscall in the durability
 // and network paths goes through these, so signal delivery (SIGCHLD from
-// the shard supervisor, profiler timers, ...) can never surface as a
-// short write, a lost fsync, or a spuriously failed poll. On non-POSIX
-// hosts the functions degrade to stubs that report failure, mirroring
-// file_util's best-effort contract.
+// the sweep supervisor, profiler timers, ...) can never surface as a
+// short write, a lost fsync, or a spuriously failed poll.
 
 #include <cstddef>
 #include <cstdint>
 
-#if !defined(_WIN32)
 struct pollfd;
-#endif
 
 namespace oracle::util {
 
@@ -35,11 +31,9 @@ bool write_full(int fd, const void* buf, std::size_t n) noexcept;
 /// util::fsync_path).
 bool fsync_retry(int fd) noexcept;
 
-#if !defined(_WIN32)
 /// poll(2) that re-arms the *remaining* timeout after EINTR, so a signal
 /// storm cannot stretch a deadline indefinitely. timeout_ms < 0 blocks
 /// forever. Returns poll's result (>0 ready, 0 timeout, -1 real error).
 int poll_retry(struct pollfd* fds, std::size_t nfds, int timeout_ms) noexcept;
-#endif
 
 }  // namespace oracle::util

@@ -37,8 +37,6 @@
 #include "util/net.hpp"
 #include "util/posix_io.hpp"
 
-#if !defined(_WIN32)
-
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -1485,12 +1483,3 @@ int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
-
-#else  // _WIN32: the lease service is POSIX-only; keep the binary valid.
-
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
-
-#endif

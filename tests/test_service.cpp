@@ -33,8 +33,6 @@
 #include "util/error.hpp"
 #include "util/net.hpp"
 
-#if !defined(_WIN32)
-
 namespace oracle {
 namespace {
 
@@ -1146,5 +1144,3 @@ TEST(ServiceDaemon, StopMidQueryEndsTheStreamCleanly) {
 
 }  // namespace
 }  // namespace oracle
-
-#endif  // !_WIN32

@@ -567,8 +567,6 @@ TEST(ShardWorkers, EmptyRangeSliceLeavesAValidEmptyStore) {
 
 // ---------------------------------------------------------- process layer --
 
-#if !defined(_WIN32)
-
 TEST(ShardProcesses, SelfExecPathResolvesToARealFile) {
   const auto path = exp::self_exec_path("fallback");
   std::ifstream probe(path, std::ios::binary);
@@ -844,8 +842,6 @@ TEST(ShardWorkers, LeaseWorkerIsOrphanedWhenNoServerAnswers) {
 
   remove_lease_run_files(canonical);
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace oracle

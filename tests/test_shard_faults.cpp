@@ -35,8 +35,6 @@
 #include "util/error.hpp"
 #include "util/file_util.hpp"
 
-#if !defined(_WIN32)
-
 #include <unistd.h>
 
 namespace oracle {
@@ -587,12 +585,3 @@ int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
-
-#else  // _WIN32: the supervisor is POSIX-only; keep the test binary valid.
-
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
-
-#endif

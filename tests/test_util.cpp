@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#if !defined(_WIN32)
 #include <poll.h>
-#endif
 
 #include <atomic>
 #include <stdexcept>
@@ -299,7 +297,6 @@ TEST(FrameBytes, RefusesPayloadsOverTheCap) {
   EXPECT_EQ(wire.substr(4), "abc");
 }
 
-#if !defined(_WIN32)
 TEST(WakePipe, NotifyIsVisibleToPollAndDrainClears) {
   util::WakePipe wake;
   ASSERT_TRUE(wake.valid());
@@ -314,7 +311,6 @@ TEST(WakePipe, NotifyIsVisibleToPollAndDrainClears) {
   p.revents = 0;
   EXPECT_EQ(util::poll_retry(&p, 1, 0), 0);  // drained: quiet again
 }
-#endif
 
 }  // namespace
 }  // namespace oracle
