@@ -52,7 +52,10 @@ void print_usage() {
       "                    [--lease-retries N]  (supervised worker processes;\n"
       "                    a worker silent past the lease service's expiry,\n"
       "                    adaptive or --heartbeat-ms, is killed and\n"
-      "                    respawned; --steal is accepted and ignored)\n"
+      "                    respawned; --keep-shards keeps the per-slot\n"
+      "                    stores; every run steals, and --steal stays\n"
+      "                    accepted and ignored because CI and the\n"
+      "                    benchmark pass it)\n"
       "       oracle_batch serve-leases ... --workers W --journal PATH\n"
       "                    [--listen H:P] [--status-file PATH] [--linger-ms N]\n"
       "                                                  (cross-host lease server)\n"
@@ -350,7 +353,8 @@ int sweep_cli(int argc, char** argv, bool run_mode, const std::string& self) {
     } else if (arg == "--workers" && run_mode) {
       cmd.workers = static_cast<std::size_t>(int_flag(value(), arg, 1));
     } else if (arg == "--steal" && run_mode) {
-      // Accepted and ignored: every supervised run steals.
+      // Accepted and ignored: every supervised run steals, and the CI
+      // smoke steps and perfbench's sweep_steal workload still pass it.
     } else if (arg == "--heartbeat-ms" && run_mode) {
       // 0 keeps the lease service's adaptive expiry.
       cmd.expiry_ms = static_cast<std::uint32_t>(int_flag(value(), arg, 0));
