@@ -1,7 +1,9 @@
 // bench_service_concurrency — warm-query throughput of the resident
 // oracle daemon: 8 concurrent clients hammering the same pre-warmed
 // store, served by a 1-worker pool (the serial baseline — queries queue
-// behind each other) vs an auto-sized pool (concurrent slices). A warm
+// behind each other) vs an auto-sized pool (concurrent slices). Each
+// phase keeps querying until it has run for kMinPhase, so one
+// descheduled stretch on a shared host cannot decide the ratio. A warm
 // query is pure serving-path work — index lookups, aggregation, table
 // rendering, framing — so the ratio isolates what PR 10's concurrency
 // actually buys on the serving path.
@@ -32,7 +34,10 @@ namespace {
 using namespace oracle;
 
 constexpr std::size_t kClients = 8;
+/// Every client sends at least this many queries per phase, and keeps
+/// sending until the phase has run for kMinPhase.
 constexpr std::size_t kQueriesPerClient = 24;
+constexpr auto kMinPhase = std::chrono::seconds(2);
 
 /// 38 topologies x 4 seeds = 152 records: a big enough table that one
 /// warm query does real aggregation work.
@@ -99,6 +104,7 @@ std::string wire_query(int fd, const core::SweepSpec& spec,
 }
 
 struct PhaseResult {
+  std::size_t queries = 0;
   double qps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -138,10 +144,12 @@ PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
         client_ok[c] = 0;
         return;
       }
-      for (std::size_t q = 0; q < kQueriesPerClient; ++q) {
+      for (std::uint64_t seq = 1;
+           seq <= kQueriesPerClient ||
+           std::chrono::steady_clock::now() - t0 < kMinPhase;
+           ++seq) {
         const auto sent = std::chrono::steady_clock::now();
-        const auto table =
-            wire_query(sock.fd(), spec, c * kQueriesPerClient + q + 1);
+        const auto table = wire_query(sock.fd(), spec, seq);
         latency_ms[c].push_back(std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - sent)
                                     .count());
@@ -164,11 +172,10 @@ PhaseResult run_phase(const std::string& store, const core::SweepSpec& spec,
     if (!ok) out.tables_identical = false;
   std::vector<double> all;
   for (const auto& v : latency_ms) all.insert(all.end(), v.begin(), v.end());
+  out.queries = all.size();
   out.p50_ms = percentile(all, 50);
   out.p99_ms = percentile(all, 99);
-  out.qps = secs > 0
-                ? static_cast<double>(kClients * kQueriesPerClient) / secs
-                : 0.0;
+  out.qps = secs > 0 ? static_cast<double>(out.queries) / secs : 0.0;
   return out;
 }
 
@@ -195,11 +202,13 @@ int main() {
       serial.qps > 0 ? concurrent.qps / serial.qps : 0.0;
   std::printf(
       "{\"bench\":\"service_concurrency\",\"cpus\":%u,\"clients\":%zu,"
-      "\"queries_per_client\":%zu,\"serial_qps\":%.1f,"
+      "\"min_phase_s\":%lld,\"serial_queries\":%zu,"
+      "\"concurrent_queries\":%zu,\"serial_qps\":%.1f,"
       "\"concurrent_qps\":%.1f,\"speedup\":%.3f,\"serial_p50_ms\":%.3f,"
       "\"serial_p99_ms\":%.3f,\"concurrent_p50_ms\":%.3f,"
       "\"concurrent_p99_ms\":%.3f,\"tables_identical\":%s}\n",
-      cpus, kClients, kQueriesPerClient, serial.qps, concurrent.qps, speedup,
+      cpus, kClients, static_cast<long long>(kMinPhase.count()),
+      serial.queries, concurrent.queries, serial.qps, concurrent.qps, speedup,
       serial.p50_ms, serial.p99_ms, concurrent.p50_ms, concurrent.p99_ms,
       serial.tables_identical && concurrent.tables_identical ? "true"
                                                              : "false");
