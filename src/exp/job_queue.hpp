@@ -53,11 +53,8 @@ class JobQueue {
 
   /// A new queue holding copies of the jobs whose *sweep index* lies in
   /// [begin, end), with the seeds and content hashes this queue already
-  /// computed — the work-stealing lease rule and the service's chunk
-  /// window. A lease is a contiguous slice of the job order, so the lease
-  /// service can shrink it (steal its tail) while a worker runs: jobs
-  /// already committed keep their identity and the stolen tail re-slices
-  /// cleanly elsewhere. Copied jobs keep their sweep indices.
+  /// computed — the service's chunk window over a planned query. Copied
+  /// jobs keep their sweep indices.
   JobQueue slice(std::size_t begin, std::size_t end) const;
 
   std::size_t size() const noexcept { return jobs_.size(); }

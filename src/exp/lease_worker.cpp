@@ -1,9 +1,12 @@
 #include "exp/lease_worker.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <csignal>
 #include <fstream>
 #include <thread>
 #include <unordered_set>
@@ -21,10 +24,6 @@
 #include "util/posix_io.hpp"
 #include "util/string_util.hpp"
 
-#include <csignal>
-#include <fcntl.h>
-#include <unistd.h>
-
 namespace oracle::exp {
 
 // ------------------------------------------------------------- WorkerSlot --
@@ -41,10 +40,10 @@ std::optional<WorkerSlot> WorkerSlot::parse(const std::string& text) {
     return std::nullopt;
   }
   // Validate on the signed values: a negative count must not wrap into a
-  // huge modulus that silently assigns (almost) no jobs to any worker.
+  // huge slot count.
   if (index < 0 || count < 1 || index >= count) return std::nullopt;
   return WorkerSlot{static_cast<std::size_t>(index),
-                   static_cast<std::size_t>(count)};
+                    static_cast<std::size_t>(count)};
 }
 
 std::string worker_store_path(const std::string& canonical_store,

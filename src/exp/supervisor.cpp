@@ -1,7 +1,11 @@
 #include "exp/supervisor.hpp"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -21,10 +25,6 @@
 #include "util/log.hpp"
 #include "util/net.hpp"
 #include "util/string_util.hpp"
-
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
 
 namespace oracle::exp {
 
@@ -91,8 +91,7 @@ std::string SupervisorReport::summary() const {
   std::size_t failed = 0;
   for (const auto& w : workers)
     if (!w.ok()) ++failed;
-  std::string s = strfmt("%zu jobs over %zu worker(s)", planned_jobs,
-                         slots);
+  std::string s = strfmt("%zu jobs over %zu worker(s)", planned_jobs, slots);
   if (steals > 0) s += strfmt(", %zu lease(s) stolen", steals);
   if (restarts > 0) s += strfmt(", %zu worker(s) auto-restarted", restarts);
   if (quarantined > 0)
