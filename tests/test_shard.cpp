@@ -534,7 +534,7 @@ TEST(SupervisorReport, SummaryNamesEveryEventAndTheMergeVerdict) {
             "17 record(s) (2 duplicate(s) dropped)");
 }
 
-// ------------------------------------------------------------ empty shards --
+// ------------------------------------------------------------- empty slots --
 
 TEST(ShardWorkers, EmptyRangeSliceLeavesAValidEmptyStore) {
   // More slices than jobs: some slices own zero jobs. Running one must

@@ -7,7 +7,7 @@
 // script.
 //
 // The binary is its own worker: a custom main() dispatches to
-// worker_main() when argv[1] == "--shard-worker", so the supervisor under
+// worker_main() when argv[1] == "--lease-worker", so the supervisor under
 // test self-execs *this* test executable. Faults are injected through
 // exp::WorkerTestHooks, parsed from the worker argv and targeted at one
 // slot (`--fault-slot`), with a one-shot marker file so a respawned worker
@@ -171,7 +171,7 @@ exp::SupervisorReport run_steal(const std::string& canonical,
   sopt.status_path = status_path;
   sopt.status_interval_ms = 25;  // many rewrites for the atomicity poller
   sopt.exec_path = exp::self_exec_path(g_self);
-  sopt.worker_args = {"--shard-worker", "--out", canonical};
+  sopt.worker_args = {"--lease-worker", "--out", canonical};
   if (!sweep.empty()) {
     sopt.worker_args.push_back("--sweep");
     sopt.worker_args.push_back(sweep);
@@ -579,7 +579,7 @@ int worker_main(int argc, char** argv) {
 }  // namespace oracle
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "--shard-worker")
+  if (argc > 1 && std::string(argv[1]) == "--lease-worker")
     return oracle::worker_main(argc, argv);
   oracle::g_self = argv[0];
   ::testing::InitGoogleTest(&argc, argv);
