@@ -1,5 +1,8 @@
 #include "core/sweep.hpp"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "core/presets.hpp"
 #include "lb/strategy.hpp"
 #include "util/error.hpp"
@@ -7,6 +10,28 @@
 #include "workload/workload.hpp"
 
 namespace oracle::core {
+
+namespace {
+
+/// Throws ConfigError when an axis names one entry twice. Sorting a copy
+/// costs per axis entry, not per job.
+template <typename T>
+void require_distinct(std::vector<T> entries, const char* axis) {
+  std::sort(entries.begin(), entries.end());
+  const auto dup = std::adjacent_find(entries.begin(), entries.end());
+  if (dup == entries.end()) return;
+  std::string entry;
+  if constexpr (std::is_integral_v<T>)
+    entry = std::to_string(*dup);
+  else
+    entry = *dup;
+  throw ConfigError(strfmt(
+      "the %s axis names '%s' twice; without a master seed both copies are "
+      "the same job",
+      axis, entry.c_str()));
+}
+
+}  // namespace
 
 SweepBuilder& SweepBuilder::topologies(std::vector<std::string> specs) {
   ORACLE_REQUIRE(!specs.empty(), "empty topology axis");
@@ -120,6 +145,14 @@ ExperimentConfig SweepSpec::base_config() const {
 }
 
 SweepBuilder SweepSpec::builder() const {
+  if (master_seed == 0) {
+    // A repeated entry repeats every job it is in, content hash and all;
+    // a master seed gives each copy its own seed instead.
+    require_distinct(topologies, "topologies");
+    require_distinct(strategies, "strategies");
+    require_distinct(workloads, "workloads");
+    require_distinct(seeds, "seeds");
+  }
   SweepBuilder b(base_config());
   b.topologies(topologies).strategies(strategies).workloads(workloads);
   // The seeds axis always contributes the replication count; with a

@@ -85,6 +85,8 @@ struct SweepSpec {
 
   /// A SweepBuilder over base_config() with the four axes installed
   /// (topologies, strategies, workloads, seeds — seeds vary fastest).
+  /// Without a master seed, an entry repeated on any axis throws
+  /// ConfigError: it would run the same job twice.
   SweepBuilder builder() const;
 
   std::vector<ExperimentConfig> build() const { return builder().build(); }

@@ -495,16 +495,19 @@ int run_sweep_command(const SweepCommand& cmd) {
       if (!cmd.trace_path.empty())
         obs::Tracer::enable(static_cast<std::uint32_t>(slot.index + 1),
                             strfmt("worker %zu", slot.index));
+      const auto server = util::HostPort::parse(cmd.lease_server);
+      if (!server)
+        throw ConfigError("bad --lease-server address: " + cmd.lease_server);
       LeaseWorkerOptions wopt;
       wopt.canonical_out = opt.jsonl_path;
-      wopt.slot = slot.index;
-      wopt.slot_count = slot.count;
       wopt.merge_resume = opt.resume;
       wopt.master_seed = opt.master_seed;
       wopt.threads = cmd.jobs_given ? opt.exec.workers : 1;
-      wopt.lease_server = cmd.lease_server;
-      wopt.op_timeout_ms = cmd.lease_timeout_ms;
-      wopt.retry_budget = cmd.lease_retries;
+      wopt.client.server = *server;
+      wopt.client.slot = slot.index;
+      wopt.client.slot_count = slot.count;
+      wopt.client.op_timeout_ms = cmd.lease_timeout_ms;
+      wopt.client.retry_budget = cmd.lease_retries;
       // CI fault injection: ORACLE_SHARD_FAULT="die|kill|stall:<slot>:<n>"
       // arms a one-shot fault in the matching slot ("kill" raises SIGKILL,
       // "die" _exit(1)s, "stall" sleeps through the service's expiry).
@@ -516,7 +519,7 @@ int run_sweep_command(const SweepCommand& cmd) {
             parts.size() >= 3 &&
             (parts[1] == "*" ||
              static_cast<std::size_t>(parse_int(parts[1], "fault slot")) ==
-                 wopt.slot);
+                 slot.index);
         if (slot_match) {
           const auto n =
               static_cast<std::size_t>(parse_int(parts[2], "fault job count"));

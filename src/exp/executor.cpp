@@ -11,6 +11,7 @@
 #include <iostream>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include "core/simulator.hpp"
@@ -132,10 +133,12 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
   const double interval = tty ? opts_.progress_interval_s
                               : std::max(opts_.progress_interval_s, 10.0);
 
-  // Runs on the committer thread (and once more after it joins), with
-  // `done` jobs committed.
-  auto maybe_report_progress = [&](bool force, std::size_t done) {
+  // Runs on the committer thread with phase "running", and once more
+  // after it joins with the terminal phase, which forces both outputs;
+  // `done` jobs are committed.
+  auto report_progress = [&](std::size_t done, const char* phase) {
     if (!opts_.progress && opts_.status_path.empty()) return;
+    const bool force = std::string_view(phase) != "running";
     const auto now = Clock::now();
     // The status file keeps the un-throttled cadence even when the plain-
     // line ticker is throttled for CI logs: a dashboard polling the file
@@ -150,17 +153,17 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
         (force || std::chrono::duration<double>(now - last_status).count() >=
                       opts_.progress_interval_s);
     if (!do_line && !do_status) return;
-    const double elapsed = std::chrono::duration<double>(now - start).count();
-    const double rate = elapsed > 0 ? static_cast<double>(done) / elapsed
-                                    : 0.0;
-    const double eta =
-        rate > 0 ? static_cast<double>(n - done) / rate : -1.0;
+    obs::StatusSnapshot st;
+    st.phase = phase;
+    st.jobs_total = n;
+    st.jobs_done = done;
+    st.elapsed_seconds = std::chrono::duration<double>(now - start).count();
     if (do_line) {
       last_progress = now;
       const std::string line =
           strfmt("[exp] %zu/%zu jobs (%.1f%%) | %.1f jobs/s | ETA %s",
-                 done, n, 100.0 * static_cast<double>(done) / n, rate,
-                 format_eta(eta).c_str());
+                 done, n, 100.0 * static_cast<double>(done) / n,
+                 st.jobs_per_second(), format_eta(st.eta_seconds()).c_str());
       if (tty) {
         // Trailing pad clears residue when the line shrinks; the final
         // (forced) line is newline-terminated so the next write starts
@@ -174,13 +177,6 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
     }
     if (do_status) {
       last_status = now;
-      obs::StatusSnapshot st;
-      st.phase = "running";
-      st.jobs_total = n;
-      st.jobs_done = done;
-      st.jobs_per_second = rate;
-      st.eta_seconds = eta;
-      st.elapsed_seconds = elapsed;
       obs::write_status_file(opts_.status_path, st);
     }
   };
@@ -224,7 +220,7 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
           for (const auto& [job, result] : group) sink.write(*job, result);
           sink.flush();
         }
-        maybe_report_progress(false, end);
+        report_progress(end, "running");
       } catch (...) {
         lock.lock();
         fail(std::current_exception());
@@ -348,17 +344,7 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
       if (finished[i] && !failed[i]) samples.push_back(wall_s[i]);
     report.job_wall = DurationStats::from_samples(std::move(samples));
   }
-  maybe_report_progress(true, committed);
-  if (!opts_.status_path.empty()) {
-    obs::StatusSnapshot st;
-    st.phase = report.ok() ? "done" : "failed";
-    st.jobs_total = n;
-    st.jobs_done = committed;
-    st.jobs_per_second = report.jobs_per_second;
-    st.eta_seconds = 0.0;
-    st.elapsed_seconds = report.elapsed_seconds;
-    obs::write_status_file(opts_.status_path, st);
-  }
+  report_progress(committed, report.ok() ? "done" : "failed");
   return report;
 }
 

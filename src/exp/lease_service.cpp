@@ -410,14 +410,6 @@ LeaseServiceStats LeaseService::run() {
     st.jobs_total = n;
     st.jobs_done = n - remaining_jobs();
     st.elapsed_seconds = std::chrono::duration<double>(now - run_start).count();
-    st.jobs_per_second =
-        st.elapsed_seconds > 0
-            ? static_cast<double>(st.jobs_done) / st.elapsed_seconds
-            : 0.0;
-    st.eta_seconds =
-        st.jobs_per_second > 0
-            ? static_cast<double>(n - st.jobs_done) / st.jobs_per_second
-            : -1.0;
     st.steals = stats_.steals + stats_.reassigns;
     st.fenced = stats_.fenced;
     st.retries = stats_.client_retries;

@@ -12,7 +12,6 @@
 #include <unordered_set>
 
 #include "exp/job_queue.hpp"
-#include "exp/lease_client.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/store_index.hpp"
 #include "obs/trace.hpp"
@@ -198,27 +197,17 @@ LeaseWorkerReport run_lease_client_worker(
     const LeaseWorkerOptions& options) {
   ORACLE_REQUIRE(!options.canonical_out.empty(),
                  "lease workers need the canonical --out store path");
-  ORACLE_REQUIRE(!options.lease_server.empty(),
-                 "run_lease_client_worker needs --lease-server");
-  ORACLE_REQUIRE(options.slot < std::max<std::size_t>(options.slot_count, 1),
+  ORACLE_REQUIRE(options.client.server.port != 0,
+                 "run_lease_client_worker needs a lease server address");
+  ORACLE_REQUIRE(options.client.slot < options.client.slot_count,
                  "lease worker slot out of range");
-  const auto server = util::HostPort::parse(options.lease_server);
-  if (!server)
-    throw ConfigError("bad --lease-server address: " + options.lease_server);
-
+  const std::size_t slot = options.client.slot;
+  const std::size_t slot_count = options.client.slot_count;
   const std::string store =
-      worker_store_path(options.canonical_out, options.slot,
-                        options.slot_count);
+      worker_store_path(options.canonical_out, slot, slot_count);
 
-  LeaseClientOptions copt;
-  copt.server = *server;
-  copt.slot = options.slot;
-  copt.slot_count = std::max<std::size_t>(options.slot_count, 1);
+  LeaseClientOptions copt = options.client;
   copt.jobs = configs.size();
-  copt.op_timeout_ms = options.op_timeout_ms;
-  copt.retry_budget = options.retry_budget;
-  copt.backoff_base_ms = options.backoff_base_ms;
-  copt.backoff_cap_ms = options.backoff_cap_ms;
   LeaseClient client(copt);
 
   // Jobs a store already covers: this slot's durable prefix, sibling
@@ -228,10 +217,10 @@ LeaseWorkerReport run_lease_client_worker(
   // worker starts.
   StoreIndex covered;
   covered.add_store(store);
-  for (std::size_t j = 0; j < options.slot_count; ++j)
-    if (j != options.slot)
+  for (std::size_t j = 0; j < slot_count; ++j)
+    if (j != slot)
       covered.add_store(
-          worker_store_path(options.canonical_out, j, options.slot_count));
+          worker_store_path(options.canonical_out, j, slot_count));
   if (options.merge_resume) covered.add_store(options.canonical_out);
 
   const WorkerTestHooks& hooks = options.hooks;
@@ -251,10 +240,10 @@ LeaseWorkerReport run_lease_client_worker(
                            static_cast<std::int64_t>(grant->begin), "end",
                            static_cast<std::int64_t>(grant->end));
       ORACLE_LOG_INFO(strfmt(
-          "slot %zu leased [%zu,%zu) epoch %llu from %s", options.slot,
+          "slot %zu leased [%zu,%zu) epoch %llu from %s", slot,
           grant->begin, grant->end,
           static_cast<unsigned long long>(grant->epoch),
-          options.lease_server.c_str()));
+          options.client.server.str().c_str()));
 
       // Only the lease's window is planned: numbered and seeded by sweep
       // index, so its jobs match the whole sweep's.
@@ -319,7 +308,7 @@ LeaseWorkerReport run_lease_client_worker(
         report.fenced = true;
         ORACLE_LOG_WARN(strfmt(
             "slot %zu fenced mid-lease (epoch %llu); re-acquiring",
-            options.slot, static_cast<unsigned long long>(grant->epoch)));
+            slot, static_cast<unsigned long long>(grant->epoch)));
         grant = client.acquire();
         continue;
       }
@@ -335,9 +324,9 @@ LeaseWorkerReport run_lease_client_worker(
     // Committed prefix is already fsynced; surface the distinct orphaned
     // outcome so the launcher exits with its own code and a later
     // --resume reshapes leases around this worker's store.
-    ORACLE_LOG_WARN(strfmt("slot %zu orphaned: %s", options.slot, e.what()));
+    ORACLE_LOG_WARN(strfmt("slot %zu orphaned: %s", slot, e.what()));
     obs::instant("lease", "worker.orphaned", "slot",
-                 static_cast<std::int64_t>(options.slot));
+                 static_cast<std::int64_t>(slot));
     report.orphaned = true;
   }
   report.retries = client.retries();

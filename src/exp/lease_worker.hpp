@@ -18,6 +18,7 @@
 
 #include "core/config.hpp"
 #include "exp/executor.hpp"
+#include "exp/lease_client.hpp"
 
 namespace oracle::exp {
 
@@ -93,25 +94,18 @@ struct WorkerTestHooks {
 /// --worker-slot k/W --lease-server H:P` executes).
 struct LeaseWorkerOptions {
   std::string canonical_out;   ///< canonical store (slot files derive from it)
-  std::size_t slot = 0;        ///< this worker's slot k
-  std::size_t slot_count = 1;  ///< total slots W (sibling-store discovery)
   bool merge_resume = false;   ///< also skip jobs already merged into the
                                ///< canonical store (parent ran --resume)
   std::uint64_t master_seed = 0;
   std::size_t threads = 1;     ///< executor threads inside this worker
   WorkerTestHooks hooks;       ///< fault injection (tests only)
 
-  /// Lease server address ("host:port", required).
-  std::string lease_server;
-
-  /// Per-request deadline and retry/backoff budget for the lease client.
-  /// Exhausting retry_budget consecutive failures orphans the worker: it
-  /// keeps its committed prefix durable and exits with the distinct
-  /// orphaned status instead of spinning forever.
-  std::uint32_t op_timeout_ms = 2'000;
-  std::size_t retry_budget = 10;
-  std::uint32_t backoff_base_ms = 50;
-  std::uint32_t backoff_cap_ms = 2'000;
+  /// The lease server, this worker's slot k of W (W also finds the
+  /// sibling stores), and the per-request deadline and retry/backoff
+  /// budget. Exhausting the retry budget orphans the worker: it keeps its
+  /// committed prefix durable and exits with the distinct orphaned status
+  /// instead of spinning forever. The worker sets `jobs` itself.
+  LeaseClientOptions client;
 };
 
 /// Exit status a lease-client worker process uses when orphaned (the

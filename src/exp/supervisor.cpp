@@ -328,55 +328,42 @@ SupervisorReport run_supervisor(
   auto last_status = run_start;
 
   // One consistent snapshot, atomically rewritten so a dashboard polling
-  // the file never sees a torn read: job progress, per-slot leases,
-  // contact ages and the expiry threshold come from the service, process
-  // custody (liveness, restarts) from this supervisor.
-  auto write_status = [&](const std::string& phase) {
+  // the file never sees a torn read. It is the lease service's `served`
+  // snapshot (job progress, steals, per-slot leases, contact ages, the
+  // expiry threshold) with this supervisor's custody laid over it: phase,
+  // elapsed time, restarts, quarantine, and each slot's liveness and
+  // respawns. A silent service leaves the sweep size and the custody.
+  auto write_status = [&](const std::string& phase,
+                          const std::optional<obs::StatusSnapshot>& served) {
     if (options.status_path.empty()) return;
-    const auto now = Clock::now();
-    const auto served = server_status();
     obs::StatusSnapshot st;
+    if (served)
+      st = *served;
+    else
+      st.jobs_total = n;
     st.phase = phase;
-    st.jobs_total = n;
-    st.jobs_done = phase == "done" ? n : served ? served->jobs_done : 0;
     st.elapsed_seconds =
-        std::chrono::duration<double>(now - run_start).count();
-    st.jobs_per_second =
-        st.elapsed_seconds > 0
-            ? static_cast<double>(st.jobs_done) / st.elapsed_seconds
-            : 0.0;
-    st.eta_seconds =
-        st.jobs_per_second > 0
-            ? static_cast<double>(n - st.jobs_done) / st.jobs_per_second
-            : -1.0;
+        std::chrono::duration<double>(Clock::now() - run_start).count();
+    if (phase == "done") st.jobs_done = n;
     st.restarts = report.restarts;
     st.quarantined = prior_quarantined + report.quarantined;
-    if (served) {
-      st.steals = served->steals;
-      st.fenced = served->fenced;
-      st.retries = served->retries;
-      st.expiry_s = served->expiry_s;
-    }
+    st.workers.resize(slots);
     for (std::size_t k = 0; k < slots; ++k) {
-      obs::WorkerStatus w;
-      w.slot = k;
-      w.live = procs[k].pid >= 0;
-      w.restarts = procs[k].restarts;
-      if (served && k < served->workers.size()) {
-        w.heartbeat_age_s = served->workers[k].heartbeat_age_s;
-        w.lease_begin = served->workers[k].lease_begin;
-        w.lease_end = served->workers[k].lease_end;
-        w.frontier = served->workers[k].frontier;
-      }
-      st.workers.push_back(w);
+      st.workers[k].slot = k;
+      st.workers[k].live = procs[k].pid >= 0;
+      st.workers[k].restarts = procs[k].restarts;
     }
     obs::write_status_file(options.status_path, st);
+  };
+  // Writes outside a poll pass ask the service afresh.
+  auto write_fresh_status = [&](const std::string& phase) {
+    if (!options.status_path.empty()) write_status(phase, server_status());
   };
 
   bool failed = false;
   try {
     for (std::size_t k = 0; k < slots; ++k) spawn_slot(k);
-    write_status("running");
+    write_fresh_status("running");
 
     while (true) {
       // Reap every exited worker without blocking the poll loop.
@@ -456,7 +443,8 @@ SupervisorReport run_supervisor(
       // been silent past the threshold is wedged, and the service expired
       // its slot before this reply. Silence is counted from the spawn at
       // the earliest, so a respawn is not blamed for its predecessor.
-      // SIGKILL it and let the reap path above respawn it.
+      // SIGKILL it and let the reap path above respawn it. This pass's
+      // status write shares the reply.
       const auto served = server_status();
       if (served && served->expiry_s) {
         const auto now = Clock::now();
@@ -476,14 +464,12 @@ SupervisorReport run_supervisor(
         }
       }
 
-      if (!options.status_path.empty()) {
-        const auto now = Clock::now();
-        if (now - last_status >=
-            std::chrono::milliseconds(
-                std::max<std::uint32_t>(options.status_interval_ms, 1))) {
-          last_status = now;
-          write_status("running");
-        }
+      if (const auto now = Clock::now();
+          now - last_status >=
+          std::chrono::milliseconds(
+              std::max<std::uint32_t>(options.status_interval_ms, 1))) {
+        last_status = now;
+        write_status("running", served);
       }
 
       std::this_thread::sleep_for(kSupervisorPoll);
@@ -498,7 +484,7 @@ SupervisorReport run_supervisor(
     // converge later; live workers must die now or they would race the
     // resume's respawns on the same stores.
     kill_all_live();
-    write_status("failed");
+    write_fresh_status("failed");
     return report;
   }
   if (const auto st = server_status()) report.steals = st->steals;
@@ -524,11 +510,11 @@ SupervisorReport run_supervisor(
           "run incomplete: %zu job(s) missing from local stores (orphaned "
           "workers? wrong server?); merge skipped — re-run with --resume",
           missing));
-      write_status("failed");
+      write_fresh_status("failed");
       return report;
     }
 
-    write_status("merging");
+    write_fresh_status("merging");
     report.merge = merger.merge_to(options.out);
     report.merged = true;
   }
@@ -536,7 +522,7 @@ SupervisorReport run_supervisor(
       "merged %zu record(s) into %s (%zu duplicate(s) dropped)",
       report.merge.records, options.out.c_str(),
       report.merge.duplicates_dropped));
-  write_status("done");
+  write_fresh_status("done");
 
   if (!options.keep_slot_stores) {
     for (std::size_t k = 0; k < slots; ++k)

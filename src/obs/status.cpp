@@ -26,6 +26,11 @@ std::optional<double> find_number(const std::string& json,
   return v;
 }
 
+/// A count field; 0 when absent, as in snapshots from older writers.
+std::size_t find_count(const std::string& json, const std::string& key) {
+  return static_cast<std::size_t>(find_number(json, key).value_or(0.0));
+}
+
 std::optional<bool> find_bool(const std::string& json, const std::string& key,
                               std::size_t from = 0) {
   const std::string needle = "\"" + key + "\":";
@@ -49,6 +54,19 @@ std::optional<std::string> find_string(const std::string& json,
 
 }  // namespace
 
+double StatusSnapshot::jobs_per_second() const {
+  return elapsed_seconds > 0
+             ? static_cast<double>(jobs_done) / elapsed_seconds
+             : 0.0;
+}
+
+double StatusSnapshot::eta_seconds() const {
+  if (phase == "done" || phase == "failed" || jobs_done >= jobs_total)
+    return 0.0;
+  const double rate = jobs_per_second();
+  return rate > 0 ? static_cast<double>(jobs_total - jobs_done) / rate : -1.0;
+}
+
 std::string StatusSnapshot::to_json() const {
   std::string out = strfmt(
       "{\"v\":%d,\"phase\":\"%s\",\"jobs_total\":%zu,\"jobs_done\":%zu,"
@@ -57,8 +75,8 @@ std::string StatusSnapshot::to_json() const {
       "\"retries\":%zu,\"requests\":%zu,\"cache_hits\":%zu,"
       "\"connections\":%zu,\"queue_depth\":%zu,\"in_flight\":%zu,"
       "\"evicted\":%zu,\"expiry_s\":%s,\"workers\":[",
-      kVersion, phase.c_str(), jobs_total, jobs_done, jobs_per_second,
-      eta_seconds, elapsed_seconds, steals, restarts, quarantined, fenced,
+      kVersion, phase.c_str(), jobs_total, jobs_done, jobs_per_second(),
+      eta_seconds(), elapsed_seconds, steals, restarts, quarantined, fenced,
       retries, requests, cache_hits, connections, queue_depth, in_flight,
       evicted,
       expiry_s ? strfmt("%.3f", *expiry_s).c_str() : "\"none\"");
@@ -87,34 +105,18 @@ std::optional<StatusSnapshot> StatusSnapshot::parse(const std::string& json) {
   s.phase = *phase;
   s.jobs_total = static_cast<std::size_t>(*total);
   s.jobs_done = static_cast<std::size_t>(*done);
-  s.jobs_per_second = find_number(json, "jobs_per_s").value_or(0.0);
-  s.eta_seconds = find_number(json, "eta_s").value_or(-1.0);
   s.elapsed_seconds = find_number(json, "elapsed_s").value_or(0.0);
-  s.steals =
-      static_cast<std::size_t>(find_number(json, "steals").value_or(0.0));
-  s.restarts =
-      static_cast<std::size_t>(find_number(json, "restarts").value_or(0.0));
-  // Lease-service era additions; absent in snapshots from older writers.
-  s.quarantined =
-      static_cast<std::size_t>(find_number(json, "quarantined").value_or(0.0));
-  s.fenced =
-      static_cast<std::size_t>(find_number(json, "fenced").value_or(0.0));
-  s.retries =
-      static_cast<std::size_t>(find_number(json, "retries").value_or(0.0));
-  // Resident-service era additions; absent in older snapshots.
-  s.requests =
-      static_cast<std::size_t>(find_number(json, "requests").value_or(0.0));
-  s.cache_hits =
-      static_cast<std::size_t>(find_number(json, "cache_hits").value_or(0.0));
-  // Concurrent-serving era additions; absent in older snapshots.
-  s.connections =
-      static_cast<std::size_t>(find_number(json, "connections").value_or(0.0));
-  s.queue_depth =
-      static_cast<std::size_t>(find_number(json, "queue_depth").value_or(0.0));
-  s.in_flight =
-      static_cast<std::size_t>(find_number(json, "in_flight").value_or(0.0));
-  s.evicted =
-      static_cast<std::size_t>(find_number(json, "evicted").value_or(0.0));
+  s.steals = find_count(json, "steals");
+  s.restarts = find_count(json, "restarts");
+  s.quarantined = find_count(json, "quarantined");
+  s.fenced = find_count(json, "fenced");
+  s.retries = find_count(json, "retries");
+  s.requests = find_count(json, "requests");
+  s.cache_hits = find_count(json, "cache_hits");
+  s.connections = find_count(json, "connections");
+  s.queue_depth = find_count(json, "queue_depth");
+  s.in_flight = find_count(json, "in_flight");
+  s.evicted = find_count(json, "evicted");
   s.expiry_s = find_number(json, "expiry_s");  // "none" parses as nullopt
 
   const auto arr = json.find("\"workers\":[");
@@ -135,14 +137,10 @@ std::optional<StatusSnapshot> StatusSnapshot::parse(const std::string& json) {
     if (!slot) return std::nullopt;
     w.slot = static_cast<std::size_t>(*slot);
     w.live = find_bool(obj, "live").value_or(false);
-    w.lease_begin = static_cast<std::size_t>(
-        find_number(obj, "lease_begin").value_or(0.0));
-    w.lease_end =
-        static_cast<std::size_t>(find_number(obj, "lease_end").value_or(0.0));
-    w.frontier =
-        static_cast<std::size_t>(find_number(obj, "frontier").value_or(0.0));
-    w.restarts =
-        static_cast<std::size_t>(find_number(obj, "restarts").value_or(0.0));
+    w.lease_begin = find_count(obj, "lease_begin");
+    w.lease_end = find_count(obj, "lease_end");
+    w.frontier = find_count(obj, "frontier");
+    w.restarts = find_count(obj, "restarts");
     w.heartbeat_age_s = find_number(obj, "heartbeat_age_s").value_or(-1.0);
     s.workers.push_back(w);
     pos = close + 1;

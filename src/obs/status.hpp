@@ -36,8 +36,6 @@ struct StatusSnapshot {
   std::string phase = "running";  ///< running | merging | done | failed
   std::size_t jobs_total = 0;
   std::size_t jobs_done = 0;
-  double jobs_per_second = 0.0;
-  double eta_seconds = -1.0;  ///< -1 = unknown (no committed jobs yet)
   double elapsed_seconds = 0.0;
   std::size_t steals = 0;
   std::size_t restarts = 0;
@@ -55,6 +53,12 @@ struct StatusSnapshot {
   /// worker whose heartbeat_age_s exceeds it is expired and reaped.
   std::optional<double> expiry_s;
   std::vector<WorkerStatus> workers;  ///< empty for single-process runs
+
+  /// jobs_done per elapsed second; 0 before any time has passed.
+  double jobs_per_second() const;
+  /// Seconds until jobs_total at that rate: 0 once the phase is done or
+  /// failed, -1 while unknown (no rate yet).
+  double eta_seconds() const;
 
   /// One-line JSON document (always valid JSON; schema in README).
   std::string to_json() const;

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "core/presets.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
+#include "exp/job_queue.hpp"
 #include "stats/csv.hpp"
 #include "util/error.hpp"
 #include "util/spec.hpp"
@@ -178,6 +180,67 @@ TEST(SweepSpec, ArgsCarryMultiKeySpecsToWorkers) {
   EXPECT_EQ(util::split_spec_list(value_of("--workloads")), spec.workloads);
   EXPECT_EQ(spec.strategies,
             std::vector<std::string>{"cwn:radius=3,horizon=2,interval=20000"});
+}
+
+core::SweepSpec tiny_spec() {
+  core::SweepSpec spec;
+  spec.topologies = {"grid:4x4"};
+  spec.strategies = {"cwn"};
+  spec.workloads = {"fib:9"};
+  spec.seeds = {1, 2};
+  return spec;
+}
+
+TEST(SweepSpec, RepeatedTopologyIsAConfigError) {
+  auto spec = tiny_spec();
+  spec.topologies = {"grid:4x4", "ring:6", "grid:4x4"};
+  EXPECT_THROW(spec.build(), ConfigError);
+  EXPECT_THROW(spec.size(), ConfigError);
+}
+
+TEST(SweepSpec, RepeatedStrategyIsAConfigError) {
+  auto spec = tiny_spec();
+  spec.strategies = {"cwn", "cwn"};
+  EXPECT_THROW(spec.build(), ConfigError);
+}
+
+TEST(SweepSpec, RepeatedWorkloadIsAConfigError) {
+  auto spec = tiny_spec();
+  spec.workloads = {"fib:9;leaf=50", "fib:8", "fib:9;leaf=50"};
+  EXPECT_THROW(spec.build(), ConfigError);
+}
+
+TEST(SweepSpec, RepeatedSeedIsAConfigError) {
+  auto spec = tiny_spec();
+  spec.seeds = {3, 1, 3};
+  try {
+    spec.build();
+    FAIL() << "a repeated seed must not build";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("seeds axis names '3' twice"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SweepSpec, MasterSeedMakesRepeatedEntriesDistinctJobs) {
+  // With a master seed every job takes its own derived seed, so a
+  // repeated entry is a replication, not a copy of the same job.
+  auto spec = tiny_spec();
+  spec.strategies = {"cwn", "cwn"};
+  spec.master_seed = 5;
+  const auto configs = spec.build();
+  ASSERT_EQ(configs.size(), 4u);
+  const exp::JobQueue queue(configs, spec.master_seed);
+  std::set<std::uint64_t> hashes;
+  for (const auto& job : queue.jobs()) hashes.insert(job.content_hash);
+  EXPECT_EQ(hashes.size(), 4u);
+}
+
+TEST(SweepSpec, DistinctEntriesBuildTheFullProduct) {
+  auto spec = tiny_spec();
+  spec.strategies = {"cwn", "cwn:radius=5"};  // different specs, not repeats
+  EXPECT_EQ(spec.build().size(), 4u);
 }
 
 TEST(SweepBuilder, PaperGridReproducesItsRunCount) {

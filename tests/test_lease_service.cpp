@@ -1319,13 +1319,11 @@ TEST(DistributedLease, ThirtyPercentFrameDropStillCompletesTheSweep) {
 
   exp::LeaseWorkerOptions wopt;
   wopt.canonical_out = canonical;
-  wopt.slot = 0;
-  wopt.slot_count = 1;
-  wopt.lease_server = "127.0.0.1:" + std::to_string(proxy.port());
-  wopt.op_timeout_ms = 150;
-  wopt.retry_budget = 25;
-  wopt.backoff_base_ms = 5;
-  wopt.backoff_cap_ms = 40;
+  wopt.client.server = {"127.0.0.1", proxy.port()};
+  wopt.client.op_timeout_ms = 150;
+  wopt.client.retry_budget = 25;
+  wopt.client.backoff_base_ms = 5;
+  wopt.client.backoff_cap_ms = 40;
   const auto report = exp::run_lease_client_worker(fault_sweep(), wopt);
 
   proxy.stop();
@@ -1391,22 +1389,26 @@ int lease_worker_main(int argc, char** argv) {
     } else if (arg == "--marker") {
       marker = value();
     } else if (arg == "--retry-budget") {
-      wopt.retry_budget = std::stoul(value());
+      wopt.client.retry_budget = std::stoul(value());
     } else if (arg == "--op-timeout-ms") {
-      wopt.op_timeout_ms = static_cast<std::uint32_t>(std::stoul(value()));
+      wopt.client.op_timeout_ms =
+          static_cast<std::uint32_t>(std::stoul(value()));
     } else if (arg == "--backoff-base-ms") {
-      wopt.backoff_base_ms = static_cast<std::uint32_t>(std::stoul(value()));
+      wopt.client.backoff_base_ms =
+          static_cast<std::uint32_t>(std::stoul(value()));
     } else if (arg == "--backoff-cap-ms") {
-      wopt.backoff_cap_ms = static_cast<std::uint32_t>(std::stoul(value()));
+      wopt.client.backoff_cap_ms =
+          static_cast<std::uint32_t>(std::stoul(value()));
     }
   }
-  if (out.empty() || !slot || lease_server.empty()) return 2;
+  const auto server = util::HostPort::parse(lease_server);
+  if (out.empty() || !slot || !server) return 2;
 
   wopt.canonical_out = out;
-  wopt.slot = slot->index;
-  wopt.slot_count = slot->count;
   wopt.merge_resume = resume;
-  wopt.lease_server = lease_server;
+  wopt.client.server = *server;
+  wopt.client.slot = slot->index;
+  wopt.client.slot_count = slot->count;
   if (slot->index == fault_slot) {
     wopt.hooks = die_hooks;
     wopt.hooks.once_marker = marker;

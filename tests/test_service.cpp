@@ -730,6 +730,32 @@ TEST(ServiceDaemon, UnknownSpecKeyGetsAnErrorFrame) {
   EXPECT_EQ(daemon.stats.jobs_scheduled, 0u);
 }
 
+TEST(ServiceDaemon, RepeatedAxisEntryGetsAnErrorFrame) {
+  const auto store = temp_path("repeat.jsonl");
+  prebuild_store(small_sweep(), store);
+  exp::ServiceOptions opt;
+  opt.store = store;
+  ServiceThread daemon(opt);
+
+  // Without a master seed the repeated seed names the same two jobs
+  // twice: refused before anything is scheduled.
+  auto conn = connect_to(daemon.svc.port());
+  ServiceRequest q;
+  q.seq = 4;
+  q.op = ServiceOp::kQuery;
+  q.query.sweep = small_sweep();
+  q.query.sweep.seeds = {1, 2, 1};
+  const auto rsp = exchange(conn.fd(), q);
+  ASSERT_TRUE(rsp.has_value());
+  EXPECT_EQ(rsp->kind, ServiceResponseKind::kError);
+  EXPECT_NE(rsp->text.find("twice"), std::string::npos) << rsp->text;
+
+  daemon.svc.stop();
+  daemon.join();
+  EXPECT_EQ(daemon.stats.bad_requests, 1u);
+  EXPECT_EQ(daemon.stats.jobs_scheduled, 0u);
+}
+
 // --------------------------------------------- precision-target diagnostics --
 
 TEST(Service, PrecisionTargetRejectsNaNMetric) {
@@ -1000,6 +1026,7 @@ TEST(ServiceDaemon, StalledClientIsEvictedWithoutBlockingOthers) {
   core::SweepSpec spec;
   spec.topologies = {"grid:4x4"};
   spec.strategies = {"random"};
+  spec.workloads.clear();  // drop the default fib:13, which the loop adds
   for (int i = 1; i <= 80; ++i)
     spec.workloads.push_back("fib:" + std::to_string(i));
   spec.seeds = {1, 2, 3};

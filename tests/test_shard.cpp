@@ -642,11 +642,9 @@ exp::LeaseWorkerOptions lease_worker_options(const std::string& canonical,
                                              const std::string& server) {
   exp::LeaseWorkerOptions wopt;
   wopt.canonical_out = canonical;
-  wopt.slot = 0;
-  wopt.slot_count = 1;
-  wopt.lease_server = server;
-  wopt.backoff_base_ms = 1;
-  wopt.backoff_cap_ms = 5;
+  wopt.client.server = *util::HostPort::parse(server);
+  wopt.client.backoff_base_ms = 1;
+  wopt.client.backoff_cap_ms = 5;
   return wopt;
 }
 
@@ -754,7 +752,7 @@ TEST(LeaseWorker, TakeoverSkipsSiblingRecordsWrittenAfterItStarted) {
   const auto started = std::chrono::steady_clock::now();
   LocalLeaseService service(configs.size(), 2, /*expiry_ms=*/2'000);
   auto wopt = lease_worker_options(canonical, service.address());
-  wopt.slot_count = 2;
+  wopt.client.slot_count = 2;
   exp::LeaseWorkerReport report;
   std::thread worker(
       [&] { report = exp::run_lease_client_worker(configs, wopt); });
@@ -832,8 +830,8 @@ TEST(ShardWorkers, LeaseWorkerIsOrphanedWhenNoServerAnswers) {
 
   auto wopt =
       lease_worker_options(canonical, "127.0.0.1:" + std::to_string(port));
-  wopt.op_timeout_ms = 200;
-  wopt.retry_budget = 2;
+  wopt.client.op_timeout_ms = 200;
+  wopt.client.retry_budget = 2;
   const auto report = exp::run_lease_client_worker(configs, wopt);
   EXPECT_TRUE(report.orphaned);
   EXPECT_EQ(report.leases_run, 0u);

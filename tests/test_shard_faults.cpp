@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -385,6 +386,44 @@ TEST(StealSupervisor, StatusFileIsAlwaysACompleteSnapshot) {
   remove_steal_files(canonical, 3);
 }
 
+TEST(StealSupervisor, StatusFileOverlaysCustodyOnTheServiceSnapshot) {
+  const auto canonical = temp_path("overlay.jsonl");
+  const auto status = canonical + ".status.json";
+  remove_steal_files(canonical, 3);
+  std::remove(status.c_str());
+
+  // The final snapshot is the lease service's own (its fixed expiry, every
+  // slot's lease drained to its end) with the supervisor's custody on top:
+  // the phase, the restarts, and no live worker once all have exited.
+  const auto report = run_steal(canonical, 3, {}, /*expiry_ms=*/5'000,
+                                /*max_restarts=*/2, /*resume=*/false,
+                                /*min_steal_jobs=*/1, status);
+  EXPECT_TRUE(report.ok()) << report.summary();
+
+  const auto final_status = obs::read_status_file(status);
+  ASSERT_TRUE(final_status.has_value());
+  EXPECT_EQ(final_status->phase, "done");
+  EXPECT_EQ(final_status->jobs_total, 18u);
+  EXPECT_EQ(final_status->jobs_done, 18u);
+  EXPECT_EQ(final_status->restarts, 0u);
+  EXPECT_EQ(final_status->eta_seconds(), 0.0);
+  ASSERT_TRUE(final_status->expiry_s.has_value());
+  EXPECT_NEAR(*final_status->expiry_s, 5.0, 1e-3);
+  ASSERT_EQ(final_status->workers.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const auto& w = final_status->workers[k];
+    EXPECT_EQ(w.slot, k);
+    EXPECT_FALSE(w.live) << "slot " << k;
+    EXPECT_EQ(w.restarts, 0u) << "slot " << k;
+    EXPECT_LE(w.lease_begin, w.lease_end) << "slot " << k;
+    EXPECT_EQ(w.frontier, w.lease_end) << "slot " << k << " not drained";
+    EXPECT_GE(w.heartbeat_age_s, 0.0) << "slot " << k;
+  }
+  EXPECT_EQ(read_file(serial_store()), read_file(canonical));
+  std::remove(status.c_str());
+  remove_steal_files(canonical, 3);
+}
+
 TEST(StealSupervisor, PoisonJobIsQuarantinedThenRetryQuarantinedConverges) {
   const auto canonical = temp_path("poison.jsonl");
   const auto qpath = exp::quarantine_path(canonical);
@@ -425,11 +464,13 @@ TEST(StealSupervisor, AdaptiveHeartbeatReapsWedgedWorkerWithoutTuning) {
   remove_steal_files(canonical, 3);
   // No --heartbeat-ms anywhere: the lease service learns its expiry from
   // the observed job pace (~100ms jobs → the adaptive floor, a few
-  // seconds) and the 60s wedge must be reaped long before it resolves.
+  // seconds). The wedge lasts until SIGKILL (the largest stall_ms, ~49
+  // days), so only the reap can end it, however slow the build runs.
   const auto report = run_steal(
       canonical, 3,
-      {"--fault-slot", "2", "--stall-after", "1", "--stall-ms", "60000",
-       "--marker", canonical + ".marker"},
+      {"--fault-slot", "2", "--stall-after", "1", "--stall-ms",
+       std::to_string(std::numeric_limits<std::uint32_t>::max()), "--marker",
+       canonical + ".marker"},
       /*expiry_ms=*/0, /*max_restarts=*/2, /*resume=*/false,
       /*min_steal_jobs=*/1, /*status_path=*/{},
       /*retry_quarantined=*/false, /*sweep=*/"slow");
@@ -550,15 +591,16 @@ int worker_main(int argc, char** argv) {
       marker = value();
     }
   }
-  if (out.empty() || !slot || lease_server.empty()) return 2;
+  const auto server = util::HostPort::parse(lease_server);
+  if (out.empty() || !slot || !server) return 2;
 
   exp::LeaseWorkerOptions wopt;
   wopt.canonical_out = out;
-  wopt.slot = slot->index;
-  wopt.slot_count = slot->count;
   wopt.merge_resume = resume;
   wopt.threads = threads;
-  wopt.lease_server = lease_server;
+  wopt.client.server = *server;
+  wopt.client.slot = slot->index;
+  wopt.client.slot_count = slot->count;
   if (slot->index == fault_slot) {
     wopt.hooks = hooks;
     wopt.hooks.once_marker = marker;

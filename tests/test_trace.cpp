@@ -323,9 +323,7 @@ TEST(StatusFile, SnapshotRoundTrips) {
   st.phase = "running";
   st.jobs_total = 120;
   st.jobs_done = 37;
-  st.jobs_per_second = 12.5;
-  st.eta_seconds = 6.64;
-  st.elapsed_seconds = 2.96;
+  st.elapsed_seconds = 2.96;  // 37 / 2.96 = 12.5 jobs/s, 83 / 12.5 = 6.64 s
   st.steals = 3;
   st.restarts = 1;
   st.requests = 9;
@@ -340,14 +338,18 @@ TEST(StatusFile, SnapshotRoundTrips) {
 
   const std::string json = st.to_json();
   EXPECT_TRUE(obs::json_valid(json));
+  EXPECT_NE(json.find("\"jobs_per_s\":12.500,\"eta_s\":6.640,"),
+            std::string::npos)
+      << json;
 
   const auto parsed = obs::StatusSnapshot::parse(json);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->phase, "running");
   EXPECT_EQ(parsed->jobs_total, 120u);
   EXPECT_EQ(parsed->jobs_done, 37u);
-  EXPECT_NEAR(parsed->jobs_per_second, 12.5, 1e-3);
-  EXPECT_NEAR(parsed->eta_seconds, 6.64, 1e-3);
+  EXPECT_NEAR(parsed->elapsed_seconds, 2.96, 1e-3);
+  EXPECT_NEAR(parsed->jobs_per_second(), 12.5, 1e-3);
+  EXPECT_NEAR(parsed->eta_seconds(), 6.64, 1e-3);
   EXPECT_EQ(parsed->steals, 3u);
   EXPECT_EQ(parsed->restarts, 1u);
   EXPECT_EQ(parsed->requests, 9u);
@@ -365,6 +367,20 @@ TEST(StatusFile, SnapshotRoundTrips) {
   EXPECT_NEAR(parsed->workers[0].heartbeat_age_s, 0.25, 1e-3);
   EXPECT_FALSE(parsed->workers[1].live);
   EXPECT_EQ(parsed->workers[1].lease_end, 120u);
+
+  // A run that ended, done or failed, has no time left to wait for.
+  st.phase = "failed";
+  EXPECT_NEAR(st.jobs_per_second(), 12.5, 1e-3);
+  EXPECT_EQ(st.eta_seconds(), 0.0);
+  EXPECT_NE(st.to_json().find("\"jobs_per_s\":12.500,\"eta_s\":0.000,"),
+            std::string::npos)
+      << st.to_json();
+  // No time and no commits yet: no rate, and the ETA is unknown.
+  st.phase = "running";
+  st.jobs_done = 0;
+  st.elapsed_seconds = 0.0;
+  EXPECT_EQ(st.jobs_per_second(), 0.0);
+  EXPECT_EQ(st.eta_seconds(), -1.0);
 }
 
 TEST(StatusFile, WriteAndReadBack) {
