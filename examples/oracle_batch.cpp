@@ -254,9 +254,6 @@ int serve_cli(int argc, char** argv) {
           static_cast<std::size_t>(int_flag(value(), arg, 0));
     } else if (arg == "--status-file") {
       cmd.options.status_path = value();
-    } else if (arg == "--status-interval-ms") {
-      cmd.options.status_interval_ms =
-          static_cast<std::uint32_t>(int_flag(value(), arg, 1));
     } else if (arg == "--query-threads") {
       cmd.options.query_threads =
           static_cast<std::size_t>(int_flag(value(), arg, 0));

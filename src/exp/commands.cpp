@@ -508,11 +508,11 @@ int run_sweep_command(const SweepCommand& cmd) {
       wopt.client.slot_count = slot.count;
       wopt.client.op_timeout_ms = cmd.lease_timeout_ms;
       wopt.client.retry_budget = cmd.lease_retries;
-      // CI fault injection: ORACLE_SHARD_FAULT="die|kill|stall:<slot>:<n>"
-      // arms a one-shot fault in the matching slot ("kill" raises SIGKILL,
-      // "die" _exit(1)s, "stall" sleeps through the service's expiry).
-      // The one-shot marker lives beside the canonical store, so the
-      // supervisor's respawn of the same slot runs clean.
+      // CI fault injection: ORACLE_SHARD_FAULT="kill:<slot>:<n>" raises
+      // SIGKILL in the matching slot before its job n, and
+      // "stall:<slot>:<n>[:<ms>]" sleeps through the service's expiry
+      // there. Each fires once: its marker lives beside the canonical
+      // store, so the supervisor's respawn of the same slot runs clean.
       if (const char* fault = std::getenv("ORACLE_SHARD_FAULT")) {
         const auto parts = split(fault, ':');
         const bool slot_match =
@@ -523,23 +523,17 @@ int run_sweep_command(const SweepCommand& cmd) {
         if (slot_match) {
           const auto n =
               static_cast<std::size_t>(parse_int(parts[2], "fault job count"));
-          if (parts[0] == "poison") {
-            // A poison *job*: kills whichever worker starts sweep index n,
-            // every time — deliberately no once-marker, so only the
-            // quarantine verdict stops the carnage.
-            wopt.hooks.die_on_job_index = n;
+          wopt.hooks.once_marker = opt.jsonl_path + ".fault_fired";
+          if (parts[0] == "kill") {
+            wopt.hooks.die_after_n_jobs = n;
             wopt.hooks.die_with_sigkill = true;
+          } else if (parts[0] == "stall") {
+            wopt.hooks.stall_after_n_jobs = n;
+            if (parts.size() >= 4)
+              wopt.hooks.stall_ms = static_cast<std::uint32_t>(
+                  parse_int(parts[3], "fault stall ms"));
           } else {
-            wopt.hooks.once_marker = opt.jsonl_path + ".fault_fired";
-            if (parts[0] == "die" || parts[0] == "kill") {
-              wopt.hooks.die_after_n_jobs = n;
-              wopt.hooks.die_with_sigkill = parts[0] == "kill";
-            } else if (parts[0] == "stall") {
-              wopt.hooks.stall_after_n_jobs = n;
-              if (parts.size() >= 4)
-                wopt.hooks.stall_ms = static_cast<std::uint32_t>(
-                    parse_int(parts[3], "fault stall ms"));
-            }
+            throw ConfigError("ORACLE_SHARD_FAULT form must be kill or stall");
           }
         }
       }
@@ -583,7 +577,7 @@ int run_sweep_command(const SweepCommand& cmd) {
       std::printf(
           "throughput: %.1f jobs/s, %.3fM events/s (%llu simulation events "
           "in %.2fs)\n",
-          rep.jobs_per_second, rep.events_per_second() / 1e6,
+          rep.jobs_per_second(), rep.events_per_second() / 1e6,
           static_cast<unsigned long long>(rep.total_events),
           rep.elapsed_seconds);
       if (rep.job_wall.count > 0)

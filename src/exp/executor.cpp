@@ -17,14 +17,16 @@
 #include "core/simulator.hpp"
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel_for.hpp"
 #include "util/string_util.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oracle::exp {
 
 namespace {
 
 constexpr auto kCommitInterval = std::chrono::milliseconds(2);
+// A plain-line ticker (piped or CI stderr) prints at most this often.
+constexpr auto kPlainTickerInterval = std::chrono::seconds(10);
 
 std::string format_eta(double seconds) {
   if (seconds < 0) return "?";
@@ -71,7 +73,7 @@ std::string BatchReport::summary() const {
       "%zu jobs: %zu executed, %zu skipped (cached), %zu failed in %.2fs "
       "(%.1f jobs/s)",
       total_jobs, executed, skipped, failed, elapsed_seconds,
-      jobs_per_second);
+      jobs_per_second());
   if (cancelled > 0) s += strfmt(", %zu released (lease shrunk)", cancelled);
   return s;
 }
@@ -130,8 +132,8 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
   const bool tty = opts_.progress_tty < 0
                        ? (prog == &std::cerr && ::isatty(2) != 0)
                        : opts_.progress_tty > 0;
-  const double interval = tty ? opts_.progress_interval_s
-                              : std::max(opts_.progress_interval_s, 10.0);
+  const Clock::duration line_every =
+      tty ? Clock::duration(obs::kStatusInterval) : kPlainTickerInterval;
 
   // Runs on the committer thread with phase "running", and once more
   // after it joins with the terminal phase, which forces both outputs;
@@ -142,16 +144,12 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
     const auto now = Clock::now();
     // The status file keeps the un-throttled cadence even when the plain-
     // line ticker is throttled for CI logs: a dashboard polling the file
-    // must see progress at progress_interval_s, not every 10s.
+    // must see progress every kStatusInterval, not every 10s.
     const bool do_line =
-        opts_.progress &&
-        (force ||
-         std::chrono::duration<double>(now - last_progress).count() >=
-             interval);
+        opts_.progress && (force || now - last_progress >= line_every);
     const bool do_status =
         !opts_.status_path.empty() &&
-        (force || std::chrono::duration<double>(now - last_status).count() >=
-                      opts_.progress_interval_s);
+        (force || now - last_status >= obs::kStatusInterval);
     if (!do_line && !do_status) return;
     obs::StatusSnapshot st;
     st.phase = phase;
@@ -297,7 +295,7 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
           } else {
             failed[pos] = 1;
             ++report.failed;
-            if (report.errors.size() < opts_.max_errors) {
+            if (report.errors.size() < BatchReport::kMaxErrors) {
               report.errors.push_back(
                   strfmt("job %zu (%s): %s", job.index,
                          job.config.label().c_str(), error.c_str()));
@@ -315,7 +313,7 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
   };
 
   std::thread committer(commit_loop);
-  ThreadPool::parallel_for(workers, workers, work_loop);
+  parallel_for(workers, workers, work_loop);
   {
     std::lock_guard<std::mutex> lock(mutex);
     workers_done = true;
@@ -331,10 +329,6 @@ BatchReport Executor::run(JobQueue& queue, ResultSink& sink) {
   report.cancelled = n - committed;
   report.elapsed_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  report.jobs_per_second =
-      report.elapsed_seconds > 0
-          ? static_cast<double>(committed) / report.elapsed_seconds
-          : 0.0;
   {
     // Every job whose simulation ran to completion contributes a sample,
     // committed or not (an uncommitted run still took that long).

@@ -1,7 +1,7 @@
 #pragma once
 // Parallel executor for batch experiments.
 //
-// Workers (util/thread_pool.hpp threads, one single-threaded Machine per
+// Workers (util/parallel_for.hpp threads, one single-threaded Machine per
 // job as machine.hpp prescribes) claim jobs from the JobQueue one at a time
 // and run core::run_experiment on each. Finished runs pass through an
 // *ordered commit* stage: one committer thread per run waits for the
@@ -32,22 +32,19 @@ struct ExecutorOptions {
   /// Emit live jobs/s + ETA lines (to `progress_stream` or stderr).
   bool progress = false;
   std::ostream* progress_stream = nullptr;
-  double progress_interval_s = 0.5;
 
   /// Ticker rendering: -1 = auto (carriage-return overwrite only when the
   /// ticker goes to stderr and stderr is a terminal), 0 = force plain
-  /// lines, 1 = force overwrite. Plain mode throttles to >= 10s between
-  /// lines so CI logs don't fill with ticker output; both modes end with
-  /// one newline-terminated summary line.
+  /// lines, 1 = force overwrite. Overwrite mode redraws every
+  /// obs::kStatusInterval; plain mode throttles to >= 10s between lines
+  /// so CI logs don't fill with ticker output. Both modes end with one
+  /// newline-terminated summary line.
   int progress_tty = -1;
 
   /// When non-empty, atomically rewrite this file with a one-line JSON
-  /// obs::StatusSnapshot on every progress tick (and a final "done" /
+  /// obs::StatusSnapshot every obs::kStatusInterval (and a final "done" /
   /// "failed" snapshot when the run ends), independent of `progress`.
   std::string status_path;
-
-  /// Keep at most this many failure messages in the report.
-  std::size_t max_errors = 8;
 
   /// Cooperative cancellation hook: called with each job immediately
   /// before it would run; returning true skips that job and stops the run
@@ -81,6 +78,9 @@ struct DurationStats {
 };
 
 struct BatchReport {
+  /// Failure messages kept in `errors`; the rest are only counted.
+  static constexpr std::size_t kMaxErrors = 8;
+
   std::size_t total_jobs = 0;  ///< sweep size before resume skipping
   std::size_t skipped = 0;     ///< already in the store (resume) or dropped
   std::size_t executed = 0;    ///< simulations actually run and committed
@@ -91,11 +91,16 @@ struct BatchReport {
   /// Scheduler::executed() per run) — the engine-level throughput measure.
   std::uint64_t total_events = 0;
   double elapsed_seconds = 0.0;
-  double jobs_per_second = 0.0;
   DurationStats job_wall;           ///< per-job wall-time distribution
-  std::vector<std::string> errors;  ///< first max_errors failure messages
+  std::vector<std::string> errors;  ///< first kMaxErrors failure messages
 
   bool ok() const noexcept { return failed == 0; }
+  /// Jobs that ran, failed ones included, per elapsed second.
+  double jobs_per_second() const noexcept {
+    return elapsed_seconds > 0
+               ? static_cast<double>(executed + failed) / elapsed_seconds
+               : 0.0;
+  }
   double events_per_second() const noexcept {
     return elapsed_seconds > 0
                ? static_cast<double>(total_events) / elapsed_seconds

@@ -182,7 +182,7 @@ double AdaptiveTimeout::timeout_seconds() const {
       0.99 * static_cast<double>(sorted.size() - 1) + 0.5);
   const double p99 = sorted[std::min(idx, sorted.size() - 1)];
   const double raw = std::max(p99 * config_.multiplier, max_sample_ * 2.0);
-  return std::clamp(raw, config_.floor_s, config_.cap_s);
+  return std::clamp(raw, config_.floor_s, kCapSeconds);
 }
 
 struct LeaseService::Impl {
@@ -695,9 +695,7 @@ LeaseServiceStats LeaseService::run() {
     }
   };
 
-  const auto status_every = std::chrono::milliseconds(
-      std::max<std::uint32_t>(options_.status_interval_ms, 1));
-  auto next_status = Clock::now() + status_every;
+  auto next_status = Clock::now() + obs::kStatusInterval;
   std::optional<Clock::time_point> linger_until;
 
   auto write_status = [&] {
@@ -714,7 +712,7 @@ LeaseServiceStats LeaseService::run() {
     auto until = linger_until ? *linger_until : expire_silent_slots(now);
     if (!options_.status_path.empty()) {
       if (now >= next_status) {
-        next_status = now + status_every;
+        next_status = now + obs::kStatusInterval;
         write_status();
       }
       until = std::min(until, next_status);

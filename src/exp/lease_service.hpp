@@ -116,7 +116,6 @@ class LeaseTable {
 struct AdaptiveTimeoutConfig {
   double multiplier = 8.0;    ///< timeout >= p99 * multiplier
   double floor_s = 3.0;       ///< never reap faster than this
-  double cap_s = 600.0;       ///< never wait longer than this
   std::size_t window = 512;   ///< sliding sample window for the p99
 };
 
@@ -131,6 +130,8 @@ struct AdaptiveTimeoutConfig {
 /// samples the timeout is infinite (never expire on pure guesswork).
 class AdaptiveTimeout {
  public:
+  static constexpr double kCapSeconds = 600.0;  ///< the formula's cap
+
   explicit AdaptiveTimeout(AdaptiveTimeoutConfig config = {})
       : config_(config) {}
 
@@ -166,10 +167,9 @@ struct LeaseServiceOptions {
   std::string journal_path;
 
   /// Optional obs::StatusSnapshot file, atomically rewritten every
-  /// status_interval_ms (phase "serving", per-slot lease/frontier/epoch
+  /// obs::kStatusInterval (phase "serving", per-slot lease/frontier/epoch
   /// liveness, fenced + retry counters).
   std::string status_path;
-  std::uint32_t status_interval_ms = 500;
 
   /// Per-slot expiry: an undrained slot with no message for longer than
   /// the expiry threshold is expired (epoch bumped — the fencing event).

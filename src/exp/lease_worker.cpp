@@ -106,11 +106,8 @@ void accumulate_batch(BatchReport* into, const BatchReport& one) {
   into->total_events += one.total_events;
   into->elapsed_seconds += one.elapsed_seconds;
   for (const auto& e : one.errors)
-    if (into->errors.size() < 16) into->errors.push_back(e);
-  into->jobs_per_second =
-      into->elapsed_seconds > 0
-          ? static_cast<double>(into->executed) / into->elapsed_seconds
-          : 0.0;
+    if (into->errors.size() < BatchReport::kMaxErrors)
+      into->errors.push_back(e);
 }
 
 /// The last sink of a lease run. Once the store's group fsync returned, it

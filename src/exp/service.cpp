@@ -33,6 +33,10 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kUnbudgeted = std::numeric_limits<std::size_t>::max();
 
+/// On shutdown, how long run() keeps flushing queued response bytes to
+/// well-behaved clients before closing their connections anyway.
+constexpr auto kDrainTimeout = std::chrono::milliseconds(2'000);
+
 /// One query as a resumable state machine. Both front ends drive it:
 /// Service::query() loops step() to completion with an unlimited budget
 /// (exactly the old inline behaviour — one batch run per round); the
@@ -752,9 +756,7 @@ ServiceStats Service::run() {
     obs::Tracer::emit(ev);
   };
 
-  const auto status_every = std::chrono::milliseconds(
-      std::max<std::uint32_t>(options_.status_interval_ms, 1));
-  auto next_status = Clock::now() + status_every;
+  auto next_status = Clock::now() + obs::kStatusInterval;
   write_status();
 
   bool draining = false;
@@ -767,8 +769,7 @@ ServiceStats Service::run() {
       // Shutdown: stop accepting, fail queued queries, let in-flight
       // slices finish, flush what clients will take, then leave.
       draining = true;
-      drain_deadline =
-          now + std::chrono::milliseconds(options_.drain_timeout_ms);
+      drain_deadline = now + svc_detail::kDrainTimeout;
       im.server.stop_accepting();
       {
         std::lock_guard<std::mutex> lk(im.ds.mu);
@@ -792,7 +793,7 @@ ServiceStats Service::run() {
     util::NetDeadline until = util::NetDeadline::max();
     if (!options_.status_path.empty()) {
       if (now >= next_status) {
-        next_status = now + status_every;
+        next_status = now + obs::kStatusInterval;
         write_status();
       }
       until = next_status;

@@ -55,10 +55,9 @@ struct ServiceOptions {
   std::size_t exec_threads = 0;  ///< executor workers; 0 = hardware
 
   /// Optional obs::StatusSnapshot file, atomically rewritten every
-  /// status_interval_ms while the daemon runs (phase "serving", request +
-  /// cache-hit + connection/queue-depth/in-flight counters).
+  /// obs::kStatusInterval while the daemon runs (phase "serving", request
+  /// + cache-hit + connection/queue-depth/in-flight counters).
   std::string status_path;
-  std::uint32_t status_interval_ms = 500;
 
   /// Precision-target queries stop extending the seed axis after this
   /// many extra rounds even if some grid point is still wider than asked.
@@ -82,10 +81,6 @@ struct ServiceOptions {
   /// A connection holding a partial request frame that sends no further
   /// bytes for this long (measured from its last byte) is evicted.
   std::uint32_t read_timeout_ms = 10'000;
-
-  /// On shutdown, how long run() keeps flushing queued response bytes to
-  /// well-behaved clients before closing their connections anyway.
-  std::uint32_t drain_timeout_ms = 2'000;
 
   /// SO_SNDBUF for accepted connections; 0 = OS default. Bounds the bytes
   /// a stalled client can sink into the kernel before write_timeout_ms
@@ -161,7 +156,7 @@ class Service {
 
   /// Serve frames until stop() or a shutdown request, then drain: queued
   /// queries are failed with a shutdown error, in-flight slices finish,
-  /// response buffers flush (bounded by drain_timeout_ms). Returns the
+  /// response buffers flush (for at most 2 s). Returns the
   /// final counters. Call start() first.
   ServiceStats run();
 

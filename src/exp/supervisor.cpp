@@ -465,9 +465,7 @@ SupervisorReport run_supervisor(
       }
 
       if (const auto now = Clock::now();
-          now - last_status >=
-          std::chrono::milliseconds(
-              std::max<std::uint32_t>(options.status_interval_ms, 1))) {
+          now - last_status >= obs::kStatusInterval) {
         last_status = now;
         write_status("running", served);
       }

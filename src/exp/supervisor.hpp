@@ -136,11 +136,10 @@ struct SupervisorOptions {
   /// When non-empty, the supervisor atomically rewrites this file with a
   /// one-line JSON obs::StatusSnapshot (jobs done/total, rate, ETA,
   /// per-worker lease frontier + last-contact age, the expiry threshold,
-  /// steals, restarts) every
-  /// `status_interval_ms`, and a final "done"/"failed" snapshot at exit.
-  /// Readers never see a torn file (tmp + rename).
+  /// steals, restarts) every obs::kStatusInterval, and a final
+  /// "done"/"failed" snapshot at exit. Readers never see a torn file
+  /// (tmp + rename).
   std::string status_path;
-  std::uint32_t status_interval_ms = 500;
 
   /// Trace base path of this run (the CLI's --trace value). The
   /// supervisor's own events are buffered by the process-wide tracer (the

@@ -1,15 +1,18 @@
 #pragma once
-// Live run status: a small JSON snapshot the supervisor (and the
-// single-process executor) atomically rewrites every progress tick, so
-// anything — a dashboard, the future cross-host lease server, a human
-// with `watch cat` — can follow a running sweep without parsing logs.
+// Live run status: a small JSON snapshot that the single-process
+// executor, the supervisor, the lease service (`serve-leases`) and the
+// oracle service (`serve`) each atomically rewrite every kStatusInterval,
+// so anything — a dashboard, a human with `watch cat` — can follow a
+// running sweep without parsing logs.
 //
 // Atomicity contract: the file is replaced via tmp + rename
 // (util::write_file_atomic), so a reader always sees one complete
-// snapshot, never a torn write. The fault-injection tests poll-read the
-// file while a supervised run crashes and restarts workers underneath it
-// and require every read to parse.
+// snapshot, never a torn write. StatusFile.ConcurrentReadsNeverSeeATornFile
+// (tests/test_trace.cpp) hammer-reads the file through 1,000 rewrites,
+// and the fault-injection tests poll-read it while a supervised run
+// crashes and restarts workers underneath it; every read must parse.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -17,6 +20,9 @@
 #include <vector>
 
 namespace oracle::obs {
+
+/// How often every status producer rewrites its status file.
+inline constexpr std::chrono::milliseconds kStatusInterval{500};
 
 /// Per-worker-slot state inside a supervised multi-process run.
 struct WorkerStatus {

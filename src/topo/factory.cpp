@@ -9,8 +9,8 @@
 #include "topo/grid.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/tree.hpp"
+#include "util/parallel_for.hpp"
 #include "util/string_util.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oracle::topo {
 
@@ -177,7 +177,7 @@ void prewarm_topology_cache(const std::vector<std::string>& specs) {
   // Distinct specs build concurrently (the cache builds outside its lock);
   // the point of prewarming is only that *identical* specs build once
   // instead of once per racing worker.
-  ThreadPool::parallel_for(distinct.size(), 0, [&](std::size_t i) {
+  parallel_for(distinct.size(), 0, [&](std::size_t i) {
     try {
       (void)make_topology_shared(distinct[i]);
     } catch (...) {

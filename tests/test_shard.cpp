@@ -733,6 +733,38 @@ TEST(ShardWorkers, LeaseWorkerWithSeveralThreadsMatchesSerialBytes) {
   std::remove(serial.c_str());
 }
 
+TEST(ShardWorkers, JobsPerSecondCountsFailedJobsInEveryReport) {
+  // One job throws. A single-process run and a lease worker report the
+  // same rate: every job that ran, failed ones included, per second.
+  auto configs = small_sweep();
+  configs[3].topology = "nonsense:9q";  // parses at run time → job fails
+  const auto canonical = temp_path("rate_failed.jsonl");
+  remove_lease_run_files(canonical);
+
+  exp::BatchOptions opt;
+  opt.collect = false;
+  const auto single = exp::run_batch(configs, opt).report;
+  EXPECT_EQ(single.failed, 1u);
+  EXPECT_EQ(single.executed, configs.size() - 1);
+  ASSERT_GT(single.elapsed_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(single.jobs_per_second(),
+                   static_cast<double>(configs.size()) /
+                       single.elapsed_seconds);
+
+  LocalLeaseService service(configs.size(), 1);
+  const auto report = exp::run_lease_client_worker(
+      configs, lease_worker_options(canonical, service.address()));
+  const exp::BatchReport& leased = report.batch;
+  EXPECT_EQ(leased.failed, 1u);
+  EXPECT_EQ(leased.executed, configs.size() - 1);
+  ASSERT_GT(leased.elapsed_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(leased.jobs_per_second(),
+                   static_cast<double>(configs.size()) /
+                       leased.elapsed_seconds);
+  service.finish();
+  remove_lease_run_files(canonical);
+}
+
 TEST(LeaseWorker, TakeoverSkipsSiblingRecordsWrittenAfterItStarted) {
   // Slot 0 drains its own lease while slot 1 never checks in. Only then do
   // records for part of slot 1's range land in slot 1's store (its worker

@@ -170,7 +170,6 @@ exp::SupervisorReport run_steal(const std::string& canonical,
   sopt.retry_quarantined = retry_quarantined;
   sopt.min_steal_jobs = min_steal_jobs;
   sopt.status_path = status_path;
-  sopt.status_interval_ms = 25;  // many rewrites for the atomicity poller
   sopt.exec_path = exp::self_exec_path(g_self);
   sopt.worker_args = {"--lease-worker", "--out", canonical};
   if (!sweep.empty()) {
@@ -342,9 +341,12 @@ TEST(StealSupervisor, StatusFileIsAlwaysACompleteSnapshot) {
   remove_steal_files(canonical, 3);
   std::remove(status.c_str());
 
-  // Hammer-read the status file while the supervisor rewrites it every
-  // 25ms *and* absorbs a SIGKILLed worker underneath: the tmp+rename
-  // contract means every non-empty read must parse as a full snapshot.
+  // Poll-read the status file while the supervisor rewrites it (every
+  // obs::kStatusInterval, plus its phase changes) *and* absorbs a
+  // SIGKILLed worker underneath: the tmp+rename contract means every
+  // non-empty read must parse as a full snapshot. The hammer of 1,000
+  // back-to-back rewrites is StatusFile.ConcurrentReadsNeverSeeATornFile
+  // in test_trace.cpp.
   std::atomic<bool> done{false};
   std::size_t reads = 0;
   std::size_t torn = 0;

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/presets.hpp"
@@ -397,6 +399,56 @@ TEST(StatusFile, WriteAndReadBack) {
   EXPECT_FALSE(back->expiry_s.has_value()) << "no threshold reads \"none\"";
   EXPECT_NE(slurp(path).find("\"expiry_s\":\"none\""), std::string::npos);
   EXPECT_TRUE(obs::json_valid(slurp(path)));
+  std::remove(path.c_str());
+}
+
+TEST(StatusFile, ConcurrentReadsNeverSeeATornFile) {
+  // Every status producer rewrites its file through write_status_file;
+  // readers (dashboards, the supervised fault tests) poll it meanwhile.
+  // The first write lands before the reader starts, so the file always
+  // exists: a read that fails to parse is a torn write.
+  const std::string path = temp_path("hammer.status.json");
+  constexpr std::size_t kWrites = 1'000;
+  obs::StatusSnapshot st;
+  st.jobs_total = kWrites;
+  st.workers.push_back({0, true, 0, kWrites, 0, 0, 0.0});
+  obs::write_status_file(path, st);
+
+  std::atomic<bool> done{false};
+  std::size_t reads = 0;
+  std::size_t torn = 0;
+  std::size_t backwards = 0;  // a read older than the one before it
+  std::size_t last_done = 0;
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const auto back = obs::read_status_file(path);
+      ++reads;
+      if (!back) {
+        ++torn;
+        continue;
+      }
+      if (back->jobs_done < last_done) ++backwards;
+      last_done = back->jobs_done;
+    }
+  });
+  for (std::size_t i = 1; i <= kWrites; ++i) {
+    st.jobs_done = i;
+    st.elapsed_seconds = 0.01 * static_cast<double>(i);
+    st.workers[0].frontier = i;
+    st.workers[0].heartbeat_age_s = 0.001 * static_cast<double>(i % 7);
+    st.phase = i == kWrites ? "done" : "running";
+    obs::write_status_file(path, st);
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << reads << " reads";
+  EXPECT_EQ(backwards, 0u);
+  const auto final_status = obs::read_status_file(path);
+  ASSERT_TRUE(final_status.has_value());
+  EXPECT_EQ(final_status->phase, "done");
+  EXPECT_EQ(final_status->jobs_done, kWrites);
   std::remove(path.c_str());
 }
 

@@ -1,21 +1,25 @@
-// Tests for string helpers, the table printer, and the thread pool.
+// Tests for string helpers, the table printer, and parallel_for.
 
 #include <gtest/gtest.h>
 
 #include <poll.h>
 
-#include <atomic>
+#include <algorithm>
+#include <fstream>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/net.hpp"
+#include "util/parallel_for.hpp"
 #include "util/posix_io.hpp"
 #include "util/spec.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oracle {
 namespace {
@@ -195,52 +199,65 @@ TEST(TextTable, RuleInsertsSeparator) {
 }
 
 // --------------------------------------------------------------------------
-// ThreadPool
+// parallel_for
 // --------------------------------------------------------------------------
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+/// This process's thread count, from /proc/self/status.
+std::size_t live_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
+TEST(ParallelFor, CoversAllIndices) {
   std::vector<int> hits(1000, 0);
-  ThreadPool::parallel_for(hits.size(), 8,
-                           [&](std::size_t i) { hits[i] = 1; });
+  parallel_for(hits.size(), 8, [&](std::size_t i) { hits[i] = 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, ParallelForZeroItems) {
-  ThreadPool::parallel_for(0, 4, [](std::size_t) { FAIL(); });
+TEST(ParallelFor, ZeroItems) {
+  parallel_for(0, 4, [](std::size_t) { FAIL(); });
   SUCCEED();
 }
 
-TEST(ThreadPool, ParallelForPropagatesException) {
-  EXPECT_THROW(ThreadPool::parallel_for(
-                   10, 4,
-                   [](std::size_t i) {
-                     if (i == 5) throw std::runtime_error("boom");
-                   }),
+TEST(ParallelFor, PropagatesException) {
+  EXPECT_THROW(parallel_for(10, 4,
+                            [](std::size_t i) {
+                              if (i == 5) throw std::runtime_error("boom");
+                            }),
                std::runtime_error);
 }
 
-TEST(ThreadPool, TasksSubmittedFromWorkers) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i) pool.submit([&] { ++count; });
+TEST(ParallelFor, RunsEveryOtherIndexAfterOneThrows) {
+  for (const std::size_t threads : {1u, 4u}) {
+    std::vector<int> hits(100, 0);
+    EXPECT_THROW(parallel_for(hits.size(), threads,
+                              [&](std::size_t i) {
+                                if (i == 5) throw std::runtime_error("boom");
+                                hits[i] = 1;
+                              }),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i], i == 5 ? 0 : 1)
+          << "index " << i << ", " << threads << " thread(s)";
+  }
+}
+
+TEST(ParallelFor, StartsNoMoreThreadsThanItems) {
+  const std::size_t before = live_threads();
+  ASSERT_GT(before, 0u);
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  std::size_t most = 0;
+  parallel_for(3, 8, [&](std::size_t) {
+    const std::size_t now = live_threads();
+    std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+    most = std::max(most, now);
   });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
+  EXPECT_LE(ids.size(), 3u);
+  EXPECT_LE(most, before + 3);
 }
 
 // --------------------------------------------------------------------------
