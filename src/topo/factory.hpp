@@ -46,10 +46,10 @@ SharedTopology make_topology_shared(std::string_view spec);
 
 /// Build every distinct spec in `specs` into the shared cache (distinct
 /// specs build in parallel, one thread each up to the hardware's
-/// concurrency), swallowing
-/// malformed specs (the job naming one fails later with per-job
-/// reporting). Batch runners call this before fanning out workers so
-/// identical specs are built once instead of once per racing worker.
+/// concurrency), swallowing malformed specs (the job naming one fails
+/// later with per-job reporting). Batch runners call this before fanning
+/// out workers so identical specs are built once instead of once per
+/// racing worker.
 void prewarm_topology_cache(const std::vector<std::string>& specs);
 
 /// Entries currently held by the shared-topology cache (tests/diagnostics).

@@ -21,8 +21,9 @@ void parallel_for(std::size_t n, std::size_t threads,
     pool.reserve(threads);
     for (std::size_t t = 0; t < threads; ++t)
       pool.emplace_back([&] {
-        std::size_t i;
-        while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
+        while (true) {
+          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= n) return;
           try {
             fn(i);
           } catch (...) {

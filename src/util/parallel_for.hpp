@@ -1,7 +1,5 @@
 #pragma once
-// parallel_for: run fn(i) for every i in [0, n) on short-lived threads.
-// The batch executor starts its workers through it, and
-// topo::prewarm_topology_cache builds distinct topologies with it.
+// parallel_for: fan independent work items out over short-lived threads.
 
 #include <cstddef>
 #include <functional>
