@@ -67,7 +67,7 @@ constexpr MetricField kMetrics[] = {
      }},
 };
 
-constexpr std::size_t kNumMetrics = std::size(kMetrics);
+static_assert(std::size(kMetrics) == Aggregator::kMetricCount);
 
 }  // namespace
 
@@ -110,7 +110,7 @@ const MetricSummary* GridPointSummary::metric(std::string_view name) const {
 const std::vector<std::string>& Aggregator::metric_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> out;
-    out.reserve(kNumMetrics);
+    out.reserve(kMetricCount);
     for (const auto& m : kMetrics) out.emplace_back(m.name);
     return out;
   }();
@@ -124,28 +124,42 @@ std::uint64_t Aggregator::grid_key(const stats::RunResult& r) {
   return key.hash();
 }
 
-Aggregator::Group& Aggregator::group_for(const stats::RunResult& r) {
-  const std::uint64_t key = grid_key(r);
-  const auto [it, fresh] = index_.try_emplace(key, groups_.size());
-  if (fresh) {
-    Group g;
-    g.key = key;
-    g.topology = r.topology;
-    g.strategy = r.strategy;
-    g.workload = r.workload;
-    g.num_pes = r.num_pes;
-    g.samples.resize(kNumMetrics);
-    groups_.push_back(std::move(g));
-  }
-  return groups_[it->second];
+Aggregator::Row Aggregator::make_row(std::uint64_t content_hash,
+                                     const stats::RunResult& r) {
+  Row row{content_hash, grid_key(r), r.topology, r.strategy, r.workload,
+          r.num_pes};
+  for (std::size_t m = 0; m < kMetricCount; ++m)
+    row.values[m] = kMetrics[m].get(r);
+  return row;
 }
 
-void Aggregator::add(const stats::RunResult& r) {
-  Group& g = group_for(r);
-  ++g.runs;
+void Aggregator::fold(const Row& row) {
+  const auto [it, fresh] = index_.try_emplace(row.grid_key, groups_.size());
+  if (fresh) {
+    Group g;
+    g.key = row.grid_key;
+    g.topology = std::string(row.topology);
+    g.strategy = std::string(row.strategy);
+    g.workload = std::string(row.workload);
+    g.num_pes = row.num_pes;
+    groups_.push_back(std::move(g));
+  }
+  groups_[it->second].runs.push_back(row.values);
   ++rows_;
-  for (std::size_t m = 0; m < kNumMetrics; ++m)
-    g.samples[m].push_back(kMetrics[m].get(r));
+}
+
+void Aggregator::add(const stats::RunResult& r) { fold(make_row(0, r)); }
+
+void Aggregator::add_row(const Row& row) {
+  // The content hash is the job's identity: a second record with the same
+  // hash is the same run seen through another store (canonical + kept
+  // shard store, the same host store passed twice, ...). Counting it
+  // again would inflate n and deflate every confidence interval.
+  if (!seen_hashes_.insert(row.content_hash).second) {
+    ++duplicates_;
+    return;
+  }
+  fold(row);
 }
 
 bool Aggregator::add_line(const std::string& line) {
@@ -155,15 +169,7 @@ bool Aggregator::add_line(const std::string& line) {
     ++skipped_;
     return false;
   }
-  // The content hash is the job's identity: a second record with the same
-  // hash is the same run seen through another store (canonical + kept
-  // shard store, the same host store passed twice, ...). Counting it
-  // again would inflate n and deflate every confidence interval.
-  if (!seen_hashes_.insert(rec->content_hash).second) {
-    ++duplicates_;
-    return true;
-  }
-  add(rec->result);
+  add_row(make_row(rec->content_hash, rec->result));
   return true;
 }
 
@@ -187,7 +193,12 @@ Aggregator Aggregator::from_jsonl_files(const std::vector<std::string>& paths) {
   return agg;
 }
 
-std::vector<GridPointSummary> Aggregator::summarize() const {
+std::vector<GridPointSummary> Aggregator::summarize(
+    const std::vector<std::string>& metrics) const {
+  std::array<bool, kMetricCount> wanted{};
+  for (std::size_t m = 0; m < kMetricCount; ++m)
+    wanted[m] = std::find(metrics.begin(), metrics.end(), kMetrics[m].name) !=
+                metrics.end();
   std::vector<GridPointSummary> out;
   out.reserve(groups_.size());
   for (const Group& g : groups_) {
@@ -197,12 +208,13 @@ std::vector<GridPointSummary> Aggregator::summarize() const {
     s.strategy = g.strategy;
     s.workload = g.workload;
     s.num_pes = g.num_pes;
-    s.runs = g.runs;
-    s.metrics.reserve(kNumMetrics);
-    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    s.runs = g.runs.size();
+    for (std::size_t m = 0; m < kMetricCount; ++m) {
+      if (!wanted[m]) continue;
       MetricSummary ms;
       ms.name = kMetrics[m].name;
-      ms.sorted_samples = g.samples[m];
+      ms.sorted_samples.reserve(g.runs.size());
+      for (const auto& run : g.runs) ms.sorted_samples.push_back(run[m]);
       std::sort(ms.sorted_samples.begin(), ms.sorted_samples.end());
       ms.n = ms.sorted_samples.size();
       if (ms.n > 0) {

@@ -8,9 +8,16 @@
 // mean / sample stddev / 95% confidence interval (Student-t) / min / max /
 // percentiles for every numeric metric the record carries.
 //
+// Every record enters as one Aggregator::Row (content hash, grid identity,
+// metric values). `oracle_batch aggregate` parses each line into a row;
+// the resident service folds the rows its StoreIndex keeps from earlier
+// reads. Both paths fold the same values, in the same order, with the
+// same dedup, so their tables are byte-identical.
+//
 // Exposed on the command line as `oracle_batch aggregate <store.jsonl>`
 // with table and CSV output.
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -56,7 +63,8 @@ struct GridPointSummary {
   std::uint32_t num_pes = 0;
   std::size_t runs = 0;
 
-  /// One summary per Aggregator::metric_names() entry, in that order.
+  /// One summary per summarized metric, in Aggregator::metric_names()
+  /// order (every metric unless summarize() was given a subset).
   std::vector<MetricSummary> metrics;
 
   /// Lookup by metric name; nullptr when unknown.
@@ -65,8 +73,28 @@ struct GridPointSummary {
 
 class Aggregator {
  public:
+  static constexpr std::size_t kMetricCount = 15;
+
   /// The metrics extracted from every record, in output order.
   static const std::vector<std::string>& metric_names();
+
+  /// What aggregation keeps of one record: its content hash, its grid
+  /// point and every metric value, in metric_names() order. The names
+  /// are views: whoever builds a row keeps their bytes alive while it is
+  /// folded (a group copies them when it is first seen).
+  struct Row {
+    std::uint64_t content_hash = 0;
+    std::uint64_t grid_key = 0;  ///< grid_key() of the record
+    std::string_view topology;
+    std::string_view strategy;
+    std::string_view workload;
+    std::uint32_t num_pes = 0;
+    std::array<double, kMetricCount> values{};
+  };
+
+  /// The row of one run (the hash is the record's; 0 when it has none).
+  /// Its names view `r`'s.
+  static Row make_row(std::uint64_t content_hash, const stats::RunResult& r);
 
   /// Grid-point identity of a record: FNV-1a over the seed-independent
   /// identification fields (topology | strategy | workload | num_pes) —
@@ -75,14 +103,18 @@ class Aggregator {
   static std::uint64_t grid_key(const stats::RunResult& r);
 
   /// Fold one run into its grid point (groups appear in first-seen order).
+  /// No dedup: the run carries no content hash.
   void add(const stats::RunResult& r);
 
-  /// Parse one JSONL line and add it; false (and counted as skipped) on
-  /// malformed input. Blank lines are ignored and not counted. A record
-  /// whose content hash was already ingested is counted as a duplicate
-  /// and NOT added again: aggregating overlapping stores (e.g. a merged
-  /// canonical store plus a kept per-shard store) must not double-count
-  /// samples and silently shrink the confidence intervals.
+  /// Fold one record's row. A row whose content hash was already folded
+  /// is counted as a duplicate and NOT added again: aggregating
+  /// overlapping stores (e.g. a merged canonical store plus a kept
+  /// per-shard store) must not double-count samples and silently shrink
+  /// the confidence intervals.
+  void add_row(const Row& row);
+
+  /// Parse one JSONL line and add_row() its row; false (and counted as
+  /// skipped) on malformed input. Blank lines are ignored and not counted.
   bool add_line(const std::string& line);
 
   /// Read every line of a stream.
@@ -104,8 +136,11 @@ class Aggregator {
   std::size_t duplicate_rows() const noexcept { return duplicates_; }
   std::size_t groups() const noexcept { return groups_.size(); }
 
-  /// Compute the per-group summaries (first-seen group order).
-  std::vector<GridPointSummary> summarize() const;
+  /// Compute the per-group summaries (first-seen group order) of the
+  /// named metrics only; names that are not metrics are ignored. The
+  /// default summarizes every metric.
+  std::vector<GridPointSummary> summarize(
+      const std::vector<std::string>& metrics = metric_names()) const;
 
   /// Long-format CSV: one row per (grid point, metric) with
   /// n/mean/stddev/ci95/min/max and the p50/p90/p99 percentiles.
@@ -122,11 +157,10 @@ class Aggregator {
     std::string strategy;
     std::string workload;
     std::uint32_t num_pes = 0;
-    std::size_t runs = 0;
-    std::vector<std::vector<double>> samples;  // [metric][run]
+    std::vector<std::array<double, kMetricCount>> runs;  // [run][metric]
   };
 
-  Group& group_for(const stats::RunResult& r);
+  void fold(const Row& row);
 
   std::vector<Group> groups_;
   std::unordered_map<std::uint64_t, std::size_t> index_;

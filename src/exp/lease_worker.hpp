@@ -114,6 +114,11 @@ struct LeaseWorkerOptions {
 /// do not respawn" from "worker bug, respawn".
 constexpr int kOrphanedExitCode = 3;
 
+/// Exit status of a worker process whose configuration was rejected (the
+/// CLI's usage-error code). It ran no job, so its death names no suspect,
+/// and a respawn would be rejected the same way.
+constexpr int kUsageExitCode = 2;
+
 /// Outcome of a lease-service worker (run_lease_client_worker).
 struct LeaseWorkerReport {
   BatchReport batch;          ///< aggregate over every lease it ran

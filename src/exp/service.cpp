@@ -138,7 +138,8 @@ void QueryRun::plan(ServiceSink& sink) {
   st_.total = queue_->jobs().size();
   if (round_ == 0) st_.cached = cached;
   st_.rounds = round_ + 1;
-  cursor_ = 0;
+  // All cached: run_chunk has nothing to look for.
+  cursor_ = cached == st_.total ? st_.total : 0;
   round_cached_ = cached;
   round_done_ = 0;
   planned_ = true;
@@ -221,15 +222,19 @@ void QueryRun::aggregate() {
   // Aggregate the requested points in sweep order (== store commit order
   // for a store this sweep produced, so tables are byte-identical to
   // `oracle_batch aggregate` over it). Failed jobs have no record and
-  // silently contribute nothing, exactly like aggregate-over-store.
+  // silently contribute nothing, exactly like aggregate-over-store. Each
+  // point folds the row its index entry keeps: only the first query to
+  // read a record preads and parses it. Only the rendered metrics are
+  // summarized, unless the answer needs them all (CSV) or the target
+  // check reads one more.
   Aggregator agg;
   {
     std::shared_lock<std::shared_mutex> lk(index_mu_);
     for (const auto& job : queue_->jobs())
-      if (const auto line = index_.fetch_line(job.content_hash))
-        agg.add_line(*line);
+      if (const auto* row = index_.row(job.content_hash)) agg.add_row(*row);
   }
-  groups_ = agg.summarize();
+  groups_ = targeted_ || q_.want_csv ? agg.summarize()
+                                     : agg.summarize(q_.metrics);
 }
 
 bool QueryRun::target_satisfied_or_capped() {
@@ -625,7 +630,9 @@ ServiceStats Service::run() {
 
   auto snapshot = [&] {
     obs::StatusSnapshot st;
-    st.phase = stats_.shutdown_requested ? "done" : "serving";
+    // Stopped by a shutdown request or a signal: every snapshot from here
+    // on, the last write included, says the daemon is done.
+    st.phase = stop_.load(std::memory_order_relaxed) ? "done" : "serving";
     st.jobs_total = stats_.jobs_requested;
     st.jobs_done = stats_.cache_hits + stats_.jobs_scheduled;
     st.elapsed_seconds =

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <memory>
 #include <string_view>
 
 #include "exp/job.hpp"
+#include "exp/result_sink.hpp"
 #include "util/posix_io.hpp"
 
 namespace oracle::exp {
@@ -48,7 +50,7 @@ StoreIndex::~StoreIndex() {
 std::optional<StoreIndex::Entry> StoreIndex::lookup(std::uint64_t hash) const {
   const auto it = index_.find(hash);
   if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return it->second.entry;
 }
 
 std::uint64_t StoreIndex::indexed_bytes() const {
@@ -95,7 +97,7 @@ std::size_t StoreIndex::scan_store(std::size_t store_idx) {
   if (store.fd >= 0) {
     // The store shrank (truncated), was deleted, or a rename replaced it:
     // the recorded offsets no longer name these bytes, so drop every entry
-    // pointing into it and start over on a fresh handle.
+    // pointing into it, with its row, and start over on a fresh handle.
     struct stat held {};
     const bool same = exists && ::fstat(store.fd, &held) == 0 &&
                       held.st_dev == at_path.st_dev &&
@@ -104,7 +106,7 @@ std::size_t StoreIndex::scan_store(std::size_t store_idx) {
                           store.frontier;
     if (!same) {
       std::erase_if(index_, [&](const auto& kv) {
-        return kv.second.store == store_idx;
+        return kv.second.entry.store == store_idx;
       });
       store.frontier = 0;
       ::close(store.fd);
@@ -155,15 +157,52 @@ std::size_t StoreIndex::refresh() {
   return added;
 }
 
-std::optional<std::string> StoreIndex::fetch_line(std::uint64_t hash) const {
-  const auto entry = lookup(hash);
-  if (!entry) return std::nullopt;
-  std::string line(entry->length, '\0');
-  if (util::pread_full(stores_[entry->store].fd, line.data(), line.size(),
-                       entry->offset) !=
+std::optional<std::string> StoreIndex::read_line(const Entry& entry) const {
+  std::string line(entry.length, '\0');
+  if (util::pread_full(stores_[entry.store].fd, line.data(), line.size(),
+                       entry.offset) !=
       static_cast<std::ptrdiff_t>(line.size()))
     return std::nullopt;
   return line;
+}
+
+std::optional<std::string> StoreIndex::fetch_line(std::uint64_t hash) const {
+  const auto entry = lookup(hash);
+  if (!entry) return std::nullopt;
+  return read_line(*entry);
+}
+
+std::string_view StoreIndex::intern(std::string_view name) const {
+  auto it = names_.find(name);
+  if (it == names_.end()) it = names_.emplace(name).first;
+  return *it;
+}
+
+const Aggregator::Row* StoreIndex::row(std::uint64_t hash) const {
+  const auto it = index_.find(hash);
+  if (it == index_.end()) return nullptr;
+  const Slot& slot = it->second;
+  const Aggregator::Row* held = slot.row.load(std::memory_order_acquire);
+  if (held != nullptr) return held;
+  const auto line = read_line(slot.entry);
+  if (!line) return nullptr;
+  const auto rec = parse_jsonl_record(*line);
+  if (!rec) return nullptr;
+  auto fresh = std::make_unique<Aggregator::Row>(
+      Aggregator::make_row(rec->content_hash, rec->result));
+  {
+    std::lock_guard<std::mutex> lk(names_mu_);
+    fresh->topology = intern(fresh->topology);
+    fresh->strategy = intern(fresh->strategy);
+    fresh->workload = intern(fresh->workload);
+  }
+  // Readers fill rows under the shared lock: the first to publish wins,
+  // and a reader that raced it folds the winner's row instead of its own.
+  if (slot.row.compare_exchange_strong(held, fresh.get(),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+    return fresh.release();
+  return held;
 }
 
 }  // namespace oracle::exp

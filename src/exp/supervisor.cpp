@@ -406,6 +406,14 @@ SupervisorReport run_supervisor(
           ++report.orphaned;
           continue;
         }
+        if (we.term_signal == 0 && we.exit_code == kUsageExitCode) {
+          ORACLE_LOG_ERROR(strfmt(
+              "worker slot %zu rejected its configuration (exit code %d); "
+              "aborting (state kept for --resume)",
+              k, we.exit_code));
+          failed = true;
+          continue;
+        }
 
         if (convict_suspect(k)) {
           // The poison job is out of every lease now; give the slot a

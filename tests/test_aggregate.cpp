@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
@@ -233,6 +234,70 @@ TEST(Aggregate, MissingStoreThrows) {
   EXPECT_THROW(Aggregator::from_jsonl_files({"also_missing_a.jsonl",
                                              "also_missing_b.jsonl"}),
                SimulationError);
+}
+
+TEST(Aggregate, SummarizeOfNamedMetricsMatchesTheFullSummary) {
+  Aggregator agg;
+  std::uint64_t seed = 1;
+  for (const double v : {3.0, 1.0, 4.0, 1.5, 9.0}) {
+    agg.add(point("grid-10x10", "cwn", seed, v));
+    agg.add(point("grid-10x10", "gm", seed++, v * 2.0));
+  }
+  const auto full = agg.summarize();
+  // Named out of order, one twice, one unknown: the subset comes back once
+  // each, in metric_names() order.
+  const auto part =
+      agg.summarize({"speedup", "completion_time", "speedup", "no_such"});
+  ASSERT_EQ(part.size(), full.size());
+  for (std::size_t g = 0; g < full.size(); ++g) {
+    EXPECT_EQ(part[g].key, full[g].key);
+    EXPECT_EQ(part[g].strategy, full[g].strategy);
+    EXPECT_EQ(part[g].runs, full[g].runs);
+    ASSERT_EQ(part[g].metrics.size(), 2u);
+    EXPECT_EQ(part[g].metrics[0].name, "completion_time");
+    EXPECT_EQ(part[g].metrics[1].name, "speedup");
+    for (const auto& m : part[g].metrics) {
+      const MetricSummary* f = full[g].metric(m.name);
+      ASSERT_NE(f, nullptr);
+      EXPECT_EQ(m.n, f->n);
+      EXPECT_EQ(m.mean, f->mean);
+      EXPECT_EQ(m.stddev, f->stddev);
+      EXPECT_EQ(m.ci95, f->ci95);
+      EXPECT_EQ(m.min, f->min);
+      EXPECT_EQ(m.max, f->max);
+      EXPECT_EQ(m.sorted_samples, f->sorted_samples);
+    }
+  }
+  for (const char* metric : {"speedup", "completion_time"})
+    EXPECT_EQ(Aggregator::to_table(part, metric),
+              Aggregator::to_table(full, metric));
+  EXPECT_TRUE(agg.summarize({})[0].metrics.empty());
+}
+
+TEST(Aggregate, RowsFoldLikeTheirLines) {
+  // Folding rows made from parsed records (the service's cached path)
+  // gives the same groups, samples and dedup as adding the lines.
+  std::vector<std::string> lines;
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    ExperimentJob job;
+    job.index = i;
+    job.content_hash = i % 5;  // hash 1 repeats: one duplicate
+    lines.push_back(jsonl_record(
+        job, point("grid-10x10", i % 2 ? "cwn" : "gm", i, 10.0 * i)));
+  }
+  Aggregator by_line;
+  Aggregator by_row;
+  for (const auto& line : lines) {
+    ASSERT_TRUE(by_line.add_line(line));
+    const auto rec = parse_jsonl_record(line);
+    ASSERT_TRUE(rec.has_value());
+    by_row.add_row(Aggregator::make_row(rec->content_hash, rec->result));
+  }
+  EXPECT_EQ(by_row.rows(), 5u);
+  EXPECT_EQ(by_row.duplicate_rows(), 1u);
+  EXPECT_EQ(by_line.duplicate_rows(), 1u);
+  EXPECT_EQ(Aggregator::to_csv(by_row.summarize()),
+            Aggregator::to_csv(by_line.summarize()));
 }
 
 // ----------------------------------------------------------- edge cases --

@@ -405,6 +405,45 @@ TEST(Service, WarmQueryIsAllHitsAndByteIdenticalToAggregate) {
   EXPECT_EQ(sink.csv, exp::Aggregator::to_csv(groups));
 }
 
+TEST(Service, CsvAndTargetedQueriesSummarizeEveryMetric) {
+  // A plain query summarizes only the metrics it renders; a CSV answer
+  // and a precision target still read every metric (or one the tables do
+  // not name).
+  const auto store = temp_path("every_metric.jsonl");
+  const auto spec = small_sweep();
+  prebuild_store(spec, store);
+  const auto groups = exp::Aggregator::from_jsonl_files({store}).summarize();
+
+  exp::ServiceOptions opt;
+  opt.store = store;
+  exp::Service service(opt);
+
+  exp::ServiceQuery q;
+  q.sweep = spec;
+  q.metrics = {"speedup"};
+  q.want_csv = true;
+  CollectSink csv;
+  service.query(q, csv);
+  ASSERT_EQ(csv.tables.size(), 1u);
+  EXPECT_EQ(csv.tables[0].second, exp::Aggregator::to_table(groups, "speedup"));
+  EXPECT_EQ(csv.csv, exp::Aggregator::to_csv(groups));
+
+  // The target is on a metric no table renders; a generous interval is
+  // met by the cached seeds in one round, so it must have been read.
+  q = {};
+  q.sweep = spec;
+  q.metrics = {"avg_utilization"};
+  q.target_metric = "speedup";
+  q.target_ci95 = 1e9;
+  CollectSink targeted;
+  const auto stats = service.query(q, targeted);
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(stats.scheduled, 0u);
+  ASSERT_EQ(targeted.tables.size(), 1u);
+  EXPECT_EQ(targeted.tables[0].second,
+            exp::Aggregator::to_table(groups, "avg_utilization"));
+}
+
 TEST(Service, ColdQuerySchedulesOnlyTheMissingJobs) {
   const auto store = temp_path("cold.jsonl");
   auto spec = small_sweep();
@@ -675,6 +714,33 @@ TEST(ServiceDaemon, ServesPingStatusQueryAndShutdown) {
   EXPECT_EQ(daemon.stats.cache_hits, spec.size());
   EXPECT_EQ(daemon.stats.jobs_scheduled, 0u);
   EXPECT_EQ(daemon.stats.bad_requests, 1u);
+}
+
+TEST(ServiceDaemon, StopEndsTheStatusFileAtDone) {
+  // stop() is where SIGTERM lands (commands.cpp routes the signal to it):
+  // a clean exit without a shutdown request must still end the status
+  // file at `done`, not leave a stopped daemon reading `serving`.
+  const auto store = temp_path("stop_status.jsonl");
+  prebuild_store(small_sweep(), store);
+  exp::ServiceOptions opt;
+  opt.store = store;
+  opt.status_path = temp_path("stop_status.json");
+  std::remove(opt.status_path.c_str());
+  ServiceThread daemon(opt);
+  ASSERT_GT(daemon.svc.port(), 0);
+  auto conn = connect_to(daemon.svc.port());
+  ServiceRequest ping;
+  ping.seq = 1;
+  ping.op = ServiceOp::kPing;
+  ASSERT_TRUE(exchange(conn.fd(), ping).has_value());
+
+  daemon.svc.stop();
+  daemon.join();
+  EXPECT_FALSE(daemon.stats.shutdown_requested);
+  std::ifstream in(opt.status_path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"phase\":\"done\""), std::string::npos) << json;
 }
 
 TEST(ServiceDaemon, MalformedFramesDropTheConnectionOnly) {

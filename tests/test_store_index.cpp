@@ -4,18 +4,26 @@
 // across overlapping stores, torn-tail tolerance (a half-written record
 // is invisible until its newline lands, and a torn record a resume append
 // newline-terminated is corrupt, not cached), corrupt-line accounting,
-// and truncation and replacement recovery.
+// truncation and replacement recovery, and the parsed rows kept with
+// entries: dropped with them, and filled by concurrent readers while a
+// writer appends.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sweep.hpp"
+#include "exp/aggregate.hpp"
 #include "exp/batch.hpp"
 #include "exp/job_queue.hpp"
 #include "exp/result_sink.hpp"
@@ -52,6 +60,29 @@ std::string read_file(const std::string& path) {
 /// signature plus a tag so byte-identity checks can tell lines apart.
 std::string fake_record(const std::string& hex16, const std::string& tag) {
   return "{\"job\":0,\"hash\":\"" + hex16 + "\",\"tag\":\"" + tag + "\"}";
+}
+
+/// A complete record (one parse_jsonl_record accepts) for `hash`, in grid
+/// point `strategy`, with the speedup the test chooses.
+std::string real_record(std::uint64_t hash, double speedup,
+                        const std::string& strategy = "cwn") {
+  exp::ExperimentJob job;
+  job.content_hash = hash;
+  stats::RunResult r;
+  r.topology = "grid-4x4";
+  r.strategy = strategy;
+  r.workload = "fib-8";
+  r.num_pes = 16;
+  r.speedup = speedup;
+  r.completion_time = static_cast<sim::SimTime>(1000.0 / speedup);
+  return exp::jsonl_record(job, r);
+}
+
+/// The speedup a cached row holds.
+double row_speedup(const exp::Aggregator::Row* row) {
+  const auto& names = exp::Aggregator::metric_names();
+  const auto at = std::find(names.begin(), names.end(), "speedup");
+  return row->values[static_cast<std::size_t>(at - names.begin())];
 }
 
 TEST(StoreIndex, BuildFromRealStoreRoundTrips) {
@@ -239,39 +270,129 @@ TEST(StoreIndex, TruncatedStoreIsReindexedFromScratch) {
   write_file(store, fake_record("0000000000000040", "one") + "\n" +
                         fake_record("0000000000000041", "two") + "\n");
 
+  append_file(store, real_record(0x43, 1.5) + "\n");
+
   exp::StoreIndex index;
-  EXPECT_EQ(index.add_store(store), 2u);
+  EXPECT_EQ(index.add_store(store), 3u);
+  // A query read 0x43, so its parsed row is kept with the entry.
+  ASSERT_NE(index.row(0x43), nullptr);
+  EXPECT_EQ(row_speedup(index.row(0x43)), 1.5);
+  EXPECT_EQ(index.row(0x40), nullptr);  // not a record: no row
 
   // The store is rewritten shorter (e.g. a fresh run replaced it): stale
-  // entries must not survive to serve garbage bytes.
-  write_file(store, fake_record("0000000000000042", "new") + "\n");
+  // entries must not survive to serve garbage bytes, and neither may the
+  // rows read before: 0x43 now names another record.
+  write_file(store, fake_record("0000000000000042", "new") + "\n" +
+                        real_record(0x43, 2.5) + "\n");
   index.refresh();
   EXPECT_FALSE(index.contains(0x40));
   EXPECT_FALSE(index.contains(0x41));
   EXPECT_TRUE(index.contains(0x42));
   EXPECT_EQ(index.fetch_line(0x42), fake_record("0000000000000042", "new"));
+  ASSERT_NE(index.row(0x43), nullptr);
+  EXPECT_EQ(row_speedup(index.row(0x43)), 2.5);
 }
 
 TEST(StoreIndex, ReplacedStoreIsReindexedFromScratch) {
   const auto store = temp_path("replaced.jsonl");
   const auto next = temp_path("replaced.jsonl.next");
-  write_file(store, fake_record("0000000000000050", "old") + "\n");
+  write_file(store, fake_record("0000000000000050", "old") + "\n" +
+                        real_record(0x53, 1.25) + "\n");
 
   exp::StoreIndex index;
-  EXPECT_EQ(index.add_store(store), 1u);
+  EXPECT_EQ(index.add_store(store), 2u);
+  ASSERT_NE(index.row(0x53), nullptr);
+  EXPECT_EQ(row_speedup(index.row(0x53)), 1.25);
 
   // A rename replaces the store with a longer file (e.g. a merge's atomic
   // tmp + rename): the held handle still names the old bytes, so the
-  // index must notice the new file and index it from offset 0.
+  // index must notice the new file and index it from offset 0. The row
+  // read from the old file goes with it: 0x53 now folds the new record.
   write_file(next, fake_record("0000000000000051", "new-first") + "\n" +
-                       fake_record("0000000000000052", "new-second") + "\n");
+                       fake_record("0000000000000052", "new-second") + "\n" +
+                       real_record(0x53, 3.75) + "\n");
   ASSERT_EQ(std::rename(next.c_str(), store.c_str()), 0);
-  EXPECT_EQ(index.refresh(), 2u);
+  EXPECT_EQ(index.refresh(), 3u);
   EXPECT_FALSE(index.contains(0x50));
   EXPECT_EQ(index.fetch_line(0x51),
             fake_record("0000000000000051", "new-first"));
   EXPECT_EQ(index.fetch_line(0x52),
             fake_record("0000000000000052", "new-second"));
+  ASSERT_NE(index.row(0x53), nullptr);
+  EXPECT_EQ(row_speedup(index.row(0x53)), 3.75);
+}
+
+TEST(StoreIndex, ConcurrentRowFillsMatchAggregateWhileAWriterAppends) {
+  // The service's locking: readers fold rows under the shared side (the
+  // first reads fill them, racing one another), and a writer appends
+  // records and refreshes under the exclusive side. Every reader's answer
+  // must equal `oracle_batch aggregate` over the records it names.
+  const auto store = temp_path("concurrent_rows.jsonl");
+  constexpr std::uint64_t kRecords = 96;
+  std::string initial;
+  for (std::uint64_t h = 1; h <= kRecords; ++h)
+    initial += real_record(h, 1.0 + static_cast<double>(h % 17) / 4.0,
+                           h % 3 == 0 ? "gm" : "cwn") +
+               "\n";
+  write_file(store, initial);
+  const auto reference_groups =
+      exp::Aggregator::from_jsonl_files({store}).summarize();
+  const auto ref_table =
+      exp::Aggregator::to_table(reference_groups, "speedup");
+  const auto ref_csv = exp::Aggregator::to_csv(reference_groups);
+
+  exp::StoreIndex index;
+  ASSERT_EQ(index.add_store(store), kRecords);
+  std::shared_mutex mu;
+  std::atomic<bool> go{false};
+  std::atomic<int> mismatches{0};
+
+  constexpr int kReaders = 4;
+  constexpr int kAppends = 24;
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      while (!go.load()) std::this_thread::yield();
+      for (int round = 0; round < 40; ++round) {
+        exp::Aggregator agg;
+        {
+          std::shared_lock<std::shared_mutex> lk(mu);
+          for (std::uint64_t h = 1; h <= kRecords; ++h)
+            if (const auto* row = index.row(h)) agg.add_row(*row);
+        }
+        // Alternate the rendered subset and every metric.
+        const bool all = (round + r) % 2 == 0;
+        const auto groups = all ? agg.summarize() : agg.summarize({"speedup"});
+        if (exp::Aggregator::to_table(groups, "speedup") != ref_table ||
+            (all && exp::Aggregator::to_csv(groups) != ref_csv))
+          mismatches.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < kAppends; ++i) {
+      append_file(store, real_record(1000 + static_cast<std::uint64_t>(i),
+                                     2.0, "random") +
+                             "\n");
+      std::unique_lock<std::shared_mutex> lk(mu);
+      index.refresh();
+    }
+  });
+  go.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // Folding every cached row in store order reproduces the whole store's
+  // aggregate, appended records included.
+  ASSERT_EQ(index.size(), kRecords + kAppends);
+  exp::Aggregator all;
+  for (std::uint64_t h = 1; h <= kRecords; ++h) all.add_row(*index.row(h));
+  for (std::uint64_t i = 0; i < kAppends; ++i)
+    all.add_row(*index.row(1000 + i));
+  EXPECT_EQ(exp::Aggregator::to_csv(all.summarize()),
+            exp::Aggregator::to_csv(
+                exp::Aggregator::from_jsonl_files({store}).summarize()));
 }
 
 }  // namespace
