@@ -56,7 +56,8 @@ struct ServiceOptions {
 
   /// Optional obs::StatusSnapshot file, atomically rewritten every
   /// obs::kStatusInterval while the daemon runs (phase "serving", request
-  /// + cache-hit + connection/queue-depth/in-flight counters).
+  /// + cache-hit + connection/queue-depth/in-flight counters); the last
+  /// write, on any clean exit, has phase "done".
   std::string status_path;
 
   /// Precision-target queries stop extending the seed axis after this
